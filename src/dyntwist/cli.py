@@ -38,10 +38,15 @@ class InputError(ValueError):
 
 def max_dim() -> int:
     raw = os.environ.get("DYNTWIST_MAX_DIM", "")
-    try:
-        return int(raw) if raw else DEFAULT_MAX_DIM
-    except ValueError:
+    if not raw:
         return DEFAULT_MAX_DIM
+    try:
+        value = int(raw)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise InputError("DYNTWIST_MAX_DIM must be a positive integer, got %r" % raw)
+    return value
 
 
 def guard_dims(*dims: int) -> None:
@@ -51,6 +56,60 @@ def guard_dims(*dims: int) -> None:
     if total > max_dim():
         raise InputError(
             "tensor size %d exceeds DYNTWIST_MAX_DIM = %d" % (total, max_dim()))
+
+
+# -- reading structure files ------------------------------------------------------
+
+
+def int_field(doc: dict, key: str) -> int:
+    """A required positive integer field."""
+    if key not in doc:
+        raise InputError("missing key %r" % key)
+    value = doc[key]
+    if type(value) is not int or value < 1:
+        raise InputError("%r must be a positive integer, got %r" % (key, value))
+    return value
+
+
+def read_entries(doc: dict, key: str, dims: tuple, order: int) -> dict:
+    """The sparse tensor ``doc[key]`` as {index tuple: scalar}.
+
+    Every entry is len(dims) integer indices, index t in [0, dims[t]), then a
+    scalar string; a missing required key, a malformed entry, an index out
+    of range and a repeated index tuple are input errors.
+    """
+    if key not in doc:
+        raise InputError("missing key %r" % key)
+    entries = doc[key]
+    if not isinstance(entries, list):
+        raise InputError("%r must be a list of entries" % key)
+    out: dict = {}
+    for entry in entries:
+        if (not isinstance(entry, list) or len(entry) != len(dims) + 1
+                or not isinstance(entry[-1], str)):
+            raise InputError("%s entry %r: expected %d indices and a scalar string"
+                             % (key, entry, len(dims)))
+        idx = tuple(entry[:-1])
+        if not all(type(i) is int and 0 <= i < d for i, d in zip(idx, dims)):
+            raise InputError("%s entry %r: index out of range for dims %r"
+                             % (key, entry, dims))
+        if idx in out:
+            raise InputError("%s entry %r: duplicate index" % (key, entry))
+        out[idx] = parse_scalar(entry[-1], order)
+    return out
+
+
+def index_list(values, dim: int, what: str) -> list:
+    """A list of integer indices in [0, dim)."""
+    if not (isinstance(values, list)
+            and all(type(i) is int and 0 <= i < dim for i in values)):
+        raise InputError("%s must be a list of indices below %d" % (what, dim))
+    return values
+
+
+def read_generators(doc: dict, dim: int):
+    gens = doc.get("generators")
+    return None if gens is None else index_list(gens, dim, "generators")
 
 
 # -- serialisation --------------------------------------------------------------
@@ -101,27 +160,27 @@ def hopf_to_json(h: HopfAlgebraData) -> dict:
 def hopf_from_json(doc: dict) -> HopfAlgebraData:
     if doc.get("format") != "hopf-algebra":
         raise InputError("expected a hopf-algebra file")
-    order = int(doc["order"])
-    dim = int(doc["dim"])
+    order = int_field(doc, "order")
+    dim = int_field(doc, "dim")
     guard_dims(dim, dim, dim)
     mult = [[dict() for _ in range(dim)] for _ in range(dim)]
-    for i, j, k, c in doc["mult"]:
-        mult[i][j][k] = parse_scalar(c, order)
-    unit = {int(i): parse_scalar(c, order) for i, c in doc["unit"]}
+    for (i, j, k), c in read_entries(doc, "mult", (dim, dim, dim), order).items():
+        mult[i][j][k] = c
+    unit = {i: c for (i,), c in read_entries(doc, "unit", (dim,), order).items()}
     alg = AlgebraData(dim, mult, unit, order, name=doc.get("name", "H"),
-                      generators=doc.get("generators"))
+                      generators=read_generators(doc, dim))
     comult = [dict() for _ in range(dim)]
-    for k, i, j, c in doc["comult"]:
-        comult[k][(i, j)] = parse_scalar(c, order)
+    for (k, i, j), c in read_entries(doc, "comult", (dim, dim, dim), order).items():
+        comult[k][(i, j)] = c
     counit = [Cyclo.zero(order)] * dim
-    for i, c in doc["counit"]:
-        counit[i] = parse_scalar(c, order)
+    for (i,), c in read_entries(doc, "counit", (dim,), order).items():
+        counit[i] = c
     antipode = None
     if doc.get("antipode"):
         zero = Cyclo.zero(order)
         data = [[zero] * dim for _ in range(dim)]
-        for i, j, c in doc["antipode"]:
-            data[i][j] = parse_scalar(c, order)
+        for (i, j), c in read_entries(doc, "antipode", (dim, dim), order).items():
+            data[i][j] = c
         antipode = Matrix(dim, dim, data, order)
     return HopfAlgebraData(alg, comult, counit, antipode=antipode,
                            name=doc.get("name", "H"))
@@ -147,20 +206,21 @@ def comodule_to_json(k: ComoduleAlgebraData) -> dict:
 def comodule_from_json(doc: dict, over: HopfAlgebraData) -> ComoduleAlgebraData:
     if doc.get("format") != "comodule-algebra":
         raise InputError("expected a comodule-algebra file")
-    order = int(doc["order"])
+    order = int_field(doc, "order")
     if order != over.order:
         raise InputError("comodule and Hopf algebra use different field orders")
-    dim = int(doc["dim"])
+    dim = int_field(doc, "dim")
     guard_dims(dim, dim, over.dim)
     mult = [[dict() for _ in range(dim)] for _ in range(dim)]
-    for i, j, k, c in doc["mult"]:
-        mult[i][j][k] = parse_scalar(c, order)
-    unit = {int(i): parse_scalar(c, order) for i, c in doc["unit"]}
+    for (i, j, k), c in read_entries(doc, "mult", (dim, dim, dim), order).items():
+        mult[i][j][k] = c
+    unit = {i: c for (i,), c in read_entries(doc, "unit", (dim,), order).items()}
     alg = AlgebraData(dim, mult, unit, order, name=doc.get("name", "K"),
-                      generators=doc.get("generators"))
+                      generators=read_generators(doc, dim))
     coaction = [dict() for _ in range(dim)]
-    for j, hi, ki, c in doc["coaction"]:
-        coaction[j][(hi, ki)] = parse_scalar(c, order)
+    for (j, hi, ki), c in read_entries(doc, "coaction", (dim, over.dim, dim),
+                                       order).items():
+        coaction[j][(hi, ki)] = c
     return ComoduleAlgebraData(alg, over, coaction, name=doc.get("name", "K"))
 
 
@@ -184,15 +244,16 @@ def module_to_json(m: ModuleRep) -> dict:
 def module_from_json(doc: dict, algebra: AlgebraData) -> ModuleRep:
     if doc.get("format") != "module":
         raise InputError("expected a module file")
-    order = int(doc["order"])
-    dim = int(doc["dim"])
+    order = int_field(doc, "order")
+    if order != algebra.order:
+        raise InputError("module and algebra use different field orders")
+    dim = int_field(doc, "dim")
     guard_dims(dim, dim, algebra.dim)
     zero = Cyclo.zero(order)
-    mats = [Matrix(dim, dim, [[zero] * dim for _ in range(dim)], order)
-            for _ in range(algebra.dim)]
     data = [[[zero] * dim for _ in range(dim)] for _ in range(algebra.dim)]
-    for a, i, j, c in doc["action"]:
-        data[a][i][j] = parse_scalar(c, order)
+    for (a, i, j), c in read_entries(doc, "action", (algebra.dim, dim, dim),
+                                     order).items():
+        data[a][i][j] = c
     mats = [Matrix(dim, dim, d, order) for d in data]
     return ModuleRep(algebra, dim, mats, name=doc.get("name", "V"))
 
@@ -215,39 +276,27 @@ def twist_from_json(doc: dict, h: HopfAlgebraData,
                     s: ComoduleAlgebraData) -> TwistElement:
     if doc.get("format") != "twist":
         raise InputError("expected a twist file")
-    order = int(doc["order"])
+    order = int_field(doc, "order")
     if order != h.order:
         raise InputError("twist and Hopf algebra use different field orders")
-    guard_dims(h.dim, h.dim, s.dim)
-    coeffs = {}
-    for i, j, k, c in doc["coeffs"]:
-        coeffs[(i, j, k)] = parse_scalar(c, order)
+    dims = (h.dim, h.dim, s.dim)
+    guard_dims(*dims)
+    coeffs = read_entries(doc, "coeffs", dims, order)
     inverse = None
     if doc.get("inverse"):
-        inverse = {}
-        for i, j, k, c in doc["inverse"]:
-            inverse[(i, j, k)] = parse_scalar(c, order)
+        inverse = read_entries(doc, "inverse", dims, order)
     return TwistElement(h, s, coeffs, inverse=inverse)
-
-
-def gauge_to_json(g: GaugeElement) -> dict:
-    return {
-        "format": "gauge",
-        "order": g.h.order,
-        "coeffs": [[i, k, format_scalar(c)]
-                   for (i, k), c in sorted(g.coeffs.items())],
-    }
 
 
 def gauge_from_json(doc: dict, h: HopfAlgebraData,
                     s: ComoduleAlgebraData) -> GaugeElement:
     if doc.get("format") != "gauge":
         raise InputError("expected a gauge file")
-    order = int(doc["order"])
-    coeffs = {}
-    for i, k, c in doc["coeffs"]:
-        coeffs[(i, k)] = parse_scalar(c, order)
-    return GaugeElement(h, s, coeffs)
+    order = int_field(doc, "order")
+    if order != h.order:
+        raise InputError("gauge and Hopf algebra use different field orders")
+    guard_dims(h.dim, s.dim)
+    return GaugeElement(h, s, read_entries(doc, "coeffs", (h.dim, s.dim), order))
 
 
 def datum_to_json(spec) -> dict:
@@ -269,28 +318,42 @@ def datum_from_json(doc: dict):
     from .scalar import lcm
     if doc.get("format") != "datum":
         raise InputError("expected a datum file")
-    table = [[int(x) for x in row] for row in doc["group"]]
-    n = int(doc["n"])
-    mu_raw = str(doc["mu"])
-    mu_order = _scalar_order(mu_raw)
-    order = lcm(group_exponent(table), n, mu_order)
-    chi = [parse_scalar(c, order) for c in doc["chi"]]
+    for key in ("group", "chi", "g", "n", "F", "B", "mu"):
+        if key not in doc:
+            raise InputError("missing key %r" % key)
+    table = doc["group"]
+    size = len(table) if isinstance(table, list) else 0
+    elements = list(range(size))
+    rows = [sorted(index_list(row, size, "a group row")) for row in table] if size else []
+    # a Latin square: element orders and the exponent are then finite
+    if (not size or any(row != elements for row in rows)
+            or any(sorted(col) != elements for col in zip(*table))):
+        raise InputError("group must be a Latin square on 0, ..., |G| - 1")
+    chi_raw, mu_raw = doc["chi"], doc["mu"]
+    if not (isinstance(chi_raw, list) and len(chi_raw) == size
+            and all(isinstance(c, str) for c in chi_raw + [mu_raw])):
+        raise InputError("chi needs one scalar string per group element, mu a scalar string")
+    n = int_field(doc, "n")
+    order = lcm(group_exponent(table), n, _scalar_order(mu_raw))
     return DatumSpec(
         table=table,
-        chi=chi,
-        g=int(doc["g"]),
+        chi=[parse_scalar(c, order) for c in chi_raw],
+        g=index_list([doc["g"]], size, "g")[0],
         n=n,
-        f_indices=[int(i) for i in doc["F"]],
-        b_indices=[int(i) for i in doc["B"]],
+        f_indices=index_list(doc["F"], size, "F"),
+        b_indices=index_list(doc["B"], size, "B"),
         mu=parse_scalar(mu_raw, order),
     ), order
 
 
 def _scalar_order(text: str) -> int:
     text = text.strip()
-    if text.startswith("[") and "@" in text:
-        return int(text.rsplit("@", 1)[1])
-    return 1
+    if not (text.startswith("[") and "@" in text):
+        return 1
+    order = text.rsplit("@", 1)[1].strip()
+    if not order.isdigit() or int(order) < 1:
+        raise ScalarError("bad order in %r" % text)
+    return int(order)
 
 
 def write_json(path: str, doc: dict) -> None:
@@ -400,9 +463,19 @@ def _example_spec(name: str, args):
 
 
 def cmd_example(args) -> int:
-    from .datum import MonomialDatum
+    from .datum import MonomialDatum, PipelineError
     spec = _example_spec(args.name, args)
-    datum = MonomialDatum(spec)
+    command = "example " + args.name
+    report = CheckReport(command)
+    solve_check = "xi^-1(id) uniquely solvable on (H_reg, A_reg)"
+    try:
+        datum = MonomialDatum(spec)
+    except PipelineError as exc:
+        report.add(solve_check, False, 1)
+        sys.stderr.write("pipeline failure: %s\n" % exc)
+        return finish(args, command, [], report, [])
+    weights = ", ".join(format_scalar(c) for c in datum.weights)
+    report.add("%s, station weights %s" % (solve_check, weights), True)
     outdir = args.out_dir
     os.makedirs(outdir, exist_ok=True)
     prefix = os.path.join(outdir, args.name.lower())
@@ -415,9 +488,7 @@ def cmd_example(args) -> int:
     paths.append(prefix + "_base.json")
     write_json(prefix + "_datum.json", datum_to_json(spec))
     paths.append(prefix + "_datum.json")
-    report = CheckReport("example " + args.name)
-    report.add("instance constructed and validated", True)
-    rc = finish(args, "example " + args.name, [], report, paths)
+    rc = finish(args, command, [], report, paths)
     for p in paths:
         print(p)
     return rc
@@ -428,9 +499,8 @@ def cmd_compute_twist(args) -> int:
     spec, order = datum_from_json(read_json(args.datum))
     dim_h = len(spec.table) * spec.n
     guard_dims(dim_h, dim_h, len(spec.b_indices))
-    datum = MonomialDatum(spec, order=order)
     try:
-        twist, report = datum.compute_twist()
+        twist, report = MonomialDatum(spec, order=order).compute_twist()
     except PipelineError as exc:
         report = CheckReport("compute-twist")
         report.add("pipeline hypothesis (invertibility of xi^-1(id))", False, 1)

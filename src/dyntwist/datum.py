@@ -26,7 +26,7 @@ from .comod import (
     subhopf_comodule,
 )
 from .hopf import HopfAlgebraData, StructureError, add_into, group_algebra
-from .linalg import LinAlgError, Matrix, kron, solve, sparse_solve
+from .linalg import LinAlgError, Matrix, kron, solve, sparse_cols, sparse_solve
 from .monomial import (
     MonomialHopfSpec,
     ValidationError,
@@ -73,12 +73,15 @@ class AdjunctionEngine:
     Parameters: the Hopf algebra ``h``; the twist base as a Hopf-subalgebra
     embedding ``embed_b`` (a group algebra kB for the monomial family); the
     comodule algebra ``k``; ``t_functor`` mapping A-modules to K-modules
-    (with ``t_morphism`` on maps); and ``station(v, w)`` giving the pointwise
-    linear map from flattened Hom(T(V), T(W)) to flattened Hom(V, W).
+    (with ``t_morphism`` on maps); ``station(v, w)`` giving the pointwise
+    linear map from flattened Hom(T(V), T(W)) to flattened Hom(V, W); and an
+    optional one-dimensional H-module ``h_character_module`` that joins the
+    certification batteries.
     """
 
     def __init__(self, h: HopfAlgebraData, embed_b: SubHopfEmbedding,
-                 k: ComoduleAlgebraData, t_functor, t_morphism, station):
+                 k: ComoduleAlgebraData, t_functor, t_morphism, station,
+                 h_character_module: ModuleRep | None = None):
         self.h = h
         self.embed_b = embed_b
         self.kb = embed_b.small
@@ -86,8 +89,15 @@ class AdjunctionEngine:
         self.t_functor = t_functor
         self.t_morphism = t_morphism
         self.station = station
+        self.h_character_module = h_character_module
         self.order = h.order
         self._t_cache: list[tuple[ModuleRep, ModuleRep]] = []
+        # built once, so T of each is computed once through the cache
+        self.triv_h = trivial_module(h, name="triv_H")
+        self.triv_a = trivial_module(self.kb, name="triv_A")
+        self.h_reg = regular_module(h.alg, name="H_reg")
+        self.a_reg = regular_module(self.kb.alg, name="A_reg")
+        self._regular_solution = None
 
     # T with caching by module identity (strong refs keep id() stable)
     def t(self, v: ModuleRep) -> ModuleRep:
@@ -144,8 +154,7 @@ class AdjunctionEngine:
         for g in gens:
             sm = source.action[g]
             tm = tw.action[g]
-            sm_cols = _sparse_cols_of(sm)
-            tm_cols = _sparse_cols_of(tm)
+            sm_cols = sparse_cols(sm)
             for i in range(tw.dim):
                 for j in range(source.dim):
                     row: dict = {}
@@ -187,18 +196,27 @@ class AdjunctionEngine:
         ident = Matrix.identity(x.dim * m.dim, self.order)
         return self.xi_inverse(x, m, n, ident), n
 
+    def regular_solution(self) -> tuple[Matrix, ModuleRep]:
+        """xi^-1(id) on (H_reg, A_reg), solved once and kept.
+
+        A failed solve raises PipelineError and keeps nothing, so a caller
+        that changes the station after a failure gets a fresh solve.
+        """
+        if self._regular_solution is None:
+            self._regular_solution = self.xi_inverse_id(self.h_reg, self.a_reg)
+        return self._regular_solution
+
     # -- element form of xi^-1(id) ----------------------------------------
 
-    def obstruction_element(self, certify: bool = True):
+    def obstruction_element(self):
         """The natural family xi^-1(id) as an element of End(slices) (x) H (x) A.
 
         Solved once on regular modules; naturality makes it multiplication by
         an element, which is certified by independent re-solves on small
         non-regular instances.
         """
-        h_reg = regular_module(self.h.alg, name="H_reg")
-        a_reg = regular_module(self.kb.alg, name="A_reg")
-        f, n_mod = self.xi_inverse_id(h_reg, a_reg)
+        h_reg, a_reg = self.h_reg, self.a_reg
+        f, _ = self.regular_solution()
         t_a = self.t(a_reg)
         nslices = t_a.dim // a_reg.dim
         u_h = _unit_index(self.h.alg)
@@ -215,16 +233,15 @@ class AdjunctionEngine:
                         val = f.data[r][ccol]
                         if not val.is_zero():
                             xi_elem[(s, kslice, hh, aa)] = val
-        if certify:
-            rebuilt = self.contract_obstruction(xi_elem, h_reg, a_reg)
-            if rebuilt != f:
+        rebuilt = self.contract_obstruction(xi_elem, h_reg, a_reg)
+        if rebuilt != f:
+            raise PipelineError(
+                "xi^-1(id) is not multiplication by an element on regulars")
+        for x, m in self._certification_pairs():
+            direct, _ = self.xi_inverse_id(x, m)
+            if self.contract_obstruction(xi_elem, x, m) != direct:
                 raise PipelineError(
-                    "xi^-1(id) is not multiplication by an element on regulars")
-            for x, m in self._certification_pairs():
-                direct, _ = self.xi_inverse_id(x, m)
-                if self.contract_obstruction(xi_elem, x, m) != direct:
-                    raise PipelineError(
-                        "element certificate failed on (%s, %s)" % (x.name, m.name))
+                    "element certificate failed on (%s, %s)" % (x.name, m.name))
         return xi_elem, nslices
 
     def contract_obstruction(self, xi_elem: dict, x: ModuleRep,
@@ -236,8 +253,8 @@ class AdjunctionEngine:
         cols = x.dim * nslices * m.dim
         zero = Cyclo.zero(order)
         data = [[zero] * cols for _ in range(rows)]
-        x_cols = [_sparse_cols_of(a) for a in x.action]
-        m_cols = [_sparse_cols_of(a) for a in m.action]
+        x_cols = [sparse_cols(a) for a in x.action]
+        m_cols = [sparse_cols(a) for a in m.action]
         for (s, kslice, hh, aa), c in xi_elem.items():
             xc = x_cols[hh]
             mc = m_cols[aa]
@@ -251,19 +268,10 @@ class AdjunctionEngine:
         return Matrix(rows, cols, data, order)
 
     def _certification_pairs(self):
-        pairs = []
-        triv_h = trivial_module(self.h, name="triv_H")
-        triv_a = trivial_module(self.kb, name="triv_A")
-        a_reg = regular_module(self.kb.alg, name="A_reg")
-        pairs.append((triv_h, triv_a))
-        pairs.append((triv_h, a_reg))
-        chi_mod = self._h_character_module()
-        if chi_mod is not None:
-            pairs.append((chi_mod, a_reg))
+        pairs = [(self.triv_h, self.triv_a), (self.triv_h, self.a_reg)]
+        if self.h_character_module is not None:
+            pairs.append((self.h_character_module, self.a_reg))
         return pairs
-
-    def _h_character_module(self):
-        return None
 
     # -- the twist ----------------------------------------------------------
 
@@ -305,12 +313,10 @@ class AdjunctionEngine:
     def s_base(self) -> ComoduleAlgebraData:
         return subhopf_comodule(self.embed_b, name="A_base")
 
-    def extract_twist(self, certify: bool = True) -> tuple[TwistElement, CheckReport]:
+    def extract_twist(self) -> tuple[TwistElement, CheckReport]:
         report = CheckReport("twist extraction")
-        xi_elem, _ = self.obstruction_element(certify=certify)
-        h_reg = regular_module(self.h.alg, name="H_reg")
-        a_reg = regular_module(self.kb.alg, name="A_reg")
-        i_mat = self.compute_i(h_reg, h_reg, a_reg, xi_elem=xi_elem)
+        xi_elem, _ = self.obstruction_element()
+        i_mat = self.compute_i(self.h_reg, self.h_reg, self.a_reg, xi_elem=xi_elem)
         legs = [self.h.alg, self.h.alg, self.kb.alg]
         dims = [self.h.dim, self.h.dim, self.kb.dim]
         u_h = _unit_index(self.h.alg)
@@ -330,16 +336,15 @@ class AdjunctionEngine:
                    0 if ok else 1)
         if not ok:
             raise PipelineError("extraction certificate failed on regulars")
-        if certify:
-            bad = 0
-            for x, y, m in self._extraction_battery():
-                direct = self.compute_i(x, y, m)  # independent solves
-                acting = _element_action(e_elem, x, y, m, self.order)
-                if direct != acting:
-                    bad += 1
-            report.add("element reproduces I on independent modules", bad == 0, bad)
-            if bad:
-                raise PipelineError("extraction certificate failed on battery")
+        bad = 0
+        for x, y, m in self._extraction_battery():
+            direct = self.compute_i(x, y, m)  # independent solves
+            acting = _element_action(e_elem, x, y, m, self.order)
+            if direct != acting:
+                bad += 1
+        report.add("element reproduces I on independent modules", bad == 0, bad)
+        if bad:
+            raise PipelineError("extraction certificate failed on battery")
         j_elem = invert_element(legs, e_elem, self.order)
         twist = TwistElement(self.h, self.s_base(), j_elem, inverse=e_elem)
         tw_report = verify_twist(twist)
@@ -347,27 +352,22 @@ class AdjunctionEngine:
         return twist, report
 
     def _extraction_battery(self):
-        triv_h = trivial_module(self.h, name="triv_H")
-        triv_a = trivial_module(self.kb, name="triv_A")
-        a_reg = regular_module(self.kb.alg, name="A_reg")
-        h_reg = regular_module(self.h.alg, name="H_reg")
+        triv_h, triv_a, h_reg, a_reg = self.triv_h, self.triv_a, self.h_reg, self.a_reg
         battery = [
             (triv_h, triv_h, triv_a),
             (h_reg, triv_h, a_reg),
             (triv_h, h_reg, a_reg),
         ]
-        chi_mod = self._h_character_module()
-        if chi_mod is not None:
-            battery.append((chi_mod, h_reg, triv_a))
+        if self.h_character_module is not None:
+            battery.append((self.h_character_module, h_reg, triv_a))
         return battery
 
     # -- contract validation -------------------------------------------------
 
-    def validate(self, deep: bool = False) -> CheckReport:
+    def validate(self) -> CheckReport:
         """Certify the xi contract: normalisation, naturality, bijectivity."""
         report = CheckReport("adjunction contract")
-        triv_a = trivial_module(self.kb, name="triv_A")
-        a_reg = regular_module(self.kb.alg, name="A_reg")
+        triv_a, a_reg = self.triv_a, self.a_reg
         # req1: station(id_T(M)) = id_M, which is xi(l_{T(M)}) = l'_M
         bad = 0
         for m in (triv_a, a_reg):
@@ -379,11 +379,7 @@ class AdjunctionEngine:
                 bad += 1
         report.add("normalisation xi(id_T(M)) = id_M", bad == 0, bad)
         # naturality and bijectivity on a small instance
-        triv_h = trivial_module(self.h, name="triv_H")
-        h_reg = regular_module(self.h.alg, name="H_reg")
-        pairs = [(triv_h, triv_a, triv_a), (h_reg, triv_a, a_reg)]
-        if deep:
-            pairs.append((h_reg, a_reg, a_reg))
+        pairs = [(self.triv_h, triv_a, triv_a), (self.h_reg, triv_a, a_reg)]
         bad_nat = 0
         bad_bij = 0
         for x, v, w in pairs:
@@ -431,18 +427,6 @@ def _intertwiners(alg_carrier, src: ModuleRep, tgt: ModuleRep):
     return intertwiner_basis([src.action[g] for g in gens],
                              [tgt.action[g] for g in gens],
                              tgt.dim, src.dim, src.order)
-
-
-def _sparse_cols_of(m: Matrix):
-    cols = []
-    for j in range(m.cols):
-        col = []
-        for i in range(m.rows):
-            v = m.data[i][j]
-            if not v.is_zero():
-                col.append((i, v))
-        cols.append(col)
-    return cols
 
 
 def _unit_index(alg) -> int:
@@ -498,8 +482,7 @@ class DatumSpec:
 class MonomialDatum:
     """The dynamical datum (K, T) of the monomial family, fully assembled."""
 
-    def __init__(self, spec: DatumSpec, order: int | None = None,
-                 validate_weights: bool = True):
+    def __init__(self, spec: DatumSpec, order: int | None = None):
         from .hopf import group_exponent
         if order is None:
             order = lcm(group_exponent(spec.table), spec.n, spec.mu.order)
@@ -535,14 +518,14 @@ class MonomialDatum:
         if not verify_coset_basis(self.h, hopf_spec, self.cosets, spec.b_indices):
             raise ValidationError("coset products do not span the Hopf algebra")
         self.mu = spec.mu.embed(order)
-        self.weights = self._select_weights(validate_weights)
         self.engine = AdjunctionEngine(
             self.h, self.embed_b, self.k,
             t_functor=self._t_functor,
             t_morphism=lambda f: t_on_morphism(spec.n, f),
             station=self._station,
+            h_character_module=self._h_character_module(),
         )
-        self.engine._h_character_module = self._h_character_module
+        self.weights = self._select_weights()
         self._galois_f = None
 
     def _t_functor(self, v: ModuleRep) -> ModuleRep:
@@ -559,7 +542,9 @@ class MonomialDatum:
                 raise PipelineError("K is not Galois over the F-subalgebra")
         return self._galois_f
 
-    def _select_weights(self, validate: bool) -> list[Cyclo]:
+    def _select_weights(self) -> list[Cyclo]:
+        """The first admissible weight family whose station makes xi^-1(id)
+        uniquely solvable on (H_reg, A_reg); the engine keeps that solution."""
         n = self.spec.n
         chi = self.hopf_spec.chi
         b_sorted = sorted(self.spec.b_indices)
@@ -575,29 +560,15 @@ class MonomialDatum:
                         ok = False
             if not ok:
                 continue
-            if not validate:
-                return weights
-            if self._weights_work(weights):
-                return weights
+            self.weights = weights  # the station reads them when called
+            try:
+                self.engine.regular_solution()
+            except PipelineError:
+                continue
+            return weights
         raise PipelineError(
             "no admissible station weights found; the character is "
             "nontrivial on B in a way this realisation does not support")
-
-    def _weights_work(self, weights) -> bool:
-        self.weights = weights
-        engine = AdjunctionEngine(
-            self.h, self.embed_b, self.k,
-            t_functor=self._t_functor,
-            t_morphism=lambda f: t_on_morphism(self.spec.n, f),
-            station=self._station,
-        )
-        h_reg = regular_module(self.h.alg, name="H_reg")
-        a_reg = regular_module(self.kb.alg, name="A_reg")
-        try:
-            engine.xi_inverse_id(h_reg, a_reg)
-        except PipelineError:
-            return False
-        return True
 
     def _station(self, v: ModuleRep, w: ModuleRep) -> Matrix:
         """Sum of weighted slice extractions: Theta -> sum_s c_s [Theta(v_0 (x) -)]_s."""
@@ -644,10 +615,8 @@ class MonomialDatum:
                               "PASS" if cert.verdict == "SimpleCertified"
                               else ("FAIL" if cert.verdict == "NotSimpleCertified"
                                     else "INCONCLUSIVE"))
-        triv = trivial_module(self.kb, name="triv_A")
-        a_reg = regular_module(self.kb.alg, name="A_reg")
         bad = 0
-        for v in (triv, a_reg):
+        for v in (self.engine.triv_a, self.engine.a_reg):
             tv = self.engine.t(v)
             if self.kb.dim * tv.dim ** 2 != self.k.dim * v.dim ** 2:
                 bad += 1
@@ -668,8 +637,7 @@ class MonomialDatum:
         from .rep import induce, small_dual
         report = CheckReport("omega normalisation")
         order = self.order
-        for v in (trivial_module(self.kb, name="triv_A"),
-                  regular_module(self.kb.alg, name="A_reg")):
+        for v in (self.engine.triv_a, self.engine.a_reg):
             tv = self.engine.t(v)
             vdual = small_dual(self.kb, v)
             vw = tensor_reps(self.kb, v, vdual)
@@ -699,8 +667,8 @@ class MonomialDatum:
             report.add("req12 normalisation (V = %s)" % v.name, bad == 0, bad)
         return report
 
-    def compute_twist(self, certify: bool = True):
-        return self.engine.extract_twist(certify=certify)
+    def compute_twist(self):
+        return self.engine.extract_twist()
 
 
 def _sub_table(table, indices):
@@ -730,7 +698,6 @@ def generic_galois_datum(embed_a: SubHopfEmbedding, k: ComoduleAlgebraData,
     report = CheckReport("generic Galois datum")
     h = embed_a.big
     a = embed_a.small
-    order = h.order
     k_over_a = corestrict_coaction(k, embed_a)
     r = coinvariants(k_over_a)
     report.add("coinvariants K^coA trivial", r.dim == 1,
@@ -753,11 +720,8 @@ def generic_galois_datum(embed_a: SubHopfEmbedding, k: ComoduleAlgebraData,
 
     # supplied isos must be A-linear: gamma-twisted source, standard target
     gens = a.alg.generator_indices()
-    one = Cyclo.one(order)
     bad = 0
-    checked = 0
-    v_samples = [trivial_module(a, name="triv_A"),
-                 regular_module(a.alg, name="A_reg")]
+    v_samples = [engine.triv_a, engine.a_reg]
     for v in v_samples:
         for w in v_samples:
             tv, tw = engine.t(v), engine.t(w)
@@ -767,7 +731,6 @@ def generic_galois_datum(embed_a: SubHopfEmbedding, k: ComoduleAlgebraData,
                 tgt = _standard_hom_action(a, v, w, g)
                 if eta * src != tgt * eta:
                     bad += 1
-                checked += 1
     report.add("supplied isomorphisms are A-linear", bad == 0, bad)
     if bad:
         raise PipelineError("supplied isomorphism family is not A-linear")
@@ -804,10 +767,7 @@ def gauge_from_equivalence(datum: MonomialDatum, datum2: MonomialDatum,
     report = CheckReport("gauge extraction")
     eng, eng2 = datum.engine, datum2.engine
     order = datum.order
-    h_reg = regular_module(datum.h.alg, name="H_reg")
-    a_reg = regular_module(datum.kb.alg, name="A_reg")
-    triv_a = trivial_module(datum.kb, name="triv_A")
-    triv_h = trivial_module(datum.h, name="triv_H")
+    h_reg, a_reg, triv_a, triv_h = eng.h_reg, eng.a_reg, eng.triv_a, eng.triv_h
 
     bad = 0
     for v in (triv_a, a_reg):
@@ -963,7 +923,7 @@ def phi_psi(datum: MonomialDatum, v: ModuleRep, w: ModuleRep) -> dict:
             l, c_l, f_part = decomp[hh]
             b = cosets.b_part[f_part]
             j = cosets.g_exponent[f_part]
-            b_act = _standard_hom_action_elem(datum.kb, v, w, b_sorted.index(b))
+            b_act = _standard_hom_action(datum.kb, v, w, b_sorted.index(b))
             for i in range(n):
                 scale = (chi[c_l] ** i).inverse()
                 acted = b_act.apply(values_at_jil[(j, i, l)])
@@ -1018,11 +978,6 @@ def phi_psi(datum: MonomialDatum, v: ModuleRep, w: ModuleRep) -> dict:
     report.add("phi . psi = id", ok2, 0 if ok2 else 1)
     return {"phi": phi, "psi": psi, "homcb": homcb, "homaf": homaf,
             "report": report}
-
-
-def _standard_hom_action_elem(a: HopfAlgebraData, v: ModuleRep, w: ModuleRep,
-                              idx: int) -> Matrix:
-    return _standard_hom_action(a, v, w, idx)
 
 
 def _group_inverse(table, i):

@@ -167,9 +167,6 @@ class HopfAlgebraData:
     def verify(self) -> CheckReport:
         return verify_hopf(self)
 
-    def dual(self, cop: bool = False) -> "HopfAlgebraData":
-        return dual_hopf(self, cop=cop)
-
 
 def solve_antipode(alg: AlgebraData, comult, counit) -> Matrix:
     """Solve m(S (x) id) Delta = u eps for S; the right axiom is checked later.
@@ -336,11 +333,6 @@ def harpoon(h: HopfAlgebraData, elem: dict, gamma: list) -> list:
     """Left action of H on H*: < h harpoon gamma, t > = < gamma, S^-1(h) t >."""
     lm = h.alg.left_mult_matrix(h.antipode_inv_of(elem))
     return lm.transpose().apply(gamma)
-
-
-def left_hit_matrix(h: HopfAlgebraData, elem: dict) -> Matrix:
-    """Matrix of gamma -> (elem -> gamma) with <h -> gamma, t> = <gamma, t h>."""
-    return h.alg.right_mult_matrix(elem).transpose()
 
 
 def harpoon_matrix(h: HopfAlgebraData, elem: dict) -> Matrix:

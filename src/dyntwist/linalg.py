@@ -60,10 +60,6 @@ class Matrix:
         data = [[cols_list[j][i] for j in range(cols)] for i in range(rows)]
         return Matrix(rows, cols, data, order)
 
-    @staticmethod
-    def column(vec, order: int) -> "Matrix":
-        return Matrix(len(vec), 1, [[v] for v in vec], order)
-
     # -- basics -----------------------------------------------------------
 
     def __eq__(self, other):
@@ -90,9 +86,6 @@ class Matrix:
 
     def col(self, j: int) -> list:
         return [self.data[i][j] for i in range(self.rows)]
-
-    def row(self, i: int) -> list:
-        return list(self.data[i])
 
     def transpose(self) -> "Matrix":
         return Matrix(
@@ -200,6 +193,30 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
 # so pivoting stays deterministic everywhere.
 
 
+def reduce_row(row: dict, pivots: dict) -> dict:
+    """Eliminate every stored pivot column from ``row`` in place."""
+    changed = True
+    while changed:
+        changed = False
+        for c in sorted(row):
+            if c in pivots:
+                coeff = row.pop(c)
+                if coeff.is_zero():
+                    continue
+                for cc, vv in pivots[c].items():
+                    if cc == c:
+                        continue
+                    cur = row.get(cc)
+                    nv = (cur - coeff * vv) if cur is not None else -(coeff * vv)
+                    if nv.is_zero():
+                        row.pop(cc, None)
+                    else:
+                        row[cc] = nv
+                changed = True
+                break
+    return row
+
+
 def _sparse_rref(rows: list[dict], ncols: int, order: int):
     """Reduced row echelon form of sparse rows.
 
@@ -209,32 +226,9 @@ def _sparse_rref(rows: list[dict], ncols: int, order: int):
     """
     pending = [dict(r) for r in rows if r]
     pivots: dict[int, dict] = {}
-    # eliminate known pivots from a row
-    def reduce_row(row):
-        changed = True
-        while changed:
-            changed = False
-            for c in sorted(row):
-                if c in pivots:
-                    coeff = row.pop(c)
-                    if coeff.is_zero():
-                        continue
-                    for cc, vv in pivots[c].items():
-                        if cc == c:
-                            continue
-                        cur = row.get(cc)
-                        nv = (cur - coeff * vv) if cur is not None else -(coeff * vv)
-                        if nv.is_zero():
-                            row.pop(cc, None)
-                        else:
-                            row[cc] = nv
-                    changed = True
-                    break
-        return row
-
     pending.sort(key=lambda r: (len(r), min(r)))
     for row in pending:
-        row = reduce_row(row)
+        row = reduce_row(row, pivots)
         row = {c: v for c, v in row.items() if not v.is_zero()}
         if not row:
             continue
@@ -312,6 +306,12 @@ def sparse_solve(rows: list[dict], rhs: list[list[Cyclo]], ncols: int, order: in
                 vec[pc] = v
         sols.append(vec)
     return sols
+
+
+def sparse_cols(m: Matrix) -> list[list]:
+    """The nonzero entries of each column as (row, value) pairs."""
+    return [[(i, m.data[i][j]) for i in range(m.rows) if not m.data[i][j].is_zero()]
+            for j in range(m.cols)]
 
 
 def _dense_to_sparse_rows(m: Matrix) -> list[dict]:

@@ -45,9 +45,6 @@ class ModuleRep:
             out = out + self.action[i].scaled(c)
         return out
 
-    def act(self, elem: dict, vec: list) -> list:
-        return self.act_matrix(elem).apply(vec)
-
     def verify(self) -> CheckReport:
         report = CheckReport("module %s" % self.name)
         alg = self.algebra
@@ -97,15 +94,6 @@ class HomSpace:
     @property
     def dim(self) -> int:
         return len(self.basis)
-
-    def flat_basis_matrix(self) -> Matrix:
-        order = self.source.order
-        cols = [_flatten_matrix(b) for b in self.basis]
-        return Matrix.from_cols(cols, order,
-                                ambient=self.source.dim * self.target.dim)
-
-    def coordinates_of(self, m: Matrix) -> list:
-        return solve(self.flat_basis_matrix(), _flatten_matrix(m))
 
     def element(self, coords: list) -> Matrix:
         out = Matrix.zero(self.target.dim, self.source.dim, self.source.order)

@@ -158,11 +158,6 @@ class Cyclo:
     def is_rational(self) -> bool:
         return all(c == 0 for c in self.coeffs[1:])
 
-    def rational_value(self) -> Fraction:
-        if not self.is_rational():
-            raise ScalarError("%s is not rational" % (self,))
-        return self.coeffs[0]
-
     def __bool__(self):
         return not self.is_zero()
 

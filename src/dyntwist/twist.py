@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .comod import ComoduleAlgebraData
-from .hopf import HopfAlgebraData, StructureError, add_into
-from .linalg import LinAlgError, Matrix, inverse, kernel, solve
+from .comod import ComoduleAlgebraData, canonical_map, coinvariants, verify_comodule_algebra
+from .hopf import AlgebraData, HopfAlgebraData, StructureError, add_into, dict_of, dual_hopf
+from .linalg import LinAlgError, Matrix, Subspace, solve, sparse_cols
 from .report import CheckReport
 from .scalar import Cyclo
 
@@ -283,23 +283,27 @@ def gauge_transform(t1: TwistElement, g: GaugeElement) -> TwistElement:
 def build_twisted_galois(t: TwistElement) -> tuple:
     """The algebra B = H* (x) S with the twist-deformed product.
 
-    Verifies associativity and unit, the right comodule-algebra structure over
-    H*cop, that the coinvariants are exactly S, that the canonical map is
-    bijective, and that the displayed closed-form inverse of can is two-sided.
-    Returns (B as ComoduleAlgebraData-like data, report).
+    Verifies associativity and unit, then B's right H*cop coaction
+    alpha (x) s -> alpha_2 (x) s (x) alpha_1 through comod's left-comodule
+    code: flipped, it is the left coaction alpha (x) s -> alpha_1 (x) (alpha_2
+    (x) s) over H*cop^cop = H*.  Checks the comodule-algebra axioms, that the
+    coinvariants are exactly S, that the canonical map is bijective (on B^op,
+    where the left canonical map is the flipped right one), and that the
+    displayed closed-form inverse of can equals the computed inverse.
+    Returns ((B as a left H*-comodule algebra, Galois data of B^op), report).
     """
-    from .hopf import AlgebraData, dual_hopf
-
     h, s = t.h, t.s
     order = t.order
     one = Cyclo.one(order)
+    hdual = dual_hopf(h)
     report = CheckReport("twisted algebra H* (x) S")
     hdim, sdim = h.dim, s.dim
     dim = hdim * sdim
 
-    # right hit: <h -> alpha, t> = <alpha, t h>, matrix on dual coordinates
-    hit_cols = _hit_columns(h)
-    dualmult = _dual_mult_table(h)
+    # hit_cols[j][a] = (e_j -> alpha_a) with <h -> alpha, x> = <alpha, x h>
+    hit_cols = [[dict_of(row) for row in h.alg.right_mult_matrix({j: one}).data]
+                for j in range(hdim)]
+    dualmult = hdual.alg.mult
 
     def bidx(a, k):
         return a * sdim + k
@@ -333,47 +337,17 @@ def build_twisted_galois(t: TwistElement) -> tuple:
                    for a in range(hdim) if not h.counit[a].is_zero()
                    for k, v in s.alg.unit.items()}
     b_alg = AlgebraData(dim, mult, counit_unit, order, name="B")
-    rep = b_alg.verify()
-    report.merge(rep, prefix="B: ")
+    report.merge(b_alg.verify(), prefix="B: ")
 
-    hcop = dual_hopf(h, cop=True)
-
-    # right coaction delta_B(alpha (x) s) = alpha_2 (x) s (x) alpha_1
-    dual_comult = [dict() for _ in range(hdim)]
-    for i in range(hdim):
-        for j in range(hdim):
-            for k2, c in h.alg.mult[i][j].items():
-                add_into(dual_comult[k2], (i, j), c)
-    coaction_b = [dict() for _ in range(dim)]
+    coaction = [dict() for _ in range(dim)]
     for a in range(hdim):
         for k in range(sdim):
-            for (a1, a2), c in dual_comult[a].items():
-                add_into(coaction_b[bidx(a, k)], (bidx(a2, k), a1), c)
-
-    # comodule-algebra checks for the right coaction over H*cop
-    report.add("coaction coassociative",
-               *_right_coassoc(coaction_b, hcop, dim))
-    report.add("coaction counital", *_right_counit(coaction_b, hcop, dim, order))
-    bad = 0
-    for i in range(dim):
-        for j in range(dim):
-            lhs: dict = {}
-            for kk, c in b_alg.mult[i][j].items():
-                for key, d in coaction_b[kk].items():
-                    add_into(lhs, key, c * d)
-            rhs: dict = {}
-            for (bi, hi), c in coaction_b[i].items():
-                for (bj, hj), d in coaction_b[j].items():
-                    cc = c * d
-                    for bt, cm in b_alg.mult[bi][bj].items():
-                        for ht, cm2 in hcop.alg.mult[hi][hj].items():
-                            add_into(rhs, (bt, ht), cc * cm * cm2)
-            if lhs != rhs:
-                bad += 1
-    report.add("coaction is an algebra map", bad == 0, bad)
+            for (a1, a2), c in hdual.comult[a].items():
+                add_into(coaction[bidx(a, k)], (a1, bidx(a2, k)), c)
+    b_comod = ComoduleAlgebraData(b_alg, hdual, coaction, name="B")
+    report.merge(verify_comodule_algebra(b_comod), prefix="B: ")
 
     # coinvariants = eps (x) S
-    coinv = _right_coinvariants(coaction_b, hcop, dim, order)
     expected = []
     for k in range(sdim):
         vec = [Cyclo.zero(order)] * dim
@@ -381,218 +355,73 @@ def build_twisted_galois(t: TwistElement) -> tuple:
             if not h.counit[a].is_zero():
                 vec[bidx(a, k)] = h.counit[a]
         expected.append(vec)
-    ok = coinv.dim == sdim and all(coinv.contains(v) for v in expected)
-    report.add("coinvariants equal S", ok, 0 if ok else 1)
+    coinv = coinvariants(b_comod)
+    bad = abs(coinv.dim - sdim) + sum(1 for v in expected if not coinv.contains(v))
+    report.add("coinvariants equal S", bad == 0, bad)
 
-    can_data = _right_canonical_map(b_alg, coaction_b, hcop, expected, order)
-    report.add("can bijective", can_data["bijective"],
-               0 if can_data["bijective"] else 1)
-    if can_data["bijective"]:
-        ok = _check_can_inverse_formula(t, b_alg, hcop, can_data, hit_cols,
-                                        dualmult, report)
-    return (b_alg, coaction_b, hcop), report
-
-
-def _hit_columns(h: HopfAlgebraData):
-    """hit_cols[j][a] = (e_j -> dual_a) as a sparse dual vector."""
-    order = h.order
-    out = []
-    for j in range(h.dim):
-        rm = h.alg.right_mult_matrix({j: Cyclo.one(order)})
-        cols = []
-        for a in range(h.dim):
-            col = {}
-            for tcol in range(h.dim):
-                c = rm.data[a][tcol]
-                if not c.is_zero():
-                    col[tcol] = c
-            cols.append(col)
-        out.append(cols)
-    return out
+    op_mult = [[mult[j][i] for j in range(dim)] for i in range(dim)]
+    b_op = ComoduleAlgebraData(AlgebraData(dim, op_mult, counit_unit, order, name="B^op"),
+                               hdual, coaction, name="B^op")
+    gal = canonical_map(b_op, Subspace.from_vectors(expected, dim, order))
+    report.add("can bijective", gal.bijective, 0 if gal.bijective else 1)
+    if gal.bijective:
+        _check_can_inverse_formula(t, hdual, hit_cols, gal, report)
+    return (b_comod, gal), report
 
 
-def _dual_mult_table(h: HopfAlgebraData):
-    table = [[dict() for _ in range(h.dim)] for _ in range(h.dim)]
-    for k in range(h.dim):
-        for (i, j), c in h.comult[k].items():
-            add_into(table[i][j], k, c)
-    return table
+def _check_can_inverse_formula(t, hdual, hit_cols, gal, report) -> None:
+    """The closed-form can^-1(gamma (x) r (x) beta) from the twist inverse.
 
-
-def _right_coassoc(coaction, hcop, dim):
-    # compares (delta x id)delta with (id x Delta_cop)delta, keys (B, H, H)
-    bad = 0
-    for i in range(dim):
-        lhs: dict = {}
-        rhs: dict = {}
-        for (b, hh), c in coaction[i].items():
-            for (b2, h2), d in coaction[b].items():
-                add_into(lhs, (b2, h2, hh), c * d)
-            for (h1, h2), d in hcop.comult[hh].items():
-                add_into(rhs, (b, h1, h2), c * d)
-        if lhs != rhs:
-            bad += 1
-    return bad == 0, bad
-
-
-def _right_counit(coaction, hcop, dim, order):
-    bad = 0
-    one = Cyclo.one(order)
-    for i in range(dim):
-        acc: dict = {}
-        for (b, hh), c in coaction[i].items():
-            add_into(acc, b, c * hcop.counit[hh])
-        if acc != {i: one}:
-            bad += 1
-    return bad == 0, bad
-
-
-def _right_coinvariants(coaction, hcop, dim, order):
-    rows = []
-    unit_h = hcop.alg.unit_vec()
-    m = [[Cyclo.zero(order)] * dim for _ in range(dim * hcop.dim)]
-    for j in range(dim):
-        for (b, hh), c in coaction[j].items():
-            m[b * hcop.dim + hh][j] = m[b * hcop.dim + hh][j] + c
-        for hh, c in enumerate(unit_h):
-            if not c.is_zero():
-                m[j * hcop.dim + hh][j] = m[j * hcop.dim + hh][j] - c
-    return kernel(Matrix(dim * hcop.dim, dim, m, order))
-
-
-def _right_canonical_map(b_alg, coaction, hcop, s_vectors, order):
-    """can(x (x) y) = x y_0 (x) y_1 on B (x)_S B for the right coaction."""
-    from .linalg import Subspace, quotient
-
-    dim = b_alg.dim
-    kk = dim * dim
-    one = Cyclo.one(order)
-    relations = []
-    s_elems = []
-    for vec in s_vectors:
-        s_elems.append({i: c for i, c in enumerate(vec) if not c.is_zero()})
-    unit_elem = dict(b_alg.unit)
-    for selem in s_elems:
-        if selem == unit_elem:
-            continue
-        for i in range(dim):
-            xs = b_alg.multiply({i: one}, selem)
-            for j in range(dim):
-                sy = b_alg.multiply(selem, {j: one})
-                vec = [Cyclo.zero(order)] * kk
-                for tt, c in xs.items():
-                    vec[tt * dim + j] = vec[tt * dim + j] + c
-                for tt, c in sy.items():
-                    vec[i * dim + tt] = vec[i * dim + tt] - c
-                if any(not x.is_zero() for x in vec):
-                    relations.append(vec)
-    rel = Subspace.from_vectors(relations, kk, order)
-    proj, sec = quotient(kk, rel)
-    target = dim * hcop.dim
-    cols = []
-    for i in range(dim):
-        for j in range(dim):
-            col = [Cyclo.zero(order)] * target
-            for (b, hh), c in coaction[j].items():
-                for tt, cm in b_alg.mult[i][b].items():
-                    col[tt * hcop.dim + hh] = col[tt * hcop.dim + hh] + c * cm
-            cols.append(col)
-    can_full = Matrix.from_cols(cols, order, ambient=target)
-    can_q = can_full * sec
-    bijective = can_q.rows == can_q.cols
-    can_inv = None
-    if bijective:
-        try:
-            can_inv = inverse(can_q)
-        except LinAlgError:
-            bijective = False
-    return {
-        "projection": proj,
-        "section": sec,
-        "can": can_q,
-        "can_full": can_full,
-        "can_inv": can_inv,
-        "bijective": bijective,
-    }
-
-
-def _check_can_inverse_formula(t, b_alg, hcop, can_data, hit_cols, dualmult,
-                               report) -> bool:
-    """The closed-form can^-1(gamma (x) r (x) beta) from the twist inverse."""
+    The formula is stated for the right coaction on B; the canonical map of
+    the flipped coaction on B^op swaps its source legs (x (x) y -> y (x) x) and
+    its target legs ((b, beta) -> (beta, b)).  gal.can_inverse is verified
+    two-sided, and a two-sided inverse is unique, so the formula is compared
+    with it entry by entry.
+    """
     h, s = t.h, t.s
     order = t.order
     one = Cyclo.one(order)
     hdim, sdim = h.dim, s.dim
-    dim = b_alg.dim
+    dim = hdim * sdim
     jinv = t.ensure_inverse()
     # the comodule is over H*cop, whose antipode is the inverse transpose
     sdual = h.antipode_inv.transpose()
-    dual_comult = [dict() for _ in range(hdim)]
-    for i in range(hdim):
-        for j in range(hdim):
-            for k2, c in h.alg.mult[i][j].items():
-                add_into(dual_comult[k2], (i, j), c)
-
-    proj = can_data["projection"]
-    cols = []
+    proj = gal.projection
+    cols = [None] * (hdim * dim)
     # basis of B (x) H*cop: (gamma a, r k, beta b)
     for a in range(hdim):
         for k in range(sdim):
             for b in range(hdim):
                 acc = [Cyclo.zero(order)] * (dim * dim)
-                for (b1, b2), cb in dual_comult[b].items():
+                for (b1, b2), cb in hdual.comult[b].items():
                     # antipode of H* applied to beta_2
-                    sb2 = {}
-                    for r2 in range(hdim):
-                        c = sdual.data[r2][b2]
-                        if not c.is_zero():
-                            sb2[r2] = c
+                    sb2 = dict_of(sdual.col(b2))
                     # gamma . S(beta_2) in H*
                     gs = {}
                     for r2, c in sb2.items():
-                        for pk, pc in dualmult[a][r2].items():
+                        for pk, pc in hdual.alg.mult[a][r2].items():
                             add_into(gs, pk, c * pc)
                     for (j1, j2, j3), cj in jinv.items():
                         left: dict = {}
                         for gk, gc in gs.items():
                             for lk, lc in hit_cols[j1][gk].items():
                                 add_into(left, lk, gc * lc)
-                        right: dict = {}
-                        for rk, rc in hit_cols[j2][b1].items():
-                            right[rk] = rc
                         spart = s.alg.multiply({j3: one}, {k: one})
                         for lk, lc in left.items():
                             for uk, uv in s.alg.unit.items():
                                 bi = lk * sdim + uk
-                                for rk, rc in right.items():
+                                for rk, rc in hit_cols[j2][b1].items():
                                     for sk, sc in spart.items():
-                                        bj = rk * sdim + sk
-                                        idx = bi * dim + bj
+                                        idx = (rk * sdim + sk) * dim + bi
                                         acc[idx] = acc[idx] + cb * cj * lc * uv * rc * sc
-                cols.append(proj.apply(acc))
-    caninv_formula = Matrix.from_cols(cols, order, ambient=proj.rows)
-    can_q = can_data["can"]
-    idq = Matrix.identity(can_q.rows, order)
-    left_ok = can_q * caninv_formula == Matrix.identity(can_q.rows, order)
-    right_ok = caninv_formula * can_q == Matrix.identity(proj.rows, order)
-    report.add("displayed can^-1 formula is a two-sided inverse",
-               left_ok and right_ok, 0 if (left_ok and right_ok) else 1)
-    return left_ok and right_ok
+                cols[b * dim + a * sdim + k] = proj.apply(acc)
+    formula = Matrix.from_cols(cols, order, ambient=proj.rows)
+    bad = sum(1 for frow, irow in zip(formula.data, gal.can_inverse.data)
+              for x, y in zip(frow, irow) if x != y)
+    report.add("displayed can^-1 formula equals can^-1", bad == 0, bad)
 
 
 # -- module-level pentagon ------------------------------------------------------
-
-
-def _sparse_cols(m: Matrix):
-    cols = []
-    for j in range(m.cols):
-        col = []
-        for i in range(m.rows):
-            v = m.data[i][j]
-            if not v.is_zero():
-                col.append((i, v))
-        cols.append(col)
-    return cols
 
 
 class KronOperator:
@@ -674,7 +503,7 @@ def twisted_pentagon_check(t: TwistElement, x, y, z, m) -> CheckReport:
 
 
 def _sparse_cols_list(mod):
-    return [_sparse_cols(a) for a in mod.action]
+    return [sparse_cols(a) for a in mod.action]
 
 
 def _identity_cols(dim, order):

@@ -195,3 +195,52 @@ def test_max_dim_guard(tmp_path, monkeypatch):
     assert rc == 2
     monkeypatch.delenv("DYNTWIST_MAX_DIM")
     assert run(["verify", "hopf", os.path.join(out, "e1_hopf.json")]) == 0
+
+
+@pytest.mark.parametrize("corruption", [
+    "negative mult index", "mult index out of range", "missing comult",
+    "duplicate mult entry", "invalid DYNTWIST_MAX_DIM", "gauge index out of range",
+    "datum without n", "datum B index out of range", "datum group not a Latin square",
+])
+def test_malformed_structure_file_exits_two(corruption, tmp_path, capsys, monkeypatch):
+    out = str(tmp_path)
+    run(["example", "E0", "--out-dir", out])
+    hopf_path = os.path.join(out, "e0_hopf.json")
+    datum_path = os.path.join(out, "e0_datum.json")
+    hopf = json.loads(open(hopf_path).read())
+    datum = json.loads(open(datum_path).read())
+    argv = ["verify", "hopf", hopf_path]
+    if corruption == "negative mult index":
+        hopf["mult"][0][0] = -1
+    elif corruption == "mult index out of range":
+        hopf["mult"][0][0] = 99  # dim is 4
+    elif corruption == "missing comult":
+        del hopf["comult"]
+    elif corruption == "duplicate mult entry":
+        hopf["mult"].append(list(hopf["mult"][0]))
+    elif corruption == "invalid DYNTWIST_MAX_DIM":
+        monkeypatch.setenv("DYNTWIST_MAX_DIM", "abc")
+    elif corruption == "gauge index out of range":
+        twist_path = os.path.join(out, "one.json")
+        gauge_path = os.path.join(out, "gauge.json")
+        with open(twist_path, "w") as fh:
+            json.dump({"format": "twist", "order": 2, "coeffs": [[0, 0, 0, "1"]]}, fh)
+        with open(gauge_path, "w") as fh:
+            json.dump({"format": "gauge", "order": 2,
+                       "coeffs": [[0, 0, "1"], [5, 0, "1"]]}, fh)
+        argv = ["verify", "gauge", hopf_path, os.path.join(out, "e0_base.json"),
+                twist_path, twist_path, gauge_path]
+    else:
+        argv = ["compute-twist", datum_path, "--out", os.path.join(out, "t.json")]
+        if corruption == "datum without n":
+            del datum["n"]
+        elif corruption == "datum B index out of range":
+            datum["B"] = [5]
+        else:
+            datum["group"] = [[0, 1], [1, 1]]  # has an identity; 1 has no order
+    for path, doc in ((hopf_path, hopf), (datum_path, datum)):
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+    capsys.readouterr()
+    assert run(argv) == 2
+    assert capsys.readouterr().err.startswith("input error: ")

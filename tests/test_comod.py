@@ -179,7 +179,7 @@ def test_simple_certified_over_cyclotomic_field():
     z3 = Cyclo.zeta(3)
     spec = DatumSpec(table=table, chi=[Cyclo.one(3), z3, z3 * z3], g=1, n=3,
                      f_indices=[0, 1, 2], b_indices=[0], mu=Cyclo.one(3))
-    datum = MonomialDatum(spec, validate_weights=False)
+    datum = MonomialDatum(spec)
     cert = is_h_simple(datum.k)
     assert cert.verdict == SimplicityCertificate.SIMPLE, cert.detail
 

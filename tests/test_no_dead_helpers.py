@@ -1,0 +1,49 @@
+"""Every function and method defined in the package is used somewhere.
+
+A name counts as used when it is called (``name(``), read as an attribute
+(``.name``) or passed by name (``func=name``) in the package, its tests or
+the benchmark; its own definition does not count.  A bare name that a file
+also binds as a variable counts only where it is called, so a local ``row``
+does not keep a method ``row`` alive.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "dyntwist"
+
+
+def _trees(*dirs):
+    for d in dirs:
+        for path in sorted(d.rglob("*.py")):
+            yield path, ast.parse(path.read_text(), filename=str(path))
+
+
+def _uses(tree) -> set:
+    nodes = list(ast.walk(tree))
+    variables = {n.id for n in nodes
+                 if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Load)}
+    variables |= {n.arg for n in nodes if isinstance(n, ast.arg)}
+    used = {n.func.id for n in nodes
+            if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}
+    used |= {n.attr for n in nodes if isinstance(n, ast.Attribute)}
+    used |= {n.id for n in nodes if isinstance(n, ast.Name)
+             and isinstance(n.ctx, ast.Load) and n.id not in variables}
+    return used
+
+
+def test_every_helper_is_used():
+    defined = {}
+    for path, tree in _trees(PACKAGE):
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = node.name
+                if not (name.startswith("__") and name.endswith("__")):
+                    defined.setdefault(name, "%s:%d" % (path.name, node.lineno))
+    used = set()
+    for _, tree in _trees(ROOT / "src", ROOT / "tests", ROOT / "perfbench"):
+        used |= _uses(tree)
+    dead = sorted(where + " " + name for name, where in defined.items()
+                  if name not in used)
+    assert not dead, "defined but never used: " + ", ".join(dead)

@@ -98,6 +98,27 @@ def test_twisted_galois_corrupted_twist_breaks_associativity(e0_datum):
     assert any("associativity" in n for n in failed)
 
 
+@pytest.mark.parametrize("instance", ["e0", "e1"])
+@pytest.mark.parametrize("kind", ["computed", "trivial", "corrupted"])
+def test_twisted_galois_verdicts(instance, kind, request):
+    datum = request.getfixturevalue(instance + "_datum")
+    if kind == "computed":
+        twist = request.getfixturevalue(instance + "_twist")
+    else:
+        twist = trivial_twist(datum.h, datum.engine.s_base())
+        if kind == "corrupted":
+            coeffs = dict(twist.coeffs)
+            coeffs[(1, 1, 0)] = Cyclo.one(2)
+            twist = TwistElement(datum.h, datum.engine.s_base(), coeffs)
+    _, report = build_twisted_galois(twist)
+    failures = {c.name: c.residual_nonzero_count for c in report.failures()}
+    expected = {}
+    if kind == "corrupted":
+        expected = {"B: associativity m(m x id) = m(id x m)":
+                    {"e0": 12, "e1": 192}[instance]}
+    assert failures == expected, str(report)
+
+
 def test_pentagon_trivial(e1_datum):
     tw = trivial_twist(e1_datum.h, e1_datum.engine.s_base())
     x = regular_module(e1_datum.h.alg, name="X")
