@@ -390,9 +390,18 @@ def report_document(command: str, inputs: list[str], report: CheckReport,
 # -- commands --------------------------------------------------------------------
 
 
+def command_name(args) -> str:
+    """The report's command: the subcommand, with verify's kind or example's name."""
+    if args.command == "verify":
+        return "verify " + args.kind
+    if args.command == "example":
+        return "example " + args.name
+    return args.command
+
+
 def cmd_verify(args) -> int:
     kind = args.kind
-    report = CheckReport("verify " + kind)
+    report = CheckReport(command_name(args))
     inputs = list(args.files)
     if kind == "hopf":
         h = hopf_from_json(read_json(inputs[0]))
@@ -421,7 +430,7 @@ def cmd_verify(args) -> int:
         report = gauge_check(t1, t2, g)
     else:
         raise InputError("unknown verify kind %r" % kind)
-    return finish(args, "verify " + kind, inputs, report, [])
+    return finish(args, command_name(args), inputs, report, [])
 
 
 def _example_spec(name: str, args):
@@ -465,7 +474,7 @@ def _example_spec(name: str, args):
 def cmd_example(args) -> int:
     from .datum import MonomialDatum, PipelineError
     spec = _example_spec(args.name, args)
-    command = "example " + args.name
+    command = command_name(args)
     report = CheckReport(command)
     solve_check = "xi^-1(id) uniquely solvable on (H_reg, A_reg)"
     try:
@@ -502,13 +511,13 @@ def cmd_compute_twist(args) -> int:
     try:
         twist, report = MonomialDatum(spec, order=order).compute_twist()
     except PipelineError as exc:
-        report = CheckReport("compute-twist")
+        report = CheckReport(command_name(args))
         report.add("pipeline hypothesis (invertibility of xi^-1(id))", False, 1)
         sys.stderr.write("pipeline failure: %s\n" % exc)
-        return finish(args, "compute-twist", [args.datum], report, [])
+        return finish(args, command_name(args), [args.datum], report, [])
     out = args.out or "twist.json"
     write_json(out, twist_to_json(twist))
-    return finish(args, "compute-twist", [args.datum], report, [out])
+    return finish(args, command_name(args), [args.datum], report, [out])
 
 
 def cmd_stab(args) -> int:
@@ -529,8 +538,8 @@ def cmd_stab(args) -> int:
     rhs = v.dim * w.dim * h.dim
     report.add("dim K * dim St = dim V * dim W * dim H (%d vs %d)" % (lhs, rhs),
                lhs == rhs, 0 if lhs == rhs else 1)
-    return finish(args, "stab", [args.hopf, args.comodule, args.v, args.w],
-                  report, [])
+    return finish(args, command_name(args),
+                  [args.hopf, args.comodule, args.v, args.w], report, [])
 
 
 def cmd_twisted_galois(args) -> int:
@@ -538,7 +547,7 @@ def cmd_twisted_galois(args) -> int:
     s = comodule_from_json(read_json(args.s), h)
     t = twist_from_json(read_json(args.twist), h, s)
     _, report = build_twisted_galois(t)
-    return finish(args, "twisted-galois", [args.hopf, args.s, args.twist],
+    return finish(args, command_name(args), [args.hopf, args.s, args.twist],
                   report, [])
 
 
@@ -602,6 +611,11 @@ def main(argv=None) -> int:
     except (InputError, ScalarError, StructureError, ValidationError,
             LinAlgError) as exc:
         sys.stderr.write("input error: %s\n" % exc)
+        if args.report:
+            command = command_name(args)
+            doc = report_document(command, [], CheckReport(command), [])
+            doc["input_error"] = str(exc)
+            write_json(args.report, doc)
         return EXIT_INPUT_ERROR
 
 

@@ -315,9 +315,9 @@ def _realify_matrix(m: Matrix) -> list[list[Fraction]]:
             if e.is_zero():
                 continue
             for t in range(phi):
-                prod = e * zpow[t] if phi > 1 else e
+                coeffs = (e * zpow[t] if phi > 1 else e).coeffs
                 for s in range(phi):
-                    out[i * phi + s][j * phi + t] = prod.coeffs[s]
+                    out[i * phi + s][j * phi + t] = coeffs[s]
     return out
 
 

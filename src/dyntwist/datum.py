@@ -26,7 +26,8 @@ from .comod import (
     subhopf_comodule,
 )
 from .hopf import HopfAlgebraData, StructureError, add_into, group_algebra
-from .linalg import LinAlgError, Matrix, kron, solve, sparse_cols, sparse_solve
+from .linalg import (LinAlgError, Matrix, identity_residual, kron, solve, sparse_cols,
+                     sparse_solve)
 from .monomial import (
     MonomialHopfSpec,
     ValidationError,
@@ -972,10 +973,10 @@ def phi_psi(datum: MonomialDatum, v: ModuleRep, w: ModuleRep) -> dict:
     report.add("psi image is kB-linear", bad_psi == 0, bad_psi)
     phi = Matrix.from_cols(phi_cols, order, ambient=len(homaf))
     psi = Matrix.from_cols(psi_cols, order, ambient=len(homcb))
-    ok1 = psi * phi == Matrix.identity(len(homcb), order)
-    report.add("psi . phi = id", ok1, 0 if ok1 else 1)
-    ok2 = phi * psi == Matrix.identity(len(homaf), order)
-    report.add("phi . psi = id", ok2, 0 if ok2 else 1)
+    bad = identity_residual(psi * phi)
+    report.add("psi . phi = id", bad == 0, bad)
+    bad = identity_residual(phi * psi)
+    report.add("phi . psi = id", bad == 0, bad)
     return {"phi": phi, "psi": psi, "homcb": homcb, "homaf": homaf,
             "report": report}
 

@@ -187,6 +187,15 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
     return Matrix(rows, cols, out, order)
 
 
+def identity_residual(m: Matrix) -> int:
+    """Number of nonzero entries of m - I for a square m; 0 iff m is the identity."""
+    if m.rows != m.cols:
+        raise LinAlgError("identity residual of a %dx%d matrix" % (m.rows, m.cols))
+    zero, one = Cyclo.zero(m.order), Cyclo.one(m.order)
+    return sum(1 for i, row in enumerate(m.data) for j, e in enumerate(row)
+               if e != (one if i == j else zero))
+
+
 # -- sparse elimination engine ------------------------------------------------
 #
 # Rows are dicts {column: Cyclo}; the same engine backs kernel, solve and rank

@@ -11,6 +11,7 @@ from .hopf import AlgebraData, HopfAlgebraData, StructureError, add_into, dict_o
 from .linalg import (
     Matrix,
     Subspace,
+    identity_residual,
     kron,
     quotient,
     solve,
@@ -378,12 +379,10 @@ def theta_maps(embed: SubHopfEmbedding, v: ModuleRep):
     free_dim = h.dim * v.dim // embed.small.dim
     report.add("induced dimension matches free rank dim H dim V / dim A",
                ind.dim == free_dim, 0 if ind.dim == free_dim else 1)
-    idm = Matrix.identity(ind.dim, order)
-    idh = Matrix.identity(len(hom_basis), order)
-    ok = theta_tilde * theta == idm
-    report.add("theta_tilde . theta = id", ok, 0 if ok else 1)
-    ok = theta * theta_tilde == idh
-    report.add("theta . theta_tilde = id", ok, 0 if ok else 1)
+    bad = identity_residual(theta_tilde * theta)
+    report.add("theta_tilde . theta = id", bad == 0, bad)
+    bad = identity_residual(theta * theta_tilde)
+    report.add("theta . theta_tilde = id", bad == 0, bad)
     bad = 0
     for i in range(h.dim):
         if theta * ind_dual.action[i] != homav.action[i] * theta:

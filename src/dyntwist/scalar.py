@@ -4,7 +4,8 @@ Every computation in this package runs over one cyclotomic field Q(zeta_N),
 with N chosen once per session (the lcm of the group exponent, the nilpotency
 index n and the encoding order of the root mu).  Elements are stored on the
 power basis 1, z, ..., z^(phi(N)-1) reduced modulo the N-th cyclotomic
-polynomial, so equality of coefficient vectors is equality in the field.
+polynomial, as integer numerators over one common denominator in lowest
+terms, so equality of the stored form is equality in the field.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+
+from .polys import poly_xgcd
 
 Rational = Fraction
 
@@ -23,6 +26,7 @@ class ScalarError(ValueError):
     """Structural error in scalar construction or arithmetic."""
 
 
+@lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
     if n < 1:
         raise ScalarError("order must be positive, got %r" % (n,))
@@ -73,17 +77,17 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _reduction_table(n: int) -> tuple[tuple[Fraction, ...], ...]:
-    """Vectors of z^k on the power basis for k = phi(n) .. 2*phi(n)-2."""
+def _reduction_table(n: int) -> tuple[tuple[int, ...], ...]:
+    """Integer vectors of z^k on the power basis for k = phi(n) .. 2*phi(n)-2."""
     phi = euler_phi(n)
     cyc = cyclotomic_polynomial(n)
-    # z^phi = -(c_0 + c_1 z + ... + c_{phi-1} z^{phi-1})
-    rows: list[tuple[Fraction, ...]] = []
-    top = [Fraction(-c) for c in cyc[:phi]]
+    # Phi_n is monic: z^phi = -(c_0 + c_1 z + ... + c_{phi-1} z^{phi-1})
+    rows: list[tuple[int, ...]] = []
+    top = [-c for c in cyc[:phi]]
     current = list(top)
     rows.append(tuple(current))
     for _ in range(phi - 2):
-        shifted = [_ZERO] + current[:-1]
+        shifted = [0] + current[:-1]
         lead = current[-1]
         if lead:
             shifted = [shifted[j] + lead * top[j] for j in range(phi)]
@@ -92,28 +96,47 @@ def _reduction_table(n: int) -> tuple[tuple[Fraction, ...], ...]:
     return tuple(rows)
 
 
+def _common_denominator(coeffs) -> tuple[tuple[int, ...], int]:
+    """Integer numerators over the lcm of the denominators of Fractions."""
+    den = 1
+    for c in coeffs:
+        d = c.denominator
+        den = den * d // gcd(den, d)
+    return tuple(c.numerator * (den // c.denominator) for c in coeffs), den
+
+
 class Cyclo:
     """Element of Q(zeta_N) in canonical reduced form.
 
-    Immutable; two values are equal iff orders and coefficient vectors agree.
+    Stored as integer numerators ``num`` over one denominator ``den > 0``
+    with gcd(den, *num) = 1 (zero is 0/1), so two values are equal iff
+    orders, numerators and denominators agree.  Immutable.
     """
 
-    __slots__ = ("order", "coeffs", "_hash")
+    __slots__ = ("order", "num", "den", "_hash")
 
     def __init__(self, order: int, coeffs):
         phi = euler_phi(order)
-        coeffs = tuple(c if isinstance(c, Fraction) else Fraction(c) for c in coeffs)
+        coeffs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
         if len(coeffs) != phi:
             raise ScalarError(
                 "coefficient vector has length %d, expected phi(%d) = %d"
                 % (len(coeffs), order, phi)
             )
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "_hash", None)
+        num, den = _common_denominator(coeffs)
+        _set_order(self, order)
+        _set_num(self, num)
+        _set_den(self, den)
+        _set_hash(self, None)
 
     def __setattr__(self, *a):
         raise AttributeError("Cyclo is immutable")
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients on the power basis, as Fractions."""
+        den = self.den
+        return tuple(Fraction(c, den) for c in self.num)
 
     # -- constructors ---------------------------------------------------
 
@@ -150,13 +173,14 @@ class Cyclo:
     # -- basics ----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.num)
 
     def is_one(self) -> bool:
-        return self.coeffs[0] == 1 and all(c == 0 for c in self.coeffs[1:])
+        num = self.num
+        return self.den == 1 and num[0] == 1 and not any(num[1:])
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.num[1:])
 
     def __bool__(self):
         return not self.is_zero()
@@ -164,13 +188,14 @@ class Cyclo:
     def __eq__(self, other):
         if not isinstance(other, Cyclo):
             return NotImplemented
-        return self.order == other.order and self.coeffs == other.coeffs
+        return (self.order == other.order and self.den == other.den
+                and self.num == other.num)
 
     def __hash__(self):
         h = self._hash
         if h is None:
             h = hash((self.order, self.coeffs))
-            object.__setattr__(self, "_hash", h)
+            _set_hash(self, h)
         return h
 
     def __repr__(self):
@@ -188,26 +213,32 @@ class Cyclo:
         if not isinstance(other, Cyclo):
             return NotImplemented
         self._check(other)
-        return Cyclo(self.order, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        d1, d2 = self.den, other.den
+        return _make(self.order,
+                     tuple([a * d2 + b * d1 for a, b in zip(self.num, other.num)]),
+                     d1 * d2)
 
     def __sub__(self, other):
         if not isinstance(other, Cyclo):
             return NotImplemented
         self._check(other)
-        return Cyclo(self.order, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        d1, d2 = self.den, other.den
+        return _make(self.order,
+                     tuple([a * d2 - b * d1 for a, b in zip(self.num, other.num)]),
+                     d1 * d2)
 
     def __neg__(self):
-        return Cyclo(self.order, tuple(-a for a in self.coeffs))
+        return _make(self.order, tuple([-a for a in self.num]), self.den)
 
     def __mul__(self, other):
         if not isinstance(other, Cyclo):
             return NotImplemented
         self._check(other)
-        a, b = self.coeffs, other.coeffs
+        a, b = self.num, other.num
         phi = len(a)
         if phi == 1:
-            return Cyclo(self.order, (a[0] * b[0],))
-        prod = [_ZERO] * (2 * phi - 1)
+            return _make(self.order, (a[0] * b[0],), self.den * other.den)
+        prod = [0] * (2 * phi - 1)
         for i, ai in enumerate(a):
             if ai:
                 for j, bj in enumerate(b):
@@ -218,35 +249,28 @@ class Cyclo:
         for k in range(phi, 2 * phi - 1):
             c = prod[k]
             if c:
-                row = table[k - phi]
-                for j in range(phi):
-                    if row[j]:
-                        out[j] += c * row[j]
-        return Cyclo(self.order, out)
+                for j, r in enumerate(table[k - phi]):
+                    if r:
+                        out[j] += c * r
+        return _make(self.order, tuple(out), self.den * other.den)
 
     def inverse(self) -> "Cyclo":
         """Multiplicative inverse via the extended Euclidean algorithm mod Phi_N."""
         if self.is_zero():
             raise ZeroDivisionError("division by zero in Q(zeta_%d)" % self.order)
-        phi = len(self.coeffs)
+        num, den = self.num, self.den
+        phi = len(num)
         if phi == 1:
-            return Cyclo(self.order, (1 / self.coeffs[0],))
-        mod = [Fraction(c) for c in cyclotomic_polynomial(self.order)]
-        a = list(self.coeffs)
-        # extended gcd of a and mod over Q[x]
-        r0, r1 = mod, _trim(a)
-        s0, s1 = [_ZERO], [_ONE]
-        while _degree(r1) > 0:
-            q, r = _poly_divmod_frac(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-        if _degree(r1) < 0:
+            n = num[0]
+            return _make(self.order, (den if n > 0 else -den,), abs(n))
+        # v * num = 1 (mod Phi_N) and deg v < phi; Phi_N goes first, which
+        # saves the Euclid step that would only swap the two
+        g, _, v = poly_xgcd(cyclotomic_polynomial(self.order), num)
+        if g != [_ONE]:
             raise ScalarError("element is a zero divisor; Phi_N not irreducible?")
-        lead = r1[0]
-        inv = [c / lead for c in s1]
-        _, inv = _poly_divmod_frac(inv, mod)
-        inv = inv + [_ZERO] * (phi - len(inv))
-        result = Cyclo(self.order, inv[:phi])
+        inv = [c * den for c in v] + [_ZERO] * (phi - len(v))
+        inv_num, inv_den = _common_denominator(inv)
+        result = _make(self.order, inv_num, inv_den)
         if not (result * self).is_one():
             raise AssertionError("inverse verification failed")
         return result
@@ -270,7 +294,9 @@ class Cyclo:
 
     def scaled(self, q) -> "Cyclo":
         q = q if isinstance(q, Fraction) else Fraction(q)
-        return Cyclo(self.order, tuple(c * q for c in self.coeffs))
+        p = q.numerator
+        return _make(self.order, tuple([c * p for c in self.num]),
+                     self.den * q.denominator)
 
     def embed(self, new_order: int) -> "Cyclo":
         """Image under Q(zeta_M) -> Q(zeta_N), zeta_M -> zeta_N^(N/M); needs M | N."""
@@ -299,61 +325,34 @@ class Cyclo:
         return None
 
 
-@lru_cache(maxsize=None)
-def _cached_const(order: int, value: int) -> Cyclo:
-    return Cyclo.from_rational(Fraction(value), order)
+_new = object.__new__
+_set_order = Cyclo.order.__set__
+_set_num = Cyclo.num.__set__
+_set_den = Cyclo.den.__set__
+_set_hash = Cyclo._hash.__set__
 
 
-# -- small polynomial helpers over Q (low degree first) -------------------
+def _make(order: int, num: tuple[int, ...], den: int) -> Cyclo:
+    """Cyclo from integer numerators over den > 0, reduced to lowest terms.
 
-
-def _trim(p):
-    p = list(p)
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _degree(p):
-    return len(_trim(p)) - 1
-
-
-def _poly_mul(a, b):
-    a, b = _trim(a), _trim(b)
-    if not a or not b:
-        return []
-    out = [_ZERO] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
+    The arithmetic's fast path: no validation and no euler_phi call.
+    """
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            num = tuple([c // g for c in num])
+            den //= g
+    out = _new(Cyclo)
+    _set_order(out, order)
+    _set_num(out, num)
+    _set_den(out, den)
+    _set_hash(out, None)
     return out
 
 
-def _poly_sub(a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [_ZERO] * (n - len(a))
-    b = list(b) + [_ZERO] * (n - len(b))
-    return _trim([x - y for x, y in zip(a, b)])
-
-
-def _poly_divmod_frac(num, den):
-    num, den = _trim(num), _trim(den)
-    if not den:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [_ZERO] * max(0, len(num) - len(den) + 1)
-    num = list(num)
-    dlead = den[-1]
-    while len(num) >= len(den) and _trim(num):
-        shift = len(num) - len(den)
-        c = num[-1] / dlead
-        q[shift] = c
-        for j, d in enumerate(den):
-            num[shift + j] -= c * d
-        num = num[:-1]
-        while num and num[-1] == 0:
-            num.pop()
-    return _trim(q), _trim(num)
+@lru_cache(maxsize=None)
+def _cached_const(order: int, value: int) -> Cyclo:
+    return Cyclo.from_rational(Fraction(value), order)
 
 
 # -- textual encoding ------------------------------------------------------

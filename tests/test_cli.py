@@ -201,6 +201,7 @@ def test_max_dim_guard(tmp_path, monkeypatch):
     "negative mult index", "mult index out of range", "missing comult",
     "duplicate mult entry", "invalid DYNTWIST_MAX_DIM", "gauge index out of range",
     "datum without n", "datum B index out of range", "datum group not a Latin square",
+    "custom example with a malformed mu",
 ])
 def test_malformed_structure_file_exits_two(corruption, tmp_path, capsys, monkeypatch):
     out = str(tmp_path)
@@ -230,6 +231,9 @@ def test_malformed_structure_file_exits_two(corruption, tmp_path, capsys, monkey
                        "coeffs": [[0, 0, "1"], [5, 0, "1"]]}, fh)
         argv = ["verify", "gauge", hopf_path, os.path.join(out, "e0_base.json"),
                 twist_path, twist_path, gauge_path]
+    elif corruption == "custom example with a malformed mu":
+        argv = ["example", "custom", "--out-dir", out, "--group-order", "3",
+                "--n", "3", "--mu", "bogus"]
     else:
         argv = ["compute-twist", datum_path, "--out", os.path.join(out, "t.json")]
         if corruption == "datum without n":
@@ -242,5 +246,12 @@ def test_malformed_structure_file_exits_two(corruption, tmp_path, capsys, monkey
         with open(path, "w") as fh:
             json.dump(doc, fh)
     capsys.readouterr()
-    assert run(argv) == 2
-    assert capsys.readouterr().err.startswith("input error: ")
+    report_path = os.path.join(out, "report.json")
+    assert run(["--report", report_path] + argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ")
+    # exit 2 still leaves a report document, with the reason and no checks
+    doc = json.loads(open(report_path).read())
+    command = " ".join(argv[:2]) if argv[0] in ("verify", "example") else argv[0]
+    assert doc == {"command": command, "inputs": {}, "checks": [], "outputs": [],
+                   "input_error": err[len("input error: "):].rstrip("\n")}

@@ -44,6 +44,14 @@ def test_corrupted_comultiplication_fails(z2_table):
         raise StructureError("axioms fail")  # normalize either failure mode
 
 
+def test_wrong_antipode_inverse_reports_its_residual(z2_table):
+    h = group_algebra(z2_table, 2)
+    h.antipode_inv = Matrix.identity(2, 2).scaled(Cyclo.from_rational(2, 2))
+    check = next(c for c in verify_hopf(h).checks if c.name == "S S^-1 = id")
+    # S S^-1 = 2 id: both diagonal entries of S S^-1 - id are nonzero
+    assert (check.status, check.residual_nonzero_count) == ("FAIL", 2)
+
+
 def test_dual_of_group_algebra_is_functions(kz2):
     dual = dual_hopf(kz2)
     assert verify_hopf(dual).ok

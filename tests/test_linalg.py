@@ -8,6 +8,7 @@ from dyntwist.linalg import (
     LinAlgError,
     Matrix,
     Subspace,
+    identity_residual,
     intersect,
     inverse,
     kernel,
@@ -151,3 +152,15 @@ def test_subspace_equality_is_canonical():
 
 def test_rank():
     assert rank(mat([[1, 2], [2, 4], [0, 1]])) == 2
+
+
+def test_identity_residual_counts_nonzero_entries_of_m_minus_i():
+    one, two, zero = Cyclo.one(3), Cyclo.from_rational(2, 3), Cyclo.zero(3)
+    assert identity_residual(Matrix.identity(3, 3)) == 0
+    wrong = Matrix.from_rows([[one, zero, Cyclo.zeta(3)],
+                              [zero, two, zero],
+                              [zero, zero, one]], 3)
+    assert identity_residual(wrong) == 2  # the stray zeta and the diagonal 2
+    assert identity_residual(Matrix.zero(4, 4, 3)) == 4
+    with pytest.raises(LinAlgError):
+        identity_residual(Matrix.zero(2, 3, 3))

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -136,3 +137,92 @@ def test_parse_rejects_zero_denominator():
 def test_parse_embeds_smaller_order():
     v = parse_scalar("[0,1]@3", 12)
     assert v == Cyclo.zeta(12, 4)
+
+
+ORDERS = [1, 2, 3, 4, 5, 8, 12]
+
+
+def _check_canonical(v):
+    assert v.den > 0 and gcd(v.den, *v.num) == 1
+    assert len(v.num) == euler_phi(v.order)
+    if v.is_zero():
+        assert v.den == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(ORDERS).flatmap(
+    lambda n: st.tuples(_cyclos(n), _cyclos(n), _rationals())))
+def test_results_are_in_lowest_terms(triple):
+    a, b, q = triple
+    results = [a, a + b, a - b, a - a, a * b, -a, a.scaled(q), a.scaled(0)]
+    if not a.is_zero():
+        results.append(a.inverse())
+    for v in results:
+        _check_canonical(v)
+        assert hash(v) == hash((v.order, v.coeffs))
+        assert all(isinstance(c, Fraction) for c in v.coeffs)
+        assert Cyclo(v.order, v.coeffs) == v
+
+
+def test_construction_reduces_to_lowest_terms():
+    a = Cyclo(3, [Fraction(2, 4), 1])
+    assert a == Cyclo(3, [Fraction(1, 2), Fraction(1)])
+    assert (a.num, a.den) == ((1, 2), 2)
+    assert hash(a) == hash((3, (Fraction(1, 2), Fraction(1))))
+    zero = Cyclo(4, [Fraction(0, 7), 0])
+    assert (zero.num, zero.den) == ((0, 0), 1) and zero == Cyclo.zero(4)
+
+
+def test_length_mismatch_raises():
+    with pytest.raises(ScalarError):
+        Cyclo(3, [1])
+    with pytest.raises(ScalarError):
+        Cyclo(1, [1, 0])
+
+
+# -- sympy oracle: polynomials reduced mod Phi_N, no code shared with scalar.py
+
+
+def _sympy_field(order):
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    modulus = sympy.cyclotomic_poly(order, x)
+    phi = sympy.degree(modulus, x)
+
+    def to_poly(a):
+        return sum(sympy.Rational(c.numerator, c.denominator) * x ** k
+                   for k, c in enumerate(a.coeffs))
+
+    def to_coeffs(expr):
+        reduced = sympy.Poly(sympy.rem(sympy.expand(expr), modulus, x), x)
+        low_first = [Fraction(int(c.p), int(c.q)) for c in reversed(reduced.all_coeffs())]
+        return tuple(low_first + [Fraction(0)] * (phi - len(low_first)))
+
+    return sympy, x, modulus, to_poly, to_coeffs
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(ORDERS).flatmap(
+    lambda n: st.tuples(_cyclos(n), _cyclos(n))))
+def test_arithmetic_matches_sympy(pair):
+    a, b = pair
+    sympy, x, modulus, to_poly, to_coeffs = _sympy_field(a.order)
+    pa, pb = to_poly(a), to_poly(b)
+    assert (a + b).coeffs == to_coeffs(pa + pb)
+    assert (a - b).coeffs == to_coeffs(pa - pb)
+    assert (a * b).coeffs == to_coeffs(pa * pb)
+    if not a.is_zero():
+        assert a.inverse().coeffs == to_coeffs(sympy.invert(pa, modulus, x))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([(m, n) for m in ORDERS for n in ORDERS
+                        if n % m == 0]).flatmap(
+    lambda mn: st.tuples(_cyclos(mn[0]), st.just(mn[1]))))
+def test_embed_matches_sympy(pair):
+    a, new_order = pair
+    _, x, _, to_poly, _ = _sympy_field(a.order)
+    _, _, _, _, to_coeffs = _sympy_field(new_order)
+    # zeta_M -> zeta_N^(N/M)
+    image = to_poly(a).subs(x, x ** (new_order // a.order))
+    assert a.embed(new_order).coeffs == to_coeffs(image)
