@@ -129,13 +129,7 @@ def _sparse_vec(values) -> list:
 
 
 def _matrix_entries(m: Matrix) -> list:
-    out = []
-    for i in range(m.rows):
-        for j in range(m.cols):
-            v = m.data[i][j]
-            if not v.is_zero():
-                out.append([i, j, format_scalar(v)])
-    return out
+    return [[i, j, format_scalar(v)] for i, j, v in m.nonzeros()]
 
 
 def hopf_to_json(h: HopfAlgebraData) -> dict:
@@ -177,11 +171,10 @@ def hopf_from_json(doc: dict) -> HopfAlgebraData:
         counit[i] = c
     antipode = None
     if doc.get("antipode"):
-        zero = Cyclo.zero(order)
-        data = [[zero] * dim for _ in range(dim)]
+        rows = [{} for _ in range(dim)]
         for (i, j), c in read_entries(doc, "antipode", (dim, dim), order).items():
-            data[i][j] = c
-        antipode = Matrix(dim, dim, data, order)
+            rows[i][j] = c
+        antipode = Matrix(dim, dim, rows, order)
     return HopfAlgebraData(alg, comult, counit, antipode=antipode,
                            name=doc.get("name", "H"))
 
@@ -225,13 +218,7 @@ def comodule_from_json(doc: dict, over: HopfAlgebraData) -> ComoduleAlgebraData:
 
 
 def module_to_json(m: ModuleRep) -> dict:
-    action = []
-    for a, mat in enumerate(m.action):
-        for i in range(mat.rows):
-            for j in range(mat.cols):
-                v = mat.data[i][j]
-                if not v.is_zero():
-                    action.append([a, i, j, format_scalar(v)])
+    action = [[a] + entry for a, mat in enumerate(m.action) for entry in _matrix_entries(mat)]
     return {
         "format": "module",
         "order": m.order,
@@ -249,12 +236,11 @@ def module_from_json(doc: dict, algebra: AlgebraData) -> ModuleRep:
         raise InputError("module and algebra use different field orders")
     dim = int_field(doc, "dim")
     guard_dims(dim, dim, algebra.dim)
-    zero = Cyclo.zero(order)
-    data = [[[zero] * dim for _ in range(dim)] for _ in range(algebra.dim)]
+    rows = [[{} for _ in range(dim)] for _ in range(algebra.dim)]
     for (a, i, j), c in read_entries(doc, "action", (algebra.dim, dim, dim),
                                      order).items():
-        data[a][i][j] = c
-    mats = [Matrix(dim, dim, d, order) for d in data]
+        rows[a][i][j] = c
+    mats = [Matrix(dim, dim, r, order) for r in rows]
     return ModuleRep(algebra, dim, mats, name=doc.get("name", "V"))
 
 
@@ -357,9 +343,12 @@ def _scalar_order(text: str) -> int:
 
 
 def write_json(path: str, doc: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+    try:
+        with open(path, "w") as fh:
+            json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
+            fh.write("\n")
+    except OSError as exc:
+        raise InputError("cannot write %s: %s" % (path, exc)) from exc
 
 
 def read_json(path: str) -> dict:
@@ -486,7 +475,10 @@ def cmd_example(args) -> int:
     weights = ", ".join(format_scalar(c) for c in datum.weights)
     report.add("%s, station weights %s" % (solve_check, weights), True)
     outdir = args.out_dir
-    os.makedirs(outdir, exist_ok=True)
+    try:
+        os.makedirs(outdir, exist_ok=True)
+    except OSError as exc:
+        raise InputError("cannot create %s: %s" % (outdir, exc)) from exc
     prefix = os.path.join(outdir, args.name.lower())
     paths = []
     write_json(prefix + "_hopf.json", hopf_to_json(datum.h))
@@ -615,7 +607,12 @@ def main(argv=None) -> int:
             command = command_name(args)
             doc = report_document(command, [], CheckReport(command), [])
             doc["input_error"] = str(exc)
-            write_json(args.report, doc)
+            try:
+                write_json(args.report, doc)
+            except InputError as report_exc:
+                # the report path itself may be what failed above
+                if str(report_exc) != str(exc):
+                    sys.stderr.write("input error: %s\n" % report_exc)
         return EXIT_INPUT_ERROR
 
 

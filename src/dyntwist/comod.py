@@ -14,13 +14,15 @@ from fractions import Fraction
 
 from .hopf import AlgebraData, HopfAlgebraData, StructureError, add_into, dict_of, vec_of
 from .linalg import (
+    Echelon,
     LinAlgError,
     Matrix,
     Subspace,
+    differing_entries,
     inverse,
     kernel,
+    kron,
     quotient,
-    reduce_row,
     solve,
     sparse_kernel_basis,
 )
@@ -60,26 +62,20 @@ class ComoduleAlgebraData:
     def coaction_matrix(self) -> Matrix:
         """delta as a matrix (dim H * dim K) x dim K, left-major rows."""
         h, k = self.over.dim, self.dim
-        zero = Cyclo.zero(self.order)
-        cols = []
+        rows = [{} for _ in range(h * k)]
         for j in range(k):
-            col = [zero] * (h * k)
             for (hi, ki), c in self.coaction[j].items():
-                col[hi * k + ki] = c
-            cols.append(col)
-        return Matrix.from_cols(cols, self.order, ambient=h * k)
+                rows[hi * k + ki][j] = c
+        return Matrix(h * k, k, rows, self.order)
 
     def coaction_component(self, alpha: int) -> Matrix:
         """(alpha (x) id) delta for the dual basis functional alpha."""
-        zero = Cyclo.zero(self.order)
-        cols = []
+        rows = [{} for _ in range(self.dim)]
         for j in range(self.dim):
-            col = [zero] * self.dim
             for (hi, ki), c in self.coaction[j].items():
                 if hi == alpha:
-                    col[ki] = col[ki] + c
-            cols.append(col)
-        return Matrix.from_cols(cols, self.order, ambient=self.dim)
+                    add_into(rows[ki], j, c)
+        return Matrix(self.dim, self.dim, rows, self.order)
 
     def verify(self) -> CheckReport:
         return verify_comodule_algebra(self)
@@ -138,59 +134,8 @@ def verify_comodule_algebra(k: ComoduleAlgebraData) -> CheckReport:
 
 def coinvariants(k: ComoduleAlgebraData) -> Subspace:
     """{x in K : delta(x) = 1 (x) x} as the kernel of delta - unit_H (x) id."""
-    h = k.over
-    m = k.coaction_matrix()
-    unit_h = h.alg.unit_vec()
-    rows = m.data
-    adjusted = [row[:] for row in rows]
-    for hi, c in enumerate(unit_h):
-        if c.is_zero():
-            continue
-        for j in range(k.dim):
-            idx = hi * k.dim + j
-            adjusted[idx][j] = adjusted[idx][j] - c
-    return kernel(Matrix(h.dim * k.dim, k.dim, adjusted, k.order))
-
-
-class _SpanBuilder:
-    """Incremental row-echelon span of flattened matrices, exact membership."""
-
-    def __init__(self, ambient: int, order: int):
-        self.ambient = ambient
-        self.order = order
-        self.pivots: dict[int, dict] = {}
-        self.members: list = []
-
-    def add(self, vec: dict, payload=None) -> bool:
-        row = reduce_row(dict(vec), self.pivots)
-        row = {c: v for c, v in row.items() if not v.is_zero()}
-        if not row:
-            return False
-        pcol = min(row)
-        inv = row[pcol].inverse()
-        row = {c: v * inv for c, v in row.items()}
-        self.pivots[pcol] = row
-        if payload is not None:
-            self.members.append(payload)
-        return True
-
-    def contains(self, vec: dict) -> bool:
-        row = reduce_row(dict(vec), self.pivots)
-        return all(v.is_zero() for v in row.values())
-
-    @property
-    def dim(self) -> int:
-        return len(self.pivots)
-
-
-def _flat_dict(m: Matrix) -> dict:
-    out = {}
-    for i in range(m.rows):
-        for j in range(m.cols):
-            v = m.data[i][j]
-            if not v.is_zero():
-                out[i * m.cols + j] = v
-    return out
+    unit_h = Matrix.from_cols([k.over.alg.unit_vec()], k.order)
+    return kernel(k.coaction_matrix() - kron(unit_h, Matrix.identity(k.dim, k.order)))
 
 
 def costable_operators(k: ComoduleAlgebraData) -> list[Matrix]:
@@ -209,28 +154,17 @@ def costable_operators(k: ComoduleAlgebraData) -> list[Matrix]:
 def costable_closure(k: ComoduleAlgebraData, v: list) -> Subspace:
     """Smallest H-costable two-sided ideal containing the vector v."""
     ops = costable_operators(k)
-    span = _SpanBuilder(k.dim, k.order)
-    frontier = []
-    vd = dict_of(v)
-    if span.add(vd, payload=v):
-        frontier.append(v)
+    span = Echelon()
+    frontier = [v] if span.add(dict_of(v)) else []
     while frontier:
         new_frontier = []
         for vec in frontier:
             for op in ops:
                 w = op.apply(vec)
-                wd = dict_of(w)
-                if wd and span.add(wd, payload=w):
+                if span.add(dict_of(w)):
                     new_frontier.append(w)
         frontier = new_frontier
-    vectors = []
-    zero = Cyclo.zero(k.order)
-    for pcol in sorted(span.pivots):
-        row = span.pivots[pcol]
-        vec = [zero] * k.dim
-        for c, val in row.items():
-            vec[c] = val
-        vectors.append(vec)
+    vectors = [vec_of(span.pivots[p], k.dim, k.order) for p in sorted(span.pivots)]
     return Subspace.from_vectors(vectors, k.dim, k.order)
 
 
@@ -247,33 +181,28 @@ class SimplicityCertificate:
 
 
 def _trace_product(a: Matrix, b: Matrix) -> Cyclo:
-    order = a.order
-    total = Cyclo.zero(order)
-    for i in range(a.rows):
-        arow = a.data[i]
-        for j in range(a.cols):
-            x = arow[j]
-            if not x.is_zero():
-                y = b.data[j][i]
-                if not y.is_zero():
-                    total = total + x * y
+    total = Cyclo.zero(a.order)
+    for i, j, x in a.nonzeros():
+        y = b.row(j).get(i)
+        if y is not None:
+            total = total + x * y
     return total
 
 
 def _close_under_products(seed: list[Matrix], dim: int, order: int) -> list[Matrix]:
-    span = _SpanBuilder(dim * dim, order)
-    basis: list[Matrix] = []
-    ident = Matrix.identity(dim, order)
-    for m in [ident] + seed:
-        if span.add(_flat_dict(m), payload=m):
-            basis.append(m)
+    span = Echelon()
+
+    def grows(m: Matrix) -> bool:
+        return bool(span.add({i * dim + j: v for i, j, v in m.nonzeros()}))
+
+    basis = [m for m in [Matrix.identity(dim, order)] + seed if grows(m)]
     frontier = list(basis)
     while frontier:
         new = []
         for a in frontier:
             for b in seed:
                 for prod in (a * b, b * a):
-                    if span.add(_flat_dict(prod), payload=prod):
+                    if grows(prod):
                         basis.append(prod)
                         new.append(prod)
         frontier = new
@@ -302,88 +231,42 @@ def _combine(basis: list[Matrix], coords: list) -> Matrix:
     return out
 
 
-def _realify_matrix(m: Matrix) -> list[list[Fraction]]:
-    """View a Cyclo matrix as a rational matrix on the Q-basis index*phi + t."""
+def _realify_matrix(m: Matrix) -> Matrix:
+    """View a Cyclo matrix as a matrix over Q (order 1) on the Q-basis index*phi + t."""
     phi = euler_phi(m.order)
-    n = m.rows
-    out = [[Fraction(0)] * (n * phi) for _ in range(n * phi)]
-    from .scalar import Cyclo as _C
-    zpow = [_C.zeta(m.order, t) for t in range(phi)] if phi > 1 else [_C.one(m.order)]
-    for i in range(n):
-        for j in range(n):
-            e = m.data[i][j]
-            if e.is_zero():
-                continue
-            for t in range(phi):
-                coeffs = (e * zpow[t] if phi > 1 else e).coeffs
-                for s in range(phi):
-                    out[i * phi + s][j * phi + t] = coeffs[s]
-    return out
+    zpow = [Cyclo.zeta(m.order, t) for t in range(phi)] if phi > 1 else [Cyclo.one(m.order)]
+    rows = [{} for _ in range(m.rows * phi)]
+    for i, j, e in m.nonzeros():
+        for t in range(phi):
+            coeffs = (e * zpow[t] if phi > 1 else e).coeffs
+            for s in range(phi):
+                rows[i * phi + s][j * phi + t] = Cyclo.from_rational(coeffs[s])
+    return Matrix(m.rows * phi, m.cols * phi, rows, 1)
 
 
-def _rational_minpoly(mat: list[list[Fraction]], max_deg: int) -> list[Fraction]:
-    """Minimal polynomial of a rational matrix by Krylov on flattened powers."""
-    n = len(mat)
-    def matmul(a, b):
-        return [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)]
-                for i in range(n)]
-    powers = [[[Fraction(1) if i == j else Fraction(0) for j in range(n)]
-               for i in range(n)]]
-    flat = [sum(powers[0], [])]
-    for _ in range(max_deg):
-        powers.append(matmul(powers[-1], mat))
-        flat.append(sum(powers[-1], []))
-        # look for a dependence among flat vectors: solve smallest
-        deg = len(flat) - 1
-        # gaussian elimination on the transpose system sum c_k flat[k] = 0, c_deg = 1
-        rows = len(flat[0])
-        aug = [[flat[k][r] for k in range(deg)] for r in range(rows)]
-        rhs = [-flat[deg][r] for r in range(rows)]
-        coeffs = _dense_rational_solve(aug, rhs)
-        if coeffs is not None:
-            return coeffs + [Fraction(1)]
+def _rational_minpoly(mat: Matrix, max_deg: int) -> list[Fraction]:
+    """Minimal polynomial of a rational matrix: the first power of mat that
+    the echelon finds dependent on the lower ones, read off marker columns."""
+    n = mat.rows
+    marker = n * n  # column marker + k tracks the coefficient of mat^k
+    span = Echelon()
+    power = Matrix.identity(n, 1)
+    for deg in range(max_deg + 1):
+        row = {i * n + j: v for i, j, v in power.nonzeros()}
+        row[marker + deg] = Cyclo.one(1)
+        rest = span.add(row)
+        if min(rest) >= marker:
+            return [rest[marker + k].coeffs[0] if marker + k in rest else Fraction(0)
+                    for k in range(deg)] + [Fraction(1)]
+        power = power * mat
     raise AssertionError("minimal polynomial not found within bound")
 
 
-def _dense_rational_solve(a: list[list[Fraction]], b: list[Fraction]):
-    rows, cols = len(a), len(a[0]) if a else 0
-    m = [a[i][:] + [b[i]] for i in range(rows)]
-    piv_rows = []
-    r = 0
-    for c in range(cols):
-        sel = None
-        for i in range(r, rows):
-            if m[i][c] != 0:
-                sel = i
-                break
-        if sel is None:
-            continue
-        m[r], m[sel] = m[sel], m[r]
-        pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        piv_rows.append(c)
-        r += 1
-    for i in range(r, rows):
-        if m[i][cols] != 0:
-            return None
-    sol = [Fraction(0)] * cols
-    for i, c in enumerate(piv_rows):
-        sol[c] = m[i][cols]
-    return sol
-
-
-def _derealify(real: list[list[Fraction]], n: int, order: int) -> Matrix:
+def _derealify(real: Matrix, n: int, order: int) -> Matrix:
     phi = euler_phi(order)
-    data = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            coeffs = [real[i * phi + s][j * phi] for s in range(phi)]
-            data[i][j] = Cyclo(order, coeffs)
-    return Matrix(n, n, data, order)
+    return Matrix.from_rows(
+        [[Cyclo(order, [real.entry(i * phi + s, j * phi).coeffs[0] for s in range(phi)])
+          for j in range(n)] for i in range(n)], order)
 
 
 MAX_PRIMITIVE_TRIALS = 24
@@ -488,15 +371,11 @@ def _poly_deriv(p):
     return [i * c for i, c in enumerate(p)][1:]
 
 
-def _poly_eval_matrix(p, mat):
-    n = len(mat)
-    acc = [[Fraction(0)] * n for _ in range(n)]
+def _poly_eval_matrix(p, mat: Matrix) -> Matrix:
+    ident = Matrix.identity(mat.rows, mat.order)
+    acc = Matrix.zero(mat.rows, mat.cols, mat.order)
     for c in reversed(p):
-        # acc = acc*mat + c*I
-        acc = [[sum(acc[i][k] * mat[k][j] for k in range(n)) for j in range(n)]
-               for i in range(n)]
-        for i in range(n):
-            acc[i][i] += c
+        acc = acc * mat + ident.scaled(Cyclo.from_rational(c, mat.order))
     return acc
 
 
@@ -507,16 +386,11 @@ def _algebra_center(basis: list[Matrix], order: int) -> list[Matrix]:
     rows = []
     # unknowns: coordinates x_b over the basis; equations [sum x_b b, g] = 0
     for g in basis:
-        comms = [b * g - g * b for b in basis]
-        for i in range(dim):
-            for jj in range(dim):
-                row = {}
-                for bidx, comm in enumerate(comms):
-                    v = comm.data[i][jj]
-                    if not v.is_zero():
-                        row[bidx] = v
-                if row:
-                    rows.append(row)
+        eqs: dict = {}
+        for bidx, b in enumerate(basis):
+            for i, jj, v in (b * g - g * b).nonzeros():
+                eqs.setdefault(i * dim + jj, {})[bidx] = v
+        rows.extend(eqs[key] for key in sorted(eqs))
     sols = sparse_kernel_basis(rows, len(basis), order)
     return [_combine(basis, s) for s in sols]
 
@@ -662,7 +536,8 @@ def canonical_map(k_over_a: ComoduleAlgebraData, r: Subspace) -> GaloisData:
     can_full = Matrix.from_cols(cols, order, ambient=target_dim)
     can_q = can_full * sec
     report = CheckReport("canonical map for %s" % k_over_a.name)
-    bad = sum(1 for row in (can_full * rel.basis).data for c in row if not c.is_zero())
+    residual = can_full * rel.basis
+    bad = differing_entries(residual, Matrix.zero(residual.rows, residual.cols, order))
     report.add("can well defined on K (x)_R K", bad == 0, bad)
     can_inv = None
     if can_q.rows == can_q.cols:

@@ -26,8 +26,8 @@ from .comod import (
     subhopf_comodule,
 )
 from .hopf import HopfAlgebraData, StructureError, add_into, group_algebra
-from .linalg import (LinAlgError, Matrix, identity_residual, kron, solve, sparse_cols,
-                     sparse_solve)
+from .linalg import (LinAlgError, Matrix, differing_entries, identity_residual, kron,
+                     kron_sum, rank, solve, sparse_cols, sparse_solve)
 from .monomial import (
     MonomialHopfSpec,
     ValidationError,
@@ -43,6 +43,8 @@ from .monomial import (
 from .rep import (
     ModuleRep,
     SubHopfEmbedding,
+    _flatten_matrix,
+    _unflatten,
     character_module,
     regular_module,
     restrict_module,
@@ -120,25 +122,7 @@ class AdjunctionEngine:
     def xi_forward(self, x: ModuleRep, v: ModuleRep, w: ModuleRep,
                    f: Matrix) -> Matrix:
         """xi(f)(x (x) v) = station(f(x (x) -))(v); output dim W x (dim X * dim V)."""
-        tv, tw = self.t(v), self.t(w)
-        st = self.station(v, w)
-        order = self.order
-        zero = Cyclo.zero(order)
-        out = [[zero] * (x.dim * v.dim) for _ in range(w.dim)]
-        for xi in range(x.dim):
-            # flatten Theta_x = f(x_i (x) -): rows tw, cols tv
-            flat = [zero] * (tw.dim * tv.dim)
-            for r in range(tw.dim):
-                base = r * tv.dim
-                frow = f.data[r]
-                off = xi * tv.dim
-                for ccol in range(tv.dim):
-                    flat[base + ccol] = frow[off + ccol]
-            small = st.apply(flat)
-            for wt in range(w.dim):
-                for vi in range(v.dim):
-                    out[wt][xi * v.dim + vi] = small[wt * v.dim + vi]
-        return Matrix(w.dim, x.dim * v.dim, out, order)
+        return _station_contract(self.station(v, w), f, x.dim, self.t(v).dim, v.dim, w.dim)
 
     # -- inverse xi by exact solve -----------------------------------------
 
@@ -153,18 +137,16 @@ class AdjunctionEngine:
         ncols = tw.dim * source.dim
         gens = self.k.alg.generator_indices()
         for g in gens:
-            sm = source.action[g]
+            sm_cols = sparse_cols(source.action[g])
             tm = tw.action[g]
-            sm_cols = sparse_cols(sm)
             for i in range(tw.dim):
+                tm_row = tm.row(i)
                 for j in range(source.dim):
                     row: dict = {}
-                    for kk, c in sm_cols[j]:
+                    for kk, c in sm_cols[j].items():
                         add_into(row, i * source.dim + kk, c)
-                    for kk in range(tw.dim):
-                        cval = tm.data[i][kk]
-                        if not cval.is_zero():
-                            add_into(row, kk * source.dim + j, -cval)
+                    for kk, cval in tm_row.items():
+                        add_into(row, kk * source.dim + j, -cval)
                     if row:
                         rows.append(row)
                         rhs.append(Cyclo.zero(order))
@@ -173,23 +155,19 @@ class AdjunctionEngine:
         for xi in range(x.dim):
             for out_idx in range(w.dim * v.dim):
                 row = {}
-                for hcol in range(tw.dim * tv.dim):
-                    cval = st.data[out_idx][hcol]
-                    if not cval.is_zero():
-                        r, ccol = divmod(hcol, tv.dim)
-                        add_into(row, r * source.dim + xi * tv.dim + ccol, cval)
+                for hcol, cval in st.row(out_idx).items():
+                    r, ccol = divmod(hcol, tv.dim)
+                    add_into(row, r * source.dim + xi * tv.dim + ccol, cval)
                 wt, vi = divmod(out_idx, v.dim)
                 rows.append(row)
-                rhs.append(fprime.data[wt][xi * v.dim + vi])
+                rhs.append(fprime.entry(wt, xi * v.dim + vi))
         try:
             sol = sparse_solve(rows, [rhs], ncols, order, require_unique=True)[0]
         except LinAlgError as exc:
             raise PipelineError(
                 "xi is not uniquely invertible on (%s, %s, %s): %s"
                 % (x.name, v.name, w.name, exc)) from exc
-        data = [[sol[i * source.dim + j] for j in range(source.dim)]
-                for i in range(tw.dim)]
-        return Matrix(tw.dim, source.dim, data, order)
+        return _unflatten(sol, tw.dim, source.dim, order)
 
     def xi_inverse_id(self, x: ModuleRep, m: ModuleRep) -> tuple[Matrix, ModuleRep]:
         """xi^-1(id) on (X, M): the map X (x) T(M) -> T(R(X) (x) M)."""
@@ -229,10 +207,10 @@ class AdjunctionEngine:
             for hh in range(self.h.dim):
                 for aa in range(self.kb.dim):
                     r = s * row_dim + hh * self.kb.dim + aa
+                    frow = f.row(r)
                     for kslice in range(nslices):
-                        ccol = u_h * t_a.dim + kslice * self.kb.dim + u_a
-                        val = f.data[r][ccol]
-                        if not val.is_zero():
+                        val = frow.get(u_h * t_a.dim + kslice * self.kb.dim + u_a)
+                        if val is not None:
                             xi_elem[(s, kslice, hh, aa)] = val
         rebuilt = self.contract_obstruction(xi_elem, h_reg, a_reg)
         if rebuilt != f:
@@ -252,20 +230,19 @@ class AdjunctionEngine:
         nslices = self.t(m).dim // m.dim
         rows = nslices * x.dim * m.dim
         cols = x.dim * nslices * m.dim
-        zero = Cyclo.zero(order)
-        data = [[zero] * cols for _ in range(rows)]
+        data = [{} for _ in range(rows)]
         x_cols = [sparse_cols(a) for a in x.action]
         m_cols = [sparse_cols(a) for a in m.action]
         for (s, kslice, hh, aa), c in xi_elem.items():
             xc = x_cols[hh]
             mc = m_cols[aa]
             for xi in range(x.dim):
-                for xo, cx in xc[xi]:
+                for xo, cx in xc[xi].items():
+                    ccx = c * cx
                     for mi in range(m.dim):
-                        for mo, cm in mc[mi]:
-                            r = s * (x.dim * m.dim) + xo * m.dim + mo
-                            ccol = xi * (nslices * m.dim) + kslice * m.dim + mi
-                            data[r][ccol] = data[r][ccol] + c * cx * cm
+                        for mo, cm in mc[mi].items():
+                            add_into(data[s * (x.dim * m.dim) + xo * m.dim + mo],
+                                     xi * (nslices * m.dim) + kslice * m.dim + mi, ccx * cm)
         return Matrix(rows, cols, data, order)
 
     def _certification_pairs(self):
@@ -288,28 +265,9 @@ class AdjunctionEngine:
             f_x = self.contract_obstruction(xi_elem, x, n_y)
         composite = f_x * kron(Matrix.identity(x.dim, self.order), f_y)
         # forward xi on (X (x) Y, M): slice contraction via the station
-        xy_dim = x.dim * y.dim
-        vdim = m.dim
-        tv = self.t(m)
-        txy_m = composite.rows  # dim T(R(X (x) Y) (x) M)
         n_out = self.a_tensor(self.a_tensor(self.restrict(x), self.restrict(y)), m)
-        st = self.station(m, n_out)
-        order = self.order
-        zero = Cyclo.zero(order)
-        out = [[zero] * (xy_dim * vdim) for _ in range(n_out.dim)]
-        for xyi in range(xy_dim):
-            flat = [zero] * (composite.rows * tv.dim)
-            for r in range(composite.rows):
-                base = r * tv.dim
-                off = xyi * tv.dim
-                crow = composite.data[r]
-                for ccol in range(tv.dim):
-                    flat[base + ccol] = crow[off + ccol]
-            small = st.apply(flat)
-            for no in range(n_out.dim):
-                for vi in range(vdim):
-                    out[no][xyi * vdim + vi] = small[no * vdim + vi]
-        return Matrix(n_out.dim, xy_dim * vdim, out, order)
+        return _station_contract(self.station(m, n_out), composite, x.dim * y.dim,
+                                 self.t(m).dim, m.dim, n_out.dim)
 
     def s_base(self) -> ComoduleAlgebraData:
         return subhopf_comodule(self.embed_b, name="A_base")
@@ -325,17 +283,16 @@ class AdjunctionEngine:
         col = (u_h * self.h.dim + u_h) * self.kb.dim + u_a
         e_elem: dict = {}
         for r in range(i_mat.rows):
-            c = i_mat.data[r][col]
-            if not c.is_zero():
+            c = i_mat.row(r).get(col)
+            if c is not None:
                 i = r // (self.h.dim * self.kb.dim)
                 j = (r // self.kb.dim) % self.h.dim
                 kk = r % self.kb.dim
                 e_elem[(i, j, kk)] = c
         lmat = left_mult_matrix_tensor(legs, e_elem, self.order)
-        ok = lmat == i_mat
-        report.add("I on regulars is left multiplication by an element", ok,
-                   0 if ok else 1)
-        if not ok:
+        bad = differing_entries(lmat, i_mat)
+        report.add("I on regulars is left multiplication by an element", bad == 0, bad)
+        if bad:
             raise PipelineError("extraction certificate failed on regulars")
         bad = 0
         for x, y, m in self._extraction_battery():
@@ -400,15 +357,8 @@ class AdjunctionEngine:
         if len(hk) != len(ha):
             return True, False
         images = [self.xi_forward(x, v, w, f) for f in hk]
-        from .rep import _flatten_matrix
-        flat = [_flatten_matrix(m) for m in images]
-        from .linalg import Matrix as _M, rank
-        if flat:
-            im_rank = rank(_M.from_cols(flat, self.order,
-                                        ambient=w.dim * x.dim * v.dim))
-            ok_b = im_rank == len(hk)
-        else:
-            ok_b = True
+        ok_b = rank(Matrix.from_cols([_flatten_matrix(m) for m in images], self.order,
+                                     ambient=w.dim * x.dim * v.dim)) == len(hk)
         # outputs are A-linear
         ok_n = True
         for img in images:
@@ -448,13 +398,39 @@ def _flatten_identity(dim: int, order: int) -> list:
     return out
 
 
+def _station_contract(st: Matrix, f: Matrix, xdim: int, tv_dim: int, vdim: int,
+                      wdim: int) -> Matrix:
+    """The forward-xi slice contraction shared by ``xi_forward`` and ``compute_i``.
+
+    f maps X (x) T(V) -> T(W); for each basis vector x_i the slice
+    f(x_i (x) -): T(V) -> T(W), flattened row-major, goes through the station
+    st: Hom(T(V), T(W)) -> Hom(V, W); the result, dim W x (dim X * dim V), holds
+    station(f(x_i (x) -)) in the columns of x_i.
+    """
+    # slots[r][c] = [(i, f[r][i*tv_dim + c])]: row r of f split by x index
+    slots = []
+    for r in range(f.rows):
+        by_c: dict = {}
+        for col, val in f.row(r).items():
+            i, c = divmod(col, tv_dim)
+            by_c.setdefault(c, []).append((i, val))
+        slots.append(by_c)
+    out = [{} for _ in range(wdim)]
+    for p in range(st.rows):
+        wt, vi = divmod(p, vdim)
+        row = out[wt]
+        for h, sv in st.row(p).items():
+            r, c = divmod(h, tv_dim)
+            for i, val in slots[r].get(c, ()):
+                add_into(row, i * vdim + vi, sv * val)
+    return Matrix(wdim, xdim * vdim, out, st.order)
+
+
 def _element_action(elem: dict, x: ModuleRep, y: ModuleRep, m: ModuleRep,
                     order: int) -> Matrix:
     dim = x.dim * y.dim * m.dim
-    out = Matrix.zero(dim, dim, order)
-    for (i, j, kk), c in elem.items():
-        out = out + kron(kron(x.action[i], y.action[j]), m.action[kk]).scaled(c)
-    return out
+    return kron_sum(((c, kron(x.action[i], y.action[j]), m.action[kk])
+                     for (i, j, kk), c in elem.items()), dim, dim, order)
 
 
 # -- the monomial-family datum ---------------------------------------------------
@@ -577,17 +553,12 @@ class MonomialDatum:
         order = self.order
         tv_dim = n * v.dim
         tw_dim = n * w.dim
-        zero = Cyclo.zero(order)
-        data = [[zero] * (tw_dim * tv_dim) for _ in range(w.dim * v.dim)]
+        data = [{} for _ in range(w.dim * v.dim)]
         for s in range(n):
             c = self.weights[s]
-            if c.is_zero():
-                continue
             for wt in range(w.dim):
                 for vi in range(v.dim):
-                    row = wt * v.dim + vi
-                    col = (s * w.dim + wt) * tv_dim + (0 * v.dim + vi)
-                    data[row][col] = data[row][col] + c
+                    data[wt * v.dim + vi][(s * w.dim + wt) * tv_dim + vi] = c
         return Matrix(w.dim * v.dim, tw_dim * tv_dim, data, order)
 
     def _h_character_module(self):
@@ -744,13 +715,10 @@ def generic_galois_datum(embed_a: SubHopfEmbedding, k: ComoduleAlgebraData,
 def _standard_hom_action(a: HopfAlgebraData, v: ModuleRep, w: ModuleRep,
                          gen: int) -> Matrix:
     """(a.T)(x) = a_1 . T(S(a_2) x) on flattened Hom(V, W), row-major."""
-    order = a.order
-    out = Matrix.zero(w.dim * v.dim, w.dim * v.dim, order)
-    one = Cyclo.one(order)
-    for (i, j), c in a.comult[gen].items():
-        sj = a.antipode_of({j: one})
-        out = out + kron(w.action[i], v.act_matrix(sj).transpose()).scaled(c)
-    return out
+    one = Cyclo.one(a.order)
+    dim = w.dim * v.dim
+    return kron_sum(((c, w.action[i], v.act_matrix(a.antipode_of({j: one})).transpose())
+                     for (i, j), c in a.comult[gen].items()), dim, dim, a.order)
 
 
 # -- gauge extraction -----------------------------------------------------------
@@ -796,20 +764,19 @@ def gauge_from_equivalence(datum: MonomialDatum, datum2: MonomialDatum,
     col = u_h * datum.kb.dim + u_a
     t_elem: dict = {}
     for r in range(t_reg.rows):
-        c = t_reg.data[r][col]
-        if not c.is_zero():
+        c = t_reg.row(r).get(col)
+        if c is not None:
             t_elem[(r // datum.kb.dim, r % datum.kb.dim)] = c
     legs2 = [datum.h.alg, datum.kb.alg]
-    ok = left_mult_matrix_tensor(legs2, t_elem, order) == t_reg
-    report.add("t is left multiplication by an element", ok, 0 if ok else 1)
-    if not ok:
+    bad = differing_entries(left_mult_matrix_tensor(legs2, t_elem, order), t_reg)
+    report.add("t is left multiplication by an element", bad == 0, bad)
+    if bad:
         raise PipelineError("gauge extraction certificate failed on regulars")
     bad = 0
     for x, v in ((triv_h, triv_a), (triv_h, a_reg), (h_reg, triv_a)):
         direct = t_map(x, v)
-        acting = Matrix.zero(x.dim * v.dim, x.dim * v.dim, order)
-        for (i, kk), c in t_elem.items():
-            acting = acting + kron(x.action[i], v.action[kk]).scaled(c)
+        acting = kron_sum(((c, x.action[i], v.action[kk]) for (i, kk), c in t_elem.items()),
+                          x.dim * v.dim, x.dim * v.dim, order)
         if direct != acting:
             bad += 1
     report.add("element reproduces t on independent modules", bad == 0, bad)
@@ -834,7 +801,7 @@ def phi_psi(datum: MonomialDatum, v: ModuleRep, w: ModuleRep) -> dict:
     bases of the two constrained spaces; membership of each image in the
     target space and both compositions are verified exactly.
     """
-    from .rep import intertwiner_basis, _flatten_matrix
+    from .rep import intertwiner_basis
     from .stab import galois_twisted_action
 
     eng = datum.engine

@@ -70,26 +70,20 @@ class AlgebraData:
         return vec_of(self.unit, self.dim, self.order)
 
     def left_mult_matrix(self, a: dict) -> Matrix:
-        zero = Cyclo.zero(self.order)
-        cols = []
+        rows = [{} for _ in range(self.dim)]
         for j in range(self.dim):
-            col = [zero] * self.dim
             for i, ca in a.items():
                 for k, m in self.mult[i][j].items():
-                    col[k] = col[k] + ca * m
-            cols.append(col)
-        return Matrix.from_cols(cols, self.order, ambient=self.dim)
+                    add_into(rows[k], j, ca * m)
+        return Matrix(self.dim, self.dim, rows, self.order)
 
     def right_mult_matrix(self, a: dict) -> Matrix:
-        zero = Cyclo.zero(self.order)
-        cols = []
+        rows = [{} for _ in range(self.dim)]
         for i in range(self.dim):
-            col = [zero] * self.dim
             for j, ca in a.items():
                 for k, m in self.mult[i][j].items():
-                    col[k] = col[k] + ca * m
-            cols.append(col)
-        return Matrix.from_cols(cols, self.order, ambient=self.dim)
+                    add_into(rows[k], i, ca * m)
+        return Matrix(self.dim, self.dim, rows, self.order)
 
     def generator_indices(self) -> list[int]:
         if self.generators is not None:
@@ -195,8 +189,7 @@ def solve_antipode(alg: AlgebraData, comult, counit) -> Matrix:
         sol = sparse_solve(rows, [rhs], dim * dim, order, require_unique=True)[0]
     except LinAlgError as exc:
         raise StructureError("antipode equation has no unique solution") from exc
-    data = [[sol[r * dim + i] for i in range(dim)] for r in range(dim)]
-    return Matrix(dim, dim, data, order)
+    return Matrix.from_rows([sol[r * dim:(r + 1) * dim] for r in range(dim)], order)
 
 
 def verify_hopf(h: HopfAlgebraData) -> CheckReport:
@@ -353,9 +346,7 @@ def group_algebra(table: list[list[int]], order: int,
     comult = [{(k, k): one} for k in range(n)]
     counit = [one] * n
     inv = _group_inverses(table)
-    zero = Cyclo.zero(order)
-    s = Matrix(n, n, [[one if i == inv[j] else zero for j in range(n)]
-                      for i in range(n)], order)
+    s = Matrix(n, n, [{inv[i]: one} for i in range(n)], order)  # inv is an involution
     return HopfAlgebraData(alg, comult, counit, antipode=s, name=name)
 
 

@@ -1,9 +1,12 @@
-"""Exact dense and sparse linear algebra over Q(zeta_N).
+"""Exact linear algebra over Q(zeta_N): one row-sparse matrix type, one echelon engine.
 
 Conventions fixed here and used everywhere else in the package:
 
 * matrices act on column vectors, so ``M: V -> W`` has shape (dim W, dim V)
   and composition is left multiplication;
+* a ``Matrix`` stores row i as a dict {column: Cyclo} of its nonzero entries
+  and never stores a zero; other modules read it through ``entry``, ``row``,
+  ``col`` and ``nonzeros`` only;
 * tensor legs flatten left-major: leg pair (i, j) with dims (d1, d2) maps to
   index ``i*d2 + j``;
 * subspaces are stored by a basis matrix in reduced column echelon form, so
@@ -19,103 +22,154 @@ class LinAlgError(ValueError):
     """Structural error: shape mismatch, singular matrix where regular needed."""
 
 
+def _drop_zeros(row: dict) -> dict:
+    for c in [c for c, v in row.items() if v.is_zero()]:
+        del row[c]
+    return row
+
+
 class Matrix:
-    """Dense matrix of Cyclo entries, row-major storage, treated as immutable."""
+    """Row-sparse matrix of Cyclo entries, treated as immutable.
 
-    __slots__ = ("rows", "cols", "order", "data")
+    Row i is a dict {column: value} holding only the nonzero entries, so
+    equality, ``is_zero`` and residual counts compare the dicts directly.
+    """
 
-    def __init__(self, rows: int, cols: int, data, order: int):
-        if len(data) != rows:
+    __slots__ = ("rows", "cols", "order", "_rows")
+
+    def __init__(self, rows: int, cols: int, row_dicts: list, order: int):
+        """Take ownership of one {column: value} dict per row; zeros are dropped."""
+        if len(row_dicts) != rows:
             raise LinAlgError("row count mismatch")
-        for r in data:
-            if len(r) != cols:
-                raise LinAlgError("column count mismatch")
+        for r in row_dicts:
+            if not isinstance(r, dict):
+                raise LinAlgError("a row must be a dict {column: value}")
+            if r and (min(r) < 0 or max(r) >= cols):
+                raise LinAlgError("column index out of range")
+            _drop_zeros(r)
         self.rows = rows
         self.cols = cols
         self.order = order
-        self.data = data
+        self._rows = row_dicts
+
+    @staticmethod
+    def _trusted(rows: int, cols: int, row_dicts: list, order: int) -> "Matrix":
+        # rows built here hold only nonzero entries in range
+        m = object.__new__(Matrix)
+        m.rows, m.cols, m.order, m._rows = rows, cols, order, row_dicts
+        return m
 
     # -- constructors ---------------------------------------------------
 
     @staticmethod
     def zero(rows: int, cols: int, order: int) -> "Matrix":
-        z = Cyclo.zero(order)
-        return Matrix(rows, cols, [[z] * cols for _ in range(rows)], order)
+        return Matrix._trusted(rows, cols, [{} for _ in range(rows)], order)
 
     @staticmethod
     def identity(n: int, order: int) -> "Matrix":
-        z, e = Cyclo.zero(order), Cyclo.one(order)
-        return Matrix(n, n, [[e if i == j else z for j in range(n)] for i in range(n)], order)
+        one = Cyclo.one(order)
+        return Matrix._trusted(n, n, [{i: one} for i in range(n)], order)
 
     @staticmethod
     def from_rows(rows_list, order: int) -> "Matrix":
         rows = len(rows_list)
         cols = len(rows_list[0]) if rows else 0
-        return Matrix(rows, cols, [list(r) for r in rows_list], order)
+        out = []
+        for r in rows_list:
+            if len(r) != cols:
+                raise LinAlgError("column count mismatch")
+            out.append({j: v for j, v in enumerate(r) if not v.is_zero()})
+        return Matrix._trusted(rows, cols, out, order)
 
     @staticmethod
     def from_cols(cols_list, order: int, ambient: int | None = None) -> "Matrix":
         cols = len(cols_list)
         rows = len(cols_list[0]) if cols else (ambient or 0)
-        data = [[cols_list[j][i] for j in range(cols)] for i in range(rows)]
-        return Matrix(rows, cols, data, order)
+        out = [{} for _ in range(rows)]
+        for j, col in enumerate(cols_list):
+            if len(col) != rows:
+                raise LinAlgError("row count mismatch")
+            for i, v in enumerate(col):
+                if not v.is_zero():
+                    out[i][j] = v
+        return Matrix._trusted(rows, cols, out, order)
 
-    # -- basics -----------------------------------------------------------
+    # -- access -----------------------------------------------------------
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        return (
-            self.rows == other.rows
-            and self.cols == other.cols
-            and all(self.data[i][j] == other.data[i][j]
-                    for i in range(self.rows) for j in range(self.cols))
-        )
+        return (self.rows == other.rows and self.cols == other.cols
+                and self._rows == other._rows)
 
     def __hash__(self):
-        return hash((self.rows, self.cols, tuple(tuple(r) for r in self.data)))
+        return hash((self.rows, self.cols,
+                     tuple(frozenset(r.items()) for r in self._rows)))
 
     def __repr__(self):
         return "Matrix(%dx%d)" % (self.rows, self.cols)
 
     def is_zero(self) -> bool:
-        return all(e.is_zero() for row in self.data for e in row)
+        return not any(self._rows)
 
     def entry(self, i: int, j: int) -> Cyclo:
-        return self.data[i][j]
+        v = self._rows[i].get(j)
+        return Cyclo.zero(self.order) if v is None else v
+
+    def row(self, i: int) -> dict:
+        """The nonzero entries of row i as {column: value}; do not modify."""
+        return self._rows[i]
 
     def col(self, j: int) -> list:
-        return [self.data[i][j] for i in range(self.rows)]
+        zero = Cyclo.zero(self.order)
+        return [r.get(j, zero) for r in self._rows]
+
+    def nonzeros(self):
+        """(i, j, value) for every nonzero entry, rows in order, columns ascending."""
+        for i, r in enumerate(self._rows):
+            for j in sorted(r):
+                yield i, j, r[j]
+
+    # -- arithmetic -------------------------------------------------------
 
     def transpose(self) -> "Matrix":
-        return Matrix(
-            self.cols,
-            self.rows,
-            [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)],
-            self.order,
-        )
+        out = [{} for _ in range(self.cols)]
+        for i, r in enumerate(self._rows):
+            for j, v in r.items():
+                out[j][i] = v
+        return Matrix._trusted(self.cols, self.rows, out, self.order)
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise LinAlgError("shape mismatch in addition")
-        return Matrix(
-            self.rows,
-            self.cols,
-            [[self.data[i][j] + other.data[i][j] for j in range(self.cols)]
-             for i in range(self.rows)],
-            self.order,
-        )
+        return self._merge(other, False)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        return self + other.scaled(Cyclo.from_rational(-1, self.order))
+        return self._merge(other, True)
+
+    def _merge(self, other: "Matrix", subtract: bool) -> "Matrix":
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise LinAlgError("shape mismatch in addition")
+        out = []
+        for ra, rb in zip(self._rows, other._rows):
+            row = dict(ra)
+            for j, v in rb.items():
+                cur = row.get(j)
+                if cur is None:
+                    row[j] = -v if subtract else v
+                    continue
+                nv = cur - v if subtract else cur + v
+                if nv.is_zero():
+                    del row[j]
+                else:
+                    row[j] = nv
+            out.append(row)
+        return Matrix._trusted(self.rows, self.cols, out, self.order)
 
     def scaled(self, c: Cyclo) -> "Matrix":
-        return Matrix(
-            self.rows,
-            self.cols,
-            [[self.data[i][j] * c for j in range(self.cols)] for i in range(self.rows)],
-            self.order,
-        )
+        if c.is_zero():
+            return Matrix.zero(self.rows, self.cols, self.order)
+        return Matrix._trusted(self.rows, self.cols,
+                               [{j: v * c for j, v in r.items()} for r in self._rows],
+                               self.order)
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         if not isinstance(other, Matrix):
@@ -125,145 +179,174 @@ class Matrix:
                 "shape mismatch in product: %dx%d by %dx%d"
                 % (self.rows, self.cols, other.rows, other.cols)
             )
-        zero = Cyclo.zero(self.order)
-        out = [[zero] * other.cols for _ in range(self.rows)]
-        for i in range(self.rows):
-            srow = self.data[i]
-            orow = out[i]
-            for k in range(self.cols):
-                a = srow[k]
-                if a.is_zero():
-                    continue
-                brow = other.data[k]
-                for j in range(other.cols):
-                    b = brow[j]
-                    if not b.is_zero():
-                        orow[j] = orow[j] + a * b
-        return Matrix(self.rows, other.cols, out, self.order)
+        brows = other._rows
+        out = []
+        for arow in self._rows:
+            acc: dict = {}
+            for k, a in arow.items():
+                for j, b in brows[k].items():
+                    cur = acc.get(j)
+                    acc[j] = a * b if cur is None else cur + a * b
+            out.append(_drop_zeros(acc))
+        return Matrix._trusted(self.rows, other.cols, out, self.order)
 
     def apply(self, vec: list) -> list:
         if len(vec) != self.cols:
             raise LinAlgError("vector length %d, expected %d" % (len(vec), self.cols))
         zero = Cyclo.zero(self.order)
-        out = [zero] * self.rows
-        for j, v in enumerate(vec):
-            if v.is_zero():
-                continue
-            for i in range(self.rows):
-                a = self.data[i][j]
-                if not a.is_zero():
-                    out[i] = out[i] + a * v
+        nz = {j: v for j, v in enumerate(vec) if not v.is_zero()}
+        out = []
+        for r in self._rows:
+            acc = None
+            for j, a in r.items():
+                v = nz.get(j)
+                if v is not None:
+                    acc = a * v if acc is None else acc + a * v
+            out.append(zero if acc is None else acc)
         return out
 
     def hstack(self, other: "Matrix") -> "Matrix":
         if self.rows != other.rows:
             raise LinAlgError("row mismatch in hstack")
-        return Matrix(
-            self.rows,
-            self.cols + other.cols,
-            [self.data[i] + other.data[i] for i in range(self.rows)],
-            self.order,
-        )
+        off = self.cols
+        out = []
+        for ra, rb in zip(self._rows, other._rows):
+            row = dict(ra)
+            for j, v in rb.items():
+                row[off + j] = v
+            out.append(row)
+        return Matrix._trusted(self.rows, self.cols + other.cols, out, self.order)
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
     """Kronecker product with the left-major flattening (i, j) -> i*dim2 + j."""
-    order = a.order
-    zero = Cyclo.zero(order)
-    rows, cols = a.rows * b.rows, a.cols * b.cols
-    out = [[zero] * cols for _ in range(rows)]
-    for i in range(a.rows):
-        for j in range(a.cols):
-            c = a.data[i][j]
-            if c.is_zero():
+    out = []
+    for ra in a._rows:
+        for rb in b._rows:
+            row = {}
+            for j, x in ra.items():
+                off = j * b.cols
+                for l, y in rb.items():
+                    row[off + l] = x * y
+            out.append(row)
+    return Matrix._trusted(a.rows * b.rows, a.cols * b.cols, out, a.order)
+
+
+def kron_sum(terms, rows: int, cols: int, order: int) -> Matrix:
+    """sum c * (a (x) b) over the (c, a, b) in ``terms``, built in one pass."""
+    out = [{} for _ in range(rows)]
+    for c, a, b in terms:
+        if (a.rows * b.rows, a.cols * b.cols) != (rows, cols):
+            raise LinAlgError("shape mismatch in Kronecker sum")
+        for i, ra in enumerate(a._rows):
+            if not ra:
                 continue
-            for k in range(b.rows):
-                base = out[i * b.rows + k]
-                boff = j * b.cols
-                brow = b.data[k]
-                for l in range(b.cols):
-                    if not brow[l].is_zero():
-                        base[boff + l] = c * brow[l]
-    return Matrix(rows, cols, out, order)
+            for k, rb in enumerate(b._rows):
+                if not rb:
+                    continue
+                row = out[i * b.rows + k]
+                for j, x in ra.items():
+                    cx = c * x
+                    off = j * b.cols
+                    for l, y in rb.items():
+                        key = off + l
+                        cur = row.get(key)
+                        row[key] = cx * y if cur is None else cur + cx * y
+    for row in out:
+        _drop_zeros(row)
+    return Matrix._trusted(rows, cols, out, order)
+
+
+def differing_entries(a: Matrix, b: Matrix) -> int:
+    """Number of positions (i, j) where a and b differ; 0 iff a == b."""
+    if (a.rows, a.cols) != (b.rows, b.cols):
+        raise LinAlgError("shape mismatch: %dx%d vs %dx%d" % (a.rows, a.cols, b.rows, b.cols))
+    return sum(1 for ra, rb in zip(a._rows, b._rows)
+               for j in ra.keys() | rb.keys() if ra.get(j) != rb.get(j))
 
 
 def identity_residual(m: Matrix) -> int:
     """Number of nonzero entries of m - I for a square m; 0 iff m is the identity."""
     if m.rows != m.cols:
         raise LinAlgError("identity residual of a %dx%d matrix" % (m.rows, m.cols))
-    zero, one = Cyclo.zero(m.order), Cyclo.one(m.order)
-    return sum(1 for i, row in enumerate(m.data) for j, e in enumerate(row)
-               if e != (one if i == j else zero))
+    return differing_entries(m, Matrix.identity(m.rows, m.order))
 
 
-# -- sparse elimination engine ------------------------------------------------
+# -- the echelon engine ---------------------------------------------------------
 #
-# Rows are dicts {column: Cyclo}; the same engine backs kernel, solve and rank
-# so pivoting stays deterministic everywhere.
+# Rows are dicts {column: Cyclo}.  One incremental echelon object backs
+# kernel, solve, rank, spans and minimal polynomials, so pivoting is
+# deterministic everywhere.
 
 
-def reduce_row(row: dict, pivots: dict) -> dict:
-    """Eliminate every stored pivot column from ``row`` in place."""
-    changed = True
-    while changed:
-        changed = False
-        for c in sorted(row):
-            if c in pivots:
-                coeff = row.pop(c)
-                if coeff.is_zero():
-                    continue
-                for cc, vv in pivots[c].items():
-                    if cc == c:
-                        continue
-                    cur = row.get(cc)
-                    nv = (cur - coeff * vv) if cur is not None else -(coeff * vv)
-                    if nv.is_zero():
-                        row.pop(cc, None)
-                    else:
-                        row[cc] = nv
-                changed = True
-                break
-    return row
+def _eliminate(row: dict, c: int, pivot_row: dict) -> None:
+    """row -= row[c] * pivot_row, in place, for a pivot row with 1 at column c."""
+    coeff = row.pop(c)
+    for cc, vv in pivot_row.items():
+        if cc == c:
+            continue
+        cur = row.get(cc)
+        nv = -(coeff * vv) if cur is None else cur - coeff * vv
+        if nv.is_zero():
+            row.pop(cc, None)
+        else:
+            row[cc] = nv
+
+
+class Echelon:
+    """Incremental reduced row echelon form of sparse rows.
+
+    Each stored row is normalised to 1 at its pivot, its lowest column, and
+    every pivot column is eliminated from all other stored rows.
+    """
+
+    def __init__(self):
+        self.pivots: dict[int, dict] = {}
+
+    def reduce(self, row: dict) -> dict:
+        """Eliminate every pivot column from ``row`` in place; returns it."""
+        pivots = self.pivots
+        # stored rows hold no other pivot column, so one pass suffices
+        for c in [c for c in row if c in pivots]:
+            _eliminate(row, c, pivots[c])
+        return _drop_zeros(row)
+
+    def add(self, row: dict) -> dict:
+        """Reduce ``row`` (consumed) and store what is left, normalised.
+
+        Returns what was left before normalising: empty exactly when the row
+        already lay in the span.
+        """
+        rest = self.reduce(row)
+        if not rest:
+            return rest
+        pcol = min(rest)
+        inv = rest[pcol].inverse()
+        new = {c: v * inv for c, v in rest.items()}
+        for prow in self.pivots.values():
+            if pcol in prow:
+                _eliminate(prow, pcol, new)
+        self.pivots[pcol] = new
+        return rest
 
 
 def _sparse_rref(rows: list[dict], ncols: int, order: int):
-    """Reduced row echelon form of sparse rows.
+    """Reduced row echelon form of sparse rows (consumed).
 
-    Returns (pivots, reduced) where pivots maps pivot column -> row dict with
-    that column normalised to 1 and eliminated from all other stored rows.
-    Pivot choice: shortest row first, then lowest column; deterministic.
+    Returns the pivots: pivot column -> row dict with that column normalised
+    to 1 and eliminated from all other stored rows.  Pivot choice: shortest
+    row first, then lowest column; deterministic.
     """
-    pending = [dict(r) for r in rows if r]
-    pivots: dict[int, dict] = {}
+    pending = [r for r in rows if r]
     pending.sort(key=lambda r: (len(r), min(r)))
+    ech = Echelon()
     for row in pending:
-        row = reduce_row(row, pivots)
-        row = {c: v for c, v in row.items() if not v.is_zero()}
-        if not row:
-            continue
-        pcol = min(row)
-        inv = row[pcol].inverse()
-        row = {c: v * inv for c, v in row.items()}
-        # eliminate the new pivot from existing pivot rows
-        for pc, prow in pivots.items():
-            coeff = prow.get(pcol)
-            if coeff is not None and not coeff.is_zero():
-                for cc, vv in row.items():
-                    if cc == pcol:
-                        continue
-                    cur = prow.get(cc)
-                    nv = (cur - coeff * vv) if cur is not None else -(coeff * vv)
-                    if nv.is_zero():
-                        prow.pop(cc, None)
-                    else:
-                        prow[cc] = nv
-                prow.pop(pcol, None)
-        pivots[pcol] = row
-    return pivots
+        ech.add(row)
+    return ech.pivots
 
 
 def sparse_kernel_basis(rows: list[dict], ncols: int, order: int) -> list[list[Cyclo]]:
-    """Basis of {v : row . v = 0 for all rows}, canonical (reduced column echelon)."""
+    """Basis of {v : row . v = 0 for all rows (consumed)}, canonical (reduced column echelon)."""
     pivots = _sparse_rref(rows, ncols, order)
     zero, one = Cyclo.zero(order), Cyclo.one(order)
     free = [c for c in range(ncols) if c not in pivots]
@@ -281,7 +364,7 @@ def sparse_kernel_basis(rows: list[dict], ncols: int, order: int) -> list[list[C
 
 def sparse_solve(rows: list[dict], rhs: list[list[Cyclo]], ncols: int, order: int,
                  require_unique: bool = False):
-    """Solve the sparse system for one or more right-hand sides.
+    """Solve the sparse system (rows consumed) for one or more right-hand sides.
 
     ``rhs`` is a list of dense right-hand-side vectors (one value per row, in
     the order the rows were given).  Returns a list of solution vectors, or
@@ -289,15 +372,12 @@ def sparse_solve(rows: list[dict], rhs: list[list[Cyclo]], ncols: int, order: in
     require_unique).
     """
     nrhs = len(rhs)
-    aug = []
-    for i, r in enumerate(rows):
-        row = dict(r)
+    for i, row in enumerate(rows):
         for k in range(nrhs):
             v = rhs[k][i]
             if not v.is_zero():
                 row[ncols + k] = v
-        aug.append(row)
-    pivots = _sparse_rref(aug, ncols + nrhs, order)
+    pivots = _sparse_rref(rows, ncols + nrhs, order)
     zero = Cyclo.zero(order)
     for pc in pivots:
         if pc >= ncols:
@@ -317,21 +397,17 @@ def sparse_solve(rows: list[dict], rhs: list[list[Cyclo]], ncols: int, order: in
     return sols
 
 
-def sparse_cols(m: Matrix) -> list[list]:
-    """The nonzero entries of each column as (row, value) pairs."""
-    return [[(i, m.data[i][j]) for i in range(m.rows) if not m.data[i][j].is_zero()]
-            for j in range(m.cols)]
+def sparse_cols(m: Matrix) -> list[dict]:
+    """The nonzero entries of each column as {row: value}."""
+    return m.transpose()._rows
 
 
 def _dense_to_sparse_rows(m: Matrix) -> list[dict]:
-    rows = []
-    for i in range(m.rows):
-        row = {j: m.data[i][j] for j in range(m.cols) if not m.data[i][j].is_zero()}
-        rows.append(row)
-    return rows
+    """Fresh copies of the row dicts, for the engine to consume."""
+    return [dict(r) for r in m._rows]
 
 
-# -- dense operations built on the engine ----------------------------------
+# -- matrix operations built on the engine ----------------------------------
 
 
 def kernel(m: Matrix) -> "Subspace":
@@ -350,8 +426,7 @@ def solve(m: Matrix, rhs: list, require_unique: bool = False) -> list:
     sols = sparse_solve(_dense_to_sparse_rows(m), [rhs], m.cols, m.order,
                         require_unique=require_unique)
     x = sols[0]
-    check = m.apply(x)
-    if any((a - b) for a, b in zip(check, rhs)):
+    if m.apply(x) != list(rhs):
         raise LinAlgError("inconsistent linear system")
     return x
 
@@ -376,15 +451,8 @@ def column_echelonize(m: Matrix) -> Matrix:
     """Unique reduced-column-echelon basis matrix for the column span of m."""
     # row-reduce the transpose, read surviving rows back as columns
     pivots = _sparse_rref(_dense_to_sparse_rows(m.transpose()), m.rows, m.order)
-    zero = Cyclo.zero(m.order)
-    cols = []
-    for pc in sorted(pivots):
-        prow = pivots[pc]
-        col = [zero] * m.rows
-        for c, v in prow.items():
-            col[c] = v
-        cols.append(col)
-    return Matrix.from_cols(cols, m.order, ambient=m.rows)
+    basis_rows = [pivots[pc] for pc in sorted(pivots)]
+    return Matrix._trusted(len(basis_rows), m.rows, basis_rows, m.order).transpose()
 
 
 class Subspace:
@@ -403,8 +471,6 @@ class Subspace:
     @staticmethod
     def from_vectors(vectors: list[list], ambient_dim: int, order: int) -> "Subspace":
         m = Matrix.from_cols(vectors, order, ambient=ambient_dim)
-        if m.cols == 0:
-            m = Matrix.zero(ambient_dim, 0, order)
         return Subspace(ambient_dim, column_echelonize(m))
 
     @property
@@ -460,30 +526,24 @@ def quotient(ambient_dim: int, w: Subspace) -> tuple[Matrix, Matrix]:
     if w.ambient_dim != ambient_dim:
         raise LinAlgError("subspace does not live in the ambient space")
     order = w.basis.order
-    zero, one = Cyclo.zero(order), Cyclo.one(order)
+    one = Cyclo.one(order)
+    basis_cols = sparse_cols(w.basis)
     # pivot rows of the reduced column echelon basis
-    pivot_rows = []
-    for j in range(w.dim):
-        col = w.basis.col(j)
-        for i in range(ambient_dim):
-            if not col[i].is_zero():
-                pivot_rows.append(i)
-                break
+    pivot_rows = [min(col) for col in basis_cols if col]
     pivot_set = set(pivot_rows)
     comp_rows = [i for i in range(ambient_dim) if i not in pivot_set]
+    comp_index = {i: k for k, i in enumerate(comp_rows)}
     qdim = len(comp_rows)
     # projection: subtract pivot-row multiples of basis columns, keep comp rows
-    proj = Matrix.zero(qdim, ambient_dim, order).data
-    for k, i in enumerate(comp_rows):
-        proj[k][i] = one
-    for j, prow in enumerate(pivot_rows):
-        col = w.basis.col(j)
-        for k, i in enumerate(comp_rows):
-            if not col[i].is_zero():
-                proj[k][prow] = proj[k][prow] - col[i]
-    projection = Matrix(qdim, ambient_dim, proj, order)
-    sec = Matrix.zero(ambient_dim, qdim, order).data
+    proj = [{i: one} for i in comp_rows]
+    for col, prow in zip(basis_cols, pivot_rows):
+        for i, v in col.items():
+            k = comp_index.get(i)
+            if k is not None:
+                proj[k][prow] = -v
+    projection = Matrix._trusted(qdim, ambient_dim, proj, order)
+    sec = [{} for _ in range(ambient_dim)]
     for k, i in enumerate(comp_rows):
         sec[i][k] = one
-    section = Matrix(ambient_dim, qdim, sec, order)
+    section = Matrix._trusted(ambient_dim, qdim, sec, order)
     return projection, section

@@ -232,8 +232,8 @@ def monomial_sub_embedding(h_big: HopfAlgebraData, spec_big: MonomialHopfSpec,
     n = spec_big.n
     f_sorted = sorted(f_indices)
     order = h_big.order
-    zero, one = Cyclo.zero(order), Cyclo.one(order)
-    data = [[zero] * h_small.dim for _ in range(h_big.dim)]
+    one = Cyclo.one(order)
+    data = [{} for _ in range(h_big.dim)]
     for p, fh in enumerate(f_sorted):
         for i in range(n):
             data[fh * n + i][p * n + i] = one
@@ -246,8 +246,8 @@ def group_sub_embedding(h_big: HopfAlgebraData, spec_big: MonomialHopfSpec,
     n = spec_big.n
     b_sorted = sorted(b_indices)
     order = h_big.order
-    zero, one = Cyclo.zero(order), Cyclo.one(order)
-    data = [[zero] * kb.dim for _ in range(h_big.dim)]
+    one = Cyclo.one(order)
+    data = [{} for _ in range(h_big.dim)]
     for p, b in enumerate(b_sorted):
         data[b * n][p] = one
     return SubHopfEmbedding(kb, h_big, Matrix(h_big.dim, kb.dim, data, order))
@@ -322,28 +322,24 @@ def make_t_module(spec: MonomialHopfSpec, k: ComoduleAlgebraData,
     mu = mu.embed(order)
     f_sorted = sorted(f_indices)
     dim = n * v.dim
-    zero = Cyclo.zero(order)
 
-    y_mat = Matrix.zero(dim, dim, order).data
+    y_rows = [{} for _ in range(dim)]
     for s in range(n):
         dst = (s - 1) % n
         for t in range(v.dim):
-            y_mat[dst * v.dim + t][s * v.dim + t] = mu
-    y_matrix = Matrix(dim, dim, y_mat, order)
+            y_rows[dst * v.dim + t][s * v.dim + t] = mu
+    y_matrix = Matrix(dim, dim, y_rows, order)
 
     b_sorted = sorted(b_indices)
     e_mats = {}
     for fh in f_sorted:
         b = cosets.b_part[fh]
         rho_b = v.action[b_sorted.index(b)]
-        data = Matrix.zero(dim, dim, order).data
+        data = [{} for _ in range(dim)]
         for s in range(n):
             c = chi[fh] ** s
-            for t_out in range(v.dim):
-                for t_in in range(v.dim):
-                    val = rho_b.data[t_out][t_in]
-                    if not val.is_zero():
-                        data[s * v.dim + t_out][s * v.dim + t_in] = c * val
+            for t_out, t_in, val in rho_b.nonzeros():
+                data[s * v.dim + t_out][s * v.dim + t_in] = c * val
         e_mats[fh] = Matrix(dim, dim, data, order)
 
     action = []

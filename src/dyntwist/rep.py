@@ -13,8 +13,10 @@ from .linalg import (
     Subspace,
     identity_residual,
     kron,
+    kron_sum,
     quotient,
     solve,
+    sparse_cols,
     sparse_kernel_basis,
 )
 from .report import CheckReport
@@ -49,8 +51,8 @@ class ModuleRep:
     def verify(self) -> CheckReport:
         report = CheckReport("module %s" % self.name)
         alg = self.algebra
-        ok_unit = self.act_matrix(alg.unit) == Matrix.identity(self.dim, self.order)
-        report.add("unit acts as identity", ok_unit, 0 if ok_unit else 1)
+        bad = identity_residual(self.act_matrix(alg.unit))
+        report.add("unit acts as identity", bad == 0, bad)
         bad = 0
         for i in range(alg.dim):
             for j in range(alg.dim):
@@ -63,7 +65,7 @@ class ModuleRep:
 
 
 def trivial_module(h: HopfAlgebraData, name: str = "triv") -> ModuleRep:
-    one_by_one = [Matrix(1, 1, [[h.counit[i]]], h.order) for i in range(h.dim)]
+    one_by_one = [Matrix.from_rows([[h.counit[i]]], h.order) for i in range(h.dim)]
     return ModuleRep(h.alg, 1, one_by_one, name=name)
 
 
@@ -76,7 +78,7 @@ def regular_module(alg: AlgebraData, name: str | None = None) -> ModuleRep:
 def character_module(h: HopfAlgebraData, values: list[Cyclo],
                      name: str = "chi") -> ModuleRep:
     """One-dimensional module from an algebra map given by basis values."""
-    mats = [Matrix(1, 1, [[values[i]]], h.order) for i in range(h.dim)]
+    mats = [Matrix.from_rows([[values[i]]], h.order) for i in range(h.dim)]
     m = ModuleRep(h.alg, 1, mats, name=name)
     rep = m.verify()
     if not rep.ok:
@@ -104,12 +106,16 @@ class HomSpace:
 
 
 def _flatten_matrix(m: Matrix) -> list:
-    return [m.data[i][j] for i in range(m.rows) for j in range(m.cols)]
+    """The entries of m row-major as one dense vector."""
+    out = [Cyclo.zero(m.order)] * (m.rows * m.cols)
+    for i, j, v in m.nonzeros():
+        out[i * m.cols + j] = v
+    return out
 
 
 def _unflatten(vec: list, rows: int, cols: int, order: int) -> Matrix:
-    data = [[vec[i * cols + j] for j in range(cols)] for i in range(rows)]
-    return Matrix(rows, cols, data, order)
+    return Matrix(rows, cols, [dict_of(vec[i * cols:(i + 1) * cols]) for i in range(rows)],
+                  order)
 
 
 def intertwiner_basis(source_mats: list[Matrix], target_mats: list[Matrix],
@@ -117,18 +123,16 @@ def intertwiner_basis(source_mats: list[Matrix], target_mats: list[Matrix],
     """Basis of {T : T S_a = T_a T for each supplied pair}, T of shape rows x cols."""
     eq_rows: list[dict] = []
     for s_m, t_m in zip(source_mats, target_mats):
+        s_cols = sparse_cols(s_m)
         # (T * s_m - t_m * T)[i][j] = 0
         for i in range(rows):
+            t_row = t_m.row(i)
             for j in range(cols):
                 row: dict = {}
-                for k in range(cols):
-                    c = s_m.data[k][j]
-                    if not c.is_zero():
-                        add_into(row, i * cols + k, c)
-                for k in range(rows):
-                    c = t_m.data[i][k]
-                    if not c.is_zero():
-                        add_into(row, k * cols + j, -c)
+                for k, c in s_cols[j].items():
+                    add_into(row, i * cols + k, c)
+                for k, c in t_row.items():
+                    add_into(row, k * cols + j, -c)
                 if row:
                     eq_rows.append(row)
     basis_vecs = sparse_kernel_basis(eq_rows, rows * cols, order)
@@ -148,13 +152,10 @@ def hom_space(v: ModuleRep, w: ModuleRep) -> HomSpace:
 def tensor_reps(h: HopfAlgebraData, x: ModuleRep, y: ModuleRep,
                 name: str | None = None) -> ModuleRep:
     """X (x) Y over a Hopf algebra via the comultiplication, left-major index."""
-    mats = []
-    for k in range(h.dim):
-        m = Matrix.zero(x.dim * y.dim, x.dim * y.dim, h.order)
-        for (i, j), c in h.comult[k].items():
-            m = m + kron(x.action[i], y.action[j]).scaled(c)
-        mats.append(m)
-    return ModuleRep(h.alg, x.dim * y.dim, mats,
+    dim = x.dim * y.dim
+    mats = [kron_sum(((c, x.action[i], y.action[j]) for (i, j), c in h.comult[k].items()),
+                     dim, dim, h.order) for k in range(h.dim)]
+    return ModuleRep(h.alg, dim, mats,
                      name=name or "%s(x)%s" % (x.name, y.name))
 
 
@@ -169,12 +170,9 @@ def tensor_action(k_comod, x: ModuleRep, v: ModuleRep,
     kalg = k_comod.alg
     order = kalg.order
     dim = x.dim * v.dim
-    mats = []
-    for k in range(kalg.dim):
-        m = Matrix.zero(dim, dim, order)
-        for (hi, ki), c in k_comod.coaction[k].items():
-            m = m + kron(x.action[hi], v.action[ki]).scaled(c)
-        mats.append(m)
+    mats = [kron_sum(((c, x.action[hi], v.action[ki])
+                      for (hi, ki), c in k_comod.coaction[k].items()), dim, dim, order)
+            for k in range(kalg.dim)]
     return ModuleRep(kalg, dim, mats, name=name or "%s(x)%s" % (x.name, v.name))
 
 
@@ -341,20 +339,21 @@ def theta_maps(embed: SubHopfEmbedding, v: ModuleRep):
     # theta(alpha)(t) = sum_i alpha(class(S(t) (x) v_i)) v^i
     hom_basis_mat = Matrix.from_cols([_flatten_matrix(b) for b in hom_basis], order,
                                      ambient=vstar.dim * h.dim)
+    # classes[t][vi] = class of S(t) (x) v_i in the induced module
+    classes = []
+    for t in range(h.dim):
+        st = h.antipode_of({t: one})
+        row = []
+        for vi in range(v.dim):
+            vec = [Cyclo.zero(order)] * (h.dim * v.dim)
+            for hh, c in st.items():
+                vec[hh * v.dim + vi] = c
+            row.append(proj.apply(vec))
+        classes.append(row)
     theta_cols = []
     for r in range(ind.dim):
-        t_map = Matrix.zero(v.dim, h.dim, order)
-        data = [row[:] for row in t_map.data]
-        for t in range(h.dim):
-            st = h.antipode_of({t: one})
-            for vi in range(v.dim):
-                vec = [Cyclo.zero(order)] * (h.dim * v.dim)
-                for hh, c in st.items():
-                    vec[hh * v.dim + vi] = c
-                coeff = proj.apply(vec)[r]
-                if not coeff.is_zero():
-                    data[vi][t] = data[vi][t] + coeff
-        flat = _flatten_matrix(Matrix(v.dim, h.dim, data, order))
+        # the map t -> sum_i alpha_r(class(S(t) (x) v_i)) v^i, flattened row-major
+        flat = [classes[t][vi][r] for vi in range(v.dim) for t in range(h.dim)]
         theta_cols.append(solve(hom_basis_mat, flat))
     theta = Matrix.from_cols(theta_cols, order, ambient=len(hom_basis))
 

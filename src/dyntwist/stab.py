@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .comod import ComoduleAlgebraData, GaloisData, galois_gamma
-from .hopf import StructureError
-from .linalg import Matrix, Subspace, intersect, kron, rank, solve
+from .hopf import StructureError, add_into
+from .linalg import Matrix, Subspace, intersect, kron, kron_sum, rank, solve, sparse_cols
 from .rep import (
     ModuleRep,
     SubHopfEmbedding,
@@ -44,14 +44,11 @@ def _k_action_on_dual_tensor(k: ComoduleAlgebraData, v: ModuleRep) -> list[Matri
     """K-action on H* (x) V: k.(gamma (x) u) = (k_(-1) harpoon gamma) (x) k_(0) u."""
     from .hopf import harpoon_matrix
     h = k.over
-    out = []
-    for ki in range(k.dim):
-        m = Matrix.zero(h.dim * v.dim, h.dim * v.dim, k.order)
-        for (hi, kk), c in k.coaction[ki].items():
-            m = m + kron(harpoon_matrix(h, {hi: Cyclo.one(k.order)}),
-                         v.action[kk]).scaled(c)
-        out.append(m)
-    return out
+    one = Cyclo.one(k.order)
+    harpoons = [harpoon_matrix(h, {hi: one}) for hi in range(h.dim)]
+    dim = h.dim * v.dim
+    return [kron_sum(((c, harpoons[hi], v.action[kk]) for (hi, kk), c in k.coaction[ki].items()),
+                     dim, dim, k.order) for ki in range(k.dim)]
 
 
 def yan_zhu_stabilizer(k: ComoduleAlgebraData, v: ModuleRep, w: ModuleRep) -> StabilizerSpace:
@@ -75,15 +72,16 @@ def yan_zhu_stabilizer(k: ComoduleAlgebraData, v: ModuleRep, w: ModuleRep) -> St
     inter_space = Subspace.from_vectors([_flatten_matrix(m) for m in inter], amb, order)
 
     # image of L: columns indexed by (gamma_a, E_{ts})
+    one = Cyclo.one(order)
     lcols = []
     ldomain = h.dim * w.dim * v.dim
     for a in range(h.dim):
         lmat = _dual_left_mult(h, a)
         for t in range(w.dim):
             for s in range(v.dim):
-                e = Matrix.zero(w.dim, v.dim, order)
-                e.data[t][s] = Cyclo.one(order)
-                lcols.append(_flatten_matrix(kron(lmat, Matrix(w.dim, v.dim, e.data, order))))
+                e = Matrix(w.dim, v.dim, [{s: one} if i == t else {} for i in range(w.dim)],
+                           order)
+                lcols.append(_flatten_matrix(kron(lmat, e)))
     lmatrix = Matrix.from_cols(lcols, order, ambient=amb)
     ok = rank(lmatrix) == ldomain
     report.add("L is injective", ok, 0 if ok else 1)
@@ -98,17 +96,8 @@ def yan_zhu_stabilizer(k: ComoduleAlgebraData, v: ModuleRep, w: ModuleRep) -> St
 
 def _dual_left_mult(h, a: int) -> Matrix:
     """Left multiplication by the a-th dual basis vector in H*."""
-    order = h.order
-    zero = Cyclo.zero(order)
-    cols = []
-    for b in range(h.dim):
-        col = [zero] * h.dim
-        for k in range(h.dim):
-            c = h.comult[k].get((a, b))
-            if c is not None:
-                col[k] = col[k] + c
-        cols.append(col)
-    return Matrix.from_cols(cols, order, ambient=h.dim)
+    rows = [{b: c for (i, b), c in h.comult[k].items() if i == a} for k in range(h.dim)]
+    return Matrix(h.dim, h.dim, rows, h.order)
 
 
 def stab_hom_realized(k: ComoduleAlgebraData, v: ModuleRep, w: ModuleRep,
@@ -146,20 +135,16 @@ def curry_map(k: ComoduleAlgebraData, x: ModuleRep, v: ModuleRep, w: ModuleRep,
     """curry(f)(x)(h (x) u) = f(h.x (x) u) for each basis vector of X."""
     h = k.over
     order = k.order
+    f_cols = sparse_cols(f)
+    x_cols = [sparse_cols(a) for a in x.action]
     out = []
     for xi in range(x.dim):
-        data = [[Cyclo.zero(order)] * (h.dim * v.dim) for _ in range(w.dim)]
+        data = [{} for _ in range(w.dim)]
         for hi in range(h.dim):
-            hx = x.action[hi].col(xi)
-            for xj, c in enumerate(hx):
-                if c.is_zero():
-                    continue
+            for xj, c in x_cols[hi][xi].items():
                 for u in range(v.dim):
-                    src = xj * v.dim + u
-                    for t in range(w.dim):
-                        val = f.data[t][src]
-                        if not val.is_zero():
-                            data[t][hi * v.dim + u] = data[t][hi * v.dim + u] + c * val
+                    for t, val in f_cols[xj * v.dim + u].items():
+                        add_into(data[t], hi * v.dim + u, c * val)
         out.append(Matrix(w.dim, h.dim * v.dim, data, order))
     return out
 
@@ -169,17 +154,13 @@ def uncurry_map(k: ComoduleAlgebraData, x: ModuleRep, v: ModuleRep, w: ModuleRep
     """uncurry(F)(x (x) u) = F(x)(1 (x) u)."""
     h = k.over
     order = k.order
-    unit = h.alg.unit_vec()
-    data = [[Cyclo.zero(order)] * (x.dim * v.dim) for _ in range(w.dim)]
+    data = [{} for _ in range(w.dim)]
     for xi in range(x.dim):
-        fm = curried[xi]
-        for u in range(v.dim):
-            for t in range(w.dim):
-                total = Cyclo.zero(order)
-                for hi, c in enumerate(unit):
-                    if not c.is_zero():
-                        total = total + c * fm.data[t][hi * v.dim + u]
-                data[t][xi * v.dim + u] = total
+        for t, col, val in curried[xi].nonzeros():
+            hi, u = divmod(col, v.dim)
+            c = h.alg.unit.get(hi)
+            if c is not None:
+                add_into(data[t], xi * v.dim + u, c * val)
     return Matrix(w.dim, x.dim * v.dim, data, order)
 
 
@@ -189,11 +170,9 @@ def galois_twisted_action(g: GaloisData, embed: SubHopfEmbedding,
     order = v.order
     k = g.comodule
     gamma = galois_gamma(g, {a_index: Cyclo.one(order)})
-    out = Matrix.zero(w.dim * v.dim, w.dim * v.dim, order)
-    for key, c in gamma.items():
-        k1, k2 = divmod(key, k.dim)
-        out = out + kron(w.action[k1], v.action[k2].transpose()).scaled(c)
-    return out
+    dim = w.dim * v.dim
+    return kron_sum(((c, w.action[key // k.dim], v.action[key % k.dim].transpose())
+                     for key, c in gamma.items()), dim, dim, order)
 
 
 def stab_galois_transport(g: GaloisData, embed: SubHopfEmbedding,
@@ -228,13 +207,10 @@ def stab_galois_transport(g: GaloisData, embed: SubHopfEmbedding,
     # transported basis: reshape u: (w.dim) x (h.dim * v.dim) -> (w.dim*v.dim) x h.dim
     transported = []
     for u in stab.basis:
-        data = [[Cyclo.zero(order)] * h.dim for _ in range(w.dim * v.dim)]
-        for t in range(w.dim):
-            for hi in range(h.dim):
-                for s in range(v.dim):
-                    val = u.data[t][hi * v.dim + s]
-                    if not val.is_zero():
-                        data[t * v.dim + s][hi] = val
+        data = [{} for _ in range(w.dim * v.dim)]
+        for t, col, val in u.nonzeros():
+            hi, s = divmod(col, v.dim)
+            data[t * v.dim + s][hi] = val
         transported.append(Matrix(w.dim * v.dim, h.dim, data, order))
     # A-linearity residual of each transported element
     bad = 0
@@ -259,19 +235,16 @@ def stab_compose(k: ComoduleAlgebraData, u: ModuleRep, v: ModuleRep, w: ModuleRe
     """Composition St(V,W) (x) St(U,V) -> St(U,W): (f o g)(h (x) x) = f(h_2 (x) g(h_1 (x) x))."""
     h = k.over
     order = k.order
-    out = [[Cyclo.zero(order)] * (h.dim * u.dim) for _ in range(w.dim)]
+    g_cols = sparse_cols(gmap)
+    f_cols = sparse_cols(f)
+    out = [{} for _ in range(w.dim)]
     for hi in range(h.dim):
         for (h1, h2), c in h.comult[hi].items():
             for x in range(u.dim):
                 # g(h_1 (x) x) in V
-                for vv in range(v.dim):
-                    gval = gmap.data[vv][h1 * u.dim + x]
-                    if gval.is_zero():
-                        continue
-                    for t in range(w.dim):
-                        fval = f.data[t][h2 * v.dim + vv]
-                        if not fval.is_zero():
-                            out[t][hi * u.dim + x] = out[t][hi * u.dim + x] + c * gval * fval
+                for vv, gval in g_cols[h1 * u.dim + x].items():
+                    for t, fval in f_cols[h2 * v.dim + vv].items():
+                        add_into(out[t], hi * u.dim + x, c * gval * fval)
     return Matrix(w.dim, h.dim * u.dim, out, order)
 
 
@@ -279,11 +252,5 @@ def stab_unit(k: ComoduleAlgebraData, v: ModuleRep) -> Matrix:
     """The unit of St(V): u(h (x) x) = eps(h) x."""
     h = k.over
     order = k.order
-    data = [[Cyclo.zero(order)] * (h.dim * v.dim) for _ in range(v.dim)]
-    for hi in range(h.dim):
-        c = h.counit[hi]
-        if c.is_zero():
-            continue
-        for x in range(v.dim):
-            data[x][hi * v.dim + x] = c
+    data = [{hi * v.dim + x: h.counit[hi] for hi in range(h.dim)} for x in range(v.dim)]
     return Matrix(v.dim, h.dim * v.dim, data, order)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .comod import ComoduleAlgebraData, canonical_map, coinvariants, verify_comodule_algebra
 from .hopf import AlgebraData, HopfAlgebraData, StructureError, add_into, dict_of, dual_hopf
-from .linalg import LinAlgError, Matrix, Subspace, solve, sparse_cols
+from .linalg import LinAlgError, Matrix, Subspace, differing_entries, solve, sparse_cols
 from .report import CheckReport
 from .scalar import Cyclo
 
@@ -111,15 +111,11 @@ def left_mult_matrix_tensor(legs, elem: dict, order: int) -> Matrix:
     total = 1
     for d in dims:
         total *= d
-    zero = Cyclo.zero(order)
-    cols = [[zero] * total for _ in range(total)]
-    for col in range(total):
-        key = unflatten_key(col, dims)
-        prod = tensor_mult(legs, elem, {key: Cyclo.one(order)})
-        column = cols[col]
-        for k, c in prod.items():
-            column[flatten_key(k, dims)] = c
-    return Matrix.from_cols(cols, order, ambient=total)
+    one = Cyclo.one(order)
+    cols = [{flatten_key(k, dims): c
+             for k, c in tensor_mult(legs, elem, {unflatten_key(col, dims): one}).items()}
+            for col in range(total)]
+    return Matrix(total, total, cols, order).transpose()
 
 
 # -- twist element -------------------------------------------------------------
@@ -301,8 +297,8 @@ def build_twisted_galois(t: TwistElement) -> tuple:
     dim = hdim * sdim
 
     # hit_cols[j][a] = (e_j -> alpha_a) with <h -> alpha, x> = <alpha, x h>
-    hit_cols = [[dict_of(row) for row in h.alg.right_mult_matrix({j: one}).data]
-                for j in range(hdim)]
+    hit_cols = [[dict(m.row(a)) for a in range(hdim)]
+                for m in (h.alg.right_mult_matrix({j: one}) for j in range(hdim))]
     dualmult = hdual.alg.mult
 
     def bidx(a, k):
@@ -416,8 +412,7 @@ def _check_can_inverse_formula(t, hdual, hit_cols, gal, report) -> None:
                                         acc[idx] = acc[idx] + cb * cj * lc * uv * rc * sc
                 cols[b * dim + a * sdim + k] = proj.apply(acc)
     formula = Matrix.from_cols(cols, order, ambient=proj.rows)
-    bad = sum(1 for frow, irow in zip(formula.data, gal.can_inverse.data)
-              for x, y in zip(frow, irow) if x != y)
+    bad = differing_entries(formula, gal.can_inverse)
     report.add("displayed can^-1 formula equals can^-1", bad == 0, bad)
 
 
@@ -430,7 +425,7 @@ class KronOperator:
     def __init__(self, dims, order):
         self.dims = dims
         self.order = order
-        self.terms = []  # (coeff, [sparse col lists per leg])
+        self.terms = []  # (coeff, [per leg: one {row: value} dict per column])
 
     def add_term(self, coeff, factor_cols):
         self.terms.append((coeff, factor_cols))
@@ -446,7 +441,7 @@ class KronOperator:
         if pos == len(self.dims):
             add_into(out, prefix, val)
             return
-        for row, c in factors[pos][key[pos]]:
+        for row, c in factors[pos][key[pos]].items():
             self._spread(key, val * c, factors, pos + 1, prefix + (row,), out)
 
 
@@ -508,4 +503,4 @@ def _sparse_cols_list(mod):
 
 def _identity_cols(dim, order):
     one = Cyclo.one(order)
-    return [[(i, one)] for i in range(dim)]
+    return [{i: one} for i in range(dim)]

@@ -255,3 +255,23 @@ def test_malformed_structure_file_exits_two(corruption, tmp_path, capsys, monkey
     command = " ".join(argv[:2]) if argv[0] in ("verify", "example") else argv[0]
     assert doc == {"command": command, "inputs": {}, "checks": [], "outputs": [],
                    "input_error": err[len("input error: "):].rstrip("\n")}
+
+
+@pytest.mark.parametrize("target", ["--report", "compute-twist --out", "example --out-dir"])
+def test_unwritable_output_path_exits_two(target, tmp_path, capsys):
+    out = str(tmp_path)
+    run(["example", "E1", "--out-dir", out])
+    missing = os.path.join(out, "missing_dir")
+    regular_file = os.path.join(out, "e1_datum.json")
+    if target == "--report":
+        argv = ["--report", os.path.join(missing, "r.json"),
+                "verify", "hopf", os.path.join(out, "e1_hopf.json")]
+    elif target == "compute-twist --out":
+        argv = ["compute-twist", regular_file, "--out", os.path.join(missing, "t.json")]
+    else:
+        argv = ["example", "E0", "--out-dir", os.path.join(regular_file, "sub")]
+    capsys.readouterr()
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and "Traceback" not in err
+    assert not os.path.exists(missing)

@@ -200,12 +200,12 @@ def test_gauge_between_mu_choices(e1_datum, e1_twist, e1_datum_minus):
     def phi_of(v):
         n = e1_datum.spec.n
         dim = n * v.dim
-        m = Matrix.zero(dim, dim, 2)
+        m = [[Cyclo.zero(2)] * dim for _ in range(dim)]
         for s in range(n):
             c = ratio ** s
             for t in range(v.dim):
-                m.data[s * v.dim + t][s * v.dim + t] = c
-        return m
+                m[s * v.dim + t][s * v.dim + t] = c
+        return Matrix.from_rows(m, 2)
 
     gauge, report = gauge_from_equivalence(e1_datum, datum2, phi_of)
     assert report.ok, str(report)
@@ -216,9 +216,10 @@ def test_gauge_between_mu_choices(e1_datum, e1_twist, e1_datum_minus):
 def test_rejects_non_k_linear_phi(e1_datum):
     def phi_of(v):
         tv = e1_datum.engine.t(v)
-        m = Matrix.identity(tv.dim, 2).data
+        ident = Matrix.identity(tv.dim, 2)
+        m = [[ident.entry(i, j) for j in range(tv.dim)] for i in range(tv.dim)]
         m[0][-1] = Cyclo.one(2)  # breaks K-linearity
-        return Matrix(tv.dim, tv.dim, m, 2)
+        return Matrix.from_rows(m, 2)
 
     with pytest.raises(PipelineError):
         gauge_from_equivalence(e1_datum, e1_datum, phi_of)
@@ -233,7 +234,7 @@ def _scalar_comodule_datum(datum):
     zero = Cyclo.zero(2)
     ka = group_algebra([[0]], 2, name="k")
     embed = SubHopfEmbedding(
-        ka, h, Matrix(h.dim, 1, [[one]] + [[zero]] * (h.dim - 1), 2))
+        ka, h, Matrix.from_rows([[one]] + [[zero]] * (h.dim - 1), 2))
     scalars = AlgebraData(1, [[{0: one}]], {0: one}, 2, name="k")
     k = ComoduleAlgebraData(scalars, h, [{(0, 0): one}], name="K=k")
     t_functor = lambda v: ModuleRep(scalars, v.dim,
@@ -284,11 +285,12 @@ def test_generic_datum_rejects_non_a_linear_iso(e1_datum):
         return ModuleRep(kb_alg, v.dim, list(v.action), name="T")
 
     def bad_iso(v, w):
-        m = Matrix.identity(v.dim * w.dim, 2).data
+        ident = Matrix.identity(v.dim * w.dim, 2)
+        m = [[ident.entry(i, j) for j in range(ident.cols)] for i in range(ident.rows)]
         if v.dim * w.dim > 1:
             m[0][1] = Cyclo.one(2)
             m[1][0] = Cyclo.one(2) + Cyclo.one(2)
-        return Matrix(len(m), len(m), m, 2)
+        return Matrix.from_rows(m, 2)
 
     with pytest.raises(PipelineError):
         generic_galois_datum(e1_datum.embed_b, k, t_functor, lambda f: f,

@@ -8,11 +8,14 @@ from dyntwist.linalg import (
     LinAlgError,
     Matrix,
     Subspace,
+    column_echelonize,
+    differing_entries,
     identity_residual,
     intersect,
     inverse,
     kernel,
     kron,
+    kron_sum,
     quotient,
     rank,
     solve,
@@ -116,7 +119,8 @@ def test_quotient_diagonal_line():
     assert all(e.is_zero() for e in proj.apply([q(1), q(1)]))
     assert proj * sec == Matrix.identity(1, 1)
     # projection composed with inclusion of W vanishes exactly
-    assert all(e.is_zero() for e in (proj * w.basis).data[0])
+    residual = proj * w.basis
+    assert all(residual.entry(0, j).is_zero() for j in range(residual.cols))
 
 
 def test_kron_identities():
@@ -164,3 +168,126 @@ def test_identity_residual_counts_nonzero_entries_of_m_minus_i():
     assert identity_residual(Matrix.zero(4, 4, 3)) == 4
     with pytest.raises(LinAlgError):
         identity_residual(Matrix.zero(2, 3, 3))
+
+
+# -- oracle: a dense list-of-lists reference written here, sharing no code ----
+
+
+def _rand_scalar(rng, order):
+    if rng.random() < 0.6:
+        return Cyclo.zero(order)
+    phi = 1 if order == 1 else 2
+    return Cyclo(order, [Fraction(rng.randint(-3, 3), rng.choice([1, 1, 2]))
+                         for _ in range(phi)])
+
+
+def _rand_dense(rng, rows, cols, order):
+    out = [[_rand_scalar(rng, order) for _ in range(cols)] for _ in range(rows)]
+    if rows and cols:
+        zero = Cyclo.zero(order)
+        out[rng.randrange(rows)] = [zero] * cols          # a zero row
+        c = rng.randrange(cols)
+        for r in out:                                     # a zero column
+            r[c] = zero
+    return out
+
+
+def _to_matrix(dense, rows, cols, order):
+    if rows == 0:
+        return Matrix.from_cols([[] for _ in range(cols)], order)
+    return Matrix.from_rows(dense, order)
+
+
+def _dense_of(m):
+    return [[m.entry(i, j) for j in range(m.cols)] for i in range(m.rows)]
+
+
+def _ref_mul(a, b, n, cols, order):
+    return [[sum((a[i][k] * b[k][j] for k in range(n)), Cyclo.zero(order))
+             for j in range(cols)] for i in range(len(a))]
+
+
+def _ref_kron(a, b):
+    return [[a[i][j] * b[k][l] for j in range(len(a[0])) for l in range(len(b[0]))]
+            for i in range(len(a)) for k in range(len(b))]
+
+
+def _ref_rref(rows, order):
+    """Gauss-Jordan on a dense copy: the nonzero rows of the unique RREF."""
+    m = [list(r) for r in rows]
+    zero = Cyclo.zero(order)
+    lead = 0
+    ncols = len(m[0]) if m else 0
+    for c in range(ncols):
+        sel = next((i for i in range(lead, len(m)) if not m[i][c].is_zero()), None)
+        if sel is None:
+            continue
+        m[lead], m[sel] = m[sel], m[lead]
+        inv = m[lead][c].inverse()
+        m[lead] = [x * inv for x in m[lead]]
+        for i in range(len(m)):
+            if i != lead and not m[i][c].is_zero():
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[lead])]
+        lead += 1
+    return [r for r in m if any(not x.is_zero() for x in r)] if ncols else []
+
+
+def _stores_no_zero(m):
+    return all(not v.is_zero() for i in range(m.rows) for v in m.row(i).values())
+
+
+SHAPES = [(3, 4, 2), (4, 1, 3), (2, 3, 0), (3, 0, 2), (0, 3, 2), (5, 5, 5)]
+
+
+@pytest.mark.parametrize("order", [1, 3])
+@pytest.mark.parametrize("seed", range(6))
+def test_row_sparse_matrix_agrees_with_a_dense_reference(order, seed):
+    rng = random.Random("%d:%d" % (order, seed))
+    zero = Cyclo.zero(order)
+    for r, n, c in SHAPES:
+        da, db = _rand_dense(rng, r, n, order), _rand_dense(rng, r, n, order)
+        dc = _rand_dense(rng, n, c, order)
+        a, b = _to_matrix(da, r, n, order), _to_matrix(db, r, n, order)
+        cm = _to_matrix(dc, n, c, order)
+        k = _rand_scalar(rng, order) if seed % 2 else Cyclo.one(order) + Cyclo.zeta(order)
+        vec = [_rand_scalar(rng, order) for _ in range(n)]
+        plus_minus = Matrix.from_rows(
+            [[Cyclo.one(order) if i == j else zero for j in range(n)] for i in range(n)]
+            + [[-Cyclo.one(order) if i == j else zero for j in range(n)] for i in range(n)],
+            order)
+        results = {
+            "mul": (a * cm, _ref_mul(da, dc, n, c, order), (r, c)),
+            "mul that cancels": (a.hstack(a) * plus_minus, [[zero] * n for _ in range(r)],
+                                 (r, n)),
+            "add": (a + b, [[x + y for x, y in zip(p, q)] for p, q in zip(da, db)], (r, n)),
+            "sub": (a - b, [[x - y for x, y in zip(p, q)] for p, q in zip(da, db)], (r, n)),
+            "self-sub": (a - a, [[zero] * n for _ in range(r)], (r, n)),
+            "scaled": (a.scaled(k), [[x * k for x in p] for p in da], (r, n)),
+            "scaled by 0": (a.scaled(zero), [[zero] * n for _ in range(r)], (r, n)),
+            "transpose": (a.transpose(), [[da[i][j] for i in range(r)] for j in range(n)],
+                          (n, r)),
+            "hstack": (a.hstack(b), [p + q for p, q in zip(da, db)], (r, 2 * n)),
+        }
+        if r and n and c:
+            results["kron"] = (kron(a, cm), _ref_kron(da, dc), (r * n, n * c))
+            ka, kb = _rand_scalar(rng, order), Cyclo.from_rational(-2, order)
+            ref = [[ka * x + kb * y for x, y in zip(p, q)]
+                   for p, q in zip(_ref_kron(da, dc), _ref_kron(db, dc))]
+            results["kron_sum"] = (kron_sum([(ka, a, cm), (kb, b, cm)], r * n, n * c, order),
+                                   ref, (r * n, n * c))
+        for name, (got, ref, shape) in results.items():
+            assert (got.rows, got.cols) == shape, name
+            assert _dense_of(got) == ref, name
+            assert _stores_no_zero(got), name
+        assert a.apply(vec) == [sum((x * y for x, y in zip(p, vec)), zero) for p in da]
+        assert (a == b) == (da == db)
+        assert a == Matrix.from_cols([[p[j] for p in da] for j in range(n)], order, ambient=r)
+        assert (a - b + b) == a and (a - a).is_zero()
+        assert differing_entries(a, b) == sum(
+            1 for p, q in zip(da, db) for x, y in zip(p, q) if x != y)
+        ref_rref = _ref_rref([[da[i][j] for i in range(r)] for j in range(n)], order)
+        echelon = column_echelonize(a)
+        assert _dense_of(echelon) == [[row[i] for row in ref_rref] for i in range(r)]
+        assert _stores_no_zero(echelon)
+        assert rank(a) == len(ref_rref)

@@ -3,6 +3,7 @@ import pytest
 from dyntwist.hopf import group_algebra
 from dyntwist.linalg import Matrix
 from dyntwist.rep import (
+    ModuleRep,
     dual_module,
     hom_module,
     hom_space,
@@ -128,8 +129,8 @@ def test_double_dual_via_s_squared(e1):
     s2 = e1.h.antipode * e1.h.antipode
     for i in range(e1.h.dim):
         # double dual action = the original action at S^2(e_i)
-        elem = {j: s2.data[j][i] for j in range(e1.h.dim)
-                if not s2.data[j][i].is_zero()}
+        elem = {j: s2.entry(j, i) for j in range(e1.h.dim)
+                if not s2.entry(j, i).is_zero()}
         assert dd.action[i] == v.act_matrix(elem)
 
 
@@ -162,3 +163,14 @@ def test_theta_maps_e0(e0):
     data = theta_maps(e0.embed_b, triv)
     assert data["report"].ok, str(data["report"])
     assert data["induced"].dim == 4
+
+
+def test_unit_acting_as_twice_the_identity_reports_its_dimension(e1):
+    v = regular_module(e1.h.alg, name="V")
+    (u, _), = e1.h.alg.unit.items()
+    action = list(v.action)
+    action[u] = action[u].scaled(Cyclo.from_rational(2, 2))
+    report = ModuleRep(e1.h.alg, v.dim, action, name="2V").verify()
+    check = next(c for c in report.checks if c.name == "unit acts as identity")
+    # rho(1) - id = id: every diagonal entry is a nonzero residual
+    assert (check.status, check.residual_nonzero_count) == ("FAIL", v.dim)

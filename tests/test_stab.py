@@ -40,8 +40,8 @@ def test_t_module_y_action_shape(e0, e0_t_triv):
     # y = basis (e, 1): acts by the mu-scaled cyclic shift
     y = e0_t_triv.action[1]
     one = Cyclo.one(2)
-    assert y.data[1][0] == one and y.data[0][1] == one
-    assert y.data[0][0].is_zero() and y.data[1][1].is_zero()
+    assert y.entry(1, 0) == one and y.entry(0, 1) == one
+    assert y.entry(0, 0).is_zero() and y.entry(1, 1).is_zero()
 
 
 def test_yan_zhu_dimension_e1(e1, e1_t_triv):
