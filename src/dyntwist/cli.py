@@ -523,13 +523,14 @@ def cmd_stab(args) -> int:
     report.merge(st1.report, prefix="yan-zhu: ")
     st2 = stab_hom_realized(k, v, w)
     report.merge(st2.report, prefix="realized: ")
-    ok = st1.dim == st2.dim
+    bad = abs(st1.dim - st2.dim)
     report.add("realizations agree in dimension (%d vs %d)" % (st1.dim, st2.dim),
-               ok, 0 if ok else 1)
+               bad == 0, bad)
     lhs = k.dim * st2.dim
     rhs = v.dim * w.dim * h.dim
+    bad = abs(lhs - rhs)
     report.add("dim K * dim St = dim V * dim W * dim H (%d vs %d)" % (lhs, rhs),
-               lhs == rhs, 0 if lhs == rhs else 1)
+               bad == 0, bad)
     return finish(args, command_name(args),
                   [args.hopf, args.comodule, args.v, args.w], report, [])
 

@@ -12,21 +12,25 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .hopf import AlgebraData, HopfAlgebraData, StructureError, add_into, dict_of, vec_of
+from .hopf import AlgebraData, HopfAlgebraData, StructureError, add_into
 from .linalg import (
     Echelon,
     LinAlgError,
     Matrix,
     Subspace,
     differing_entries,
+    differing_keys,
+    flatten,
     inverse,
     kernel,
     kron,
     quotient,
     solve,
+    sparse_cols,
     sparse_kernel_basis,
 )
-from .polys import FactorUnknown, factor_rational, poly_divmod, poly_gcd, poly_mul, poly_xgcd
+from .polys import (FactorUnknown, factor_rational, poly_deriv, poly_divmod, poly_gcd,
+                    poly_mul, poly_xgcd)
 from .report import CheckReport
 from .rep import SubHopfEmbedding, intertwiner_basis
 from .scalar import Cyclo, euler_phi
@@ -128,13 +132,14 @@ def verify_comodule_algebra(k: ComoduleAlgebraData) -> CheckReport:
     for i, c in h.alg.unit.items():
         for j, d in k.alg.unit.items():
             add_into(expected, (i, j), c * d)
-    report.add("delta(1) = 1 x 1", lhs == expected, 0 if lhs == expected else 1)
+    bad = differing_keys(lhs, expected)
+    report.add("delta(1) = 1 x 1", bad == 0, bad)
     return report
 
 
 def coinvariants(k: ComoduleAlgebraData) -> Subspace:
     """{x in K : delta(x) = 1 (x) x} as the kernel of delta - unit_H (x) id."""
-    unit_h = Matrix.from_cols([k.over.alg.unit_vec()], k.order)
+    unit_h = Matrix.from_cols([k.over.alg.unit], k.over.dim, k.order)
     return kernel(k.coaction_matrix() - kron(unit_h, Matrix.identity(k.dim, k.order)))
 
 
@@ -151,20 +156,20 @@ def costable_operators(k: ComoduleAlgebraData) -> list[Matrix]:
     return ops
 
 
-def costable_closure(k: ComoduleAlgebraData, v: list) -> Subspace:
+def costable_closure(k: ComoduleAlgebraData, v: dict) -> Subspace:
     """Smallest H-costable two-sided ideal containing the vector v."""
     ops = costable_operators(k)
     span = Echelon()
-    frontier = [v] if span.add(dict_of(v)) else []
+    frontier = [v] if span.add(dict(v)) else []
     while frontier:
         new_frontier = []
         for vec in frontier:
             for op in ops:
                 w = op.apply(vec)
-                if span.add(dict_of(w)):
+                if span.add(dict(w)):
                     new_frontier.append(w)
         frontier = new_frontier
-    vectors = [vec_of(span.pivots[p], k.dim, k.order) for p in sorted(span.pivots)]
+    vectors = [span.pivots[p] for p in sorted(span.pivots)]
     return Subspace.from_vectors(vectors, k.dim, k.order)
 
 
@@ -193,7 +198,7 @@ def _close_under_products(seed: list[Matrix], dim: int, order: int) -> list[Matr
     span = Echelon()
 
     def grows(m: Matrix) -> bool:
-        return bool(span.add({i * dim + j: v for i, j, v in m.nonzeros()}))
+        return bool(span.add(flatten(m)))
 
     basis = [m for m in [Matrix.identity(dim, order)] + seed if grows(m)]
     frontier = list(basis)
@@ -209,7 +214,7 @@ def _close_under_products(seed: list[Matrix], dim: int, order: int) -> list[Matr
     return basis
 
 
-def _radical_basis(basis: list[Matrix], order: int) -> list[list[Cyclo]]:
+def _radical_basis(basis: list[Matrix], order: int) -> list[dict]:
     """Kernel of the trace Gram form on the span (valid: faithful module, char 0)."""
     d = len(basis)
     gram_rows = []
@@ -223,11 +228,10 @@ def _radical_basis(basis: list[Matrix], order: int) -> list[list[Cyclo]]:
     return sparse_kernel_basis(gram_rows, d, order)
 
 
-def _combine(basis: list[Matrix], coords: list) -> Matrix:
+def _combine(basis: list[Matrix], coords: dict) -> Matrix:
     out = Matrix.zero(basis[0].rows, basis[0].cols, basis[0].order)
-    for c, m in zip(coords, basis):
-        if not c.is_zero():
-            out = out + m.scaled(c)
+    for j, c in coords.items():
+        out = out + basis[j].scaled(c)
     return out
 
 
@@ -252,7 +256,7 @@ def _rational_minpoly(mat: Matrix, max_deg: int) -> list[Fraction]:
     span = Echelon()
     power = Matrix.identity(n, 1)
     for deg in range(max_deg + 1):
-        row = {i * n + j: v for i, j, v in power.nonzeros()}
+        row = flatten(power)
         row[marker + deg] = Cyclo.one(1)
         rest = span.add(row)
         if min(rest) >= marker:
@@ -290,13 +294,8 @@ def is_h_simple(k: ComoduleAlgebraData) -> SimplicityCertificate:
     algebra = _close_under_products(seed, dim, order)
     rad = _radical_basis(algebra, order)
     if rad:
-        j0 = _combine(algebra, rad[0])
-        vectors = [j0.col(c) for c in range(dim)]
-        for extra in rad[1:]:
-            jm = _combine(algebra, extra)
-            vectors.extend(jm.col(c) for c in range(dim))
-        witness = Subspace.from_vectors(
-            [v for v in vectors if any(not x.is_zero() for x in v)], dim, order)
+        vectors = [col for coords in rad for col in sparse_cols(_combine(algebra, coords))]
+        witness = Subspace.from_vectors(vectors, dim, order)
         ok, why = _verify_witness(k, witness)
         if ok:
             return SimplicityCertificate(
@@ -324,7 +323,7 @@ def is_h_simple(k: ComoduleAlgebraData) -> SimplicityCertificate:
         deg = len(minpoly) - 1
         if deg < dim_center_q:
             continue
-        if len(poly_gcd(minpoly, _poly_deriv(minpoly))) > 1:
+        if len(poly_gcd(minpoly, poly_deriv(minpoly))) > 1:
             continue  # not squarefree: not a valid certificate
         try:
             factors = factor_rational(minpoly)
@@ -352,8 +351,7 @@ def is_h_simple(k: ComoduleAlgebraData) -> SimplicityCertificate:
         _, e_poly = poly_divmod(e_poly, minpoly)
         e_real = _poly_eval_matrix(e_poly, real)
         e_mat = _derealify(e_real, dim, order)
-        image = Subspace.from_vectors(
-            [e_mat.col(c) for c in range(dim)], dim, order)
+        image = Subspace.from_vectors(sparse_cols(e_mat), dim, order)
         ok, why = _verify_witness(k, image)
         if ok:
             return SimplicityCertificate(
@@ -365,10 +363,6 @@ def is_h_simple(k: ComoduleAlgebraData) -> SimplicityCertificate:
     return SimplicityCertificate(
         SimplicityCertificate.INCONCLUSIVE,
         detail="no primitive element found in %d trials" % MAX_PRIMITIVE_TRIALS)
-
-
-def _poly_deriv(p):
-    return [i * c for i, c in enumerate(p)][1:]
 
 
 def _poly_eval_matrix(p, mat: Matrix) -> Matrix:
@@ -422,17 +416,12 @@ def _verify_witness(k: ComoduleAlgebraData, w: Subspace) -> tuple[bool, str]:
         return False, "witness is zero"
     if w.dim >= k.dim:
         return False, "witness is not proper"
-    one = Cyclo.one(k.order)
+    # the first 2 dim K operators are the multiplications, then the coaction
+    ops = costable_operators(k)
     for vec in w.vectors():
-        for i in range(k.dim):
-            left = k.alg.left_mult_matrix({i: one}).apply(vec)
-            right = k.alg.right_mult_matrix({i: one}).apply(vec)
-            if not (w.contains(left) and w.contains(right)):
-                return False, "not a two-sided ideal"
-        for a in range(k.over.dim):
-            comp = k.coaction_component(a).apply(vec)
-            if not w.contains(comp):
-                return False, "not costable"
+        for i, op in enumerate(ops):
+            if not w.contains(op.apply(vec)):
+                return False, "not a two-sided ideal" if i < 2 * k.dim else "not costable"
     return True, ""
 
 
@@ -471,9 +460,6 @@ def corestrict_coaction(k: ComoduleAlgebraData, embed: SubHopfEmbedding,
                         name: str | None = None) -> ComoduleAlgebraData:
     """View K as a comodule algebra over the subalgebra A when delta lands in A (x) K."""
     a = embed.small
-    # express each H-leg in the A-basis through the embedding
-    img_cols = [embed.embed.col(j) for j in range(a.dim)]
-    img_matrix = Matrix.from_cols(img_cols, k.order, ambient=embed.big.dim)
     new_coaction = []
     for j in range(k.dim):
         out: dict = {}
@@ -481,15 +467,14 @@ def corestrict_coaction(k: ComoduleAlgebraData, embed: SubHopfEmbedding,
         for (hi, ki), c in k.coaction[j].items():
             per_h.setdefault(ki, {})[hi] = c
         for ki, hvec in per_h.items():
-            dense = vec_of(hvec, embed.big.dim, k.order)
+            # express the H-leg in the A-basis through the embedding
             try:
-                coords = solve(img_matrix, dense)
+                coords = solve(embed.embed, hvec)
             except LinAlgError as exc:
                 raise StructureError(
                     "coaction does not corestrict to %s" % a.name) from exc
-            for ai, c in enumerate(coords):
-                if not c.is_zero():
-                    add_into(out, (ai, ki), c)
+            for ai, c in coords.items():
+                add_into(out, (ai, ki), c)
         new_coaction.append(out)
     return ComoduleAlgebraData(k.alg, a, new_coaction,
                                name=name or (k.name + "|" + a.name))
@@ -501,39 +486,27 @@ def canonical_map(k_over_a: ComoduleAlgebraData, r: Subspace) -> GaloisData:
     dim = k_over_a.dim
     order = k_over_a.order
     kk = dim * dim
+    one = Cyclo.one(order)
     # relation subspace span{k r (x) s - k (x) r s}
     relations = []
-    r_elems = [dict_of(r.vector(j)) for j in range(r.dim)]
-    unit_coords = dict_of(k_over_a.alg.unit_vec())
-    for relem in r_elems:
-        if relem == unit_coords:
+    for relem in r.vectors():
+        if relem == k_over_a.alg.unit:
             continue
         for i in range(dim):
-            kr = k_over_a.alg.multiply({i: Cyclo.one(order)}, relem)
+            kr = k_over_a.alg.multiply({i: one}, relem)
             for j in range(dim):
-                rs = k_over_a.alg.multiply(relem, {j: Cyclo.one(order)})
-                vec = [Cyclo.zero(order)] * kk
+                vec = {}
                 for t, c in kr.items():
-                    vec[t * dim + j] = vec[t * dim + j] + c
-                for t, c in rs.items():
-                    vec[i * dim + t] = vec[i * dim + t] - c
-                if any(not x.is_zero() for x in vec):
+                    add_into(vec, t * dim + j, c)
+                for t, c in k_over_a.alg.multiply(relem, {j: one}).items():
+                    add_into(vec, i * dim + t, -c)
+                if vec:
                     relations.append(vec)
     rel = Subspace.from_vectors(relations, kk, order)
     proj, sec = quotient(kk, rel)
     # can on K (x) K
-    target_dim = a.dim * dim
-    zero = Cyclo.zero(order)
-    cols = []
-    for i in range(dim):
-        di = k_over_a.coaction[i]
-        for j in range(dim):
-            col = [zero] * target_dim
-            for (ai, ki), c in di.items():
-                for t, m in k_over_a.alg.mult[ki][j].items():
-                    col[ai * dim + t] = col[ai * dim + t] + c * m
-            cols.append(col)
-    can_full = Matrix.from_cols(cols, order, ambient=target_dim)
+    can_full = Matrix.from_cols([_can_full_apply(k_over_a, {idx: one}) for idx in range(kk)],
+                                a.dim * dim, order)
     can_q = can_full * sec
     report = CheckReport("canonical map for %s" % k_over_a.name)
     residual = can_full * rel.basis
@@ -558,32 +531,25 @@ def galois_gamma(g: GaloisData, a_elem: dict) -> dict:
     if not g.bijective:
         raise StructureError("extension is not Galois: can is not bijective")
     k = g.comodule
-    order = k.order
     dim = k.dim
-    target = [Cyclo.zero(order)] * (k.over.dim * dim)
-    unit_vec = k.alg.unit_vec()
+    target: dict = {}
     for ai, c in a_elem.items():
-        for t, u in enumerate(unit_vec):
-            if not u.is_zero():
-                target[ai * dim + t] = target[ai * dim + t] + c * u
-    q_coords = g.can_inverse.apply(target)
-    rep = g.section.apply(q_coords)
+        for t, u in k.alg.unit.items():
+            add_into(target, ai * dim + t, c * u)
+    rep = g.section.apply(g.can_inverse.apply(target))
     # verify the defining property through the full canonical map on K (x) K
-    check = _can_full_apply(k, rep)
-    if check != target:
+    if _can_full_apply(k, rep) != target:
         raise AssertionError("gamma verification failed")
-    return dict_of(rep)
+    return rep
 
 
-def _can_full_apply(k_over_a: ComoduleAlgebraData, vec: list) -> list:
+def _can_full_apply(k_over_a: ComoduleAlgebraData, vec: dict) -> dict:
+    """can(k (x) s) = k_(-1) (x) k_(0) s on K (x) K, indices flattened."""
     dim = k_over_a.dim
-    order = k_over_a.order
-    out = [Cyclo.zero(order)] * (k_over_a.over.dim * dim)
-    for idx, c in enumerate(vec):
-        if c.is_zero():
-            continue
+    out: dict = {}
+    for idx, c in vec.items():
         i, j = divmod(idx, dim)
         for (ai, ki), d in k_over_a.coaction[i].items():
             for t, m in k_over_a.alg.mult[ki][j].items():
-                out[ai * dim + t] = out[ai * dim + t] + c * d * m
+                add_into(out, ai * dim + t, c * d * m)
     return out

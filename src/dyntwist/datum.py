@@ -25,9 +25,10 @@ from .comod import (
     is_h_simple,
     subhopf_comodule,
 )
-from .hopf import HopfAlgebraData, StructureError, add_into, group_algebra
-from .linalg import (LinAlgError, Matrix, differing_entries, identity_residual, kron,
-                     kron_sum, rank, solve, sparse_cols, sparse_solve)
+from .hopf import (HopfAlgebraData, StructureError, _group_inverses, add_into, group_algebra,
+                   group_exponent)
+from .linalg import (LinAlgError, Matrix, differing_entries, flatten, identity_residual,
+                     inverse, kron, kron_sum, rank, solve, sparse_cols, sparse_solve, unflatten)
 from .monomial import (
     MonomialHopfSpec,
     ValidationError,
@@ -43,9 +44,10 @@ from .monomial import (
 from .rep import (
     ModuleRep,
     SubHopfEmbedding,
-    _flatten_matrix,
-    _unflatten,
     character_module,
+    dual_module,
+    induce,
+    intertwiner_basis,
     regular_module,
     restrict_module,
     tensor_action,
@@ -133,7 +135,7 @@ class AdjunctionEngine:
         order = self.order
         source = tensor_action(self.k, x, tv)
         rows: list[dict] = []
-        rhs: list[Cyclo] = []
+        rhs: dict = {}
         ncols = tw.dim * source.dim
         gens = self.k.alg.generator_indices()
         for g in gens:
@@ -149,7 +151,6 @@ class AdjunctionEngine:
                         add_into(row, kk * source.dim + j, -cval)
                     if row:
                         rows.append(row)
-                        rhs.append(Cyclo.zero(order))
         st = self.station(v, w)
         # station constraint: st . flatten(f(x_i (x) -)) = fprime(x_i (x) -)
         for xi in range(x.dim):
@@ -159,15 +160,17 @@ class AdjunctionEngine:
                     r, ccol = divmod(hcol, tv.dim)
                     add_into(row, r * source.dim + xi * tv.dim + ccol, cval)
                 wt, vi = divmod(out_idx, v.dim)
+                val = fprime.row(wt).get(xi * v.dim + vi)
+                if val is not None:
+                    rhs[len(rows)] = val
                 rows.append(row)
-                rhs.append(fprime.entry(wt, xi * v.dim + vi))
         try:
             sol = sparse_solve(rows, [rhs], ncols, order, require_unique=True)[0]
         except LinAlgError as exc:
             raise PipelineError(
                 "xi is not uniquely invertible on (%s, %s, %s): %s"
                 % (x.name, v.name, w.name, exc)) from exc
-        return _unflatten(sol, tw.dim, source.dim, order)
+        return unflatten(sol, tw.dim, source.dim, order)
 
     def xi_inverse_id(self, x: ModuleRep, m: ModuleRep) -> tuple[Matrix, ModuleRep]:
         """xi^-1(id) on (X, M): the map X (x) T(M) -> T(R(X) (x) M)."""
@@ -330,10 +333,8 @@ class AdjunctionEngine:
         bad = 0
         for m in (triv_a, a_reg):
             tm = self.t(m)
-            st = self.station(m, m)
-            flat_id = _flatten_identity(tm.dim, self.order)
-            got = st.apply(flat_id)
-            if got != _flatten_identity(m.dim, self.order):
+            got = self.station(m, m).apply(flatten(Matrix.identity(tm.dim, self.order)))
+            if got != flatten(Matrix.identity(m.dim, self.order)):
                 bad += 1
         report.add("normalisation xi(id_T(M)) = id_M", bad == 0, bad)
         # naturality and bijectivity on a small instance
@@ -357,8 +358,8 @@ class AdjunctionEngine:
         if len(hk) != len(ha):
             return True, False
         images = [self.xi_forward(x, v, w, f) for f in hk]
-        ok_b = rank(Matrix.from_cols([_flatten_matrix(m) for m in images], self.order,
-                                     ambient=w.dim * x.dim * v.dim)) == len(hk)
+        ok_b = rank(Matrix.from_cols([flatten(m) for m in images], w.dim * x.dim * v.dim,
+                                     self.order)) == len(hk)
         # outputs are A-linear
         ok_n = True
         for img in images:
@@ -373,7 +374,6 @@ class AdjunctionEngine:
 
 
 def _intertwiners(alg_carrier, src: ModuleRep, tgt: ModuleRep):
-    from .rep import intertwiner_basis
     gens = alg_carrier.alg.generator_indices()
     return intertwiner_basis([src.action[g] for g in gens],
                              [tgt.action[g] for g in gens],
@@ -388,14 +388,6 @@ def _unit_index(alg) -> int:
     if not c.is_one():
         raise StructureError("unit basis coefficient is not 1")
     return idx
-
-
-def _flatten_identity(dim: int, order: int) -> list:
-    zero, one = Cyclo.zero(order), Cyclo.one(order)
-    out = [zero] * (dim * dim)
-    for i in range(dim):
-        out[i * dim + i] = one
-    return out
 
 
 def _station_contract(st: Matrix, f: Matrix, xdim: int, tv_dim: int, vdim: int,
@@ -460,7 +452,6 @@ class MonomialDatum:
     """The dynamical datum (K, T) of the monomial family, fully assembled."""
 
     def __init__(self, spec: DatumSpec, order: int | None = None):
-        from .hopf import group_exponent
         if order is None:
             order = lcm(group_exponent(spec.table), spec.n, spec.mu.order)
         self.order = order
@@ -606,32 +597,26 @@ class MonomialDatum:
         <f, station(eps(S^-1 h) id_T(V))(v)>; the check runs over the induced
         module's basis through the quotient section, V in {trivial, regular}.
         """
-        from .rep import induce, small_dual
         report = CheckReport("omega normalisation")
         order = self.order
         for v in (self.engine.triv_a, self.engine.a_reg):
             tv = self.engine.t(v)
-            vdual = small_dual(self.kb, v)
+            vdual = dual_module(self.kb, v)
             vw = tensor_reps(self.kb, v, vdual)
             ind, proj, sec = induce(self.embed_b, vw)
-            st = self._station(v, v)
-            id_flat = _flatten_identity(tv.dim, order)
+            # station is linear: station(eps id) = eps station(id)
+            st_id = self._station(v, v).apply(flatten(Matrix.identity(tv.dim, order)))
             bad = 0
             for r in range(ind.dim):
-                rep_vec = sec.col(r)
                 total = Cyclo.zero(order)
                 expected = Cyclo.zero(order)
-                for idx, c in enumerate(rep_vec):
-                    if c.is_zero():
-                        continue
+                for idx, c in sec.col(r).items():
                     hh, vf = divmod(idx, vw.dim)
                     vi, fi = divmod(vf, vdual.dim)
-                    eps_sh = Cyclo.zero(order)
-                    for t_idx, tc in self.h.antipode_inv_of(
-                            {hh: Cyclo.one(order)}).items():
-                        eps_sh = eps_sh + tc * self.h.counit[t_idx]
-                    small = st.apply([x * eps_sh for x in id_flat])
-                    total = total + c * small[fi * v.dim + vi]
+                    eps_sh = self.h.counit_of(self.h.antipode_inv_of({hh: Cyclo.one(order)}))
+                    small = st_id.get(fi * v.dim + vi)
+                    if small is not None:
+                        total = total + c * (small * eps_sh)
                     if vi == fi:
                         expected = expected + c * self.h.counit[hh]
                 if total != expected:
@@ -754,8 +739,7 @@ def gauge_from_equivalence(datum: MonomialDatum, datum2: MonomialDatum,
         f, n_mod = eng.xi_inverse_id(x, v)
         phi_out = phi_of(n_mod)
         phi_in = phi_of(v)
-        from .linalg import inverse as _inv
-        sigma = phi_out * f * kron(Matrix.identity(x.dim, order), _inv(phi_in))
+        sigma = phi_out * f * kron(Matrix.identity(x.dim, order), inverse(phi_in))
         return eng2.xi_forward(x, v, n_mod, sigma)
 
     t_reg = t_map(h_reg, a_reg)
@@ -801,7 +785,6 @@ def phi_psi(datum: MonomialDatum, v: ModuleRep, w: ModuleRep) -> dict:
     bases of the two constrained spaces; membership of each image in the
     target space and both compositions are verified exactly.
     """
-    from .rep import intertwiner_basis
     from .stab import galois_twisted_action
 
     eng = datum.engine
@@ -829,9 +812,9 @@ def phi_psi(datum: MonomialDatum, v: ModuleRep, w: ModuleRep) -> dict:
     af_tgt = [galois_twisted_action(gal, datum.embed_f, tv, tw, g)
               for g in af_gens]
     homaf = intertwiner_basis(af_src, af_tgt, tw.dim * tv.dim, h.dim, order)
+    bad = abs(len(homcb) - len(homaf))
     report.add("spaces have equal dimension (%d vs %d)" % (len(homcb), len(homaf)),
-               len(homcb) == len(homaf),
-               0 if len(homcb) == len(homaf) else 1)
+               bad == 0, bad)
 
     # twisted action of every A(F) basis element on flattened Hom(TV, TW)
     f_sorted = sorted(datum.spec.f_indices)
@@ -842,14 +825,12 @@ def phi_psi(datum: MonomialDatum, v: ModuleRep, w: ModuleRep) -> dict:
                 gal, datum.embed_f, tv, tw, p * n + i)
     # decomposition data of every H basis element h x^i = chi^-i(c_l) (f x^i) c_l
     decomp = []
-    inv_chi = {}
+    inverses = _group_inverses(table)
     for hh in range(len(table)):
         l = next(li for li, c in enumerate(cosets.reps)
                  if hh in {table[f][c] for f in f_sorted})
         c_l = cosets.reps[l]
-        c_inv = _group_inverse(table, c_l)
-        f_part = table[hh][c_inv]
-        decomp.append((l, c_l, f_part))
+        decomp.append((l, c_l, table[hh][inverses[c_l]]))
 
     def extend_af(values_at_reps):
         """Full matrix of the A(F)-linear map with the given values at c_l."""
@@ -859,27 +840,24 @@ def phi_psi(datum: MonomialDatum, v: ModuleRep, w: ModuleRep) -> dict:
             for i in range(n):
                 scale = (chi[c_l] ** i).inverse()
                 acted = af_action[(f_part, i)].apply(values_at_reps[l])
-                cols[hh * n + i] = [scale * x for x in acted]
+                cols[hh * n + i] = {r: scale * x for r, x in acted.items()}
         ordered = [cols[j] for j in range(h.dim)]
-        return Matrix.from_cols(ordered, order, ambient=tw.dim * tv.dim)
+        return Matrix.from_cols(ordered, tw.dim * tv.dim, order)
 
     def phi_map(xi_mat: Matrix) -> Matrix:
         values = []
         for c_l in cosets.reps:
-            flat = [Cyclo.zero(order)] * (tw.dim * tv.dim)
+            flat: dict = {}
             for s in range(n):
                 for kk in range(n):
                     # element g^s x^k c_l = chi^k(c_l) (g^s c_l) x^k
                     gs = cosets.g_powers[s]
                     target = table[gs][c_l]
                     coeff = chi[c_l] ** kk
-                    col = xi_mat.col(target * n + kk)
-                    for wt in range(w.dim):
-                        for vi in range(v.dim):
-                            val = coeff * col[wt * v.dim + vi]
-                            if not val.is_zero():
-                                idx = (s * w.dim + wt) * (n * v.dim) + kk * v.dim + vi
-                                flat[idx] = flat[idx] + val
+                    for idx, x in xi_mat.col(target * n + kk).items():
+                        wt, vi = divmod(idx, v.dim)
+                        add_into(flat, (s * w.dim + wt) * (n * v.dim) + kk * v.dim + vi,
+                                 coeff * x)
             values.append(flat)
         return extend_af(values)
 
@@ -895,63 +873,46 @@ def phi_psi(datum: MonomialDatum, v: ModuleRep, w: ModuleRep) -> dict:
             for i in range(n):
                 scale = (chi[c_l] ** i).inverse()
                 acted = b_act.apply(values_at_jil[(j, i, l)])
-                cols[hh * n + i] = [scale * x for x in acted]
+                cols[hh * n + i] = {r: scale * x for r, x in acted.items()}
         ordered = [cols[j] for j in range(h.dim)]
-        return Matrix.from_cols(ordered, order, ambient=w.dim * v.dim)
+        return Matrix.from_cols(ordered, w.dim * v.dim, order)
 
     def psi_map(alpha_mat: Matrix) -> Matrix:
-        values = {}
+        # the (j, i) slice of the value at c_l, for every j, i < n
+        values = {(j, i, l): {} for l in range(len(cosets.reps))
+                  for j in range(n) for i in range(n)}
         for l, c_l in enumerate(cosets.reps):
-            col = alpha_mat.col(c_l * n + 0)
-            for j in range(n):
-                for i in range(n):
-                    flat = [Cyclo.zero(order)] * (w.dim * v.dim)
-                    for wt in range(w.dim):
-                        for vi in range(v.dim):
-                            flat[wt * v.dim + vi] = col[
-                                (j * w.dim + wt) * (n * v.dim) + i * v.dim + vi]
-                    values[(j, i, l)] = flat
+            for idx, x in alpha_mat.col(c_l * n + 0).items():
+                jw, iv = divmod(idx, n * v.dim)
+                j, wt = divmod(jw, w.dim)
+                i, vi = divmod(iv, v.dim)
+                values[(j, i, l)][wt * v.dim + vi] = x
         return extend_cb(values)
 
     # matrices with respect to the two bases, with membership verification
-    cb_mat = Matrix.from_cols([_flatten_matrix(b) for b in homcb], order,
-                              ambient=w.dim * v.dim * h.dim)
-    af_mat = Matrix.from_cols([_flatten_matrix(b) for b in homaf], order,
-                              ambient=tw.dim * tv.dim * h.dim)
-    bad_phi = 0
-    phi_cols = []
-    for b in homcb:
-        img = phi_map(b)
-        try:
-            phi_cols.append(solve(af_mat, _flatten_matrix(img)))
-        except LinAlgError:
-            bad_phi += 1
-            phi_cols.append([Cyclo.zero(order)] * len(homaf))
-    report.add("phi image is A(F)-linear", bad_phi == 0, bad_phi)
-    bad_psi = 0
-    psi_cols = []
-    for b in homaf:
-        img = psi_map(b)
-        try:
-            psi_cols.append(solve(cb_mat, _flatten_matrix(img)))
-        except LinAlgError:
-            bad_psi += 1
-            psi_cols.append([Cyclo.zero(order)] * len(homcb))
-    report.add("psi image is kB-linear", bad_psi == 0, bad_psi)
-    phi = Matrix.from_cols(phi_cols, order, ambient=len(homaf))
-    psi = Matrix.from_cols(psi_cols, order, ambient=len(homcb))
+    cb_mat = Matrix.from_cols([flatten(b) for b in homcb], w.dim * v.dim * h.dim, order)
+    af_mat = Matrix.from_cols([flatten(b) for b in homaf], tw.dim * tv.dim * h.dim, order)
+
+    def coords(mat: Matrix, images: list[Matrix]) -> tuple[list[dict], int]:
+        """Coordinates of each image in the basis columns of mat; {} and a miss if none."""
+        cols, bad = [], 0
+        for img in images:
+            try:
+                cols.append(solve(mat, flatten(img)))
+            except LinAlgError:
+                cols.append({})
+                bad += 1
+        return cols, bad
+
+    phi_cols, bad = coords(af_mat, [phi_map(b) for b in homcb])
+    report.add("phi image is A(F)-linear", bad == 0, bad)
+    psi_cols, bad = coords(cb_mat, [psi_map(b) for b in homaf])
+    report.add("psi image is kB-linear", bad == 0, bad)
+    phi = Matrix.from_cols(phi_cols, len(homaf), order)
+    psi = Matrix.from_cols(psi_cols, len(homcb), order)
     bad = identity_residual(psi * phi)
     report.add("psi . phi = id", bad == 0, bad)
     bad = identity_residual(phi * psi)
     report.add("phi . psi = id", bad == 0, bad)
     return {"phi": phi, "psi": psi, "homcb": homcb, "homaf": homaf,
             "report": report}
-
-
-def _group_inverse(table, i):
-    from .hopf import _group_identity
-    e = _group_identity(table)
-    for j in range(len(table)):
-        if table[i][j] == e:
-            return j
-    raise ValidationError("element has no inverse")

@@ -7,9 +7,10 @@ as ``comult[k] = {(i, j): c}`` meaning Delta(e_k) = sum c e_i (x) e_j.
 
 from __future__ import annotations
 
-from .linalg import LinAlgError, Matrix, identity_residual, inverse, sparse_solve
+from .linalg import (LinAlgError, Matrix, differing_keys, identity_residual, inverse,
+                     sparse_solve, unflatten)
 from .report import CheckReport
-from .scalar import Cyclo
+from .scalar import Cyclo, lcm
 
 
 class StructureError(ValueError):
@@ -17,18 +18,6 @@ class StructureError(ValueError):
 
 
 # -- sparse element helpers --------------------------------------------------
-
-
-def vec_of(d: dict, dim: int, order: int) -> list:
-    zero = Cyclo.zero(order)
-    out = [zero] * dim
-    for k, v in d.items():
-        out[k] = v
-    return out
-
-
-def dict_of(vec: list) -> dict:
-    return {i: v for i, v in enumerate(vec) if not v.is_zero()}
 
 
 def add_into(acc: dict, key, value: Cyclo) -> None:
@@ -49,7 +38,7 @@ class AlgebraData:
             raise StructureError("multiplication tensor has wrong shape")
         self.dim = dim
         self.mult = mult
-        self.unit = dict(unit)
+        self.unit = {i: c for i, c in unit.items() if not c.is_zero()}
         self.order = order
         self.name = name
         self.generators = generators
@@ -65,9 +54,6 @@ class AlgebraData:
                 for k, m in row[j].items():
                     add_into(out, k, c * m)
         return out
-
-    def unit_vec(self) -> list:
-        return vec_of(self.unit, self.dim, self.order)
 
     def left_mult_matrix(self, a: dict) -> Matrix:
         rows = [{} for _ in range(self.dim)]
@@ -153,10 +139,10 @@ class HopfAlgebraData:
         return out
 
     def antipode_of(self, a: dict) -> dict:
-        return dict_of(self.antipode.apply(vec_of(a, self.dim, self.order)))
+        return self.antipode.apply(a)
 
     def antipode_inv_of(self, a: dict) -> dict:
-        return dict_of(self.antipode_inv.apply(vec_of(a, self.dim, self.order)))
+        return self.antipode_inv.apply(a)
 
     def verify(self) -> CheckReport:
         return verify_hopf(self)
@@ -169,10 +155,9 @@ def solve_antipode(alg: AlgebraData, comult, counit) -> Matrix:
     exists, so a unique-solution solve either finds it or raises.
     """
     dim, order = alg.dim, alg.order
-    unit_vec = alg.unit_vec()
     # unknowns: S[r][i] (entry of column i at row r), flattened r*dim + i
     rows: list[dict] = []
-    rhs: list[Cyclo] = []
+    rhs: dict = {}
     for k in range(dim):
         # sum over Delta(e_k) = sum c e_i (x) e_j: c * S(e_i) e_j = eps(e_k) 1
         for t in range(dim):  # coordinate t of the output
@@ -183,13 +168,15 @@ def solve_antipode(alg: AlgebraData, comult, counit) -> Matrix:
                     m = alg.mult[r][j].get(t)
                     if m is not None:
                         add_into(row, r * dim + i, c * m)
+            u = alg.unit.get(t)
+            if u is not None and not counit[k].is_zero():
+                rhs[len(rows)] = counit[k] * u
             rows.append(row)
-            rhs.append(counit[k] * unit_vec[t])
     try:
         sol = sparse_solve(rows, [rhs], dim * dim, order, require_unique=True)[0]
     except LinAlgError as exc:
         raise StructureError("antipode equation has no unique solution") from exc
-    return Matrix.from_rows([sol[r * dim:(r + 1) * dim] for r in range(dim)], order)
+    return unflatten(sol, dim, dim, order)
 
 
 def verify_hopf(h: HopfAlgebraData) -> CheckReport:
@@ -247,8 +234,8 @@ def verify_hopf(h: HopfAlgebraData) -> CheckReport:
     for i, c in alg.unit.items():
         for j, d in alg.unit.items():
             add_into(expected, (i, j), c * d)
-    report.add("Delta(1) = 1 x 1", unit_delta == expected,
-               0 if unit_delta == expected else 1)
+    bad = differing_keys(unit_delta, expected)
+    report.add("Delta(1) = 1 x 1", bad == 0, bad)
 
     # counit is an algebra map
     bad = 0
@@ -273,7 +260,8 @@ def verify_hopf(h: HopfAlgebraData) -> CheckReport:
                 add_into(left, t, c * v)
             for t, v in alg.multiply({i: one}, sj).items():
                 add_into(right, t, c * v)
-        target = dict_of([h.counit[k] * u for u in alg.unit_vec()])
+        eps = h.counit[k]
+        target = {t: eps * u for t, u in alg.unit.items()} if not eps.is_zero() else {}
         if left != target:
             bad_l += 1
         if right != target:
@@ -316,15 +304,14 @@ def dual_hopf(h: HopfAlgebraData, cop: bool = False) -> HopfAlgebraData:
             for k, c in h.alg.mult[i][j].items():
                 key = (j, i) if cop else (i, j)
                 add_into(comult[k], key, c)
-    counit = h.alg.unit_vec()
+    counit = [h.alg.unit.get(i, Cyclo.zero(order)) for i in range(dim)]
     s = h.antipode_inv.transpose() if cop else h.antipode.transpose()
     return HopfAlgebraData(alg, comult, counit, antipode=s, name=alg.name)
 
 
-def harpoon(h: HopfAlgebraData, elem: dict, gamma: list) -> list:
+def harpoon(h: HopfAlgebraData, elem: dict, gamma: dict) -> dict:
     """Left action of H on H*: < h harpoon gamma, t > = < gamma, S^-1(h) t >."""
-    lm = h.alg.left_mult_matrix(h.antipode_inv_of(elem))
-    return lm.transpose().apply(gamma)
+    return harpoon_matrix(h, elem).apply(gamma)
 
 
 def harpoon_matrix(h: HopfAlgebraData, elem: dict) -> Matrix:
@@ -404,17 +391,7 @@ def group_generators(table: list[list[int]]) -> list[int]:
 
 
 def group_exponent(table: list[list[int]]) -> int:
-    n = len(table)
-    e = _group_identity(table)
-    from .scalar import lcm
-    exp = 1
-    for i in range(n):
-        k, acc = 1, i
-        while acc != e:
-            acc = table[acc][i]
-            k += 1
-        exp = lcm(exp, k)
-    return exp
+    return lcm(*(element_order(table, i) for i in range(len(table))))
 
 
 def element_order(table: list[list[int]], i: int) -> int:

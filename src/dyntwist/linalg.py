@@ -2,12 +2,16 @@
 
 Conventions fixed here and used everywhere else in the package:
 
+* a vector is a dict {index: Cyclo} holding only its nonzero entries, the
+  same form as a matrix row, an echelon row and an algebra element; there
+  is no dense vector type;
 * matrices act on column vectors, so ``M: V -> W`` has shape (dim W, dim V)
   and composition is left multiplication;
-* a ``Matrix`` stores row i as a dict {column: Cyclo} of its nonzero entries
-  and never stores a zero; other modules read it through ``entry``, ``row``,
-  ``col`` and ``nonzeros`` only;
-* tensor legs flatten left-major: leg pair (i, j) with dims (d1, d2) maps to
+* a ``Matrix`` stores row i as such a dict {column: Cyclo} and never stores
+  a zero; other modules read it through ``entry``, ``row``, ``col`` and
+  ``nonzeros`` only;
+* a matrix flattens row-major, entry (i, j) to index ``i*cols + j``, and
+  tensor legs flatten left-major: leg pair (i, j) with dims (d1, d2) maps to
   index ``i*d2 + j``;
 * subspaces are stored by a basis matrix in reduced column echelon form, so
   equal subspaces have equal basis matrices.
@@ -82,17 +86,9 @@ class Matrix:
         return Matrix._trusted(rows, cols, out, order)
 
     @staticmethod
-    def from_cols(cols_list, order: int, ambient: int | None = None) -> "Matrix":
-        cols = len(cols_list)
-        rows = len(cols_list[0]) if cols else (ambient or 0)
-        out = [{} for _ in range(rows)]
-        for j, col in enumerate(cols_list):
-            if len(col) != rows:
-                raise LinAlgError("row count mismatch")
-            for i, v in enumerate(col):
-                if not v.is_zero():
-                    out[i][j] = v
-        return Matrix._trusted(rows, cols, out, order)
+    def from_cols(cols_list, rows: int, order: int) -> "Matrix":
+        """The matrix with the given {row: value} dicts as columns."""
+        return Matrix(len(cols_list), rows, [dict(c) for c in cols_list], order).transpose()
 
     # -- access -----------------------------------------------------------
 
@@ -120,9 +116,9 @@ class Matrix:
         """The nonzero entries of row i as {column: value}; do not modify."""
         return self._rows[i]
 
-    def col(self, j: int) -> list:
-        zero = Cyclo.zero(self.order)
-        return [r.get(j, zero) for r in self._rows]
+    def col(self, j: int) -> dict:
+        """The nonzero entries of column j as {row: value}."""
+        return {i: r[j] for i, r in enumerate(self._rows) if j in r}
 
     def nonzeros(self):
         """(i, j, value) for every nonzero entry, rows in order, columns ascending."""
@@ -190,19 +186,19 @@ class Matrix:
             out.append(_drop_zeros(acc))
         return Matrix._trusted(self.rows, other.cols, out, self.order)
 
-    def apply(self, vec: list) -> list:
-        if len(vec) != self.cols:
-            raise LinAlgError("vector length %d, expected %d" % (len(vec), self.cols))
-        zero = Cyclo.zero(self.order)
-        nz = {j: v for j, v in enumerate(vec) if not v.is_zero()}
-        out = []
-        for r in self._rows:
+    def apply(self, vec: dict) -> dict:
+        """M v for a sparse vector v; the result holds no zeros."""
+        if vec and (min(vec) < 0 or max(vec) >= self.cols):
+            raise LinAlgError("vector index out of range for %d columns" % self.cols)
+        out = {}
+        for i, r in enumerate(self._rows):
             acc = None
             for j, a in r.items():
-                v = nz.get(j)
+                v = vec.get(j)
                 if v is not None:
                     acc = a * v if acc is None else acc + a * v
-            out.append(zero if acc is None else acc)
+            if acc is not None and not acc.is_zero():
+                out[i] = acc
         return out
 
     def hstack(self, other: "Matrix") -> "Matrix":
@@ -257,12 +253,31 @@ def kron_sum(terms, rows: int, cols: int, order: int) -> Matrix:
     return Matrix._trusted(rows, cols, out, order)
 
 
+def differing_keys(a: dict, b: dict) -> int:
+    """Number of keys where the sparse vectors a and b differ; 0 iff a == b."""
+    return sum(1 for k in a.keys() | b.keys() if a.get(k) != b.get(k))
+
+
 def differing_entries(a: Matrix, b: Matrix) -> int:
     """Number of positions (i, j) where a and b differ; 0 iff a == b."""
     if (a.rows, a.cols) != (b.rows, b.cols):
         raise LinAlgError("shape mismatch: %dx%d vs %dx%d" % (a.rows, a.cols, b.rows, b.cols))
-    return sum(1 for ra, rb in zip(a._rows, b._rows)
-               for j in ra.keys() | rb.keys() if ra.get(j) != rb.get(j))
+    return sum(differing_keys(ra, rb) for ra, rb in zip(a._rows, b._rows))
+
+
+def flatten(m: Matrix) -> dict:
+    """The entries of m as one vector, (i, j) -> i*cols + j."""
+    cols = m.cols
+    return {i * cols + j: v for i, r in enumerate(m._rows) for j, v in r.items()}
+
+
+def unflatten(vec: dict, rows: int, cols: int, order: int) -> Matrix:
+    """Inverse of ``flatten`` for a rows x cols matrix."""
+    out = [{} for _ in range(rows)]
+    for idx, v in vec.items():
+        i, j = divmod(idx, cols)
+        out[i][j] = v
+    return Matrix(rows, cols, out, order)
 
 
 def identity_residual(m: Matrix) -> int:
@@ -345,15 +360,15 @@ def _sparse_rref(rows: list[dict], ncols: int, order: int):
     return ech.pivots
 
 
-def sparse_kernel_basis(rows: list[dict], ncols: int, order: int) -> list[list[Cyclo]]:
+def sparse_kernel_basis(rows: list[dict], ncols: int, order: int) -> list[dict]:
     """Basis of {v : row . v = 0 for all rows (consumed)}, canonical (reduced column echelon)."""
     pivots = _sparse_rref(rows, ncols, order)
-    zero, one = Cyclo.zero(order), Cyclo.one(order)
-    free = [c for c in range(ncols) if c not in pivots]
+    one = Cyclo.one(order)
     basis = []
-    for f in free:
-        vec = [zero] * ncols
-        vec[f] = one
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        vec = {f: one}
         for pc, prow in pivots.items():
             coeff = prow.get(f)
             if coeff is not None:
@@ -362,23 +377,19 @@ def sparse_kernel_basis(rows: list[dict], ncols: int, order: int) -> list[list[C
     return basis
 
 
-def sparse_solve(rows: list[dict], rhs: list[list[Cyclo]], ncols: int, order: int,
-                 require_unique: bool = False):
+def sparse_solve(rows: list[dict], rhs: list[dict], ncols: int, order: int,
+                 require_unique: bool = False) -> list[dict]:
     """Solve the sparse system (rows consumed) for one or more right-hand sides.
 
-    ``rhs`` is a list of dense right-hand-side vectors (one value per row, in
-    the order the rows were given).  Returns a list of solution vectors, or
-    raises LinAlgError if inconsistent (or underdetermined with
+    Each right-hand side is a sparse vector {row: value}, rows numbered in
+    the order they were given.  Returns one solution vector per right-hand
+    side, or raises LinAlgError if inconsistent (or underdetermined with
     require_unique).
     """
-    nrhs = len(rhs)
-    for i, row in enumerate(rows):
-        for k in range(nrhs):
-            v = rhs[k][i]
-            if not v.is_zero():
-                row[ncols + k] = v
-    pivots = _sparse_rref(rows, ncols + nrhs, order)
-    zero = Cyclo.zero(order)
+    for k, b in enumerate(rhs):
+        for i, v in b.items():
+            rows[i][ncols + k] = v
+    pivots = _sparse_rref(rows, ncols + len(rhs), order)
     for pc in pivots:
         if pc >= ncols:
             raise LinAlgError("inconsistent linear system")
@@ -386,14 +397,12 @@ def sparse_solve(rows: list[dict], rhs: list[list[Cyclo]], ncols: int, order: in
         for c in range(ncols):
             if c not in pivots:
                 raise LinAlgError("system is underdetermined (free column %d)" % c)
-    sols = []
-    for k in range(nrhs):
-        vec = [zero] * ncols
-        for pc, prow in pivots.items():
+    sols = [{} for _ in rhs]
+    for pc, prow in pivots.items():
+        for k, sol in enumerate(sols):
             v = prow.get(ncols + k)
             if v is not None:
-                vec[pc] = v
-        sols.append(vec)
+                sol[pc] = v
     return sols
 
 
@@ -421,12 +430,12 @@ def rank(m: Matrix) -> int:
     return len(pivots)
 
 
-def solve(m: Matrix, rhs: list, require_unique: bool = False) -> list:
+def solve(m: Matrix, rhs: dict, require_unique: bool = False) -> dict:
     """One solution of M x = rhs; raises LinAlgError when inconsistent."""
-    sols = sparse_solve(_dense_to_sparse_rows(m), [rhs], m.cols, m.order,
-                        require_unique=require_unique)
-    x = sols[0]
-    if m.apply(x) != list(rhs):
+    rhs = {i: v for i, v in rhs.items() if not v.is_zero()}
+    x = sparse_solve(_dense_to_sparse_rows(m), [rhs], m.cols, m.order,
+                     require_unique=require_unique)[0]
+    if m.apply(x) != rhs:
         raise LinAlgError("inconsistent linear system")
     return x
 
@@ -435,14 +444,15 @@ def inverse(m: Matrix) -> Matrix:
     if m.rows != m.cols:
         raise LinAlgError("only square matrices are invertible")
     n = m.rows
-    zero, one = Cyclo.zero(m.order), Cyclo.one(m.order)
-    rhs = [[one if i == k else zero for i in range(n)] for k in range(n)]
+    one = Cyclo.one(m.order)
     try:
-        sols = sparse_solve(_dense_to_sparse_rows(m), rhs, n, m.order, require_unique=True)
+        sols = sparse_solve(_dense_to_sparse_rows(m), [{k: one} for k in range(n)], n,
+                            m.order, require_unique=True)
     except LinAlgError as exc:
         raise LinAlgError("matrix is singular") from exc
-    inv = Matrix.from_cols(sols, m.order, ambient=n)
-    if m * inv != Matrix.identity(n, m.order) or inv * m != Matrix.identity(n, m.order):
+    inv = Matrix.from_cols(sols, n, m.order)
+    # for square matrices over a field, m * inv = I already gives inv * m = I
+    if m * inv != Matrix.identity(n, m.order):
         raise AssertionError("inverse verification failed")
     return inv
 
@@ -460,17 +470,16 @@ class Subspace:
 
     __slots__ = ("ambient_dim", "basis")
 
-    def __init__(self, ambient_dim: int, basis: Matrix, canonical: bool = True):
+    def __init__(self, ambient_dim: int, basis: Matrix):
+        """``basis`` must already be in reduced column echelon form."""
         if basis.rows != ambient_dim:
             raise LinAlgError("basis rows do not match ambient dimension")
-        if not canonical:
-            basis = column_echelonize(basis)
         self.ambient_dim = ambient_dim
         self.basis = basis
 
     @staticmethod
-    def from_vectors(vectors: list[list], ambient_dim: int, order: int) -> "Subspace":
-        m = Matrix.from_cols(vectors, order, ambient=ambient_dim)
+    def from_vectors(vectors: list[dict], ambient_dim: int, order: int) -> "Subspace":
+        m = Matrix.from_cols(vectors, ambient_dim, order)
         return Subspace(ambient_dim, column_echelonize(m))
 
     @property
@@ -485,18 +494,18 @@ class Subspace:
     def __repr__(self):
         return "Subspace(dim %d of %d)" % (self.dim, self.ambient_dim)
 
-    def contains(self, vec: list) -> bool:
+    def contains(self, vec: dict) -> bool:
         try:
             solve(self.basis, vec)
             return True
         except LinAlgError:
             return False
 
-    def vector(self, j: int) -> list:
+    def vector(self, j: int) -> dict:
         return self.basis.col(j)
 
-    def vectors(self) -> list[list]:
-        return [self.basis.col(j) for j in range(self.dim)]
+    def vectors(self) -> list[dict]:
+        return sparse_cols(self.basis)
 
 
 def intersect(u: Subspace, v: Subspace) -> Subspace:
@@ -509,11 +518,8 @@ def intersect(u: Subspace, v: Subspace) -> Subspace:
     if u.dim == 0 or v.dim == 0:
         return Subspace(u.ambient_dim, Matrix.zero(u.ambient_dim, 0, order))
     stacked = u.basis.hstack(v.basis.scaled(Cyclo.from_rational(-1, order)))
-    ker = kernel(stacked)
-    vectors = []
-    for j in range(ker.dim):
-        coeffs = ker.vector(j)[: u.dim]
-        vectors.append(u.basis.apply(coeffs))
+    vectors = [u.basis.apply({i: c for i, c in vec.items() if i < u.dim})
+               for vec in kernel(stacked).vectors()]
     return Subspace.from_vectors(vectors, u.ambient_dim, order)
 
 

@@ -370,10 +370,5 @@ def verify_coset_basis(h: HopfAlgebraData, spec: MonomialHopfSpec,
             for i in range(n):
                 for c in cosets.reps:
                     bg = table[b][gp]
-                    elem = h.alg.multiply({bg * n + i: one}, {c * n: one})
-                    vec = [Cyclo.zero(h.order)] * h.dim
-                    for t, v in elem.items():
-                        vec[t] = v
-                    cols.append(vec)
-    m = Matrix.from_cols(cols, h.order, ambient=h.dim)
-    return rank(m) == h.dim
+                    cols.append(h.alg.multiply({bg * n + i: one}, {c * n: one}))
+    return rank(Matrix.from_cols(cols, h.dim, h.order)) == h.dim

@@ -89,10 +89,8 @@ def poly_xgcd(a, b):
 
 
 def poly_sub(a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [Fraction(0)] * (n - len(a))
-    b = list(b) + [Fraction(0)] * (n - len(b))
-    return trim([x - y for x, y in zip(a, b)])
+    """a - b; padding with int 0 keeps integer inputs integer."""
+    return trim([x - y for x, y in zip_pad(a, b)])
 
 
 def poly_deriv(p):
@@ -267,21 +265,27 @@ def _fp_kernel(mat, p):
 
 
 def _hensel_lift_pair(f, g, h, p, target):
-    """Lift f = g*h (mod p) to mod p^k >= target; f, g, h monic integer polys."""
+    """Lift f = g*h (mod p) to mod p^k >= target; f, g, h monic integer polys.
+
+    The Bezout pair u*g + v*h = 1 is lifted with g and h: the Euclidean
+    algorithm is not valid modulo p^k, where a remainder's leading
+    coefficient can be divisible by p.
+    """
     _, u, v = _xgcd_mod(g, h, p)
     m = p
     while m < target:
         m2 = m * m
-        e = poly_int_sub(f, poly_int_mul(g, h))
-        e = [c % m2 for c in e]
+        e = [c % m2 for c in poly_sub(f, poly_mul(g, h))]
         # g' = g + (v*e mod g), h' = h + (u*e mod h) over Z/m2
-        q, r = _pdivmod_mod(poly_int_mul(v, e), g, m2)
-        g_new = [(a + b) % m2 for a, b in zip_pad(g, r)]
-        q2, r2 = _pdivmod_mod(poly_int_mul(u, e), h, m2)
-        h_new = [(a + b) % m2 for a, b in zip_pad(h, r2)]
-        g, h = trim(g_new), trim(h_new)
-        # refresh Bezout data
-        _, u, v = _xgcd_mod(g, h, m2)
+        r = _pdivmod_mod(poly_mul(v, e), g, m2)[1]
+        g = trim([(a + b) % m2 for a, b in zip_pad(g, r)])
+        r = _pdivmod_mod(poly_mul(u, e), h, m2)[1]
+        h = trim([(a + b) % m2 for a, b in zip_pad(h, r)])
+        # u g + v h = 1 + b with b = 0 mod m, so w = 1 - b gives (1 + b) w = 1
+        # mod m2; u' = u w mod h and v' = v w + (u w div h) g keep u' g + v' h
+        w = poly_sub(poly_sub([2], poly_mul(u, g)), poly_mul(v, h))
+        q, u = _pdivmod_mod(poly_mul(u, w), h, m2)
+        v = trim([(a + b) % m2 for a, b in zip_pad(poly_mul(v, w), poly_mul(q, g))])
         m = m2
     return g, h, m
 
@@ -289,22 +293,6 @@ def _hensel_lift_pair(f, g, h, p, target):
 def zip_pad(a, b):
     n = max(len(a), len(b))
     return zip(list(a) + [0] * (n - len(a)), list(b) + [0] * (n - len(b)))
-
-
-def poly_int_mul(a, b):
-    a, b = trim(a), trim(b)
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return out
-
-
-def poly_int_sub(a, b):
-    return trim([x - y for x, y in zip_pad(a, b)])
 
 
 def _xgcd_mod(a, b, m):

@@ -7,17 +7,20 @@ the mutually inverse natural maps between (Ind_A^H V)* and Hom_A(H, V*).
 
 from __future__ import annotations
 
-from .hopf import AlgebraData, HopfAlgebraData, StructureError, add_into, dict_of, vec_of
+from .hopf import AlgebraData, HopfAlgebraData, StructureError, add_into
 from .linalg import (
     Matrix,
     Subspace,
+    flatten,
     identity_residual,
     kron,
     kron_sum,
     quotient,
+    rank,
     solve,
     sparse_cols,
     sparse_kernel_basis,
+    unflatten,
 )
 from .report import CheckReport
 from .scalar import Cyclo
@@ -105,19 +108,6 @@ class HomSpace:
         return out
 
 
-def _flatten_matrix(m: Matrix) -> list:
-    """The entries of m row-major as one dense vector."""
-    out = [Cyclo.zero(m.order)] * (m.rows * m.cols)
-    for i, j, v in m.nonzeros():
-        out[i * m.cols + j] = v
-    return out
-
-
-def _unflatten(vec: list, rows: int, cols: int, order: int) -> Matrix:
-    return Matrix(rows, cols, [dict_of(vec[i * cols:(i + 1) * cols]) for i in range(rows)],
-                  order)
-
-
 def intertwiner_basis(source_mats: list[Matrix], target_mats: list[Matrix],
                       rows: int, cols: int, order: int) -> list[Matrix]:
     """Basis of {T : T S_a = T_a T for each supplied pair}, T of shape rows x cols."""
@@ -136,7 +126,7 @@ def intertwiner_basis(source_mats: list[Matrix], target_mats: list[Matrix],
                 if row:
                     eq_rows.append(row)
     basis_vecs = sparse_kernel_basis(eq_rows, rows * cols, order)
-    return [_unflatten(v, rows, cols, order) for v in basis_vecs]
+    return [unflatten(v, rows, cols, order) for v in basis_vecs]
 
 
 def hom_space(v: ModuleRep, w: ModuleRep) -> HomSpace:
@@ -183,14 +173,9 @@ def restrict_module(embed: "SubHopfEmbedding", x: ModuleRep,
     return ModuleRep(embed.small.alg, x.dim, mats, name=name or ("R(%s)" % x.name))
 
 
-def dual_module(h: HopfAlgebraData, v: ModuleRep, inverse_antipode: bool = False,
-                name: str | None = None) -> ModuleRep:
-    """Contragredient module (h.f)(x) = f(S(h) x); S^-1 variant for right duals."""
-    s = h.antipode_inv if inverse_antipode else h.antipode
-    mats = []
-    for i in range(h.dim):
-        sh = dict_of(s.apply(vec_of({i: Cyclo.one(h.order)}, h.dim, h.order)))
-        mats.append(v.act_matrix(sh).transpose())
+def dual_module(h: HopfAlgebraData, v: ModuleRep, name: str | None = None) -> ModuleRep:
+    """Contragredient module (h.f)(x) = f(S(h) x)."""
+    mats = [v.act_matrix(h.antipode.col(i)).transpose() for i in range(h.dim)]
     return ModuleRep(h.alg, v.dim, mats, name=name or (v.name + "*"))
 
 
@@ -205,15 +190,14 @@ class SubHopfEmbedding:
         self.embed = embed
 
     def embed_elem(self, a: dict) -> dict:
-        return dict_of(self.embed.apply(vec_of(a, self.small.dim, self.small.order)))
+        return self.embed.apply(a)
 
     def verify(self) -> CheckReport:
         report = CheckReport("embedding %s in %s" % (self.small.name, self.big.name))
         order = self.small.order
         one = Cyclo.one(order)
-        from .linalg import rank
-        inj = rank(self.embed) == self.small.dim
-        report.add("embedding injective", inj, 0 if inj else 1)
+        bad = self.small.dim - rank(self.embed)
+        report.add("embedding injective", bad == 0, bad)
         bad = 0
         for i in range(self.small.dim):
             for j in range(self.small.dim):
@@ -259,21 +243,18 @@ def induce(embed: SubHopfEmbedding, v: ModuleRep):
     order = h.order
     one = Cyclo.one(order)
     dim_hv = h.dim * v.dim
+    a_cols = [sparse_cols(m) for m in v.action]
     relations = []
     for hi in range(h.dim):
         for ai in range(a.dim):
-            ea = embed.embed_elem({ai: one})
-            ha = h.alg.multiply({hi: one}, ea)
-            av = v.action[ai]
+            ha = h.alg.multiply({hi: one}, embed.embed_elem({ai: one}))
             for vi in range(v.dim):
-                vec = [Cyclo.zero(order)] * dim_hv
+                vec: dict = {}
                 for t, c in ha.items():
-                    vec[t * v.dim + vi] = vec[t * v.dim + vi] + c
-                col = av.col(vi)
-                for t, c in enumerate(col):
-                    if not c.is_zero():
-                        vec[hi * v.dim + t] = vec[hi * v.dim + t] - c
-                if any(not x.is_zero() for x in vec):
+                    add_into(vec, t * v.dim + vi, c)
+                for t, c in a_cols[ai][vi].items():
+                    add_into(vec, hi * v.dim + t, -c)
+                if vec:
                     relations.append(vec)
     rel = Subspace.from_vectors(relations, dim_hv, order)
     proj, sec = quotient(dim_hv, rel)
@@ -300,23 +281,14 @@ def hom_module(embed: SubHopfEmbedding, v: ModuleRep):
     src = [h.alg.left_mult_matrix(embed.embed_elem({g: one})) for g in gens]
     tgt = [v.action[g] for g in gens]
     basis = intertwiner_basis(src, tgt, v.dim, h.dim, order)
-    basis_mat = Matrix.from_cols([_flatten_matrix(b) for b in basis], order,
-                                 ambient=v.dim * h.dim)
+    basis_mat = Matrix.from_cols([flatten(b) for b in basis], v.dim * h.dim, order)
     mats = []
     for i in range(h.dim):
         rm = h.alg.right_mult_matrix({i: one})
-        cols = []
-        for b in basis:
-            moved = b * rm
-            cols.append(solve(basis_mat, _flatten_matrix(moved)))
-        mats.append(Matrix.from_cols(cols, order, ambient=len(basis)))
+        cols = [solve(basis_mat, flatten(b * rm)) for b in basis]
+        mats.append(Matrix.from_cols(cols, len(basis), order))
     mod = ModuleRep(h.alg, len(basis), mats, name="Hom_A(H,%s)" % v.name)
     return mod, basis
-
-
-def small_dual(small: HopfAlgebraData, v: ModuleRep) -> ModuleRep:
-    """Dual of an A-module using the antipode of A itself."""
-    return dual_module(small, v)
 
 
 def theta_maps(embed: SubHopfEmbedding, v: ModuleRep):
@@ -329,7 +301,7 @@ def theta_maps(embed: SubHopfEmbedding, v: ModuleRep):
     order = h.order
     one = Cyclo.one(order)
     ind, proj, sec = induce(embed, v)
-    vstar = small_dual(embed.small, v)
+    vstar = dual_module(embed.small, v)
     homav, hom_basis = hom_module(embed, vstar)
     ind_dual = ModuleRep(h.alg, ind.dim,
                          [ind.act_matrix(h.antipode_of({i: one})).transpose()
@@ -337,47 +309,37 @@ def theta_maps(embed: SubHopfEmbedding, v: ModuleRep):
                          name="(%s)*" % ind.name)
 
     # theta(alpha)(t) = sum_i alpha(class(S(t) (x) v_i)) v^i
-    hom_basis_mat = Matrix.from_cols([_flatten_matrix(b) for b in hom_basis], order,
-                                     ambient=vstar.dim * h.dim)
-    # classes[t][vi] = class of S(t) (x) v_i in the induced module
-    classes = []
+    hom_basis_mat = Matrix.from_cols([flatten(b) for b in hom_basis], vstar.dim * h.dim,
+                                     order)
+    # the map t -> sum_i alpha_r(class(S(t) (x) v_i)) v^i, flattened row-major,
+    # for every induced basis vector alpha_r at once
+    flats = [{} for _ in range(ind.dim)]
     for t in range(h.dim):
         st = h.antipode_of({t: one})
-        row = []
         for vi in range(v.dim):
-            vec = [Cyclo.zero(order)] * (h.dim * v.dim)
-            for hh, c in st.items():
-                vec[hh * v.dim + vi] = c
-            row.append(proj.apply(vec))
-        classes.append(row)
-    theta_cols = []
-    for r in range(ind.dim):
-        # the map t -> sum_i alpha_r(class(S(t) (x) v_i)) v^i, flattened row-major
-        flat = [classes[t][vi][r] for vi in range(v.dim) for t in range(h.dim)]
-        theta_cols.append(solve(hom_basis_mat, flat))
-    theta = Matrix.from_cols(theta_cols, order, ambient=len(hom_basis))
+            cls = proj.apply({hh * v.dim + vi: c for hh, c in st.items()})
+            for r, c in cls.items():
+                flats[r][vi * h.dim + t] = c
+    theta = Matrix.from_cols([solve(hom_basis_mat, f) for f in flats], len(hom_basis), order)
 
     # theta_tilde(T) evaluated on the r-th induced basis vector via the section
+    s_inv = [h.antipode_inv_of({hh: one}) for hh in range(h.dim)]
     ttilde_rows = []
     for r in range(ind.dim):
-        rep_vec = sec.col(r)
-        row = []
-        for b in hom_basis:
-            total = Cyclo.zero(order)
-            for idx, c in enumerate(rep_vec):
-                if c.is_zero():
-                    continue
-                hh, vi = divmod(idx, v.dim)
-                tsh = b.apply(vec_of(h.antipode_inv_of({hh: one}), h.dim, order))
-                total = total + c * tsh[vi]
-            row.append(total)
+        row: dict = {}
+        for idx, c in sec.col(r).items():
+            hh, vi = divmod(idx, v.dim)
+            for bi, b in enumerate(hom_basis):
+                x = b.apply(s_inv[hh]).get(vi)
+                if x is not None:
+                    add_into(row, bi, c * x)
         ttilde_rows.append(row)
-    theta_tilde = Matrix.from_rows(ttilde_rows, order)
+    theta_tilde = Matrix(ind.dim, len(hom_basis), ttilde_rows, order)
 
     report = CheckReport("theta maps for %s" % v.name)
     free_dim = h.dim * v.dim // embed.small.dim
-    report.add("induced dimension matches free rank dim H dim V / dim A",
-               ind.dim == free_dim, 0 if ind.dim == free_dim else 1)
+    bad = abs(ind.dim - free_dim)
+    report.add("induced dimension matches free rank dim H dim V / dim A", bad == 0, bad)
     bad = identity_residual(theta_tilde * theta)
     report.add("theta_tilde . theta = id", bad == 0, bad)
     bad = identity_residual(theta * theta_tilde)

@@ -14,16 +14,9 @@ from dataclasses import dataclass
 
 from .comod import ComoduleAlgebraData, GaloisData, galois_gamma
 from .hopf import StructureError, add_into
-from .linalg import Matrix, Subspace, intersect, kron, kron_sum, rank, solve, sparse_cols
-from .rep import (
-    ModuleRep,
-    SubHopfEmbedding,
-    _flatten_matrix,
-    _unflatten,
-    intertwiner_basis,
-    regular_module,
-    tensor_action,
-)
+from .linalg import (Matrix, Subspace, flatten, intersect, kron, kron_sum, rank, solve,
+                     sparse_cols, unflatten)
+from .rep import ModuleRep, SubHopfEmbedding, intertwiner_basis, regular_module, tensor_action
 from .report import CheckReport
 from .scalar import Cyclo
 
@@ -69,7 +62,7 @@ def yan_zhu_stabilizer(k: ComoduleAlgebraData, v: ModuleRep, w: ModuleRep) -> St
                               [tgt_mats[g] for g in gens],
                               h.dim * w.dim, h.dim * v.dim, order)
     amb = (h.dim * w.dim) * (h.dim * v.dim)
-    inter_space = Subspace.from_vectors([_flatten_matrix(m) for m in inter], amb, order)
+    inter_space = Subspace.from_vectors([flatten(m) for m in inter], amb, order)
 
     # image of L: columns indexed by (gamma_a, E_{ts})
     one = Cyclo.one(order)
@@ -81,16 +74,13 @@ def yan_zhu_stabilizer(k: ComoduleAlgebraData, v: ModuleRep, w: ModuleRep) -> St
             for s in range(v.dim):
                 e = Matrix(w.dim, v.dim, [{s: one} if i == t else {} for i in range(w.dim)],
                            order)
-                lcols.append(_flatten_matrix(kron(lmat, e)))
-    lmatrix = Matrix.from_cols(lcols, order, ambient=amb)
-    ok = rank(lmatrix) == ldomain
-    report.add("L is injective", ok, 0 if ok else 1)
+                lcols.append(flatten(kron(lmat, e)))
+    lmatrix = Matrix.from_cols(lcols, amb, order)
+    bad = ldomain - rank(lmatrix)
+    report.add("L is injective", bad == 0, bad)
     limage = Subspace.from_vectors(lcols, amb, order)
-    inter_image = intersect(inter_space, limage)
-    basis = []
-    for j in range(inter_image.dim):
-        coords = solve(lmatrix, inter_image.vector(j))
-        basis.append(_unflatten(coords, h.dim, w.dim * v.dim, order))
+    basis = [unflatten(solve(lmatrix, vec), h.dim, w.dim * v.dim, order)
+             for vec in intersect(inter_space, limage).vectors()]
     return StabilizerSpace("YanZhu", basis, None, report)
 
 
@@ -114,14 +104,13 @@ def stab_hom_realized(k: ComoduleAlgebraData, v: ModuleRep, w: ModuleRep,
                               w.dim, h.dim * v.dim, order)
     h_action = None
     if with_action and basis:
-        basis_mat = Matrix.from_cols([_flatten_matrix(b) for b in basis], order,
-                                     ambient=w.dim * h.dim * v.dim)
+        basis_mat = Matrix.from_cols([flatten(b) for b in basis], w.dim * h.dim * v.dim, order)
         idv = Matrix.identity(v.dim, order)
         h_action = []
         for i in range(h.dim):
             mover = kron(h.alg.right_mult_matrix({i: Cyclo.one(order)}), idv)
-            cols = [solve(basis_mat, _flatten_matrix(b * mover)) for b in basis]
-            h_action.append(Matrix.from_cols(cols, order, ambient=len(basis)))
+            cols = [solve(basis_mat, flatten(b * mover)) for b in basis]
+            h_action.append(Matrix.from_cols(cols, len(basis), order))
         mod = ModuleRep(h.alg, len(basis), h_action, name="St")
         rep = mod.verify()
         report.merge(rep, prefix="H-action: ")
@@ -220,13 +209,11 @@ def stab_galois_transport(g: GaloisData, embed: SubHopfEmbedding,
                 bad += 1
     report.add("transported elements are A-linear (uses gamma)", bad == 0, bad)
     if target_basis:
-        tmat = Matrix.from_cols([_flatten_matrix(b) for b in target_basis], order,
-                                ambient=w.dim * v.dim * h.dim)
-        full = rank(tmat.hstack(Matrix.from_cols(
-            [_flatten_matrix(t) for t in transported], order,
-            ambient=w.dim * v.dim * h.dim))) == len(target_basis)
-        report.add("transport is bijective onto the target", full,
-                   0 if full else 1)
+        # the transported directions outside the target span
+        both = Matrix.from_cols([flatten(b) for b in target_basis + transported],
+                                w.dim * v.dim * h.dim, order)
+        bad = rank(both) - len(target_basis)
+        report.add("transport is bijective onto the target", bad == 0, bad)
     return {"basis": transported, "target_basis": target_basis, "report": report}
 
 

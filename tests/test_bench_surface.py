@@ -1,11 +1,13 @@
-"""The program surface that the benchmark's traced run wraps still exists.
+"""The program surface that the benchmark uses still exists.
 
 ``perfbench/tracing.py`` replaces functions and methods of the package by
-name; a refactor that renames or moves one would break the traced run
-without failing any other test.  The module needs only the standard
+name, and the benchmark's set-up and ``validate_datum.py`` import names from
+it; a refactor that renames or moves one would break the benchmark without
+failing any other test.  The tracing module needs only the standard
 library, so it is loaded here by path.
 """
 
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -18,7 +20,8 @@ from dyntwist import linalg
 from dyntwist.datum import MonomialDatum
 from dyntwist.scalar import Cyclo
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 
 
 @pytest.fixture(scope="module")
@@ -73,3 +76,50 @@ def test_instruments_install_and_restore(tracing):
 def test_fresh_engine_t_cache_is_a_list():
     # the counter scans (module, T(module)) pairs of this list for hits
     assert isinstance(MonomialDatum(e0_spec()).engine._t_cache, list)
+
+
+def _package_names():
+    """(file, module, name) for each name a perfbench file takes from the package.
+
+    That is every ``from dyntwist... import name``, and every attribute read
+    off a name bound by such an import (``cli.finish`` after ``from dyntwist
+    import cli``); the caller checks the attribute only where that name is a
+    module.
+    """
+    for path in sorted(PERFBENCH.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        bound = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "dyntwist":
+                for alias in node.names:
+                    yield path.name, node.module, alias.name
+                    bound[alias.asname or alias.name] = (node.module, alias.name)
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in bound):
+                module, name = bound[node.value.id]
+                yield path.name, (module, name), node.attr
+
+
+def _lookup(module, name):
+    mod = importlib.import_module(module)
+    if hasattr(mod, name):
+        return getattr(mod, name)
+    return importlib.import_module(module + "." + name)  # a submodule
+
+
+def test_every_name_perfbench_imports_from_the_package_resolves():
+    names = list(_package_names())
+    assert any(f == "validate_datum.py" for f, _, _ in names)
+    missing = []
+    for where, module, name in names:
+        try:
+            if isinstance(module, tuple):
+                owner = _lookup(*module)
+                if inspect.ismodule(owner) and not hasattr(owner, name):
+                    missing.append("%s: %s.%s" % (where, owner.__name__, name))
+            else:
+                _lookup(module, name)
+        except ImportError:
+            missing.append("%s: %s.%s" % (where, module, name))
+    assert not missing, "perfbench uses names the package lacks: " + ", ".join(missing)

@@ -73,7 +73,7 @@ def test_double_dual_is_original(kz2):
 
 def test_dual_counit_is_evaluation_at_one(kz2):
     dual = dual_hopf(kz2)
-    assert dual.counit == kz2.alg.unit_vec()
+    assert dual.counit == [kz2.alg.unit.get(i, Cyclo.zero(2)) for i in range(kz2.dim)]
 
 
 def test_dual_cop_passes(kz2):
@@ -82,14 +82,14 @@ def test_dual_cop_passes(kz2):
 
 def test_harpoon_unit_acts_trivially(kz2):
     one = Cyclo.one(2)
-    gamma = [one, one + one]
+    gamma = {0: one, 1: one + one}
     assert harpoon(kz2, {0: one}, gamma) == gamma
 
 
 def test_harpoon_is_module_action(kz2):
     one = Cyclo.one(2)
     g = {1: one}
-    gamma = [one, one + one]
+    gamma = {0: one, 1: one + one}
     # g . (g . gamma) = (g*g) . gamma = gamma
     once = harpoon(kz2, g, gamma)
     assert harpoon(kz2, g, once) == gamma
@@ -101,10 +101,10 @@ def test_harpoon_defining_pairing(kz2):
     for hi in range(2):
         h_elem = {hi: one}
         for gi in range(2):
-            gamma = [one if i == gi else Cyclo.zero(2) for i in range(2)]
+            gamma = {gi: one}
             acted = harpoon(kz2, h_elem, gamma)
             for t in range(2):
-                lhs = acted[t]
+                lhs = acted.get(t, Cyclo.zero(2))
                 prod = kz2.alg.multiply(kz2.antipode_inv_of(h_elem), {t: one})
                 rhs = prod.get(gi, Cyclo.zero(2))
                 assert lhs == rhs
@@ -121,7 +121,8 @@ def test_harpoon_module_axiom_random(kz2, seed):
         return {i: Cyclo.from_rational(rng.randint(-3, 3), 2) for i in range(2)}
 
     h1, h2 = rand_elem(), rand_elem()
-    gamma = [Cyclo.from_rational(rng.randint(-3, 3), 2) for _ in range(2)]
+    gamma = {i: c for i, c in enumerate([Cyclo.from_rational(rng.randint(-3, 3), 2)
+                                         for _ in range(2)]) if not c.is_zero()}
     lhs = harpoon(kz2, h1, harpoon(kz2, h2, gamma))
     rhs = harpoon(kz2, kz2.alg.multiply(h1, h2), gamma)
     assert lhs == rhs
@@ -137,3 +138,21 @@ def test_z2z2_group_algebra(z2z2_table):
     h = group_algebra(z2z2_table, 2)
     assert verify_hopf(h).ok
     assert h.dim == 4
+
+
+def test_wrong_coproduct_of_the_unit_counts_differing_keys(z2_table):
+    # Delta(1) = g x g + g x 1 differs from 1 x 1 in all three keys
+    from dyntwist.hopf import HopfAlgebraData
+    h = group_algebra(z2_table, 2)
+    one = Cyclo.one(2)
+    comult = [{(1, 1): one, (1, 0): one}, dict(h.comult[1])]
+    broken = HopfAlgebraData(h.alg, comult, h.counit, antipode=h.antipode)
+    check = next(c for c in verify_hopf(broken).checks if c.name == "Delta(1) = 1 x 1")
+    assert (check.status, check.residual_nonzero_count) == ("FAIL", 3)
+
+
+def test_non_injective_embedding_reports_its_rank_deficit(kz2):
+    from dyntwist.rep import SubHopfEmbedding
+    embed = SubHopfEmbedding(kz2, kz2, Matrix.zero(2, 2, 2))
+    check = next(c for c in embed.verify().checks if c.name == "embedding injective")
+    assert (check.status, check.residual_nonzero_count) == ("FAIL", 2)

@@ -99,7 +99,6 @@ def test_induce_from_scalars_is_free(e1):
 
 def test_hom_module_dims(e1):
     triv = trivial_module(e1.kb)
-    from dyntwist.rep import small_dual
     mod, basis = hom_module(e1.embed_b, triv)
     assert mod.dim == 4
     assert mod.verify().ok

@@ -105,9 +105,8 @@ def test_curry_is_h_linear(e1, e1_t_triv):
         for xj in range(x.dim):
             moved = x.action[hp].col(xj)
             lhs = Matrix.zero(e1_t_triv.dim, e1.h.dim * e1_t_triv.dim, 2)
-            for t, c in enumerate(moved):
-                if not c.is_zero():
-                    lhs = lhs + curried[t].scaled(c)
+            for t, c in moved.items():
+                lhs = lhs + curried[t].scaled(c)
             mover = Matrix.zero(e1.h.dim, e1.h.dim, 2)
             from dyntwist.linalg import kron
             rm = e1.h.alg.right_mult_matrix({hp: one})

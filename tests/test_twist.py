@@ -188,3 +188,29 @@ def test_unit_normalisations_on_modules(e1_twist, e1_datum):
             key = unflatten_key(flat, dims)
             out = op.apply_dict({key: Cyclo.one(2)})
             assert out == {key: Cyclo.one(2)}
+
+
+def _residual(report, name):
+    check = next(c for c in report.checks if c.name == name)
+    return check.status, check.residual_nonzero_count
+
+
+def test_wrong_counit_leg_counts_each_differing_key_once(e0_datum):
+    # J = 1 x 1 x 1 + 1 x x x 1: (eps x id x id)J = 1 x 1 + x x 1 differs from
+    # 1 x 1 in one key; (id x eps x id)J = 1 x 1 since eps(x) = 0
+    s = e0_datum.engine.s_base()
+    coeffs = dict(trivial_twist(e0_datum.h, s).coeffs)
+    coeffs[(0, 1, 0)] = Cyclo.one(2)
+    report = verify_twist(TwistElement(e0_datum.h, s, coeffs))
+    assert _residual(report, "(eps x id x id)J = 1 x 1") == ("FAIL", 1)
+    assert _residual(report, "(id x eps x id)J = 1 x 1") == ("PASS", 0)
+
+
+def test_gauge_with_wrong_counit_leg_counts_each_differing_key_once(e1_twist, e1_datum):
+    # t = 1 x 1 + 1 x s with s a second basis element of the base: (eps x id)t
+    # differs from 1 in the one key s
+    coeffs = unit_tensor([e1_datum.h.alg, e1_datum.kb.alg])
+    coeffs[(0, 1)] = Cyclo.one(2)
+    t = GaugeElement(e1_datum.h, e1_datum.engine.s_base(), coeffs)
+    report = gauge_check(e1_twist, e1_twist, t)
+    assert _residual(report, "normalisation (eps x id)t = 1") == ("FAIL", 1)
