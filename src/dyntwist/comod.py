@@ -25,6 +25,7 @@ from .linalg import (
     kernel,
     kron,
     quotient,
+    rank,
     solve,
     sparse_cols,
     sparse_kernel_basis,
@@ -449,6 +450,7 @@ class GaloisData:
     section: Matrix
     can_matrix: Matrix                     # K (x)_R K -> A (x) K
     can_inverse: Matrix | None
+    can_deficit: int                       # max(rows, cols) - rank of can; 0 iff bijective
     report: CheckReport
 
     @property
@@ -518,9 +520,10 @@ def canonical_map(k_over_a: ComoduleAlgebraData, r: Subspace) -> GaloisData:
             can_inv = inverse(can_q)
         except LinAlgError:
             can_inv = None
-    ok = can_inv is not None
-    report.add("can bijective", ok, 0 if ok else 1)
-    return GaloisData(k_over_a, r, proj, sec, can_q, can_inv, report)
+    # the rank is computed only when can is not invertible
+    deficit = 0 if can_inv is not None else max(can_q.rows, can_q.cols) - rank(can_q)
+    report.add("can bijective", deficit == 0, deficit)
+    return GaloisData(k_over_a, r, proj, sec, can_q, can_inv, deficit, report)
 
 
 def galois_gamma(g: GaloisData, a_elem: dict) -> dict:

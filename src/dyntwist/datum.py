@@ -97,12 +97,12 @@ class AdjunctionEngine:
         self.h_character_module = h_character_module
         self.order = h.order
         self._t_cache: list[tuple[ModuleRep, ModuleRep]] = []
+        self._xi_memo: dict = {}
         # built once, so T of each is computed once through the cache
         self.triv_h = trivial_module(h, name="triv_H")
         self.triv_a = trivial_module(self.kb, name="triv_A")
         self.h_reg = regular_module(h.alg, name="H_reg")
         self.a_reg = regular_module(self.kb.alg, name="A_reg")
-        self._regular_solution = None
 
     # T with caching by module identity (strong refs keep id() stable)
     def t(self, v: ModuleRep) -> ModuleRep:
@@ -130,8 +130,20 @@ class AdjunctionEngine:
 
     def xi_inverse(self, x: ModuleRep, v: ModuleRep, w: ModuleRep,
                    fprime: Matrix) -> Matrix:
-        """Unique K-linear f with xi(f) = fprime; unique solvability certified."""
+        """Unique K-linear f with xi(f) = fprime; unique solvability certified.
+
+        The system is built from x's action, T(V)'s and T(W)'s, the station
+        and fprime (k and the order are fixed per engine), so the solution
+        is memoised under exactly those inputs: an identical system returns
+        the result of its one solve, and a failed solve stores nothing.
+        """
         tv, tw = self.t(v), self.t(w)
+        st = self.station(v, w)
+        key = (tuple(x.action), tuple(tv.action), tuple(tw.action), st, fprime,
+               v.dim, w.dim)
+        f = self._xi_memo.get(key)
+        if f is not None:
+            return f
         order = self.order
         source = tensor_action(self.k, x, tv)
         rows: list[dict] = []
@@ -151,7 +163,6 @@ class AdjunctionEngine:
                         add_into(row, kk * source.dim + j, -cval)
                     if row:
                         rows.append(row)
-        st = self.station(v, w)
         # station constraint: st . flatten(f(x_i (x) -)) = fprime(x_i (x) -)
         for xi in range(x.dim):
             for out_idx in range(w.dim * v.dim):
@@ -170,7 +181,8 @@ class AdjunctionEngine:
             raise PipelineError(
                 "xi is not uniquely invertible on (%s, %s, %s): %s"
                 % (x.name, v.name, w.name, exc)) from exc
-        return unflatten(sol, tw.dim, source.dim, order)
+        f = self._xi_memo[key] = unflatten(sol, tw.dim, source.dim, order)
+        return f
 
     def xi_inverse_id(self, x: ModuleRep, m: ModuleRep) -> tuple[Matrix, ModuleRep]:
         """xi^-1(id) on (X, M): the map X (x) T(M) -> T(R(X) (x) M)."""
@@ -178,27 +190,17 @@ class AdjunctionEngine:
         ident = Matrix.identity(x.dim * m.dim, self.order)
         return self.xi_inverse(x, m, n, ident), n
 
-    def regular_solution(self) -> tuple[Matrix, ModuleRep]:
-        """xi^-1(id) on (H_reg, A_reg), solved once and kept.
-
-        A failed solve raises PipelineError and keeps nothing, so a caller
-        that changes the station after a failure gets a fresh solve.
-        """
-        if self._regular_solution is None:
-            self._regular_solution = self.xi_inverse_id(self.h_reg, self.a_reg)
-        return self._regular_solution
-
     # -- element form of xi^-1(id) ----------------------------------------
 
     def obstruction_element(self):
         """The natural family xi^-1(id) as an element of End(slices) (x) H (x) A.
 
         Solved once on regular modules; naturality makes it multiplication by
-        an element, which is certified by independent re-solves on small
+        an element, which is certified against xi^-1(id) solved on small
         non-regular instances.
         """
         h_reg, a_reg = self.h_reg, self.a_reg
-        f, _ = self.regular_solution()
+        f, _ = self.xi_inverse_id(h_reg, a_reg)
         t_a = self.t(a_reg)
         nslices = t_a.dim // a_reg.dim
         u_h = _unit_index(self.h.alg)
@@ -299,7 +301,8 @@ class AdjunctionEngine:
             raise PipelineError("extraction certificate failed on regulars")
         bad = 0
         for x, y, m in self._extraction_battery():
-            direct = self.compute_i(x, y, m)  # independent solves
+            # I from xi^-1(id) solves on these modules, not from the element
+            direct = self.compute_i(x, y, m)
             acting = _element_action(e_elem, x, y, m, self.order)
             if direct != acting:
                 bad += 1
@@ -342,35 +345,32 @@ class AdjunctionEngine:
         bad_nat = 0
         bad_bij = 0
         for x, v, w in pairs:
-            ok_n, ok_b = self._check_instance(x, v, w)
-            bad_nat += 0 if ok_n else 1
-            bad_bij += 0 if ok_b else 1
+            nat, bij = self._check_instance(x, v, w)
+            bad_nat += nat
+            bad_bij += bij
         report.add("naturality of xi on sample instances", bad_nat == 0, bad_nat)
         report.add("xi bijective on sample instances", bad_bij == 0, bad_bij)
         return report
 
-    def _check_instance(self, x, v, w) -> tuple[bool, bool]:
+    def _check_instance(self, x, v, w) -> tuple[int, int]:
+        """(non-A-linear images, dimension gap + rank deficit of xi) on one instance."""
         tv, tw = self.t(v), self.t(w)
         source = tensor_action(self.k, x, tv)
         hk = _intertwiners(self.k, source, tw)
         target_src = self.a_tensor(self.restrict(x), v)
         ha = _intertwiners(self.kb, target_src, w)
-        if len(hk) != len(ha):
-            return True, False
         images = [self.xi_forward(x, v, w, f) for f in hk]
-        ok_b = rank(Matrix.from_cols([flatten(m) for m in images], w.dim * x.dim * v.dim,
-                                     self.order)) == len(hk)
+        deficit = len(hk) - rank(Matrix.from_cols([flatten(m) for m in images],
+                                                  w.dim * x.dim * v.dim, self.order))
         # outputs are A-linear
-        ok_n = True
+        bad_nat = 0
         for img in images:
             for g in self.kb.alg.generator_indices():
-                lhs = img * target_src.action[g]
-                rhs = w.action[g] * img
-                if lhs != rhs:
-                    ok_n = False
+                if img * target_src.action[g] != w.action[g] * img:
+                    bad_nat += 1
         # natxi3: precomposition with an H-morphism commutes (x-pointwise by
         # construction); exercised through the element certificate instead.
-        return ok_n, ok_b
+        return bad_nat, abs(len(hk) - len(ha)) + deficit
 
 
 def _intertwiners(alg_carrier, src: ModuleRep, tgt: ModuleRep):
@@ -512,7 +512,7 @@ class MonomialDatum:
 
     def _select_weights(self) -> list[Cyclo]:
         """The first admissible weight family whose station makes xi^-1(id)
-        uniquely solvable on (H_reg, A_reg); the engine keeps that solution."""
+        uniquely solvable on (H_reg, A_reg); the engine's memo keeps that solution."""
         n = self.spec.n
         chi = self.hopf_spec.chi
         b_sorted = sorted(self.spec.b_indices)
@@ -530,7 +530,7 @@ class MonomialDatum:
                 continue
             self.weights = weights  # the station reads them when called
             try:
-                self.engine.regular_solution()
+                self.engine.xi_inverse_id(self.engine.h_reg, self.engine.a_reg)
             except PipelineError:
                 continue
             return weights
@@ -660,7 +660,7 @@ def generic_galois_datum(embed_a: SubHopfEmbedding, k: ComoduleAlgebraData,
     report.add("coinvariants K^coA trivial", r.dim == 1,
                0 if r.dim == 1 else r.dim)
     gal = canonical_map(k_over_a, r)
-    report.add("can bijective", gal.bijective, 0 if gal.bijective else 1)
+    report.add("can bijective", gal.bijective, gal.can_deficit)
     if not gal.bijective:
         raise PipelineError("K is not A-Galois")
     c_h = coinvariants(k)

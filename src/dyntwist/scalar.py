@@ -14,8 +14,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from .polys import poly_xgcd
-
 Rational = Fraction
 
 _ZERO = Fraction(0)
@@ -94,6 +92,19 @@ def _reduction_table(n: int) -> tuple[tuple[int, ...], ...]:
         current = shifted
         rows.append(tuple(current))
     return tuple(rows)
+
+
+@lru_cache(maxsize=None)
+def _conjugation_table(n: int) -> tuple:
+    """sigma_k(z^i) = z^(i k mod n) for each unit k != 1 mod n and i < phi(n).
+
+    One row per unit k, in increasing order; entry i of a row lists the
+    (j, c) with c != 0 of z^(i k mod n) on the power basis.
+    """
+    phi = euler_phi(n)
+    powers = [[(j, c) for j, c in enumerate(Cyclo.zeta(n, p).num) if c] for p in range(n)]
+    return tuple(tuple(powers[i * k % n] for i in range(phi))
+                 for k in range(2, n) if gcd(k, n) == 1)
 
 
 def _common_denominator(coeffs) -> tuple[tuple[int, ...], int]:
@@ -255,22 +266,34 @@ class Cyclo:
         return _make(self.order, tuple(out), self.den * other.den)
 
     def inverse(self) -> "Cyclo":
-        """Multiplicative inverse via the extended Euclidean algorithm mod Phi_N."""
+        """Multiplicative inverse: a rational directly, otherwise adj(x) / N(x).
+
+        adj(x) is the product of the Galois conjugates sigma_k(x), k in
+        (Z/N)^*, k != 1, and N(x) = x adj(x) is the rational norm; all of it
+        runs on the integer numerators.
+        """
         if self.is_zero():
             raise ZeroDivisionError("division by zero in Q(zeta_%d)" % self.order)
-        num, den = self.num, self.den
-        phi = len(num)
-        if phi == 1:
+        order, num, den = self.order, self.num, self.den
+        if not any(num[1:]):
             n = num[0]
-            return _make(self.order, (den if n > 0 else -den,), abs(n))
-        # v * num = 1 (mod Phi_N) and deg v < phi; Phi_N goes first, which
-        # saves the Euclid step that would only swap the two
-        g, _, v = poly_xgcd(cyclotomic_polynomial(self.order), num)
-        if g != [_ONE]:
-            raise ScalarError("element is a zero divisor; Phi_N not irreducible?")
-        inv = [c * den for c in v] + [_ZERO] * (phi - len(v))
-        inv_num, inv_den = _common_denominator(inv)
-        result = _make(self.order, inv_num, inv_den)
+            return _make(order, (den if n > 0 else -den,) + num[1:], abs(n))
+        phi = len(num)
+        adj = None
+        for images in _conjugation_table(order):
+            conj = [0] * phi
+            for i, c in enumerate(num):
+                if c:
+                    for j, t in images[i]:
+                        conj[j] += c * t
+            conj = _make(order, tuple(conj), 1)
+            adj = conj if adj is None else adj * conj
+        norm = _make(order, num, 1) * adj
+        n = norm.num[0]
+        if not n or not norm.is_rational():
+            raise ScalarError("norm is not a nonzero rational; Phi_N not irreducible?")
+        scale = den if n > 0 else -den
+        result = _make(order, tuple([c * scale for c in adj.num]), abs(n))
         if not (result * self).is_one():
             raise AssertionError("inverse verification failed")
         return result

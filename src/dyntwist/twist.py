@@ -343,7 +343,7 @@ def build_twisted_galois(t: TwistElement) -> tuple:
     b_op = ComoduleAlgebraData(AlgebraData(dim, op_mult, counit_unit, order, name="B^op"),
                                hdual, coaction, name="B^op")
     gal = canonical_map(b_op, Subspace.from_vectors(expected, dim, order))
-    report.add("can bijective", gal.bijective, 0 if gal.bijective else 1)
+    report.add("can bijective", gal.bijective, gal.can_deficit)
     if gal.bijective:
         _check_can_inverse_formula(t, hdual, hit_cols, gal, report)
     return (b_comod, gal), report

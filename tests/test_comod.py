@@ -146,6 +146,11 @@ def test_canonical_map_trivial_coaction_not_surjective(z2_table):
     r = coinvariants(k)  # everything is coinvariant
     g = canonical_map(k, r)
     assert not g.bijective
+    # R = K, so K (x)_R K = K (dim 2) and can(k) = 1 (x) k is injective into
+    # A (x) K (dim 4): rank 2, deficit max(4, 2) - 2 = 2
+    assert g.can_deficit == 2
+    (check,) = [c for c in g.report.checks if c.name == "can bijective"]
+    assert (check.status, check.residual_nonzero_count) == ("FAIL", 2)
 
 
 def test_galois_gamma_unit(e1):

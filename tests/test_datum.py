@@ -1,6 +1,8 @@
 import pytest
 
+from dyntwist import datum as datum_module
 from dyntwist.datum import (
+    STATION_WEIGHT_FAMILIES,
     DatumSpec,
     MonomialDatum,
     PipelineError,
@@ -305,13 +307,15 @@ def test_validation_rejects_bad_b(e1_datum):
         MonomialDatum(spec)
 
 
+def z3_spec():
+    z3 = Cyclo.zeta(3)
+    return DatumSpec(table=cyclic_table(3), chi=[Cyclo.one(3), z3, z3 * z3], g=1, n=3,
+                     f_indices=[0, 1, 2], b_indices=[0], mu=Cyclo.one(3))
+
+
 def test_full_contract_at_n3_over_cyclotomic():
     # the whole datum contract on a dim-9 instance over Q(zeta_3)
-    table = cyclic_table(3)
-    z3 = Cyclo.zeta(3)
-    spec = DatumSpec(table=table, chi=[Cyclo.one(3), z3, z3 * z3], g=1, n=3,
-                     f_indices=[0, 1, 2], b_indices=[0], mu=Cyclo.one(3))
-    datum = MonomialDatum(spec)
+    datum = MonomialDatum(z3_spec())
     report = datum.validate_datum(check_simplicity=True)
     assert report.ok, str(report)
     twist, rep = datum.compute_twist()
@@ -327,3 +331,94 @@ def test_character_nontrivial_on_b_is_a_named_obstruction():
                      mu=Cyclo.one(2))
     with pytest.raises(PipelineError, match="nontrivial on B"):
         MonomialDatum(spec)
+
+
+# -- the xi^-1 memo: one solve per distinct system --------------------------------
+
+
+@pytest.fixture
+def solve_calls(monkeypatch):
+    """The column counts of the systems datum solves from now on."""
+    calls = []
+    real = datum_module.sparse_solve
+
+    def counting(rows, rhs, ncols, order, **kwargs):
+        calls.append(ncols)
+        return real(rows, rhs, ncols, order, **kwargs)
+
+    monkeypatch.setattr(datum_module, "sparse_solve", counting)
+    return calls
+
+
+@pytest.mark.parametrize("make_spec, distinct", [(z3_spec, 5), (e1_spec, 7)])
+def test_compute_twist_solves_each_distinct_system_once(solve_calls, make_spec, distinct):
+    # 12 xi^-1 systems on both: the regular one at set-up, three certification
+    # pairs and two per battery entry.  On Z3, B = {e} makes A_reg = triv_A, so
+    # more of them coincide.
+    twist, report = MonomialDatum(make_spec()).compute_twist()
+    assert report.ok, str(report)
+    assert len(solve_calls) == distinct
+
+
+class _Forgetful(dict):
+    """A memo that stores nothing, so every xi^-1 is solved afresh."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+@pytest.mark.parametrize("make_spec", [z3_spec, e1_spec])
+def test_memoised_battery_equals_fresh_engine(solve_calls, make_spec):
+    datum = MonomialDatum(make_spec())
+    datum.compute_twist()
+    eng = datum.engine
+    solved = len(solve_calls)
+    for index, (x, y, m) in enumerate(eng._extraction_battery()):
+        memoised = eng.compute_i(x, y, m)
+        assert len(solve_calls) == solved  # every system is already in the memo
+        fresh = MonomialDatum(make_spec()).engine
+        fresh._xi_memo = _Forgetful()
+        before = len(solve_calls)
+        assert fresh.compute_i(*fresh._extraction_battery()[index]) == memoised
+        assert len(solve_calls) == before + 2
+        solved = len(solve_calls)
+
+
+def test_memo_misses_after_the_weights_change(solve_calls):
+    datum = MonomialDatum(e1_spec())
+    eng = datum.engine
+    x, m = eng.triv_h, eng.a_reg
+    eng.xi_inverse_id(x, m)
+    eng.xi_inverse_id(x, m)
+    assert len(solve_calls) == 2  # the set-up's regular solve, then this one
+    datum.weights = [Cyclo.from_rational(r, datum.order)
+                     for r in STATION_WEIGHT_FAMILIES[1](datum.spec.n)]
+    f, n = eng.xi_inverse_id(x, m)
+    assert len(solve_calls) == 3
+    ident = Matrix.identity(x.dim * m.dim, datum.order)
+    assert eng.xi_forward(x, m, n, f) == ident  # solved under the new station
+
+
+def test_failed_solve_leaves_the_memo_unchanged(solve_calls):
+    datum = MonomialDatum(e1_spec())
+    eng = datum.engine
+    before = dict(eng._xi_memo)
+    datum.weights = [Cyclo.zero(datum.order)] * datum.spec.n
+    with pytest.raises(PipelineError, match="not uniquely invertible"):
+        eng.xi_inverse_id(eng.triv_h, eng.a_reg)
+    assert eng._xi_memo == before
+    with pytest.raises(PipelineError, match="not uniquely invertible"):
+        eng.xi_inverse_id(eng.triv_h, eng.a_reg)
+    assert len(solve_calls) == 3  # set-up, then both failures solved
+
+
+def test_xi_bijectivity_residual_is_the_rank_deficit():
+    # a zero station sends every K-linear map to 0, so xi has rank 0 on both
+    # sample instances: dim Hom_A(triv, triv) = 1 and
+    # dim Hom_kB(R(H_reg), kB) = dim H = 8 on E1, with no dimension gap
+    datum = MonomialDatum(e1_spec())
+    datum.weights = [Cyclo.zero(datum.order)] * datum.spec.n
+    checks = {c.name: c for c in datum.engine.validate().checks}
+    bij = checks["xi bijective on sample instances"]
+    assert (bij.status, bij.residual_nonzero_count) == ("FAIL", 9)
+    assert checks["naturality of xi on sample instances"].status == "PASS"

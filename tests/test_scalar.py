@@ -48,12 +48,14 @@ def test_inverse_of_one():
 
 
 def test_inverse_of_root_of_unity():
-    z = Cyclo.zeta(6)
-    assert z.inverse() == Cyclo.zeta(6, 5)
+    # zeta^k inverts to zeta^(N-k), over cyclic and non-cyclic (Z/N)^*
+    for order in (3, 4, 5, 6, 7, 9, 12, 15, 16, 20, 24, 30):
+        for k in range(1, order):
+            assert Cyclo.zeta(order, k).inverse() == Cyclo.zeta(order, order - k)
 
 
 def test_inverse_one_plus_i():
-    # (1 + i)^-1 = (1 - i)/2, computed independently by extended Euclid in the module
+    # (1 + i)^-1 = (1 - i)/2, worked out by hand
     a = Cyclo.one(4) + Cyclo.zeta(4)
     expected = (Cyclo.one(4) - Cyclo.zeta(4)).scaled(Fraction(1, 2))
     assert a.inverse() == expected
@@ -226,3 +228,27 @@ def test_embed_matches_sympy(pair):
     # zeta_M -> zeta_N^(N/M)
     image = to_poly(a).subs(x, x ** (new_order // a.order))
     assert a.embed(new_order).coeffs == to_coeffs(image)
+
+
+# orders whose unit group (Z/N)^* is cyclic (7, 9) and not cyclic (15, 16, 20,
+# 24, 30), so the conjugate product runs over both kinds of Galois group
+INVERSE_ORDERS = [7, 9, 15, 16, 20, 24, 30]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(INVERSE_ORDERS).flatmap(_cyclos))
+def test_inverse_matches_sympy_invert(a):
+    if a.is_zero():
+        return
+    sympy, x, modulus, to_poly, to_coeffs = _sympy_field(a.order)
+    inv = a.inverse()
+    assert inv.coeffs == to_coeffs(sympy.invert(to_poly(a), modulus, x))
+    _check_canonical(inv)
+
+
+@pytest.mark.parametrize("order", [3, 5, 12, 16, 30])
+def test_inverse_of_rational_in_extension_field(order):
+    for q in (Fraction(-3, 7), Fraction(5), Fraction(1, 4), Fraction(-1)):
+        inv = Cyclo.from_rational(q, order).inverse()
+        assert inv == Cyclo.from_rational(1 / q, order)
+        _check_canonical(inv)
