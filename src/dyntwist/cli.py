@@ -367,13 +367,16 @@ def _sha256(path: str) -> str:
 
 
 def report_document(command: str, inputs: list[str], report: CheckReport,
-                    outputs: list[str]) -> dict:
-    return {
+                    outputs: list[str], extra: dict | None = None) -> dict:
+    """The --report document; ``extra`` adds command-specific keys."""
+    doc = {
         "command": command,
         "inputs": {p: _sha256(p) for p in inputs},
         "checks": [c.as_dict() for c in report.checks],
         "outputs": outputs,
     }
+    doc.update(extra or {})
+    return doc
 
 
 # -- commands --------------------------------------------------------------------
@@ -392,6 +395,7 @@ def cmd_verify(args) -> int:
     kind = args.kind
     report = CheckReport(command_name(args))
     inputs = list(args.files)
+    extra = None
     if kind == "hopf":
         h = hopf_from_json(read_json(inputs[0]))
         report = verify_hopf(h)
@@ -408,6 +412,7 @@ def cmd_verify(args) -> int:
         s = comodule_from_json(read_json(inputs[1]), h)
         t = twist_from_json(read_json(inputs[2]), h, s)
         report = verify_twist(t)
+        extra = {"dynamical_support": t.dynamical_support}
     elif kind == "gauge":
         if len(inputs) != 5:
             raise InputError("verify gauge needs H.json S.json J1.json J2.json t.json")
@@ -419,7 +424,7 @@ def cmd_verify(args) -> int:
         report = gauge_check(t1, t2, g)
     else:
         raise InputError("unknown verify kind %r" % kind)
-    return finish(args, command_name(args), inputs, report, [])
+    return finish(args, command_name(args), inputs, report, [], extra)
 
 
 def _example_spec(name: str, args):
@@ -509,7 +514,8 @@ def cmd_compute_twist(args) -> int:
         return finish(args, command_name(args), [args.datum], report, [])
     out = args.out or "twist.json"
     write_json(out, twist_to_json(twist))
-    return finish(args, command_name(args), [args.datum], report, [out])
+    return finish(args, command_name(args), [args.datum], report, [out],
+                  {"dynamical_support": twist.dynamical_support})
 
 
 def cmd_stab(args) -> int:
@@ -545,11 +551,11 @@ def cmd_twisted_galois(args) -> int:
 
 
 def finish(args, command: str, inputs: list[str], report: CheckReport,
-           outputs: list[str]) -> int:
+           outputs: list[str], extra: dict | None = None) -> int:
     for line in report.lines():
         print(line)
     if getattr(args, "report", None):
-        write_json(args.report, report_document(command, inputs, report, outputs))
+        write_json(args.report, report_document(command, inputs, report, outputs, extra))
     return EXIT_OK if report.ok else EXIT_CHECK_FAILED
 
 

@@ -28,7 +28,7 @@ from .comod import (
 from .hopf import (HopfAlgebraData, StructureError, _group_inverses, add_into, group_algebra,
                    group_exponent)
 from .linalg import (LinAlgError, Matrix, differing_entries, flatten, identity_residual,
-                     inverse, kron, kron_sum, rank, solve, sparse_cols, sparse_solve, unflatten)
+                     inverse, kron, kron_sum, rank, solve, sparse_cols, sparse_solve)
 from .monomial import (
     MonomialHopfSpec,
     ValidationError,
@@ -124,13 +124,20 @@ class AdjunctionEngine:
     def xi_forward(self, x: ModuleRep, v: ModuleRep, w: ModuleRep,
                    f: Matrix) -> Matrix:
         """xi(f)(x (x) v) = station(f(x (x) -))(v); output dim W x (dim X * dim V)."""
-        return _station_contract(self.station(v, w), f, x.dim, self.t(v).dim, v.dim, w.dim)
+        return _station_apply(self.station(v, w), f, x.dim, self.t(v).dim, v.dim, w.dim)
 
     # -- inverse xi by exact solve -----------------------------------------
 
     def xi_inverse(self, x: ModuleRep, v: ModuleRep, w: ModuleRep,
                    fprime: Matrix) -> Matrix:
         """Unique K-linear f with xi(f) = fprime; unique solvability certified.
+
+        The unknowns are the entries of f: X (x) T(V) -> T(W), subject to
+        f S(g) = T(g) f for every generator g of K and to the station.  The
+        generators acting monomially on both sides are substituted away
+        exactly (``_orbit_reduction``); the rest is solved over the orbits,
+        and the expanded f is re-checked against every generator and the
+        station before it is returned.
 
         The system is built from x's action, T(V)'s and T(W)'s, the station
         and fprime (k and the order are fixed per engine), so the solution
@@ -146,21 +153,21 @@ class AdjunctionEngine:
             return f
         order = self.order
         source = tensor_action(self.k, x, tv)
+        sdim = source.dim
+        pairs = [(source.action[g], tw.action[g]) for g in self.k.alg.generator_indices()]
+        orbit, ncols, general = _orbit_reduction(pairs, tw.dim, sdim)
         rows: list[dict] = []
         rhs: dict = {}
-        ncols = tw.dim * source.dim
-        gens = self.k.alg.generator_indices()
-        for g in gens:
-            sm_cols = sparse_cols(source.action[g])
-            tm = tw.action[g]
+        for s_g, t_g in general:
+            s_cols = sparse_cols(s_g)
             for i in range(tw.dim):
-                tm_row = tm.row(i)
-                for j in range(source.dim):
+                t_row = [(kk, -c) for kk, c in t_g.row(i).items()]
+                for j in range(sdim):
                     row: dict = {}
-                    for kk, c in sm_cols[j].items():
-                        add_into(row, i * source.dim + kk, c)
-                    for kk, cval in tm_row.items():
-                        add_into(row, kk * source.dim + j, -cval)
+                    for kk, c in s_cols[j].items():
+                        _substitute(row, orbit[i * sdim + kk], c)
+                    for kk, c in t_row:
+                        _substitute(row, orbit[kk * sdim + j], c)
                     if row:
                         rows.append(row)
         # station constraint: st . flatten(f(x_i (x) -)) = fprime(x_i (x) -)
@@ -169,7 +176,7 @@ class AdjunctionEngine:
                 row = {}
                 for hcol, cval in st.row(out_idx).items():
                     r, ccol = divmod(hcol, tv.dim)
-                    add_into(row, r * source.dim + xi * tv.dim + ccol, cval)
+                    _substitute(row, orbit[r * sdim + xi * tv.dim + ccol], cval)
                 wt, vi = divmod(out_idx, v.dim)
                 val = fprime.row(wt).get(xi * v.dim + vi)
                 if val is not None:
@@ -181,7 +188,14 @@ class AdjunctionEngine:
             raise PipelineError(
                 "xi is not uniquely invertible on (%s, %s, %s): %s"
                 % (x.name, v.name, w.name, exc)) from exc
-        f = self._xi_memo[key] = unflatten(sol, tw.dim, source.dim, order)
+        f = _expand_orbits(orbit, sol, tw.dim, sdim, order)
+        bad = sum(differing_entries(f * s_g, t_g * f) for s_g, t_g in pairs)
+        bad += differing_entries(self.xi_forward(x, v, w, f), fprime)
+        if bad:
+            raise PipelineError(
+                "xi^-1 certificate failed on (%s, %s, %s): %d nonzero residuals"
+                % (x.name, v.name, w.name, bad))
+        self._xi_memo[key] = f
         return f
 
     def xi_inverse_id(self, x: ModuleRep, m: ModuleRep) -> tuple[Matrix, ModuleRep]:
@@ -268,11 +282,10 @@ class AdjunctionEngine:
             n_y = self.a_tensor(self.restrict(y), m)
             f_y = self.contract_obstruction(xi_elem, y, m)
             f_x = self.contract_obstruction(xi_elem, x, n_y)
-        composite = f_x * kron(Matrix.identity(x.dim, self.order), f_y)
-        # forward xi on (X (x) Y, M): slice contraction via the station
+        # forward xi on (X (x) Y, M), contracted without forming the composite
         n_out = self.a_tensor(self.a_tensor(self.restrict(x), self.restrict(y)), m)
-        return _station_contract(self.station(m, n_out), composite, x.dim * y.dim,
-                                 self.t(m).dim, m.dim, n_out.dim)
+        return _station_apply(self.station(m, n_out), f_x, x.dim, self.t(m).dim, m.dim,
+                              n_out.dim, f_y=f_y, y_dim=y.dim)
 
     def s_base(self) -> ComoduleAlgebraData:
         return subhopf_comodule(self.embed_b, name="A_base")
@@ -390,32 +403,204 @@ def _unit_index(alg) -> int:
     return idx
 
 
-def _station_contract(st: Matrix, f: Matrix, xdim: int, tv_dim: int, vdim: int,
-                      wdim: int) -> Matrix:
-    """The forward-xi slice contraction shared by ``xi_forward`` and ``compute_i``.
+def _station_apply(st: Matrix, f_x: Matrix, x_dim: int, tv_dim: int, v_dim: int,
+                   w_dim: int, f_y: Matrix | None = None, y_dim: int = 1) -> Matrix:
+    """station(f_x o (id_X (x) f_y)): the slice contraction of forward xi.
 
-    f maps X (x) T(V) -> T(W); for each basis vector x_i the slice
-    f(x_i (x) -): T(V) -> T(W), flattened row-major, goes through the station
-    st: Hom(T(V), T(W)) -> Hom(V, W); the result, dim W x (dim X * dim V), holds
-    station(f(x_i (x) -)) in the columns of x_i.
+    f_y maps Y (x) T(V) -> T(N) and f_x maps X (x) T(N) -> T(W); f_y = None
+    stands for the identity of T(V) with dim Y = 1, which is ``xi_forward``.
+    For each basis vector x_i (x) y_j the slice of the composite at
+    x_i (x) y_j (x) -: T(V) -> T(W), flattened row-major, goes through the
+    station st: Hom(T(V), T(W)) -> Hom(V, W); the result,
+    dim W x (dim X * dim Y * dim V), holds it in the columns of (x_i, y_j).
+
+    The composite is never formed: each station row combines the rows of
+    f_x it reads, grouped by the T(V) column c of the entry, and dots them
+    with column slice c of f_y only.
     """
-    # slots[r][c] = [(i, f[r][i*tv_dim + c])]: row r of f split by x index
-    slots = []
-    for r in range(f.rows):
-        by_c: dict = {}
-        for col, val in f.row(r).items():
-            i, c = divmod(col, tv_dim)
-            by_c.setdefault(c, []).append((i, val))
-        slots.append(by_c)
-    out = [{} for _ in range(wdim)]
+    n_dim = tv_dim if f_y is None else f_y.rows
+    # y_slices[c][k] = [(j, f_y[k][j*tv_dim + c])]: the T(V) column c of f_y
+    y_slices: dict = {}
+    if f_y is not None:
+        for k in range(f_y.rows):
+            for col, val in f_y.row(k).items():
+                j, c = divmod(col, tv_dim)
+                y_slices.setdefault(c, {}).setdefault(k, []).append((j, val))
+    # slots[r][k] = [(i, f_x[r][i*n_dim + k])]: row r of f_x split by x index
+    slots: dict = {}
+    out = [{} for _ in range(w_dim)]
     for p in range(st.rows):
-        wt, vi = divmod(p, vdim)
-        row = out[wt]
+        wt, vi = divmod(p, v_dim)
+        by_c: dict = {}
         for h, sv in st.row(p).items():
             r, c = divmod(h, tv_dim)
-            for i, val in slots[r].get(c, ()):
-                add_into(row, i * vdim + vi, sv * val)
-    return Matrix(wdim, xdim * vdim, out, st.order)
+            by_c.setdefault(c, []).append((r, sv))
+        row = out[wt]
+        for c, reads in by_c.items():
+            y_c = {c: None} if f_y is None else y_slices.get(c)
+            if not y_c:
+                continue
+            combined: dict = {}
+            for r, sv in reads:
+                sl = slots.get(r)
+                if sl is None:
+                    sl = slots[r] = {}
+                    for col, val in f_x.row(r).items():
+                        i, k = divmod(col, n_dim)
+                        sl.setdefault(k, []).append((i, val))
+                unit = sv.is_one()
+                for k in y_c:
+                    for i, val in sl.get(k, ()):
+                        add_into(combined, (i, k), val if unit else sv * val)
+            for (i, k), val in combined.items():
+                if f_y is None:
+                    add_into(row, i * v_dim + vi, val)
+                    continue
+                for j, yv in y_c[k]:
+                    add_into(row, (i * y_dim + j) * v_dim + vi, val * yv)
+    return Matrix(w_dim, x_dim * y_dim * v_dim, out, st.order)
+
+
+def _monomial_form(m: Matrix):
+    """(column, value) of the one nonzero of each row of m, or None unless m
+    is monomial: square, with exactly one nonzero in every row and column."""
+    cols, vals = [], []
+    for i in range(m.rows):
+        row = m.row(i)
+        if len(row) != 1:
+            return None
+        (c, val), = row.items()
+        cols.append(c)
+        vals.append(val)
+    if m.rows != m.cols or len(set(cols)) != m.cols:
+        return None
+    return cols, vals
+
+
+def _orbit_reduction(pairs, t_dim: int, s_dim: int):
+    """Solve exactly the equations f S = T f of the pairs (S, T) that are monomial.
+
+    The unknown f[i][j] of a t_dim x s_dim matrix f has index i*s_dim + j.
+    Where both S and T are monomial, with a_j the one nonzero of column j
+    of S, in row sigma(j), and b_i the one nonzero of row i of T, in
+    column tau(i), the equation at (i, j) reads
+    f[tau(i)][j] = (a_j / b_i) f[i][sigma(j)].  These ties merge the
+    unknowns into orbits: a union-find with path compression keeps each
+    unknown as a multiple of its orbit's root, and an orbit whose cycle
+    product is not 1 is forced to zero.  Every solution of the monomial
+    equations is then determined by free values y_c, one per surviving
+    orbit c, and every choice of them is a solution.
+
+    Returns (orbit, ncols, general): orbit[u] = (c, weight) with
+    f_u = weight * y_c (weight None standing for 1), or None where f_u is
+    forced to zero; ncols surviving orbits; and the pairs that are not
+    monomial on both sides, whose equations are left to the caller.
+    """
+    n = t_dim * s_dim
+    parent = list(range(n))
+    pot: list = [None] * n   # f_u = pot[u] * f_parent[u]; None stands for 1
+    zero: set = set()        # roots whose orbit is forced to zero
+    inverses: dict = {}
+
+    def inv(c):
+        if c is None:
+            return None
+        r = inverses.get(c)
+        if r is None:
+            r = inverses[c] = c.inverse()
+        return r
+
+    def find(u):
+        """(root, potential): f_u = potential * f_root, compressing the path."""
+        r = parent[u]
+        if r == u:
+            return u, None
+        if parent[r] == r:
+            return r, pot[u]
+        path = [u]
+        while parent[r] != r:
+            path.append(r)
+            r = parent[r]
+        acc = None
+        for node in reversed(path):
+            acc = _times(pot[node], acc)
+            parent[node] = r
+            pot[node] = acc
+        return r, acc
+
+    general = []
+    for s_g, t_g in pairs:
+        s_form, t_form = _monomial_form(s_g), _monomial_form(t_g)
+        if s_form is None or t_form is None:
+            general.append((s_g, t_g))
+            continue
+        sigma = [0] * s_dim
+        a = [None] * s_dim
+        for k, (j, val) in enumerate(zip(*s_form)):
+            sigma[j] = k
+            a[j] = None if val.is_one() else val
+        ratios: dict = {}  # b_i^-1 -> [a_j / b_i for every j], once per distinct b_i
+        for i, (tau_i, b_i) in enumerate(zip(*t_form)):
+            b_inv = None if b_i.is_one() else inv(b_i)
+            c_row = ratios.get(b_inv)
+            if c_row is None:
+                c_row = ratios[b_inv] = [_times(a_j, b_inv) for a_j in a]
+            p0, q0 = tau_i * s_dim, i * s_dim
+            for j in range(s_dim):
+                # f_p = c f_q, with f_p = wp f_rp and f_q = wq f_rq
+                rp, wp = find(p0 + j)
+                rq, wq = find(q0 + sigma[j])
+                rel = _times(c_row[j], wq)   # f_p = rel * f_rq
+                if rp == rq:
+                    if not _same(wp, rel):
+                        zero.add(rp)
+                    continue
+                parent[rp] = rq
+                pot[rp] = _times(rel, inv(wp))
+                if rp in zero:
+                    zero.discard(rp)
+                    zero.add(rq)
+    orbit: list = [None] * n
+    column: dict = {}
+    for u in range(n):
+        r, w = find(u)
+        if r not in zero:
+            orbit[u] = (column.setdefault(r, len(column)), w)
+    return orbit, len(column), general
+
+
+def _times(a, b):
+    """a * b where None stands for 1."""
+    if a is None:
+        return b
+    return a if b is None else a * b
+
+
+def _same(a, b) -> bool:
+    """a == b where None stands for 1."""
+    if a is None:
+        return b is None or b.is_one()
+    return a.is_one() if b is None else a == b
+
+
+def _substitute(row: dict, slot, c: Cyclo) -> None:
+    """Add c * f_u to row, written over orbit columns; ``slot`` is orbit[u]."""
+    if slot is not None:
+        col, w = slot
+        add_into(row, col, c if w is None else c * w)
+
+
+def _expand_orbits(orbit, sol: dict, t_dim: int, s_dim: int, order: int) -> Matrix:
+    """The t_dim x s_dim matrix f with f_u = weight * sol[c] for orbit[u] = (c, weight)."""
+    out = [{} for _ in range(t_dim)]
+    for u, slot in enumerate(orbit):
+        if slot is None:
+            continue
+        val = sol.get(slot[0])
+        if val is not None:
+            i, j = divmod(u, s_dim)
+            out[i][j] = val if slot[1] is None else slot[1] * val
+    return Matrix(t_dim, s_dim, out, order)
 
 
 def _element_action(elem: dict, x: ModuleRep, y: ModuleRep, m: ModuleRep,

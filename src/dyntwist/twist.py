@@ -137,6 +137,11 @@ class TwistElement:
     def order(self) -> int:
         return self.h.order
 
+    @property
+    def dynamical_support(self) -> list[int]:
+        """The sorted S-basis indices that the third leg of J touches."""
+        return sorted({k for _, _, k in self.coeffs})
+
     def ensure_inverse(self) -> dict:
         if self.inverse is None:
             self.inverse = invert_element(self.legs, self.coeffs, self.order)

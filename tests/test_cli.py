@@ -50,6 +50,27 @@ def test_compute_twist_and_verify_roundtrip(tmp_path, capsys):
     assert rc == 0
 
 
+def test_report_names_the_dynamical_support_of_the_twist(tmp_path, capsys):
+    out = str(tmp_path)
+    run(["example", "E1", "--out-dir", out])
+    capsys.readouterr()
+    twist_path = os.path.join(out, "twist.json")
+    made = os.path.join(out, "made.json")
+    checked = os.path.join(out, "checked.json")
+    assert run(["--report", made, "compute-twist", os.path.join(out, "e1_datum.json"),
+                "--out", twist_path]) == 0
+    made_out = capsys.readouterr().out
+    assert run(["--report", checked, "verify", "twist", os.path.join(out, "e1_hopf.json"),
+                os.path.join(out, "e1_base.json"), twist_path]) == 0
+    checked_out = capsys.readouterr().out
+    coeffs = json.loads(open(twist_path).read())["coeffs"]
+    support = sorted({k for _, _, k, _ in coeffs})
+    assert support == [0]  # E1's J reaches only the unit of kB in its third leg
+    for path, text in ((made, made_out), (checked, checked_out)):
+        assert json.loads(open(path).read())["dynamical_support"] == support
+        assert "dynamical" not in text  # the check lines stay as they were
+
+
 def test_malformed_scalar_is_input_error(tmp_path, capsys):
     out = str(tmp_path)
     run(["example", "E0", "--out-dir", out])

@@ -1,6 +1,15 @@
+import importlib.util
+import itertools
+import json
+import random
+import re
+from fractions import Fraction
+from pathlib import Path
+
 import pytest
 
 from dyntwist import datum as datum_module
+from dyntwist.cli import datum_from_json
 from dyntwist.datum import (
     STATION_WEIGHT_FAMILIES,
     DatumSpec,
@@ -8,12 +17,15 @@ from dyntwist.datum import (
     PipelineError,
     gauge_from_equivalence,
     _element_action,
+    _orbit_reduction,
 )
-from dyntwist.linalg import LinAlgError, Matrix, inverse, kron
+from dyntwist.linalg import LinAlgError, Matrix, inverse, kron, kron_sum, rank, sparse_solve
 from dyntwist.rep import hom_space, regular_module, tensor_reps, trivial_module
 from dyntwist.scalar import Cyclo
 from dyntwist.twist import gauge_check, unit_tensor
-from conftest import cyclic_table, e1_spec
+from conftest import cyclic_table, e0_spec, e1_spec
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_validate_datum_e0(e0_datum):
@@ -422,3 +434,284 @@ def test_xi_bijectivity_residual_is_the_rank_deficit():
     bij = checks["xi bijective on sample instances"]
     assert (bij.status, bij.residual_nonzero_count) == ("FAIL", 9)
     assert checks["naturality of xi on sample instances"].status == "PASS"
+
+
+# -- the orbit-reduced xi^-1 against the unreduced system --------------------------
+
+
+def _unreduced_solution(k, key, order) -> Matrix:
+    """Solve the full K-linearity and station system of one memo key.
+
+    The system is written out exactly as xi^-1 is defined, one row per
+    equation of f S(g) = T(g) f and per station entry, with no substitution;
+    a memo key holds (action of X, of T(V), of T(W), station, f', dim V,
+    dim W).
+    """
+    x_act, tv_act, tw_act, st, fprime, v_dim, w_dim = key
+    x_dim, tv_dim, tw_dim = x_act[0].rows, tv_act[0].rows, tw_act[0].rows
+    s_dim = x_dim * tv_dim
+    rows, rhs = [], {}
+
+    def put(row, col, c):
+        total = row[col] + c if col in row else c
+        if total.is_zero():
+            row.pop(col, None)
+        else:
+            row[col] = total
+
+    for g in k.alg.generator_indices():
+        s_g = kron_sum(((c, x_act[hi], tv_act[ki]) for (hi, ki), c in k.coaction[g].items()),
+                       s_dim, s_dim, order)
+        s_cols = s_g.transpose()
+        t_g = tw_act[g]
+        for i in range(tw_dim):
+            for j in range(s_dim):
+                row = {}
+                for kk, c in s_cols.row(j).items():
+                    put(row, i * s_dim + kk, c)
+                for kk, c in t_g.row(i).items():
+                    put(row, kk * s_dim + j, -c)
+                rows.append(row)
+    for xi in range(x_dim):
+        for out in range(w_dim * v_dim):
+            row = {}
+            for h, c in st.row(out).items():
+                r, col = divmod(h, tv_dim)
+                put(row, r * s_dim + xi * tv_dim + col, c)
+            wt, vi = divmod(out, v_dim)
+            val = fprime.row(wt).get(xi * v_dim + vi)
+            if val is not None:
+                rhs[len(rows)] = val
+            rows.append(row)
+    sol = sparse_solve(rows, [rhs], tw_dim * s_dim, order, require_unique=True)[0]
+    data = [{} for _ in range(tw_dim)]
+    for u, val in sol.items():
+        i, j = divmod(u, s_dim)
+        data[i][j] = val
+    return Matrix(tw_dim, s_dim, data, order)
+
+
+def _seeded_z3_spec():
+    spec = importlib.util.spec_from_file_location("perfbench_inputs",
+                                                  ROOT / "perfbench" / "inputs.py")
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    return datum_from_json(inputs.seeded_datum("z3", 3))[0]
+
+
+@pytest.mark.parametrize("make_spec", [e0_spec, e1_spec, z3_spec, _seeded_z3_spec])
+def test_every_memoised_xi_inverse_equals_the_unreduced_solve(make_spec):
+    datum = MonomialDatum(make_spec())
+    twist, report = datum.compute_twist()
+    assert report.ok, str(report)
+    memo = datum.engine._xi_memo
+    assert len(memo) >= 3
+    for key, f in memo.items():
+        assert _unreduced_solution(datum.k, key, datum.order) == f
+
+
+def test_a_two_cycle_with_product_minus_one_is_forced_to_zero():
+    # f S = T f with S swapping the two columns of a 1 x 2 matrix f, with
+    # signs: f0 = -f1 and f1 = f0, so f = 0
+    one, minus = Cyclo.one(1), Cyclo.from_rational(-1, 1)
+    s = Matrix(2, 2, [{1: one}, {0: minus}], 1)
+    t = Matrix.identity(1, 1)
+    assert _orbit_reduction([(s, t)], 1, 2) == ([None, None], 0, [])
+
+
+def test_a_two_cycle_with_product_one_is_one_orbit():
+    # a_0 = 2, a_1 = 1/2: f0 = 2 f1 and f1 = f0 / 2, one free value
+    two, half = Cyclo.from_rational(2, 1), Cyclo.from_rational(Fraction(1, 2), 1)
+    s = Matrix(2, 2, [{1: half}, {0: two}], 1)
+    orbit, ncols, general = _orbit_reduction([(s, Matrix.identity(1, 1))], 1, 2)
+    assert ncols == 1 and general == []
+    (c0, w0), (c1, w1) = orbit
+    assert c0 == c1 == 0
+    # f0 = w0 y, f1 = w1 y satisfy f0 = 2 f1
+    as_value = [Cyclo.one(1) if w is None else w for w in (w0, w1)]
+    assert as_value[0] == two * as_value[1]
+
+
+def _random_monomial_pairs(seed, t_dim=3, s_dim=4):
+    """Two (S, T) pairs of monomial matrices, from the seed.
+
+    Each is a permutation conjugated by a diagonal gauge: row sigma(j) of S
+    holds z_j / z_sigma(j) at column j, row i of T holds x_i / x_tau(i) at
+    column tau(i), so f[i][j] = x_i z_j solves f S = T f.  On odd seeds one
+    entry of the first S changes sign, which can force orbits to zero.
+    """
+    rng = random.Random(seed)
+    values = [1, -1, 2, Fraction(1, 2), 3]
+    x = [rng.choice(values) for _ in range(t_dim)]
+    z = [rng.choice(values) for _ in range(s_dim)]
+    pairs = []
+    for g in range(2):
+        sigma, tau = rng.sample(range(s_dim), s_dim), rng.sample(range(t_dim), t_dim)
+        s_rows = [{} for _ in range(s_dim)]
+        for j in range(s_dim):
+            flip = -1 if (seed % 2 and g == 0 and j == 0) else 1
+            s_rows[sigma[j]][j] = Cyclo.from_rational(flip * z[j] / Fraction(z[sigma[j]]), 1)
+        t_rows = [{tau[i]: Cyclo.from_rational(x[i] / Fraction(x[tau[i]]), 1)}
+                  for i in range(t_dim)]
+        pairs.append((Matrix(s_dim, s_dim, s_rows, 1), Matrix(t_dim, t_dim, t_rows, 1)))
+    return pairs
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_orbits_parametrise_exactly_the_solutions_of_monomial_equations(seed):
+    # the free orbit values must span exactly the solution space of
+    # f S(g) = T(g) f, with no orbit surviving that the equations force to 0
+    t_dim, s_dim = 3, 4
+    pairs = _random_monomial_pairs(seed, t_dim, s_dim)
+    orbit, ncols, general = _orbit_reduction(pairs, t_dim, s_dim)
+    assert general == []
+    rows = []
+    for s_g, t_g in pairs:
+        for i in range(t_dim):
+            for j in range(s_dim):
+                row = {}
+                for u, c in [(i * s_dim + kk, s_g.entry(kk, j)) for kk in range(s_dim)] + \
+                            [(kk * s_dim + j, -t_g.entry(i, kk)) for kk in range(t_dim)]:
+                    row[u] = row[u] + c if u in row else c
+                rows.append(row)
+    assert ncols == t_dim * s_dim - rank(Matrix(len(rows), t_dim * s_dim, rows, 1))
+    for col in range(ncols):
+        f = datum_module._expand_orbits(orbit, {col: Cyclo.one(1)}, t_dim, s_dim, 1)
+        assert not f.is_zero()
+        for s_g, t_g in pairs:
+            assert f * s_g == t_g * f
+
+
+def test_the_random_monomial_cases_cover_merged_and_zero_orbits():
+    # the seeds above are not vacuous: some keep a merged orbit with a weight
+    # other than 1, and some force an orbit to zero
+    weighted = zeroed = 0
+    for seed in range(12):
+        orbit, _, _ = _orbit_reduction(_random_monomial_pairs(seed), 3, 4)
+        weighted += any(slot is not None and slot[1] is not None and not slot[1].is_one()
+                        for slot in orbit)
+        zeroed += None in orbit
+    assert weighted and zeroed
+
+
+def test_without_a_monomial_generator_every_orbit_is_a_singleton():
+    one = Cyclo.one(1)
+    s = Matrix(2, 2, [{0: one, 1: one}, {1: one}], 1)  # a Jordan block
+    t = Matrix.identity(1, 1)
+    orbit, ncols, general = _orbit_reduction([(s, t)], 1, 2)
+    assert orbit == [(0, None), (1, None)]
+    assert ncols == 2
+    assert general == [(s, t)]
+
+
+def test_a_wrong_solution_fails_the_xi_inverse_certificate(monkeypatch):
+    datum = MonomialDatum(e1_spec())
+    eng = datum.engine
+    before = dict(eng._xi_memo)
+    real = datum_module.sparse_solve
+
+    def off_by_one(rows, rhs, ncols, order, **kwargs):
+        sols = real(rows, rhs, ncols, order, **kwargs)
+        col = min(sols[0])
+        sols[0][col] = sols[0][col] + Cyclo.one(order)
+        return sols
+
+    monkeypatch.setattr(datum_module, "sparse_solve", off_by_one)
+    with pytest.raises(PipelineError, match=r"certificate failed on \(triv_H, A_reg, ") as info:
+        eng.xi_inverse_id(eng.triv_h, eng.a_reg)
+    count = int(re.search(r"(\d+) nonzero residuals", str(info.value)).group(1))
+    assert count >= 1
+    assert eng._xi_memo == before
+
+
+def _composite_station_contract(st, f, xdim, tv_dim, vdim, wdim):
+    """The forward slice contraction of a formed composite f: X (x) T(V) -> T(W)."""
+    slots = []
+    for r in range(f.rows):
+        by_c = {}
+        for col, val in f.row(r).items():
+            i, c = divmod(col, tv_dim)
+            by_c.setdefault(c, []).append((i, val))
+        slots.append(by_c)
+    out = [{} for _ in range(wdim)]
+    for p in range(st.rows):
+        wt, vi = divmod(p, vdim)
+        for h, sv in st.row(p).items():
+            r, c = divmod(h, tv_dim)
+            for i, val in slots[r].get(c, ()):
+                key = i * vdim + vi
+                out[wt][key] = out[wt][key] + sv * val if key in out[wt] else sv * val
+    return Matrix(wdim, xdim * vdim, out, st.order)
+
+
+def _composite_i(eng, x, y, m, xi_elem):
+    """I_{X,Y,M} by the formed composite f_x (id_X (x) f_y), then the station."""
+    if xi_elem is None:
+        f_y, n_y = eng.xi_inverse_id(y, m)
+        f_x, _ = eng.xi_inverse_id(x, n_y)
+    else:
+        n_y = eng.a_tensor(eng.restrict(y), m)
+        f_y = eng.contract_obstruction(xi_elem, y, m)
+        f_x = eng.contract_obstruction(xi_elem, x, n_y)
+    composite = f_x * kron(Matrix.identity(x.dim, eng.order), f_y)
+    n_out = eng.a_tensor(eng.a_tensor(eng.restrict(x), eng.restrict(y)), m)
+    return _composite_station_contract(eng.station(m, n_out), composite, x.dim * y.dim,
+                                       eng.t(m).dim, m.dim, n_out.dim)
+
+
+@pytest.mark.parametrize("make_spec", [e1_spec, z3_spec])
+def test_compute_i_equals_the_station_of_the_formed_composite(make_spec):
+    datum = MonomialDatum(make_spec())
+    eng = datum.engine
+    xi_elem, _ = eng.obstruction_element()
+    battery = eng._extraction_battery()
+    for x, y, m in battery:  # the solve path
+        assert eng.compute_i(x, y, m) == _composite_i(eng, x, y, m, None)
+    for x, y, m in battery + [(eng.h_reg, eng.h_reg, eng.a_reg)]:  # the element path
+        assert eng.compute_i(x, y, m, xi_elem=xi_elem) == _composite_i(eng, x, y, m, xi_elem)
+
+
+@pytest.mark.parametrize("make_spec", [e1_spec, z3_spec])
+def test_station_contraction_reads_the_weights(make_spec):
+    # weights other than 1 on the slices: xi_forward and the station of I
+    # still agree with the formula on the formed composite
+    datum = MonomialDatum(make_spec())
+    eng = datum.engine
+    xi_elem, _ = eng.obstruction_element()
+    f, n = eng.xi_inverse_id(eng.h_reg, eng.a_reg)
+    datum.weights = [Cyclo.from_rational(r, datum.order)
+                     for r in STATION_WEIGHT_FAMILIES[3](datum.spec.n)]
+    x, m = eng.h_reg, eng.a_reg
+    assert eng.xi_forward(x, m, n, f) == _composite_station_contract(
+        eng.station(m, n), f, x.dim, eng.t(m).dim, m.dim, n.dim)
+    for x, y, m in eng._extraction_battery():
+        assert eng.compute_i(x, y, m, xi_elem=xi_elem) == _composite_i(eng, x, y, m, xi_elem)
+
+
+# -- the paper's setting: a non-abelian base -----------------------------------------
+
+
+def test_s3xz2_fixture_is_the_recipe_and_its_base_is_non_abelian():
+    # G = S3 x Z2, (p, k) at index 2p + k, p over itertools.permutations(range(3)),
+    # (p1 o p2)[i] = p1[p2[i]]; chi = (-1)^k, g = (id, 1), B = S3 x {0}, F = G
+    perms = list(itertools.permutations(range(3)))
+    size = 2 * len(perms)
+
+    def index(p, k):
+        return 2 * perms.index(p) + k
+
+    table = [[0] * size for _ in range(size)]
+    for (p1, k1), (p2, k2) in itertools.product(itertools.product(perms, range(2)),
+                                                repeat=2):
+        table[index(p1, k1)][index(p2, k2)] = index(tuple(p1[p2[i]] for i in range(3)),
+                                                    (k1 + k2) % 2)
+    order = 6  # the group exponent; n = 2 and mu = 1 add nothing
+    recipe = DatumSpec(table=table,
+                       chi=[Cyclo.from_rational((-1) ** (h % 2), order) for h in range(size)],
+                       g=index((0, 1, 2), 1), n=2, f_indices=list(range(size)),
+                       b_indices=[index(p, 0) for p in perms], mu=Cyclo.one(order))
+    doc = json.loads((ROOT / "tests" / "data" / "s3xz2_datum.json").read_text())
+    spec, parsed_order = datum_from_json(doc)
+    assert (spec, parsed_order) == (recipe, order)
+    assert spec.g == 1 and spec.b_indices == [0, 2, 4, 6, 8, 10]
+    assert any(table[a][b] != table[b][a] for a in spec.b_indices for b in spec.b_indices)

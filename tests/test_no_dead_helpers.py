@@ -1,4 +1,5 @@
-"""Every function and method defined in the package is used somewhere.
+"""Every function and method defined in the package is used somewhere, and
+every name a package module imports is used in that module.
 
 A name counts as used when it is called (``name(``), read as an attribute
 (``.name``) or passed by name (``func=name``) in the package, its tests or
@@ -47,3 +48,26 @@ def test_every_helper_is_used():
     dead = sorted(where + " " + name for name, where in defined.items()
                   if name not in used)
     assert not dead, "defined but never used: " + ", ".join(dead)
+
+
+def test_every_import_is_used():
+    # a name bound by an import counts as used when the module loads it
+    # (``name``, or ``name.attr``); ``__init__.py`` re-exports, so it is skipped
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    imported.setdefault(name, node.lineno)
+        loaded = {n.id for n in ast.walk(tree)
+                  if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        unused += ["%s:%d %s" % (path.name, line, name)
+                   for name, line in imported.items() if name not in loaded]
+    assert not unused, "imported but never used: " + ", ".join(sorted(unused))
