@@ -22,7 +22,7 @@ from .linalg import LinAlgError, Matrix
 from .monomial import ValidationError
 from .report import CheckReport
 from .rep import ModuleRep
-from .scalar import Cyclo, ScalarError, format_scalar, parse_scalar
+from .scalar import Cyclo, ScalarError, euler_phi, format_scalar, parse_scalar
 from .twist import GaugeElement, TwistElement, build_twisted_galois, gauge_check, verify_twist
 
 EXIT_OK = 0
@@ -56,6 +56,12 @@ def guard_dims(*dims: int) -> None:
     if total > max_dim():
         raise InputError(
             "tensor size %d exceeds DYNTWIST_MAX_DIM = %d" % (total, max_dim()))
+
+
+def guard_order(order: int) -> None:
+    """Bound phi(N)^2, the size of the scalar tables of Q(zeta_N), by DYNTWIST_MAX_DIM."""
+    # phi(N)^2 >= N / 2, so a larger N is rejected on that bound, unfactored
+    guard_dims(euler_phi(order) ** 2 if order <= 2 * max_dim() else (order + 1) // 2)
 
 
 # -- reading structure files ------------------------------------------------------
@@ -155,6 +161,7 @@ def hopf_from_json(doc: dict) -> HopfAlgebraData:
     if doc.get("format") != "hopf-algebra":
         raise InputError("expected a hopf-algebra file")
     order = int_field(doc, "order")
+    guard_order(order)
     dim = int_field(doc, "dim")
     guard_dims(dim, dim, dim)
     mult = [[dict() for _ in range(dim)] for _ in range(dim)]
@@ -321,6 +328,7 @@ def datum_from_json(doc: dict):
         raise InputError("chi needs one scalar string per group element, mu a scalar string")
     n = int_field(doc, "n")
     order = lcm(group_exponent(table), n, _scalar_order(mu_raw))
+    guard_order(order)
     return DatumSpec(
         table=table,
         chi=[parse_scalar(c, order) for c in chi_raw],
@@ -448,17 +456,24 @@ def _example_spec(name: str, args):
         n = args.n
         if m is None or n is None:
             raise InputError("custom needs --group-order and --n")
+        if m < 1 or n < 1:
+            raise InputError("--group-order and --n must be positive")
         if m % n:
             raise ValidationError("n = |g| requires n | group order")
-        table = [[(i + j) % m for j in range(m)] for i in range(m)]
         mu_order = _scalar_order(args.mu)
         chi_order = _scalar_order(args.chi_gen)
         from .scalar import lcm
         order = lcm(m, n, mu_order, chi_order)
+        guard_order(order)
+        guard_dims(m, m)
+        table = [[(i + j) % m for j in range(m)] for i in range(m)]
         chi_gen = parse_scalar(args.chi_gen, order)
         chi = [chi_gen ** i for i in range(m)]
         g = (m // n) % m
-        b_indices = ([int(x) for x in args.b.split(",")] if args.b else [0])
+        try:
+            b_indices = [int(x) for x in args.b.split(",")] if args.b else [0]
+        except ValueError as exc:
+            raise InputError("--b needs comma-separated integers, got %r" % args.b) from exc
         return DatumSpec(table=table, chi=chi, g=g, n=n,
                          f_indices=list(range(m)), b_indices=b_indices,
                          mu=parse_scalar(args.mu, order))

@@ -28,7 +28,8 @@ from .comod import (
 from .hopf import (HopfAlgebraData, StructureError, _group_inverses, add_into, group_algebra,
                    group_exponent)
 from .linalg import (LinAlgError, Matrix, differing_entries, flatten, identity_residual,
-                     inverse, kron, kron_sum, rank, solve, sparse_cols, sparse_solve)
+                     inverse, kron, kron_sum, rank, solve, sparse_cols, sparse_solve,
+                     unflatten)
 from .monomial import (
     MonomialHopfSpec,
     ValidationError,
@@ -44,8 +45,12 @@ from .monomial import (
 from .rep import (
     ModuleRep,
     SubHopfEmbedding,
+    _expand_orbits,
+    _orbit_reduction,
+    _substitute,
     character_module,
     dual_module,
+    hom_space,
     induce,
     intertwiner_basis,
     regular_module,
@@ -155,21 +160,8 @@ class AdjunctionEngine:
         source = tensor_action(self.k, x, tv)
         sdim = source.dim
         pairs = [(source.action[g], tw.action[g]) for g in self.k.alg.generator_indices()]
-        orbit, ncols, general = _orbit_reduction(pairs, tw.dim, sdim)
-        rows: list[dict] = []
+        orbit, ncols, rows = _orbit_reduction(pairs, tw.dim, sdim)
         rhs: dict = {}
-        for s_g, t_g in general:
-            s_cols = sparse_cols(s_g)
-            for i in range(tw.dim):
-                t_row = [(kk, -c) for kk, c in t_g.row(i).items()]
-                for j in range(sdim):
-                    row: dict = {}
-                    for kk, c in s_cols[j].items():
-                        _substitute(row, orbit[i * sdim + kk], c)
-                    for kk, c in t_row:
-                        _substitute(row, orbit[kk * sdim + j], c)
-                    if row:
-                        rows.append(row)
         # station constraint: st . flatten(f(x_i (x) -)) = fprime(x_i (x) -)
         for xi in range(x.dim):
             for out_idx in range(w.dim * v.dim):
@@ -188,7 +180,7 @@ class AdjunctionEngine:
             raise PipelineError(
                 "xi is not uniquely invertible on (%s, %s, %s): %s"
                 % (x.name, v.name, w.name, exc)) from exc
-        f = _expand_orbits(orbit, sol, tw.dim, sdim, order)
+        f = unflatten(_expand_orbits(orbit, sol), tw.dim, sdim, order)
         bad = sum(differing_entries(f * s_g, t_g * f) for s_g, t_g in pairs)
         bad += differing_entries(self.xi_forward(x, v, w, f), fprime)
         if bad:
@@ -369,9 +361,9 @@ class AdjunctionEngine:
         """(non-A-linear images, dimension gap + rank deficit of xi) on one instance."""
         tv, tw = self.t(v), self.t(w)
         source = tensor_action(self.k, x, tv)
-        hk = _intertwiners(self.k, source, tw)
+        hk = hom_space(source, tw).basis
         target_src = self.a_tensor(self.restrict(x), v)
-        ha = _intertwiners(self.kb, target_src, w)
+        ha = hom_space(target_src, w).basis
         images = [self.xi_forward(x, v, w, f) for f in hk]
         deficit = len(hk) - rank(Matrix.from_cols([flatten(m) for m in images],
                                                   w.dim * x.dim * v.dim, self.order))
@@ -384,13 +376,6 @@ class AdjunctionEngine:
         # natxi3: precomposition with an H-morphism commutes (x-pointwise by
         # construction); exercised through the element certificate instead.
         return bad_nat, abs(len(hk) - len(ha)) + deficit
-
-
-def _intertwiners(alg_carrier, src: ModuleRep, tgt: ModuleRep):
-    gens = alg_carrier.alg.generator_indices()
-    return intertwiner_basis([src.action[g] for g in gens],
-                             [tgt.action[g] for g in gens],
-                             tgt.dim, src.dim, src.order)
 
 
 def _unit_index(alg) -> int:
@@ -461,148 +446,6 @@ def _station_apply(st: Matrix, f_x: Matrix, x_dim: int, tv_dim: int, v_dim: int,
     return Matrix(w_dim, x_dim * y_dim * v_dim, out, st.order)
 
 
-def _monomial_form(m: Matrix):
-    """(column, value) of the one nonzero of each row of m, or None unless m
-    is monomial: square, with exactly one nonzero in every row and column."""
-    cols, vals = [], []
-    for i in range(m.rows):
-        row = m.row(i)
-        if len(row) != 1:
-            return None
-        (c, val), = row.items()
-        cols.append(c)
-        vals.append(val)
-    if m.rows != m.cols or len(set(cols)) != m.cols:
-        return None
-    return cols, vals
-
-
-def _orbit_reduction(pairs, t_dim: int, s_dim: int):
-    """Solve exactly the equations f S = T f of the pairs (S, T) that are monomial.
-
-    The unknown f[i][j] of a t_dim x s_dim matrix f has index i*s_dim + j.
-    Where both S and T are monomial, with a_j the one nonzero of column j
-    of S, in row sigma(j), and b_i the one nonzero of row i of T, in
-    column tau(i), the equation at (i, j) reads
-    f[tau(i)][j] = (a_j / b_i) f[i][sigma(j)].  These ties merge the
-    unknowns into orbits: a union-find with path compression keeps each
-    unknown as a multiple of its orbit's root, and an orbit whose cycle
-    product is not 1 is forced to zero.  Every solution of the monomial
-    equations is then determined by free values y_c, one per surviving
-    orbit c, and every choice of them is a solution.
-
-    Returns (orbit, ncols, general): orbit[u] = (c, weight) with
-    f_u = weight * y_c (weight None standing for 1), or None where f_u is
-    forced to zero; ncols surviving orbits; and the pairs that are not
-    monomial on both sides, whose equations are left to the caller.
-    """
-    n = t_dim * s_dim
-    parent = list(range(n))
-    pot: list = [None] * n   # f_u = pot[u] * f_parent[u]; None stands for 1
-    zero: set = set()        # roots whose orbit is forced to zero
-    inverses: dict = {}
-
-    def inv(c):
-        if c is None:
-            return None
-        r = inverses.get(c)
-        if r is None:
-            r = inverses[c] = c.inverse()
-        return r
-
-    def find(u):
-        """(root, potential): f_u = potential * f_root, compressing the path."""
-        r = parent[u]
-        if r == u:
-            return u, None
-        if parent[r] == r:
-            return r, pot[u]
-        path = [u]
-        while parent[r] != r:
-            path.append(r)
-            r = parent[r]
-        acc = None
-        for node in reversed(path):
-            acc = _times(pot[node], acc)
-            parent[node] = r
-            pot[node] = acc
-        return r, acc
-
-    general = []
-    for s_g, t_g in pairs:
-        s_form, t_form = _monomial_form(s_g), _monomial_form(t_g)
-        if s_form is None or t_form is None:
-            general.append((s_g, t_g))
-            continue
-        sigma = [0] * s_dim
-        a = [None] * s_dim
-        for k, (j, val) in enumerate(zip(*s_form)):
-            sigma[j] = k
-            a[j] = None if val.is_one() else val
-        ratios: dict = {}  # b_i^-1 -> [a_j / b_i for every j], once per distinct b_i
-        for i, (tau_i, b_i) in enumerate(zip(*t_form)):
-            b_inv = None if b_i.is_one() else inv(b_i)
-            c_row = ratios.get(b_inv)
-            if c_row is None:
-                c_row = ratios[b_inv] = [_times(a_j, b_inv) for a_j in a]
-            p0, q0 = tau_i * s_dim, i * s_dim
-            for j in range(s_dim):
-                # f_p = c f_q, with f_p = wp f_rp and f_q = wq f_rq
-                rp, wp = find(p0 + j)
-                rq, wq = find(q0 + sigma[j])
-                rel = _times(c_row[j], wq)   # f_p = rel * f_rq
-                if rp == rq:
-                    if not _same(wp, rel):
-                        zero.add(rp)
-                    continue
-                parent[rp] = rq
-                pot[rp] = _times(rel, inv(wp))
-                if rp in zero:
-                    zero.discard(rp)
-                    zero.add(rq)
-    orbit: list = [None] * n
-    column: dict = {}
-    for u in range(n):
-        r, w = find(u)
-        if r not in zero:
-            orbit[u] = (column.setdefault(r, len(column)), w)
-    return orbit, len(column), general
-
-
-def _times(a, b):
-    """a * b where None stands for 1."""
-    if a is None:
-        return b
-    return a if b is None else a * b
-
-
-def _same(a, b) -> bool:
-    """a == b where None stands for 1."""
-    if a is None:
-        return b is None or b.is_one()
-    return a.is_one() if b is None else a == b
-
-
-def _substitute(row: dict, slot, c: Cyclo) -> None:
-    """Add c * f_u to row, written over orbit columns; ``slot`` is orbit[u]."""
-    if slot is not None:
-        col, w = slot
-        add_into(row, col, c if w is None else c * w)
-
-
-def _expand_orbits(orbit, sol: dict, t_dim: int, s_dim: int, order: int) -> Matrix:
-    """The t_dim x s_dim matrix f with f_u = weight * sol[c] for orbit[u] = (c, weight)."""
-    out = [{} for _ in range(t_dim)]
-    for u, slot in enumerate(orbit):
-        if slot is None:
-            continue
-        val = sol.get(slot[0])
-        if val is not None:
-            i, j = divmod(u, s_dim)
-            out[i][j] = val if slot[1] is None else slot[1] * val
-    return Matrix(t_dim, s_dim, out, order)
-
-
 def _element_action(elem: dict, x: ModuleRep, y: ModuleRep, m: ModuleRep,
                     order: int) -> Matrix:
     dim = x.dim * y.dim * m.dim
@@ -648,6 +491,9 @@ class MonomialDatum:
             n=spec.n,
         )
         hopf_spec.validate()
+        # F, B and g are checked before anything of size |G| n is built
+        self.cosets = coset_data(spec.table, spec.f_indices, spec.b_indices,
+                                 spec.g, spec.n)
         self.hopf_spec = hopf_spec
         self.h = make_monomial_hopf(hopf_spec, order)
         self.k = make_monomial_comodule(hopf_spec, spec.f_indices, spec.mu, self.h)
@@ -666,8 +512,6 @@ class MonomialDatum:
                                 name="kB")
         self.embed_b = group_sub_embedding(self.h, hopf_spec, self.kb,
                                            spec.b_indices)
-        self.cosets = coset_data(spec.table, spec.f_indices, spec.b_indices,
-                                 spec.g, spec.n)
         if not verify_coset_basis(self.h, hopf_spec, self.cosets, spec.b_indices):
             raise ValidationError("coset products do not span the Hopf algebra")
         self.mu = spec.mu.embed(order)

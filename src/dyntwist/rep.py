@@ -3,12 +3,17 @@
 Covers: intertwiner spaces, coaction-twisted tensor action of an H-module on
 a K-module, restriction and induction along a Hopf subalgebra, duals, and
 the mutually inverse natural maps between (Ind_A^H V)* and Hom_A(H, V*).
+
+Every intertwiner equation f S(g) = T(g) f, here and in xi^-1, is written by
+``_orbit_reduction``: the generators acting monomially on both sides are
+solved exactly into orbits of unknowns, and only the others become rows.
 """
 
 from __future__ import annotations
 
 from .hopf import AlgebraData, HopfAlgebraData, StructureError, add_into
 from .linalg import (
+    Echelon,
     Matrix,
     Subspace,
     flatten,
@@ -110,23 +115,174 @@ class HomSpace:
 
 def intertwiner_basis(source_mats: list[Matrix], target_mats: list[Matrix],
                       rows: int, cols: int, order: int) -> list[Matrix]:
-    """Basis of {T : T S_a = T_a T for each supplied pair}, T of shape rows x cols."""
+    """Basis of {T : T S_a = T_a T for each supplied pair}, T of shape rows x cols.
+
+    Solved over the orbits of ``_orbit_reduction``, then re-reduced over the
+    flattened entries into the canonical basis: each vector is 1 at its last
+    nonzero entry, which every other vector leaves zero, in ascending order.
+    """
+    orbit, ncols, eq_rows = _orbit_reduction(list(zip(source_mats, target_mats)), rows, cols)
+    last = rows * cols - 1
+    ech = Echelon()  # over reversed entries, so its lowest pivot is the last entry
+    for vec in sparse_kernel_basis(eq_rows, ncols, order):
+        ech.add({last - u: c for u, c in _expand_orbits(orbit, vec).items()})
+    return [unflatten({last - u: c for u, c in ech.pivots[p].items()}, rows, cols, order)
+            for p in sorted(ech.pivots, reverse=True)]
+
+
+def _monomial_form(m: Matrix):
+    """(column, value) of the one nonzero of each row of m, or None unless m
+    is monomial: square, with exactly one nonzero in every row and column."""
+    cols, vals = [], []
+    for i in range(m.rows):
+        row = m.row(i)
+        if len(row) != 1:
+            return None
+        (c, val), = row.items()
+        cols.append(c)
+        vals.append(val)
+    if m.rows != m.cols or len(set(cols)) != m.cols:
+        return None
+    return cols, vals
+
+
+def _orbit_reduction(pairs, t_dim: int, s_dim: int):
+    """The equations f S = T f of the pairs (S, T), written over orbits.
+
+    The unknown f[i][j] of a t_dim x s_dim matrix f has index i*s_dim + j.
+    Where both S and T are monomial, with a_j the one nonzero of column j
+    of S, in row sigma(j), and b_i the one nonzero of row i of T, in
+    column tau(i), the equation at (i, j) reads
+    f[tau(i)][j] = (a_j / b_i) f[i][sigma(j)].  These are solved exactly:
+    the ties merge the unknowns into orbits, a union-find with path
+    compression keeps each unknown as a multiple of its orbit's root, and
+    an orbit whose cycle product is not 1 is forced to zero.  Every
+    solution of the monomial equations is then determined by free values
+    y_c, one per surviving orbit c, and every choice of them is a solution.
+    This is Reynolds / Schur symmetry reduction.
+
+    Returns (orbit, ncols, equation_rows): orbit[u] = (c, weight) with
+    f_u = weight * y_c (weight None standing for 1), or None where f_u is
+    forced to zero; ncols surviving orbits; and the equations of the pairs
+    that are not monomial on both sides, as sparse rows over the y_c.
+    """
+    n = t_dim * s_dim
+    parent = list(range(n))
+    pot: list = [None] * n   # f_u = pot[u] * f_parent[u]; None stands for 1
+    zero: set = set()        # roots whose orbit is forced to zero
+    inverses: dict = {}
+
+    def inv(c):
+        if c is None:
+            return None
+        r = inverses.get(c)
+        if r is None:
+            r = inverses[c] = c.inverse()
+        return r
+
+    def find(u):
+        """(root, potential): f_u = potential * f_root, compressing the path."""
+        r = parent[u]
+        if r == u:
+            return u, None
+        if parent[r] == r:
+            return r, pot[u]
+        path = [u]
+        while parent[r] != r:
+            path.append(r)
+            r = parent[r]
+        acc = None
+        for node in reversed(path):
+            acc = _times(pot[node], acc)
+            parent[node] = r
+            pot[node] = acc
+        return r, acc
+
+    general = []
+    for s_g, t_g in pairs:
+        s_form, t_form = _monomial_form(s_g), _monomial_form(t_g)
+        if s_form is None or t_form is None:
+            general.append((s_g, t_g))
+            continue
+        sigma = [0] * s_dim
+        a = [None] * s_dim
+        for k, (j, val) in enumerate(zip(*s_form)):
+            sigma[j] = k
+            a[j] = None if val.is_one() else val
+        ratios: dict = {}  # b_i^-1 -> [a_j / b_i for every j], once per distinct b_i
+        for i, (tau_i, b_i) in enumerate(zip(*t_form)):
+            b_inv = None if b_i.is_one() else inv(b_i)
+            c_row = ratios.get(b_inv)
+            if c_row is None:
+                c_row = ratios[b_inv] = [_times(a_j, b_inv) for a_j in a]
+            p0, q0 = tau_i * s_dim, i * s_dim
+            for j in range(s_dim):
+                # f_p = c f_q, with f_p = wp f_rp and f_q = wq f_rq
+                rp, wp = find(p0 + j)
+                rq, wq = find(q0 + sigma[j])
+                rel = _times(c_row[j], wq)   # f_p = rel * f_rq
+                if rp == rq:
+                    if not _same(wp, rel):
+                        zero.add(rp)
+                    continue
+                parent[rp] = rq
+                pot[rp] = _times(rel, inv(wp))
+                if rp in zero:
+                    zero.discard(rp)
+                    zero.add(rq)
+    orbit: list = [None] * n
+    column: dict = {}
+    for u in range(n):
+        r, w = find(u)
+        if r not in zero:
+            orbit[u] = (column.setdefault(r, len(column)), w)
     eq_rows: list[dict] = []
-    for s_m, t_m in zip(source_mats, target_mats):
-        s_cols = sparse_cols(s_m)
-        # (T * s_m - t_m * T)[i][j] = 0
-        for i in range(rows):
-            t_row = t_m.row(i)
-            for j in range(cols):
+    for s_g, t_g in general:
+        s_cols = sparse_cols(s_g)
+        # (f S - T f)[i][j] = 0
+        for i in range(t_dim):
+            t_row = [(k, -c) for k, c in t_g.row(i).items()]
+            for j in range(s_dim):
                 row: dict = {}
                 for k, c in s_cols[j].items():
-                    add_into(row, i * cols + k, c)
-                for k, c in t_row.items():
-                    add_into(row, k * cols + j, -c)
+                    _substitute(row, orbit[i * s_dim + k], c)
+                for k, c in t_row:
+                    _substitute(row, orbit[k * s_dim + j], c)
                 if row:
                     eq_rows.append(row)
-    basis_vecs = sparse_kernel_basis(eq_rows, rows * cols, order)
-    return [unflatten(v, rows, cols, order) for v in basis_vecs]
+    return orbit, len(column), eq_rows
+
+
+def _times(a, b):
+    """a * b where None stands for 1."""
+    if a is None:
+        return b
+    return a if b is None else a * b
+
+
+def _same(a, b) -> bool:
+    """a == b where None stands for 1."""
+    if a is None:
+        return b is None or b.is_one()
+    return a.is_one() if b is None else a == b
+
+
+def _substitute(row: dict, slot, c: Cyclo) -> None:
+    """Add c * f_u to row, written over orbit columns; ``slot`` is orbit[u]."""
+    if slot is not None:
+        col, w = slot
+        add_into(row, col, c if w is None else c * w)
+
+
+def _expand_orbits(orbit, sol: dict) -> dict:
+    """The flattened f with f_u = weight * sol[c] for orbit[u] = (c, weight)."""
+    out = {}
+    for u, slot in enumerate(orbit):
+        if slot is not None:
+            val = sol.get(slot[0])
+            if val is not None:
+                out[u] = val if slot[1] is None else slot[1] * val
+    return out
 
 
 def hom_space(v: ModuleRep, w: ModuleRep) -> HomSpace:

@@ -205,7 +205,7 @@ class Cyclo:
     def __hash__(self):
         h = self._hash
         if h is None:
-            h = hash((self.order, self.coeffs))
+            h = hash((self.order, self.num, self.den))
             _set_hash(self, h)
         return h
 
@@ -423,6 +423,8 @@ def parse_scalar(text: str, order: int) -> Cyclo:
             declared = int(order_text)
         except ValueError as exc:
             raise ScalarError("bad order in %r" % text) from exc
+        if declared < 1 or order % declared:
+            raise ScalarError("cannot read %r in Q(zeta_%d)" % (text, order))
         parts = [p for p in body[1:-1].split(",") if p.strip() != ""]
         coeffs = [parse_rational(p) for p in parts]
         phi = euler_phi(declared)

@@ -16,7 +16,8 @@ from .comod import ComoduleAlgebraData, GaloisData, galois_gamma
 from .hopf import StructureError, add_into
 from .linalg import (Matrix, Subspace, flatten, intersect, kron, kron_sum, rank, solve,
                      sparse_cols, unflatten)
-from .rep import ModuleRep, SubHopfEmbedding, intertwiner_basis, regular_module, tensor_action
+from .rep import (ModuleRep, SubHopfEmbedding, hom_space, intertwiner_basis, regular_module,
+                  tensor_action)
 from .report import CheckReport
 from .scalar import Cyclo
 
@@ -97,11 +98,7 @@ def stab_hom_realized(k: ComoduleAlgebraData, v: ModuleRep, w: ModuleRep,
     order = k.order
     report = CheckReport("realized stabilizer")
     h_reg = regular_module(h.alg, name="H_reg")
-    source = tensor_action(k, h_reg, v)
-    gens = k.alg.generator_indices()
-    basis = intertwiner_basis([source.action[g] for g in gens],
-                              [w.action[g] for g in gens],
-                              w.dim, h.dim * v.dim, order)
+    basis = hom_space(tensor_action(k, h_reg, v), w).basis
     h_action = None
     if with_action and basis:
         basis_mat = Matrix.from_cols([flatten(b) for b in basis], w.dim * h.dim * v.dim, order)

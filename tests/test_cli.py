@@ -222,7 +222,10 @@ def test_max_dim_guard(tmp_path, monkeypatch):
     "negative mult index", "mult index out of range", "missing comult",
     "duplicate mult entry", "invalid DYNTWIST_MAX_DIM", "gauge index out of range",
     "datum without n", "datum B index out of range", "datum group not a Latin square",
-    "custom example with a malformed mu",
+    "custom example with a malformed mu", "hopf field order beyond DYNTWIST_MAX_DIM",
+    "datum field order beyond DYNTWIST_MAX_DIM", "custom field order beyond DYNTWIST_MAX_DIM",
+    "datum B not a subgroup", "custom example with n = 0", "custom example with a malformed b",
+    "scalar of a huge order",
 ])
 def test_malformed_structure_file_exits_two(corruption, tmp_path, capsys, monkeypatch):
     out = str(tmp_path)
@@ -255,12 +258,30 @@ def test_malformed_structure_file_exits_two(corruption, tmp_path, capsys, monkey
     elif corruption == "custom example with a malformed mu":
         argv = ["example", "custom", "--out-dir", out, "--group-order", "3",
                 "--n", "3", "--mu", "bogus"]
+    elif corruption == "scalar of a huge order":
+        # a prime order that does not divide 2: rejected before it is factored
+        hopf["mult"][0][-1] = "[1]@1000000000000000003"
+    elif corruption == "hopf field order beyond DYNTWIST_MAX_DIM":
+        # Q(zeta_65537) would need phi(N)^2 = 2^32 table entries
+        hopf["order"] = 65537
+    elif corruption == "custom field order beyond DYNTWIST_MAX_DIM":
+        argv = ["example", "custom", "--out-dir", out, "--group-order", "65537", "--n", "1"]
+    elif corruption == "custom example with n = 0":
+        argv = ["example", "custom", "--out-dir", out, "--group-order", "4", "--n", "0"]
+    elif corruption == "custom example with a malformed b":
+        argv = ["example", "custom", "--out-dir", out, "--group-order", "4", "--n", "2",
+                "--b", "x"]
     else:
         argv = ["compute-twist", datum_path, "--out", os.path.join(out, "t.json")]
         if corruption == "datum without n":
             del datum["n"]
         elif corruption == "datum B index out of range":
             datum["B"] = [5]
+        elif corruption == "datum field order beyond DYNTWIST_MAX_DIM":
+            # mu = 1 written in Q(zeta_65537), which the datum's order must contain
+            datum["mu"] = "[%s]@65537" % ",".join(["1"] + ["0"] * 65535)
+        elif corruption == "datum B not a subgroup":
+            datum["B"] = [1]  # in range, without the identity
         else:
             datum["group"] = [[0, 1], [1, 1]]  # has an identity; 1 has no order
     for path, doc in ((hopf_path, hopf), (datum_path, datum)):

@@ -17,10 +17,11 @@ from dyntwist.datum import (
     PipelineError,
     gauge_from_equivalence,
     _element_action,
-    _orbit_reduction,
 )
-from dyntwist.linalg import LinAlgError, Matrix, inverse, kron, kron_sum, rank, sparse_solve
-from dyntwist.rep import hom_space, regular_module, tensor_reps, trivial_module
+from dyntwist.linalg import (LinAlgError, Matrix, inverse, kron, kron_sum, rank,
+                             sparse_kernel_basis, sparse_solve, unflatten)
+from dyntwist.rep import (_expand_orbits, _orbit_reduction, hom_space, intertwiner_basis,
+                          regular_module, tensor_reps, trivial_module)
 from dyntwist.scalar import Cyclo
 from dyntwist.twist import gauge_check, unit_tensor
 from conftest import cyclic_table, e0_spec, e1_spec
@@ -58,7 +59,7 @@ def test_xi_roundtrip_inverse_forward(e1_datum):
     x = trivial_module(e1_datum.h, name="triv_H")
     triv = trivial_module(e1_datum.kb, name="triv_A")
     tv = eng.t(triv)
-    from dyntwist.rep import tensor_action, intertwiner_basis
+    from dyntwist.rep import tensor_action
     source = tensor_action(e1_datum.k, x, tv)
     gens = e1_datum.k.alg.generator_indices()
     basis = intertwiner_basis([source.action[g] for g in gens],
@@ -523,8 +524,8 @@ def test_a_two_cycle_with_product_one_is_one_orbit():
     # a_0 = 2, a_1 = 1/2: f0 = 2 f1 and f1 = f0 / 2, one free value
     two, half = Cyclo.from_rational(2, 1), Cyclo.from_rational(Fraction(1, 2), 1)
     s = Matrix(2, 2, [{1: half}, {0: two}], 1)
-    orbit, ncols, general = _orbit_reduction([(s, Matrix.identity(1, 1))], 1, 2)
-    assert ncols == 1 and general == []
+    orbit, ncols, equations = _orbit_reduction([(s, Matrix.identity(1, 1))], 1, 2)
+    assert ncols == 1 and equations == []
     (c0, w0), (c1, w1) = orbit
     assert c0 == c1 == 0
     # f0 = w0 y, f1 = w1 y satisfy f0 = 2 f1
@@ -557,14 +558,29 @@ def _random_monomial_pairs(seed, t_dim=3, s_dim=4):
     return pairs
 
 
-@pytest.mark.parametrize("seed", range(12))
-def test_orbits_parametrise_exactly_the_solutions_of_monomial_equations(seed):
-    # the free orbit values must span exactly the solution space of
-    # f S(g) = T(g) f, with no orbit surviving that the equations force to 0
-    t_dim, s_dim = 3, 4
-    pairs = _random_monomial_pairs(seed, t_dim, s_dim)
-    orbit, ncols, general = _orbit_reduction(pairs, t_dim, s_dim)
-    assert general == []
+# seed 19 keeps a merged orbit with a weight other than 1 and forces one to
+# zero; it also gets two generators that are not monomial, so equation rows
+# written over merged orbits are covered too (see _mixed_pairs)
+_MIXED_SEED = 19
+
+
+def _mixed_pairs(t_dim, s_dim):
+    """The monomial pairs of the mixed seed plus two that are not monomial.
+
+    The sum of the two monomial pairs holds for every solution of them, so
+    its rows vanish over the orbits only if the weights are right; a Jordan
+    block on the T side cuts the solutions down.
+    """
+    one = Cyclo.one(1)
+    (s1, t1), (s2, t2) = pairs = _random_monomial_pairs(_MIXED_SEED, t_dim, s_dim)
+    t_rows = [{i: one} for i in range(t_dim)]
+    t_rows[0][1] = one
+    return pairs + [(s1 + s2, t1 + t2),
+                    (Matrix.identity(s_dim, 1), Matrix(t_dim, t_dim, t_rows, 1))]
+
+
+def _full_rows(pairs, t_dim, s_dim):
+    """The rows of f S = T f over every entry f[i][j], at index i*s_dim + j."""
     rows = []
     for s_g, t_g in pairs:
         for i in range(t_dim):
@@ -574,34 +590,60 @@ def test_orbits_parametrise_exactly_the_solutions_of_monomial_equations(seed):
                             [(kk * s_dim + j, -t_g.entry(i, kk)) for kk in range(t_dim)]:
                     row[u] = row[u] + c if u in row else c
                 rows.append(row)
-    assert ncols == t_dim * s_dim - rank(Matrix(len(rows), t_dim * s_dim, rows, 1))
+    return Matrix(len(rows), t_dim * s_dim, rows, 1)
+
+
+@pytest.mark.parametrize("seed", [*range(12), _MIXED_SEED])
+def test_orbits_parametrise_exactly_the_solutions_of_monomial_equations(seed):
+    # the free orbit values must span exactly the solution space of
+    # f S(g) = T(g) f, with no orbit surviving that the equations force to 0;
+    # intertwiner_basis, solved over the orbits, must return exactly the
+    # canonical kernel basis of the rows over every entry
+    t_dim, s_dim = 3, 4
+    monomial = _random_monomial_pairs(seed, t_dim, s_dim)
+    pairs = _mixed_pairs(t_dim, s_dim) if seed == _MIXED_SEED else monomial
+    orbit, ncols, equations = _orbit_reduction(pairs, t_dim, s_dim)
+    assert (equations != []) == (seed == _MIXED_SEED)
+    assert ncols == t_dim * s_dim - rank(_full_rows(monomial, t_dim, s_dim))
     for col in range(ncols):
-        f = datum_module._expand_orbits(orbit, {col: Cyclo.one(1)}, t_dim, s_dim, 1)
+        f = unflatten(_expand_orbits(orbit, {col: Cyclo.one(1)}), t_dim, s_dim, 1)
         assert not f.is_zero()
-        for s_g, t_g in pairs:
+        for s_g, t_g in monomial:
             assert f * s_g == t_g * f
+    full = _full_rows(pairs, t_dim, s_dim)
+    oracle = sparse_kernel_basis([dict(full.row(r)) for r in range(full.rows)],
+                                 t_dim * s_dim, 1)
+    basis = intertwiner_basis([s for s, _ in pairs], [t for _, t in pairs], t_dim, s_dim, 1)
+    assert basis == [unflatten(v, t_dim, s_dim, 1) for v in oracle]
 
 
 def test_the_random_monomial_cases_cover_merged_and_zero_orbits():
     # the seeds above are not vacuous: some keep a merged orbit with a weight
-    # other than 1, and some force an orbit to zero
-    weighted = zeroed = 0
-    for seed in range(12):
-        orbit, _, _ = _orbit_reduction(_random_monomial_pairs(seed), 3, 4)
-        weighted += any(slot is not None and slot[1] is not None and not slot[1].is_one()
-                        for slot in orbit)
-        zeroed += None in orbit
-    assert weighted and zeroed
+    # other than 1, and some force an orbit to zero; the mixed seed does
+    # both, and its generators that are not monomial cut the orbit
+    # solutions down without leaving none
+    def weighted(orbit):
+        return any(slot is not None and slot[1] is not None and not slot[1].is_one()
+                   for slot in orbit)
+
+    orbits = [_orbit_reduction(_random_monomial_pairs(seed), 3, 4)[0] for seed in range(12)]
+    assert any(map(weighted, orbits)) and any(None in orbit for orbit in orbits)
+    pairs = _mixed_pairs(3, 4)
+    orbit, ncols, equations = _orbit_reduction(pairs, 3, 4)
+    assert weighted(orbit) and None in orbit and equations
+    basis = intertwiner_basis([s for s, _ in pairs], [t for _, t in pairs], 3, 4, 1)
+    assert 0 < len(basis) < ncols
 
 
 def test_without_a_monomial_generator_every_orbit_is_a_singleton():
     one = Cyclo.one(1)
     s = Matrix(2, 2, [{0: one, 1: one}, {1: one}], 1)  # a Jordan block
     t = Matrix.identity(1, 1)
-    orbit, ncols, general = _orbit_reduction([(s, t)], 1, 2)
+    orbit, ncols, equations = _orbit_reduction([(s, t)], 1, 2)
     assert orbit == [(0, None), (1, None)]
     assert ncols == 2
-    assert general == [(s, t)]
+    # (f S - T f)[0][0] = 0 holds identically; (f S - T f)[0][1] = f[0][0]
+    assert equations == [{0: one}]
 
 
 def test_a_wrong_solution_fails_the_xi_inverse_certificate(monkeypatch):
