@@ -15,15 +15,19 @@ import hashlib
 import json
 import os
 import sys
+from typing import TYPE_CHECKING
 
-from .comod import ComoduleAlgebraData
-from .hopf import AlgebraData, HopfAlgebraData, StructureError, verify_hopf
+from .hopf import (AlgebraData, HopfAlgebraData, StructureError, ValidationError,
+                   group_exponent, verify_hopf)
 from .linalg import LinAlgError, Matrix
-from .monomial import ValidationError
 from .report import CheckReport
-from .rep import ModuleRep
-from .scalar import Cyclo, ScalarError, euler_phi, format_scalar, parse_scalar
-from .twist import GaugeElement, TwistElement, build_twisted_galois, gauge_check, verify_twist
+from .scalar import Cyclo, ScalarError, euler_phi, format_scalar, lcm, parse_scalar
+
+# each command imports the layers it runs, so start-up loads no more
+if TYPE_CHECKING:
+    from .comod import ComoduleAlgebraData
+    from .rep import ModuleRep
+    from .twist import GaugeElement, TwistElement
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -204,6 +208,7 @@ def comodule_to_json(k: ComoduleAlgebraData) -> dict:
 
 
 def comodule_from_json(doc: dict, over: HopfAlgebraData) -> ComoduleAlgebraData:
+    from .comod import ComoduleAlgebraData
     if doc.get("format") != "comodule-algebra":
         raise InputError("expected a comodule-algebra file")
     order = int_field(doc, "order")
@@ -236,6 +241,7 @@ def module_to_json(m: ModuleRep) -> dict:
 
 
 def module_from_json(doc: dict, algebra: AlgebraData) -> ModuleRep:
+    from .rep import ModuleRep
     if doc.get("format") != "module":
         raise InputError("expected a module file")
     order = int_field(doc, "order")
@@ -267,6 +273,7 @@ def twist_to_json(t: TwistElement) -> dict:
 
 def twist_from_json(doc: dict, h: HopfAlgebraData,
                     s: ComoduleAlgebraData) -> TwistElement:
+    from .twist import TwistElement
     if doc.get("format") != "twist":
         raise InputError("expected a twist file")
     order = int_field(doc, "order")
@@ -283,6 +290,7 @@ def twist_from_json(doc: dict, h: HopfAlgebraData,
 
 def gauge_from_json(doc: dict, h: HopfAlgebraData,
                     s: ComoduleAlgebraData) -> GaugeElement:
+    from .twist import GaugeElement
     if doc.get("format") != "gauge":
         raise InputError("expected a gauge file")
     order = int_field(doc, "order")
@@ -307,8 +315,6 @@ def datum_to_json(spec) -> dict:
 
 def datum_from_json(doc: dict):
     from .datum import DatumSpec
-    from .hopf import group_exponent
-    from .scalar import lcm
     if doc.get("format") != "datum":
         raise InputError("expected a datum file")
     for key in ("group", "chi", "g", "n", "F", "B", "mu"):
@@ -414,6 +420,7 @@ def cmd_verify(args) -> int:
         k = comodule_from_json(read_json(inputs[1]), h)
         report = k.verify()
     elif kind == "twist":
+        from .twist import verify_twist
         if len(inputs) != 3:
             raise InputError("verify twist needs H.json S.json J.json")
         h = hopf_from_json(read_json(inputs[0]))
@@ -422,6 +429,7 @@ def cmd_verify(args) -> int:
         report = verify_twist(t)
         extra = {"dynamical_support": t.dynamical_support}
     elif kind == "gauge":
+        from .twist import gauge_check
         if len(inputs) != 5:
             raise InputError("verify gauge needs H.json S.json J1.json J2.json t.json")
         h = hopf_from_json(read_json(inputs[0]))
@@ -462,7 +470,6 @@ def _example_spec(name: str, args):
             raise ValidationError("n = |g| requires n | group order")
         mu_order = _scalar_order(args.mu)
         chi_order = _scalar_order(args.chi_gen)
-        from .scalar import lcm
         order = lcm(m, n, mu_order, chi_order)
         guard_order(order)
         guard_dims(m, m)
@@ -557,6 +564,7 @@ def cmd_stab(args) -> int:
 
 
 def cmd_twisted_galois(args) -> int:
+    from .twist import build_twisted_galois
     h = hopf_from_json(read_json(args.hopf))
     s = comodule_from_json(read_json(args.s), h)
     t = twist_from_json(read_json(args.twist), h, s)

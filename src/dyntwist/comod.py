@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .hopf import AlgebraData, HopfAlgebraData, StructureError, add_into
 from .linalg import (
@@ -30,11 +31,11 @@ from .linalg import (
     sparse_cols,
     sparse_kernel_basis,
 )
-from .polys import (FactorUnknown, factor_rational, poly_deriv, poly_divmod, poly_gcd,
-                    poly_mul, poly_xgcd)
 from .report import CheckReport
-from .rep import SubHopfEmbedding, intertwiner_basis
 from .scalar import Cyclo, euler_phi
+
+if TYPE_CHECKING:
+    from .rep import SubHopfEmbedding
 
 
 class ComoduleAlgebraData:
@@ -288,6 +289,9 @@ def is_h_simple(k: ComoduleAlgebraData) -> SimplicityCertificate:
     minimal polynomial instead splits off a central idempotent whose image is
     a verified witness ideal.
     """
+    from .polys import (FactorUnknown, factor_rational, poly_deriv, poly_divmod, poly_gcd,
+                        poly_mul, poly_xgcd)
+    from .rep import intertwiner_basis
     order = k.order
     dim = k.dim
     one = Cyclo.one(order)

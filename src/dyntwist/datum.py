@@ -25,14 +25,13 @@ from .comod import (
     is_h_simple,
     subhopf_comodule,
 )
-from .hopf import (HopfAlgebraData, StructureError, _group_inverses, add_into, group_algebra,
-                   group_exponent)
+from .hopf import (HopfAlgebraData, StructureError, ValidationError, _group_inverses, add_into,
+                   group_algebra, group_exponent)
 from .linalg import (LinAlgError, Matrix, differing_entries, flatten, identity_residual,
                      inverse, kron, kron_sum, rank, solve, sparse_cols, sparse_solve,
                      unflatten)
 from .monomial import (
     MonomialHopfSpec,
-    ValidationError,
     coset_data,
     group_sub_embedding,
     make_monomial_hopf,

@@ -17,6 +17,10 @@ class StructureError(ValueError):
     """Shape or consistency error in supplied structure constants."""
 
 
+class ValidationError(ValueError):
+    """A supplied datum violates one of its defining conditions."""
+
+
 # -- sparse element helpers --------------------------------------------------
 
 

@@ -15,6 +15,7 @@ from .comod import ComoduleAlgebraData
 from .hopf import (
     AlgebraData,
     HopfAlgebraData,
+    ValidationError,
     add_into,
     element_order,
     group_generators,
@@ -23,10 +24,6 @@ from .hopf import (
 from .linalg import Matrix, rank
 from .rep import ModuleRep, SubHopfEmbedding
 from .scalar import Cyclo
-
-
-class ValidationError(ValueError):
-    """A supplied datum violates one of its defining conditions."""
 
 
 def gauss_binomial(i: int, k: int, q: Cyclo) -> Cyclo:
@@ -57,11 +54,6 @@ class MonomialHopfSpec:
         size = len(self.table)
         if len(self.chi) != size:
             raise ValidationError("character must assign a value to every element")
-        e = _group_identity(self.table)
-        for a in range(size):
-            for b in range(size):
-                if self.chi[self.table[a][b]] != self.chi[a] * self.chi[b]:
-                    raise ValidationError("chi is not a homomorphism")
         for h in range(size):
             if self.table[self.g][h] != self.table[h][self.g]:
                 raise ValidationError("g is not central")
@@ -74,8 +66,14 @@ class MonomialHopfSpec:
         for h in range(size):
             if not (self.chi[h] ** self.n).is_one():
                 raise ValidationError("chi^n = 1 fails")
+        e = _group_identity(self.table)
         if self.chi[e] != Cyclo.one(self.chi[e].order):
             raise ValidationError("chi(1) must be 1")
+        # the |G|^2 check runs last, so a datum failing a cheap one exits early
+        for a in range(size):
+            for b in range(size):
+                if self.chi[self.table[a][b]] != self.chi[a] * self.chi[b]:
+                    raise ValidationError("chi is not a homomorphism")
 
 
 def make_monomial_hopf(spec: MonomialHopfSpec, order: int,

@@ -1,3 +1,7 @@
+import contextlib
+import io
+import os
+
 import pytest
 
 from dyntwist.monomial import (
@@ -92,6 +96,26 @@ def e0_spec():
         g=1, n=2, f_indices=[0, 1], b_indices=[0],
         mu=Cyclo.one(2),
     )
+
+
+def write_e0_files(out: str) -> dict:
+    """The files of E0 that `example` and `compute-twist` write, plus T(triv).
+
+    Returns {kind: path} for the kinds hopf, comodule, base, datum, twist and
+    ttriv (the K-module T of the trivial kB-module, which `stab` reads).
+    """
+    from dyntwist.cli import main, module_to_json, write_json
+    from dyntwist.datum import MonomialDatum
+    from dyntwist.rep import trivial_module
+    paths = {kind: os.path.join(out, "e0_%s.json" % kind)
+             for kind in ("hopf", "comodule", "base", "datum", "twist", "ttriv")}
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["example", "E0", "--out-dir", out]) == 0
+        assert main(["compute-twist", paths["datum"], "--out", paths["twist"]]) == 0
+    datum = MonomialDatum(e0_spec())
+    write_json(paths["ttriv"],
+               module_to_json(datum.engine.t(trivial_module(datum.kb, name="triv"))))
+    return paths
 
 
 def e1_spec(mu=None):

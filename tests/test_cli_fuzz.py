@@ -13,6 +13,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from conftest import write_e0_files  # noqa: E402
 from dyntwist.cli import main  # noqa: E402
 
 # what a hand-edited or hostile file may hold where something else belongs
@@ -20,15 +21,24 @@ VALUES = [None, -1, 0, 1, 2, 10 ** 30, 0.5, True, False, "", "x", "1/0", "[1]@3"
           "[1]@65537", [], [0], [[0]], {}]
 
 
+# each file kind goes through a command that reads it; the others stay intact
+COMMANDS = {
+    "hopf": ["verify", "hopf", "{hopf}"],
+    "datum": ["compute-twist", "{datum}", "--out", "{out}"],
+    "comodule": ["verify", "comodule", "{hopf}", "{comodule}"],
+    "base": ["twisted-galois", "{hopf}", "{base}", "{twist}"],
+    "twist": ["verify", "twist", "{hopf}", "{base}", "{twist}"],
+    "ttriv": ["stab", "{hopf}", "{comodule}", "{ttriv}", "{ttriv}"],
+}
+
+
 @lru_cache(maxsize=None)
 def _e0_documents() -> dict:
-    """The E0 hopf and datum documents that `example E0` writes."""
-    docs = {}
+    """The E0 documents of every kind in COMMANDS."""
     with tempfile.TemporaryDirectory() as out:
-        with contextlib.redirect_stdout(io.StringIO()):
-            assert main(["example", "E0", "--out-dir", out]) == 0
-        for kind in ("hopf", "datum"):
-            with open(os.path.join(out, "e0_%s.json" % kind)) as fh:
+        docs = {}
+        for kind, path in write_e0_files(out).items():
+            with open(path) as fh:
                 docs[kind] = json.load(fh)
     return docs
 
@@ -46,21 +56,22 @@ def _leaves(doc, path=()) -> list:
 
 
 @settings(max_examples=60, deadline=None)
-@given(kind=st.sampled_from(["hopf", "datum"]), value=st.sampled_from(VALUES),
+@given(kind=st.sampled_from(sorted(COMMANDS)), value=st.sampled_from(VALUES),
        data=st.data())
 def test_one_corrupted_leaf_exits_0_1_or_2(kind, value, data):
-    doc = copy.deepcopy(_e0_documents()[kind])
-    *parents, last = data.draw(st.sampled_from(_leaves(doc)), label="leaf")
-    node = doc
+    docs = copy.deepcopy(_e0_documents())
+    *parents, last = data.draw(st.sampled_from(_leaves(docs[kind])), label="leaf")
+    node = docs[kind]
     for key in parents:
         node = node[key]
     node[last] = value
     with tempfile.TemporaryDirectory() as out:
-        path = os.path.join(out, "%s.json" % kind)
-        with open(path, "w") as fh:
-            json.dump(doc, fh)
-        argv = (["verify", "hopf", path] if kind == "hopf"
-                else ["compute-twist", path, "--out", os.path.join(out, "twist.json")])
+        paths = {"out": os.path.join(out, "out.json")}
+        for name, doc in docs.items():
+            paths[name] = os.path.join(out, "%s.json" % name)
+            with open(paths[name], "w") as fh:
+                json.dump(doc, fh)
+        argv = [arg.format(**paths) for arg in COMMANDS[kind]]
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(io.StringIO()):
             assert main(argv) in (0, 1, 2)

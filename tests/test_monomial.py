@@ -75,13 +75,28 @@ def test_invalid_spec_noncentral_or_wrong_order(z2_table):
         ).validate()
 
 
-def test_invalid_chi_not_hom(z2_table):
-    with pytest.raises(ValidationError):
+def test_invalid_chi_not_hom(z2z2_table):
+    # every O(|G|) condition holds (g = (0, 1), n = 2, chi = +-1, chi(1) = 1),
+    # but chi(1, 1) = 1 != chi(0, 1) chi(1, 0) = -1
+    sign = [1, -1, 1, 1]
+    with pytest.raises(ValidationError, match="not a homomorphism"):
+        MonomialHopfSpec(
+            table=z2z2_table,
+            chi=[Cyclo.from_rational(c, 2) for c in sign],
+            g=1,
+            n=2,
+        ).validate()
+
+
+def test_cheap_conditions_are_checked_before_the_homomorphism(z2_table):
+    # chi = (1, 2) is no homomorphism (chi(1)^2 = 4), and chi^1 = 1 fails at 1;
+    # the O(|G|) check runs first, so its message is the one raised
+    with pytest.raises(ValidationError, match=r"chi\^n = 1 fails"):
         MonomialHopfSpec(
             table=z2_table,
             chi=[Cyclo.one(2), Cyclo.from_rational(2, 2)],
-            g=1,
-            n=2,
+            g=0,
+            n=1,
         ).validate()
 
 
