@@ -14,8 +14,8 @@ _EXPORTS = {
               "costable_closure", "is_h_simple", "verify_comodule_algebra"],
     "rep": ["ModuleRep", "SubHopfEmbedding", "hom_space", "theta_maps"],
     "stab": ["stab_hom_realized", "yan_zhu_stabilizer"],
-    "twist": ["GaugeElement", "TwistElement", "build_twisted_galois", "gauge_check",
-              "twisted_pentagon_check", "verify_twist"],
+    "twist": ["GaugeElement", "TwistElement", "build_twisted_galois", "element_action",
+              "gauge_check", "twisted_pentagon_check", "verify_twist"],
     "datum": ["DatumSpec", "MonomialDatum", "gauge_from_equivalence", "generic_galois_datum",
               "phi_psi"],
 }

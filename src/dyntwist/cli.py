@@ -11,7 +11,6 @@ Exit codes: 0 all checks pass, 1 a mathematical check failed, 2 input error.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
@@ -374,6 +373,7 @@ def read_json(path: str) -> dict:
 
 
 def _sha256(path: str) -> str:
+    import hashlib  # only --report hashes, so other runs do not load libcrypto
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
         digest.update(fh.read())

@@ -25,6 +25,7 @@ from .linalg import (
     inverse,
     kernel,
     kron,
+    kron_sum,
     quotient,
     rank,
     solve,
@@ -231,10 +232,8 @@ def _radical_basis(basis: list[Matrix], order: int) -> list[dict]:
 
 
 def _combine(basis: list[Matrix], coords: dict) -> Matrix:
-    out = Matrix.zero(basis[0].rows, basis[0].cols, basis[0].order)
-    for j, c in coords.items():
-        out = out + basis[j].scaled(c)
-    return out
+    return kron_sum(((c, basis[j]) for j, c in coords.items()),
+                    basis[0].rows, basis[0].cols, basis[0].order)
 
 
 def _realify_matrix(m: Matrix) -> Matrix:
@@ -371,11 +370,12 @@ def is_h_simple(k: ComoduleAlgebraData) -> SimplicityCertificate:
 
 
 def _poly_eval_matrix(p, mat: Matrix) -> Matrix:
-    ident = Matrix.identity(mat.rows, mat.order)
-    acc = Matrix.zero(mat.rows, mat.cols, mat.order)
-    for c in reversed(p):
-        acc = acc * mat + ident.scaled(Cyclo.from_rational(c, mat.order))
-    return acc
+    """sum p[k] mat^k for rational coefficients p, constant term first."""
+    powers = [Matrix.identity(mat.rows, mat.order)]
+    for _ in p[1:]:
+        powers.append(powers[-1] * mat)
+    return kron_sum(((Cyclo.from_rational(c, mat.order), m) for c, m in zip(p, powers)),
+                    mat.rows, mat.cols, mat.order)
 
 
 def _algebra_center(basis: list[Matrix], order: int) -> list[Matrix]:
@@ -400,20 +400,16 @@ def _primitive_candidate(center: list[Matrix], trial: int, order: int) -> Matrix
     The zeta powers rotate with the trial index so that even a single-element
     centre over a nontrivial cyclotomic field gets non-rational candidates.
     """
-    weights = []
-    base = trial + 2
-    acc = 1
-    for _ in center:
-        weights.append(acc)
-        acc = acc * base % 1009
-    z = Matrix.zero(center[0].rows, center[0].cols, order)
     phi = euler_phi(order)
-    for idx, (w, m) in enumerate(zip(weights, center)):
+    terms = []
+    w = 1
+    for idx, m in enumerate(center):
         c = Cyclo.from_rational(w, order)
         if phi > 1:
             c = c * Cyclo.zeta(order, (idx + trial) % order)
-        z = z + m.scaled(c)
-    return z
+        terms.append((c, m))
+        w = w * (trial + 2) % 1009
+    return kron_sum(terms, center[0].rows, center[0].cols, order)
 
 
 def _verify_witness(k: ComoduleAlgebraData, w: Subspace) -> tuple[bool, str]:

@@ -63,8 +63,11 @@ from .scalar import Cyclo, lcm
 from .twist import (
     GaugeElement,
     TwistElement,
+    element_action,
+    flatten_key,
     invert_element,
     left_mult_matrix_tensor,
+    unflatten_key,
     verify_twist,
 )
 
@@ -286,33 +289,11 @@ class AdjunctionEngine:
         xi_elem, _ = self.obstruction_element()
         i_mat = self.compute_i(self.h_reg, self.h_reg, self.a_reg, xi_elem=xi_elem)
         legs = [self.h.alg, self.h.alg, self.kb.alg]
-        dims = [self.h.dim, self.h.dim, self.kb.dim]
-        u_h = _unit_index(self.h.alg)
-        u_a = _unit_index(self.kb.alg)
-        col = (u_h * self.h.dim + u_h) * self.kb.dim + u_a
-        e_elem: dict = {}
-        for r in range(i_mat.rows):
-            c = i_mat.row(r).get(col)
-            if c is not None:
-                i = r // (self.h.dim * self.kb.dim)
-                j = (r // self.kb.dim) % self.h.dim
-                kk = r % self.kb.dim
-                e_elem[(i, j, kk)] = c
-        lmat = left_mult_matrix_tensor(legs, e_elem, self.order)
-        bad = differing_entries(lmat, i_mat)
-        report.add("I on regulars is left multiplication by an element", bad == 0, bad)
-        if bad:
-            raise PipelineError("extraction certificate failed on regulars")
-        bad = 0
-        for x, y, m in self._extraction_battery():
-            # I from xi^-1(id) solves on these modules, not from the element
-            direct = self.compute_i(x, y, m)
-            acting = _element_action(e_elem, x, y, m, self.order)
-            if direct != acting:
-                bad += 1
-        report.add("element reproduces I on independent modules", bad == 0, bad)
-        if bad:
-            raise PipelineError("extraction certificate failed on battery")
+        # I from xi^-1(id) solves on the battery modules, not from the element
+        e_elem = _certified_element(
+            legs, i_mat, self._extraction_battery(), self.compute_i, report,
+            ("I on regulars is left multiplication by an element",
+             "element reproduces I on independent modules"), "extraction")
         j_elem = invert_element(legs, e_elem, self.order)
         twist = TwistElement(self.h, self.s_base(), j_elem, inverse=e_elem)
         tw_report = verify_twist(twist)
@@ -445,11 +426,30 @@ def _station_apply(st: Matrix, f_x: Matrix, x_dim: int, tv_dim: int, v_dim: int,
     return Matrix(w_dim, x_dim * y_dim * v_dim, out, st.order)
 
 
-def _element_action(elem: dict, x: ModuleRep, y: ModuleRep, m: ModuleRep,
-                    order: int) -> Matrix:
-    dim = x.dim * y.dim * m.dim
-    return kron_sum(((c, kron(x.action[i], y.action[j]), m.action[kk])
-                     for (i, j, kk), c in elem.items()), dim, dim, order)
+def _certified_element(legs, reg_map: Matrix, battery, direct, report: CheckReport,
+                       checks: tuple[str, str], what: str) -> dict:
+    """The element of the tensor algebra of ``legs`` whose action is reg_map, certified.
+
+    reg_map is the map on the regular modules; the element is its column at
+    the unit.  It must act as reg_map (left multiplication) and as
+    ``direct(*modules)`` on every module tuple of the battery; the two
+    residuals are added to the report under ``checks``, and a nonzero one
+    raises PipelineError.
+    """
+    order = reg_map.order
+    dims = [alg.dim for alg in legs]
+    col = flatten_key([_unit_index(alg) for alg in legs], dims)
+    elem = {unflatten_key(r, dims): c for r, c in reg_map.col(col).items()}
+    bad = differing_entries(left_mult_matrix_tensor(legs, elem, order), reg_map)
+    report.add(checks[0], bad == 0, bad)
+    if bad:
+        raise PipelineError("%s certificate failed on regulars" % what)
+    bad = sum(1 for mods in battery
+              if direct(*mods) != element_action(elem, [mod.action for mod in mods], order))
+    report.add(checks[1], bad == 0, bad)
+    if bad:
+        raise PipelineError("%s certificate failed on battery" % what)
+    return elem
 
 
 # -- the monomial-family datum ---------------------------------------------------
@@ -770,31 +770,13 @@ def gauge_from_equivalence(datum: MonomialDatum, datum2: MonomialDatum,
         sigma = phi_out * f * kron(Matrix.identity(x.dim, order), inverse(phi_in))
         return eng2.xi_forward(x, v, n_mod, sigma)
 
-    t_reg = t_map(h_reg, a_reg)
-    u_h = _unit_index(datum.h.alg)
-    u_a = _unit_index(datum.kb.alg)
-    col = u_h * datum.kb.dim + u_a
-    t_elem: dict = {}
-    for r in range(t_reg.rows):
-        c = t_reg.row(r).get(col)
-        if c is not None:
-            t_elem[(r // datum.kb.dim, r % datum.kb.dim)] = c
-    legs2 = [datum.h.alg, datum.kb.alg]
-    bad = differing_entries(left_mult_matrix_tensor(legs2, t_elem, order), t_reg)
-    report.add("t is left multiplication by an element", bad == 0, bad)
-    if bad:
-        raise PipelineError("gauge extraction certificate failed on regulars")
-    bad = 0
-    for x, v in ((triv_h, triv_a), (triv_h, a_reg), (h_reg, triv_a)):
-        direct = t_map(x, v)
-        acting = kron_sum(((c, x.action[i], v.action[kk]) for (i, kk), c in t_elem.items()),
-                          x.dim * v.dim, x.dim * v.dim, order)
-        if direct != acting:
-            bad += 1
-    report.add("element reproduces t on independent modules", bad == 0, bad)
-    if bad:
-        raise PipelineError("gauge extraction certificate failed on battery")
-    t_inv = invert_element(legs2, t_elem, order)
+    legs = [datum.h.alg, datum.kb.alg]
+    t_elem = _certified_element(
+        legs, t_map(h_reg, a_reg), ((triv_h, triv_a), (triv_h, a_reg), (h_reg, triv_a)),
+        t_map, report,
+        ("t is left multiplication by an element",
+         "element reproduces t on independent modules"), "gauge extraction")
+    t_inv = invert_element(legs, t_elem, order)
     gauge = GaugeElement(datum.h, eng.s_base(), t_inv, inverse=t_elem)
     return gauge, report
 

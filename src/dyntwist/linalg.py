@@ -1,4 +1,5 @@
-"""Exact linear algebra over Q(zeta_N): one row-sparse matrix type, one echelon engine.
+"""Exact linear algebra over Q(zeta_N): one row-sparse matrix type, one echelon
+engine, one Kronecker-sum kernel.
 
 Conventions fixed here and used everywhere else in the package:
 
@@ -13,6 +14,9 @@ Conventions fixed here and used everywhere else in the package:
 * a matrix flattens row-major, entry (i, j) to index ``i*cols + j``, and
   tensor legs flatten left-major: leg pair (i, j) with dims (d1, d2) maps to
   index ``i*d2 + j``;
+* every sum of scaled Kronecker products, and so every element acting on a
+  tensor product of modules and every linear combination of matrices, is
+  built by ``kron_sum``;
 * subspaces are stored by a basis matrix in reduced column echelon form, so
   equal subspaces have equal basis matrices.
 """
@@ -229,25 +233,36 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
 
 
 def kron_sum(terms, rows: int, cols: int, order: int) -> Matrix:
-    """sum c * (a (x) b) over the (c, a, b) in ``terms``, built in one pass."""
+    """sum c * (a_1 (x) ... (x) a_k) over the (c, a_1, ..., a_k) in ``terms``, in one pass.
+
+    Every term needs k >= 1 factors whose shapes multiply to rows x cols;
+    legs flatten left-major, and k = 1 is a linear combination.
+    """
     out = [{} for _ in range(rows)]
-    for c, a, b in terms:
-        if (a.rows * b.rows, a.cols * b.cols) != (rows, cols):
+    for c, *factors in terms:
+        r = cl = 1
+        for a in factors:
+            r, cl = r * a.rows, cl * a.cols
+        if (r, cl) != (rows, cols):
             raise LinAlgError("shape mismatch in Kronecker sum")
-        for i, ra in enumerate(a._rows):
-            if not ra:
-                continue
-            for k, rb in enumerate(b._rows):
+        *heads, last = factors
+        # the nonzero rows of c * (a_1 (x) ... (x) a_{k-1}), by flattened index
+        head = [(0, {0: c})]
+        for a in heads:
+            head = [(i * a.rows + k, {j * a.cols + l: x * y for j, x in rh.items()
+                                      for l, y in ra.items()})
+                    for i, rh in head for k, ra in enumerate(a._rows) if ra]
+        for i, rh in head:
+            for k, rb in enumerate(last._rows):
                 if not rb:
                     continue
-                row = out[i * b.rows + k]
-                for j, x in ra.items():
-                    cx = c * x
-                    off = j * b.cols
+                row = out[i * last.rows + k]
+                for j, x in rh.items():
+                    off = j * last.cols
                     for l, y in rb.items():
                         key = off + l
                         cur = row.get(key)
-                        row[key] = cx * y if cur is None else cur + cx * y
+                        row[key] = x * y if cur is None else cur + x * y
     for row in out:
         _drop_zeros(row)
     return Matrix._trusted(rows, cols, out, order)

@@ -470,7 +470,6 @@ def _zassenhaus(zp) -> list[list[Fraction]]:
         f_for_lift = to_primitive_int([Fraction(c) for c in f_for_lift])
         return _recombine_via_monic(zp, f_for_lift, lc)
 
-    target = 1
     m = p
     while m < bound:
         m *= m
@@ -484,7 +483,6 @@ def poly_deriv_mod(p, m):
 
 
 def _recombine_via_monic(zp, monic_int, lc):
-    n = degree(zp)
     sub = factor_rational([Fraction(c) for c in monic_int])
     out = []
     for f in sub:

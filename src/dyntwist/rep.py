@@ -51,10 +51,8 @@ class ModuleRep:
         return self.algebra.order
 
     def act_matrix(self, elem: dict) -> Matrix:
-        out = Matrix.zero(self.dim, self.dim, self.order)
-        for i, c in elem.items():
-            out = out + self.action[i].scaled(c)
-        return out
+        return kron_sum(((c, self.action[i]) for i, c in elem.items()),
+                        self.dim, self.dim, self.order)
 
     def verify(self) -> CheckReport:
         report = CheckReport("module %s" % self.name)
@@ -107,10 +105,8 @@ class HomSpace:
         return len(self.basis)
 
     def element(self, coords: list) -> Matrix:
-        out = Matrix.zero(self.target.dim, self.source.dim, self.source.order)
-        for c, b in zip(coords, self.basis):
-            out = out + b.scaled(c)
-        return out
+        return kron_sum(zip(coords, self.basis), self.target.dim, self.source.dim,
+                        self.source.order)
 
 
 def intertwiner_basis(source_mats: list[Matrix], target_mats: list[Matrix],

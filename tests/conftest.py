@@ -99,22 +99,24 @@ def e0_spec():
 
 
 def write_e0_files(out: str) -> dict:
-    """The files of E0 that `example` and `compute-twist` write, plus T(triv).
+    """The files of E0 that `example` and `compute-twist` write, plus T(triv) and a gauge.
 
-    Returns {kind: path} for the kinds hopf, comodule, base, datum, twist and
-    ttriv (the K-module T of the trivial kB-module, which `stab` reads).
+    Returns {kind: path} for the kinds hopf, comodule, base, datum, twist,
+    ttriv (the K-module T of the trivial kB-module, which `stab` reads) and
+    gauge (the unit of H (x) kB, a gauge from the twist to itself).
     """
     from dyntwist.cli import main, module_to_json, write_json
     from dyntwist.datum import MonomialDatum
     from dyntwist.rep import trivial_module
     paths = {kind: os.path.join(out, "e0_%s.json" % kind)
-             for kind in ("hopf", "comodule", "base", "datum", "twist", "ttriv")}
+             for kind in ("hopf", "comodule", "base", "datum", "twist", "ttriv", "gauge")}
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["example", "E0", "--out-dir", out]) == 0
         assert main(["compute-twist", paths["datum"], "--out", paths["twist"]]) == 0
     datum = MonomialDatum(e0_spec())
     write_json(paths["ttriv"],
                module_to_json(datum.engine.t(trivial_module(datum.kb, name="triv"))))
+    write_json(paths["gauge"], {"format": "gauge", "order": 2, "coeffs": [[0, 0, "1"]]})
     return paths
 
 
@@ -128,6 +130,13 @@ def e1_spec(mu=None):
         g=2, n=2, f_indices=[0, 1, 2, 3], b_indices=[0, 1],
         mu=mu if mu is not None else Cyclo.one(2),
     )
+
+
+def z3_spec():
+    from dyntwist.datum import DatumSpec
+    z3 = Cyclo.zeta(3)
+    return DatumSpec(table=cyclic_table(3), chi=[Cyclo.one(3), z3, z3 * z3], g=1, n=3,
+                     f_indices=[0, 1, 2], b_indices=[0], mu=Cyclo.one(3))
 
 
 @pytest.fixture(scope="session")

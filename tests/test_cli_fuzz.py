@@ -29,6 +29,7 @@ COMMANDS = {
     "base": ["twisted-galois", "{hopf}", "{base}", "{twist}"],
     "twist": ["verify", "twist", "{hopf}", "{base}", "{twist}"],
     "ttriv": ["stab", "{hopf}", "{comodule}", "{ttriv}", "{ttriv}"],
+    "gauge": ["verify", "gauge", "{hopf}", "{base}", "{twist}", "{twist}", "{gauge}"],
 }
 
 

@@ -16,15 +16,15 @@ from dyntwist.datum import (
     MonomialDatum,
     PipelineError,
     gauge_from_equivalence,
-    _element_action,
 )
 from dyntwist.linalg import (LinAlgError, Matrix, inverse, kron, kron_sum, rank,
                              sparse_kernel_basis, sparse_solve, unflatten)
 from dyntwist.rep import (_expand_orbits, _orbit_reduction, hom_space, intertwiner_basis,
                           regular_module, tensor_reps, trivial_module)
+from dyntwist.report import CheckReport
 from dyntwist.scalar import Cyclo
-from dyntwist.twist import gauge_check, unit_tensor
-from conftest import cyclic_table, e0_spec, e1_spec
+from dyntwist.twist import element_action, gauge_check, unit_tensor
+from conftest import cyclic_table, e0_spec, e1_spec, z3_spec
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -158,7 +158,7 @@ def test_twist_extraction_element_certificates(e1_datum, e1_twist):
     y = regular_module(e1_datum.h.alg, name="H_reg")
     m = trivial_module(e1_datum.kb, name="triv_A")
     direct = eng.compute_i(x, y, m)
-    assert direct == _element_action(e_elem, x, y, m, 2)
+    assert direct == element_action(e_elem, [x.action, y.action, m.action], 2)
 
 
 def test_module_functor_datum_gives_trivial_twist():
@@ -318,12 +318,6 @@ def test_validation_rejects_bad_b(e1_datum):
     from dyntwist.monomial import ValidationError
     with pytest.raises(ValidationError):
         MonomialDatum(spec)
-
-
-def z3_spec():
-    z3 = Cyclo.zeta(3)
-    return DatumSpec(table=cyclic_table(3), chi=[Cyclo.one(3), z3, z3 * z3], g=1, n=3,
-                     f_indices=[0, 1, 2], b_indices=[0], mu=Cyclo.one(3))
 
 
 def test_full_contract_at_n3_over_cyclotomic():
@@ -664,6 +658,34 @@ def test_a_wrong_solution_fails_the_xi_inverse_certificate(monkeypatch):
     count = int(re.search(r"(\d+) nonzero residuals", str(info.value)).group(1))
     assert count >= 1
     assert eng._xi_memo == before
+
+
+@pytest.mark.parametrize("where", ["regulars", "battery"])
+def test_an_element_that_fails_its_certificate_raises(e1_datum, where):
+    # the element read off a right multiplication is not its left
+    # multiplication (H is not commutative); a battery map that differs from
+    # the element's action on one module tuple is counted once
+    h = e1_datum.h
+    one = Cyclo.one(2)
+    eng = e1_datum.engine
+    if where == "regulars":
+        reg_map = h.alg.right_mult_matrix({1: one})
+    else:
+        reg_map = h.alg.left_mult_matrix({1: one})
+    battery = [(eng.h_reg,), (eng.triv_h,)]
+
+    def direct(x):
+        return x.act_matrix({1: one}) + Matrix.identity(x.dim, 2)
+
+    report = CheckReport("extraction")
+    with pytest.raises(PipelineError, match="test certificate failed on " + where):
+        datum_module._certified_element([h.alg], reg_map, battery, direct, report,
+                                        ("on regulars", "on the battery"), "test")
+    failed = [(c.name, c.residual_nonzero_count) for c in report.failures()]
+    if where == "regulars":
+        assert [name for name, _ in failed] == ["on regulars"] and failed[0][1] >= 1
+    else:
+        assert failed == [("on the battery", 2)]
 
 
 def _composite_station_contract(st, f, xdim, tv_dim, vdim, wdim):

@@ -141,6 +141,16 @@ def test_kron_identities():
     assert kron(mat([[1, 2]]), Matrix.zero(2, 2, 1)).is_zero()
 
 
+def test_kron_sum_rejects_a_term_of_the_wrong_shape():
+    two, three = Matrix.identity(2, 1), Matrix.identity(3, 1)
+    with pytest.raises(LinAlgError):
+        kron_sum([(q(1), two, three)], 6, 5, 1)
+    with pytest.raises(LinAlgError):  # the second term is 6 x 6, not 8 x 8
+        kron_sum([(q(1), two, two, two), (q(1), two, three)], 8, 8, 1)
+    with pytest.raises(LinAlgError):
+        kron_sum([(q(1), three)], 2, 2, 1)
+
+
 def test_kron_index_convention():
     a = mat([[0, 1], [0, 0]])
     b = Matrix.identity(2, 1)
@@ -256,7 +266,7 @@ SHAPES = [(3, 4, 2), (4, 1, 3), (2, 3, 0), (3, 0, 2), (0, 3, 2), (5, 5, 5)]
 @pytest.mark.parametrize("seed", range(6))
 def test_row_sparse_matrix_agrees_with_a_dense_reference(order, seed):
     rng = random.Random("%d:%d" % (order, seed))
-    zero = Cyclo.zero(order)
+    zero, one = Cyclo.zero(order), Cyclo.one(order)
     for r, n, c in SHAPES:
         da, db = _rand_dense(rng, r, n, order), _rand_dense(rng, r, n, order)
         dc = _rand_dense(rng, n, c, order)
@@ -288,6 +298,16 @@ def test_row_sparse_matrix_agrees_with_a_dense_reference(order, seed):
                    for p, q in zip(_ref_kron(da, dc), _ref_kron(db, dc))]
             results["kron_sum"] = (kron_sum([(ka, a, cm), (kb, b, cm)], r * n, n * c, order),
                                    ref, (r * n, n * c))
+            ref = [[ka * x + kb * y for x, y in zip(p, q)]
+                   for p, q in zip(_ref_kron([[one]], da), _ref_kron([[one]], db))]
+            results["kron_sum, one factor"] = (kron_sum([(ka, a), (kb, b)], r, n, order),
+                                               ref, (r, n))
+            dsmall = [[k, zero], [one, k]]
+            small = Matrix.from_rows(dsmall, order)
+            ref = [[ka * x for x in p] for p in _ref_kron(_ref_kron(da, dsmall), dc)]
+            results["kron_sum, three factors"] = (
+                kron_sum([(ka, a, small, cm)], r * 2 * n, n * 2 * c, order), ref,
+                (r * 2 * n, n * 2 * c))
         for name, (got, ref, shape) in results.items():
             assert (got.rows, got.cols) == shape, name
             assert _dense_of(got) == ref, name

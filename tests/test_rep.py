@@ -46,6 +46,17 @@ def test_regular_self_homs(kz2):
     assert hom_space(reg, reg).dim == 2
 
 
+def test_act_matrix_and_hom_element_are_linear_combinations(e1):
+    reg = regular_module(e1.h.alg)
+    a, b = Cyclo.from_rational(2, 2), Cyclo.from_rational(-3, 2)
+    combined = reg.action[1].scaled(a) + reg.action[2].scaled(b)
+    assert reg.act_matrix({1: a, 2: b}) == combined
+    assert reg.act_matrix({}) == Matrix.zero(reg.dim, reg.dim, 2)
+    homs = hom_space(reg, reg)
+    assert homs.element([a, b] + [Cyclo.zero(2)] * (homs.dim - 2)) == (
+        homs.basis[0].scaled(a) + homs.basis[1].scaled(b))
+
+
 def test_module_axioms_regular(e1):
     reg = regular_module(e1.h.alg)
     assert reg.verify().ok

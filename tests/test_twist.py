@@ -1,12 +1,16 @@
 import pytest
 
+from conftest import e0_spec, e1_spec, z3_spec
+from dyntwist.datum import MonomialDatum
 from dyntwist.hopf import StructureError
+from dyntwist.linalg import Matrix
 from dyntwist.rep import regular_module, trivial_module
 from dyntwist.scalar import Cyclo
 from dyntwist.twist import (
     GaugeElement,
     TwistElement,
     build_twisted_galois,
+    element_action,
     gauge_check,
     invert_element,
     tensor_mult,
@@ -42,6 +46,48 @@ def test_corrupted_twist_fails_cocycle(e0_datum):
     report = verify_twist(broken)
     failed = [c.name for c in report.failures()]
     assert "shifted two-cocycle equation" in failed
+
+
+def _ordinary_cocycle_residual(h, j0: dict) -> int:
+    """Keys where (Delta x id)(J0)(J0 x 1) and (id x Delta)(J0)(1 x J0) differ in H^(x)3.
+
+    Delta and the unit legs are written here from h.comult and h.alg.unit, so
+    the check shares nothing with verify_twist but tensor_mult.
+    """
+    def add(acc, key, value):
+        acc[key] = acc[key] + value if key in acc else value
+
+    delta_left, delta_right, j0_one, one_j0 = {}, {}, {}, {}
+    for (i, j), c in j0.items():
+        for (a, b), d in h.comult[i].items():
+            add(delta_left, (a, b, j), c * d)
+        for (a, b), d in h.comult[j].items():
+            add(delta_right, (i, a, b), c * d)
+        for u, e in h.alg.unit.items():
+            add(j0_one, (i, j, u), c * e)
+            add(one_j0, (u, i, j), c * e)
+    legs = [h.alg] * 3
+    lhs = tensor_mult(legs, delta_left, j0_one)
+    rhs = tensor_mult(legs, delta_right, one_j0)
+    return sum(1 for key in lhs.keys() | rhs.keys() if lhs.get(key) != rhs.get(key))
+
+
+@pytest.mark.parametrize("make_spec", [e0_spec, e1_spec, z3_spec])
+def test_a_constant_twist_is_an_ordinary_twist(make_spec):
+    # J = J0 (x) 1_S: the shifted cocycle equation then says that J0 is an
+    # ordinary twist of H, which is checked here independently
+    twist, report = MonomialDatum(make_spec()).compute_twist()
+    assert report.ok, str(report)
+    assert twist.dynamical_support == [0]
+    assert twist.s.alg.unit == {0: Cyclo.one(twist.order)}
+    j0 = {(i, j): c for (i, j, _), c in twist.coeffs.items()}
+    assert _ordinary_cocycle_residual(twist.h, j0) == 0
+
+
+def test_the_ordinary_twist_oracle_sees_a_corrupted_twist(e0_twist):
+    j0 = {(i, j): c for (i, j, _), c in e0_twist.coeffs.items()}
+    j0[(1, 1)] = j0.get((1, 1), Cyclo.zero(2)) + Cyclo.one(2)  # add x (x) x
+    assert _ordinary_cocycle_residual(e0_twist.h, j0) > 0
 
 
 def test_inverse_is_two_sided(e1_twist):
@@ -140,7 +186,9 @@ def test_pentagon_corrupted_fails(e0_datum):
     broken = TwistElement(e0_datum.h, e0_datum.engine.s_base(), coeffs)
     x = regular_module(e0_datum.h.alg, name="X")
     m = regular_module(e0_datum.kb.alg, name="M")
-    assert not twisted_pentagon_check(broken, x, x, x, m).ok
+    report = twisted_pentagon_check(broken, x, x, x, m)
+    # 24 of the 128 basis vectors of X (x) X (x) X (x) M see the two sides differ
+    assert _residual(report, "pentagon on X (x) Y (x) Z (x) M") == ("FAIL", 24)
 
 
 def test_gauge_transform_with_nontrivial_base_leg(e1_twist, e1_datum):
@@ -164,30 +212,25 @@ def test_gauge_transform_with_nontrivial_base_leg(e1_twist, e1_datum):
     # the twisted-algebra oracle must also pass on the re-dressed twist
     _, galois_report = build_twisted_galois(redressed)
     assert galois_report.ok, str(galois_report)
+    # and so must the pentagon, whose J_{X,Y,Z(x)M} reads the coaction of a
+    # base leg that is not the unit (Z trivial keeps X (x) Y (x) Z (x) M small)
+    x = regular_module(e1_datum.h.alg, name="X")
+    z = trivial_module(e1_datum.h, name="triv")
+    m = regular_module(e1_datum.kb.alg, name="M")
+    report = twisted_pentagon_check(redressed, x, x, z, m)
+    assert report.ok, str(report)
 
 
 def test_unit_normalisations_on_modules(e1_twist, e1_datum):
     # dynt2 implies the module-level unit laws: the twist acts as the identity
     # when either H-leg is the trivial module
-    from dyntwist.twist import KronOperator, _sparse_cols_list, _identity_cols, unflatten_key
     h = e1_datum.h
     triv = trivial_module(h, name="triv")
     x = regular_module(h.alg, name="X")
     m = regular_module(e1_datum.kb.alg, name="M")
-    for legs in ((triv, x), (x, triv)):
-        a, b = legs
-        dims = [a.dim, b.dim, m.dim]
-        op = KronOperator(dims, 2)
-        acols = _sparse_cols_list(a)
-        bcols = _sparse_cols_list(b)
-        mcols = _sparse_cols_list(m)
-        for (j1, j2, j3), c in e1_twist.coeffs.items():
-            op.add_term(c, [acols[j1], bcols[j2], mcols[j3]])
-        total = dims[0] * dims[1] * dims[2]
-        for flat in range(total):
-            key = unflatten_key(flat, dims)
-            out = op.apply_dict({key: Cyclo.one(2)})
-            assert out == {key: Cyclo.one(2)}
+    for a, b in ((triv, x), (x, triv)):
+        acting = element_action(e1_twist.coeffs, [a.action, b.action, m.action], 2)
+        assert acting == Matrix.identity(a.dim * b.dim * m.dim, 2)
 
 
 def _residual(report, name):
