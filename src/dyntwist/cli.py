@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING
 
 from .hopf import (AlgebraData, HopfAlgebraData, StructureError, ValidationError,
                    group_exponent, verify_hopf)
-from .linalg import LinAlgError, Matrix
+from .linalg import Echelon, LinAlgError, Matrix
 from .report import CheckReport
 from .scalar import Cyclo, ScalarError, euler_phi, format_scalar, lcm, parse_scalar
 
@@ -116,9 +116,35 @@ def index_list(values, dim: int, what: str) -> list:
     return values
 
 
-def read_generators(doc: dict, dim: int):
+def read_algebra(doc: dict, dim: int, order: int, name: str) -> AlgebraData:
+    """The algebra of a structure file: ``mult``, ``unit`` and optional ``generators``.
+
+    Listed generators must generate the algebra, since module maps are
+    checked on them alone: the unit and the words in the generators, grown by
+    right multiplication, must span all of it.
+    """
+    mult = [[dict() for _ in range(dim)] for _ in range(dim)]
+    for (i, j, k), c in read_entries(doc, "mult", (dim, dim, dim), order).items():
+        mult[i][j][k] = c
+    unit = {i: c for (i,), c in read_entries(doc, "unit", (dim,), order).items()}
     gens = doc.get("generators")
-    return None if gens is None else index_list(gens, dim, "generators")
+    alg = AlgebraData(dim, mult, unit, order, name=name,
+                      generators=None if gens is None else index_list(gens, dim, "generators"))
+    if gens is None:
+        return alg
+    one = Cyclo.one(order)
+    span = Echelon()
+    frontier = [alg.unit] + [{g: one} for g in alg.generators]
+    while frontier:
+        grown = []
+        for word in frontier:
+            if span.add(dict(word)):
+                grown += [alg.multiply(word, {g: one}) for g in alg.generators]
+        frontier = grown
+    if len(span.pivots) < dim:
+        raise InputError("generators span %d of the %d dimensions of %s"
+                         % (len(span.pivots), dim, name))
+    return alg
 
 
 # -- serialisation --------------------------------------------------------------
@@ -167,12 +193,7 @@ def hopf_from_json(doc: dict) -> HopfAlgebraData:
     guard_order(order)
     dim = int_field(doc, "dim")
     guard_dims(dim, dim, dim)
-    mult = [[dict() for _ in range(dim)] for _ in range(dim)]
-    for (i, j, k), c in read_entries(doc, "mult", (dim, dim, dim), order).items():
-        mult[i][j][k] = c
-    unit = {i: c for (i,), c in read_entries(doc, "unit", (dim,), order).items()}
-    alg = AlgebraData(dim, mult, unit, order, name=doc.get("name", "H"),
-                      generators=read_generators(doc, dim))
+    alg = read_algebra(doc, dim, order, doc.get("name", "H"))
     comult = [dict() for _ in range(dim)]
     for (k, i, j), c in read_entries(doc, "comult", (dim, dim, dim), order).items():
         comult[k][(i, j)] = c
@@ -215,12 +236,7 @@ def comodule_from_json(doc: dict, over: HopfAlgebraData) -> ComoduleAlgebraData:
         raise InputError("comodule and Hopf algebra use different field orders")
     dim = int_field(doc, "dim")
     guard_dims(dim, dim, over.dim)
-    mult = [[dict() for _ in range(dim)] for _ in range(dim)]
-    for (i, j, k), c in read_entries(doc, "mult", (dim, dim, dim), order).items():
-        mult[i][j][k] = c
-    unit = {i: c for (i,), c in read_entries(doc, "unit", (dim,), order).items()}
-    alg = AlgebraData(dim, mult, unit, order, name=doc.get("name", "K"),
-                      generators=read_generators(doc, dim))
+    alg = read_algebra(doc, dim, order, doc.get("name", "K"))
     coaction = [dict() for _ in range(dim)]
     for (j, hi, ki), c in read_entries(doc, "coaction", (dim, over.dim, dim),
                                        order).items():

@@ -2,7 +2,9 @@
 
 A twist lives in H (x) H (x) S for a left H-comodule algebra S; elements of
 tensor algebras are sparse dicts keyed by index tuples.  The three defining
-equations are evaluated exactly as tensor identities; invertibility is decided
+equations are evaluated exactly as tensor identities with the sparse
+tensor-element kernel of ``hopf`` (``tensor_mult``, ``split_leg`` and
+friends), and so is the twisted product on H* (x) S; invertibility is decided
 through the left-regular matrix and the inverse is verified two-sided.
 
 An element acts on a tensor product of modules by ``element_action``, one
@@ -15,85 +17,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .comod import ComoduleAlgebraData, canonical_map, coinvariants, verify_comodule_algebra
-from .hopf import AlgebraData, HopfAlgebraData, StructureError, add_into, dual_hopf
+from .hopf import (AlgebraData, HopfAlgebraData, StructureError, add_into, apply_counit,
+                   dual_hopf, insert_unit_leg, split_leg, tensor_mult, unit_tensor)
 from .linalg import (LinAlgError, Matrix, Subspace, differing_entries, differing_keys, kron_sum,
                      solve)
 from .report import CheckReport
 from .scalar import Cyclo
 
 
-# -- sparse tensor-algebra helpers -------------------------------------------
-
-
-def tensor_mult(legs, a: dict, b: dict) -> dict:
-    """Product in a tensor product of algebras; keys are index tuples."""
-    out: dict = {}
-    for ka, ca in a.items():
-        for kb, cb in b.items():
-            c = ca * cb
-            _accumulate(legs, ka, kb, c, out)
-    return out
-
-
-def _accumulate(legs, ka, kb, coeff, out, pos=0, prefix=()):
-    if pos == len(legs):
-        add_into(out, prefix, coeff)
-        return
-    alg = legs[pos]
-    for t, m in alg.mult[ka[pos]][kb[pos]].items():
-        _accumulate(legs, ka, kb, coeff * m, out, pos + 1, prefix + (t,))
-
-
-def unit_tensor(legs) -> dict:
-    out: dict = {}
-
-    def rec(pos, prefix, c):
-        if pos == len(legs):
-            out[prefix] = c
-            return
-        for i, v in legs[pos].unit.items():
-            rec(pos + 1, prefix + (i,), v if c is None else c * v)
-
-    rec(0, (), None)
-    return out
-
-
-def apply_comult(h: HopfAlgebraData, elem: dict, leg: int) -> dict:
-    """Replace tensor leg ``leg`` by its comultiplication (leg splits in two)."""
-    out: dict = {}
-    for key, c in elem.items():
-        for (i, j), d in h.comult[key[leg]].items():
-            new = key[:leg] + (i, j) + key[leg + 1:]
-            add_into(out, new, c * d)
-    return out
-
-
-def apply_coaction(s: ComoduleAlgebraData, elem: dict, leg: int) -> dict:
-    """Replace the S-leg by its coaction legs (H index then S index)."""
-    out: dict = {}
-    for key, c in elem.items():
-        for (hi, si), d in s.coaction[key[leg]].items():
-            new = key[:leg] + (hi, si) + key[leg + 1:]
-            add_into(out, new, c * d)
-    return out
-
-
-def insert_unit_leg(h_or_alg, elem: dict, position: int) -> dict:
-    out: dict = {}
-    unit = h_or_alg.unit if not hasattr(h_or_alg, "alg") else h_or_alg.alg.unit
-    for key, c in elem.items():
-        for u, v in unit.items():
-            add_into(out, key[:position] + (u,) + key[position:], c * v)
-    return out
-
-
-def apply_counit(h: HopfAlgebraData, elem: dict, leg: int) -> dict:
-    out: dict = {}
-    for key, c in elem.items():
-        e = h.counit[key[leg]]
-        if not e.is_zero():
-            add_into(out, key[:leg] + key[leg + 1:], c * e)
-    return out
+# -- flattened keys and element actions -------------------------------------
 
 
 def flatten_key(key, dims) -> int:
@@ -206,13 +138,9 @@ def verify_twist(t: TwistElement) -> CheckReport:
         report.add("invertible in H (x) H (x) S", False, 1)
 
     # base compatibility: J . (Delta x id)(delta(s)) = (Delta x id)(delta(s)) . J
-    one = Cyclo.one(t.order)
     bad = 0
     for si in range(s.dim):
-        sigma: dict = {}
-        for (hi, ki), c in s.coaction[si].items():
-            for (a, b), d in h.comult[hi].items():
-                add_into(sigma, (a, b, ki), c * d)
+        sigma = split_leg(h.comult, s.coaction[si], 0)
         lhs = tensor_mult(legs3, t.coeffs, sigma)
         rhs = tensor_mult(legs3, sigma, t.coeffs)
         if lhs != rhs:
@@ -221,10 +149,10 @@ def verify_twist(t: TwistElement) -> CheckReport:
 
     # shifted cocycle equation in H (x) H (x) H (x) S
     legs4 = [h.alg, h.alg, h.alg, s.alg]
-    outer_l = apply_comult(h, t.coeffs, 0)
-    inner_l = apply_coaction(s, t.coeffs, 2)
+    outer_l = split_leg(h.comult, t.coeffs, 0)
+    inner_l = split_leg(s.coaction, t.coeffs, 2)
     lhs = tensor_mult(legs4, outer_l, inner_l)
-    outer_r = apply_comult(h, t.coeffs, 1)
+    outer_r = split_leg(h.comult, t.coeffs, 1)
     inner_r = insert_unit_leg(h.alg, t.coeffs, 0)
     rhs = tensor_mult(legs4, outer_r, inner_r)
     bad = differing_keys(lhs, rhs)
@@ -254,9 +182,9 @@ def gauge_check(t1: TwistElement, t2: TwistElement, g: GaugeElement) -> CheckRep
     bad = differing_keys(apply_counit(h, g.coeffs, 0), unit_tensor([s.alg]))
     report.add("normalisation (eps x id)t = 1", bad == 0, bad)
 
-    lhs = tensor_mult(legs3, apply_comult(h, g.coeffs, 0), t1.coeffs)
+    lhs = tensor_mult(legs3, split_leg(h.comult, g.coeffs, 0), t1.coeffs)
     rhs = tensor_mult(legs3, t2.coeffs, insert_unit_leg(h.alg, g.coeffs, 0))
-    rhs = tensor_mult(legs3, rhs, apply_coaction(s, g.coeffs, 1))
+    rhs = tensor_mult(legs3, rhs, split_leg(s.coaction, g.coeffs, 1))
     bad = differing_keys(lhs, rhs)
     report.add("gauge transformation identity", bad == 0, bad)
     return report
@@ -272,9 +200,9 @@ def gauge_transform(t1: TwistElement, g: GaugeElement) -> TwistElement:
     """
     h, s = t1.h, t1.s
     legs3 = t1.legs
-    left = tensor_mult(legs3, apply_comult(h, g.coeffs, 0), t1.coeffs)
+    left = tensor_mult(legs3, split_leg(h.comult, g.coeffs, 0), t1.coeffs)
     right = tensor_mult(legs3, insert_unit_leg(h.alg, g.coeffs, 0),
-                        apply_coaction(s, g.coeffs, 1))
+                        split_leg(s.coaction, g.coeffs, 1))
     right_inv = invert_element(legs3, right, t1.order)
     coeffs = tensor_mult(legs3, left, right_inv)
     return TwistElement(h, s, coeffs)
@@ -311,34 +239,25 @@ def build_twisted_galois(t: TwistElement) -> tuple:
     def bidx(a, k):
         return a * sdim + k
 
+    # (alpha_a (x) k)(beta_b (x) s) = sum (x1 -> alpha_a)(x2 -> beta_b) (x) x3 s
+    # over X_k = J (1 (x) delta(k)) = sum J1 (x) J2 k_-1 (x) J3 k_0
     mult = [[dict() for _ in range(dim)] for _ in range(dim)]
-    for a in range(hdim):
-        for k in range(sdim):
-            deltak = s.coaction[k]
+    for k in range(sdim):
+        xk = tensor_mult(t.legs, t.coeffs, insert_unit_leg(h.alg, s.coaction[k], 0))
+        for a in range(hdim):
             for b in range(hdim):
                 for ss in range(sdim):
                     acc: dict = {}
-                    for (j1, j2, j3), cj in t.coeffs.items():
-                        alpha1 = hit_cols[j1][a]          # J1 -> alpha, sparse dict
-                        for (km1, k0), cd in deltak.items():
-                            j2k = h.alg.mult[j2][km1]
-                            beta: dict = {}
-                            for hh, cm in j2k.items():
-                                for bb, cb in hit_cols[hh][b].items():
-                                    add_into(beta, bb, cm * cb)
-                            spart = s.alg.multiply(s.alg.mult[j3][k0],
-                                                   {ss: one})
-                            for a1, c1 in alpha1.items():
-                                for b1, c2 in beta.items():
-                                    coeff = cj * cd * c1 * c2
-                                    for prod_idx, cp in dualmult[a1][b1].items():
-                                        for s_idx, cs in spart.items():
-                                            add_into(acc, bidx(prod_idx, s_idx),
-                                                     coeff * cp * cs)
+                    for (x1, x2, x3), cx in xk.items():
+                        spart = s.alg.mult[x3][ss]
+                        for a1, c1 in hit_cols[x1][a].items():
+                            for b1, c2 in hit_cols[x2][b].items():
+                                coeff = cx * c1 * c2
+                                for prod_idx, cp in dualmult[a1][b1].items():
+                                    for s_idx, cs in spart.items():
+                                        add_into(acc, bidx(prod_idx, s_idx), coeff * cp * cs)
                     mult[bidx(a, k)][bidx(b, ss)] = acc
-    counit_unit = {bidx(a, k): h.counit[a] * v
-                   for a in range(hdim) if not h.counit[a].is_zero()
-                   for k, v in s.alg.unit.items()}
+    counit_unit = {bidx(a, k): c for (a, k), c in unit_tensor([hdual.alg, s.alg]).items()}
     b_alg = AlgebraData(dim, mult, counit_unit, order, name="B")
     report.merge(b_alg.verify(), prefix="B: ")
 

@@ -225,7 +225,7 @@ def test_max_dim_guard(tmp_path, monkeypatch):
     "custom example with a malformed mu", "hopf field order beyond DYNTWIST_MAX_DIM",
     "datum field order beyond DYNTWIST_MAX_DIM", "custom field order beyond DYNTWIST_MAX_DIM",
     "datum B not a subgroup", "custom example with n = 0", "custom example with a malformed b",
-    "scalar of a huge order",
+    "scalar of a huge order", "hopf generators that do not generate",
 ])
 def test_malformed_structure_file_exits_two(corruption, tmp_path, capsys, monkeypatch):
     out = str(tmp_path)
@@ -261,6 +261,9 @@ def test_malformed_structure_file_exits_two(corruption, tmp_path, capsys, monkey
     elif corruption == "scalar of a huge order":
         # a prime order that does not divide 2: rejected before it is factored
         hopf["mult"][0][-1] = "[1]@1000000000000000003"
+    elif corruption == "hopf generators that do not generate":
+        # e_0 is the unit of E0's H, so its words span one of the four dimensions
+        hopf["generators"] = [0]
     elif corruption == "hopf field order beyond DYNTWIST_MAX_DIM":
         # Q(zeta_65537) would need phi(N)^2 = 2^32 table entries
         hopf["order"] = 65537

@@ -59,6 +59,21 @@ def test_corrupted_coaction_fails(e0):
     assert any("algebra map" in n for n in names)
 
 
+def test_a_doubled_coaction_entry_fails_with_pinned_counts(e1):
+    # delta(e_1) = e_4 (x) e_1 + e_5 (x) e_0 on E1's K; doubling its (4, 1)
+    # entry breaks coassociativity and the counit law at e_1 only, and the
+    # algebra-map identity at every product that involves it
+    k = e1.k
+    coaction = [dict(d) for d in k.coaction]
+    coaction[1][(4, 1)] = coaction[1][(4, 1)] + coaction[1][(4, 1)]
+    report = verify_comodule_algebra(ComoduleAlgebraData(k.alg, k.over, coaction))
+    assert {c.name: c.residual_nonzero_count for c in report.failures()} == {
+        "coassociativity (Delta x id)delta = (id x delta)delta": 1,
+        "counit law (eps x id)delta = id": 1,
+        "coaction is an algebra map": 19,
+    }
+
+
 def test_coinvariants_of_hopf_over_itself(z2_table):
     h = group_algebra(z2_table, 2)
     k = hopf_as_comodule_over_itself(h)

@@ -1,6 +1,7 @@
 import pytest
 
 from dyntwist.hopf import (
+    HopfAlgebraData,
     StructureError,
     dual_hopf,
     group_algebra,
@@ -42,6 +43,26 @@ def test_corrupted_comultiplication_fails(z2_table):
         rep = verify_hopf(broken)
         assert not rep.ok
         raise StructureError("axioms fail")  # normalize either failure mode
+
+
+@pytest.mark.parametrize("entry", [(0, 1), (1, 4)])
+def test_a_doubled_comultiplication_entry_fails_with_pinned_counts(e1, entry):
+    # Delta(e_1) = e_0 (x) e_1 + e_1 (x) e_4 on E1; doubling either entry
+    # breaks coassociativity and the antipode axioms at e_1 only, the counit
+    # law on leg 0 for (0, 1) and on leg 1 for (1, 4), and the algebra-map
+    # identity at every product that involves e_1
+    h = e1.h
+    comult = [dict(d) for d in h.comult]
+    comult[1][entry] = comult[1][entry] + comult[1][entry]
+    broken = HopfAlgebraData(h.alg, comult, h.counit, antipode=h.antipode)
+    report = verify_hopf(broken)
+    assert {c.name: c.residual_nonzero_count for c in report.failures()} == {
+        "coassociativity": 1,
+        "counit axioms": 1,
+        "comultiplication is an algebra map": 18,
+        "antipode axiom m(S x id)Delta = u eps": 1,
+        "antipode axiom m(id x S)Delta = u eps": 1,
+    }
 
 
 def test_wrong_antipode_inverse_reports_its_residual(z2_table):

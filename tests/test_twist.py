@@ -1,8 +1,14 @@
+import itertools
+import random
+from dataclasses import replace
+from functools import lru_cache
+
 import pytest
 
 from conftest import e0_spec, e1_spec, z3_spec
+from dyntwist.comod import ComoduleAlgebraData
 from dyntwist.datum import MonomialDatum
-from dyntwist.hopf import StructureError
+from dyntwist.hopf import StructureError, group_algebra
 from dyntwist.linalg import Matrix
 from dyntwist.rep import regular_module, trivial_module
 from dyntwist.scalar import Cyclo
@@ -12,6 +18,7 @@ from dyntwist.twist import (
     build_twisted_galois,
     element_action,
     gauge_check,
+    gauge_transform,
     invert_element,
     tensor_mult,
     trivial_twist,
@@ -221,6 +228,76 @@ def test_gauge_transform_with_nontrivial_base_leg(e1_twist, e1_datum):
     assert report.ok, str(report)
 
 
+@lru_cache(maxsize=None)
+def _twist_of(make_spec) -> TwistElement:
+    twist, report = MonomialDatum(make_spec()).compute_twist()
+    assert report.ok, str(report)
+    return twist
+
+
+def _seeded_gauge(twist: TwistElement, rng: random.Random) -> GaugeElement:
+    """g = 1 (x) 1 + sum c (h (x) s), c in [-2, 2], over basis h with eps(h) = 0.
+
+    Each term (h, s) is drawn with probability 1/2.  eps(h) = 0 normalises g,
+    and the sum lies in the nilpotent ideal x H (x) S, so g is invertible.
+    """
+    h, s = twist.h, twist.s
+    coeffs = dict(unit_tensor([h.alg, s.alg]))
+    for hi in range(h.dim):
+        if not h.counit[hi].is_zero():
+            continue
+        for si in range(s.dim):
+            if rng.random() < 0.5:
+                c = rng.randint(-2, 2)
+                if c:
+                    coeffs[(hi, si)] = Cyclo.from_rational(c, twist.order)
+    return GaugeElement(h, s, coeffs)
+
+
+@pytest.mark.parametrize("make_spec", [e0_spec, e1_spec, z3_spec])
+def test_a_seeded_gauge_transform_is_again_a_twist(make_spec):
+    # metamorphic: re-dressing a twist by any normalised invertible g must
+    # give a twist, gauge-equivalent to the first through g
+    twist = _twist_of(make_spec)
+    supports = set()
+    for seed in range(4):
+        g = _seeded_gauge(twist, random.Random(seed))
+        redressed = gauge_transform(twist, g)
+        report = verify_twist(redressed)
+        assert report.ok, str(report)
+        report = gauge_check(twist, redressed, g)
+        assert report.ok, str(report)
+        supports.add(tuple(redressed.dynamical_support))
+    if twist.s.dim > 1:
+        # a base of dimension > 1 lets the re-dressed twist vary with the base point
+        assert any(len(support) > 1 for support in supports)
+
+
+def _conjugate(c: Cyclo, k: int) -> Cyclo:
+    """c with zeta_N -> zeta_N^k, from c's coefficients in the power basis."""
+    out = Cyclo.zero(c.order)
+    for power, q in enumerate(c.coeffs):
+        if q:
+            out = out + Cyclo.zeta(c.order, power * k).scaled(q)
+    return out
+
+
+def test_galois_conjugate_datum_gives_the_conjugate_twist():
+    # sigma_2: zeta_3 -> zeta_3^2 fixes Q, so applied to every structure
+    # constant of the datum it must carry the twist and its inverse along
+    spec = z3_spec()
+    conj_spec = replace(spec, chi=[_conjugate(c, 2) for c in spec.chi],
+                        mu=_conjugate(spec.mu, 2))
+    assert conj_spec.chi != spec.chi
+    twist = _twist_of(z3_spec)
+    conj, report = MonomialDatum(conj_spec).compute_twist()
+    assert report.ok, str(report)
+    assert conj.coeffs != twist.coeffs
+    assert conj.coeffs == {key: _conjugate(c, 2) for key, c in twist.coeffs.items()}
+    assert conj.ensure_inverse() == {key: _conjugate(c, 2)
+                                     for key, c in twist.ensure_inverse().items()}
+
+
 def test_unit_normalisations_on_modules(e1_twist, e1_datum):
     # dynt2 implies the module-level unit laws: the twist acts as the identity
     # when either H-leg is the trivial module
@@ -247,6 +324,22 @@ def test_wrong_counit_leg_counts_each_differing_key_once(e0_datum):
     report = verify_twist(TwistElement(e0_datum.h, s, coeffs))
     assert _residual(report, "(eps x id x id)J = 1 x 1") == ("FAIL", 1)
     assert _residual(report, "(id x eps x id)J = 1 x 1") == ("PASS", 0)
+
+
+def test_a_twist_that_does_not_commute_with_the_base_fails_base_shift():
+    # kS3 coacting on itself by Delta: (Delta x id)delta(q) = q (x) q (x) q, so
+    # J = 1 (x) 1 (x) 1 + p (x) 1 (x) 1 satisfies the base-shift equation at q
+    # exactly when pq = qp; a transposition p fails at the 4 elements outside
+    # its centraliser {1, p}
+    perms = sorted(itertools.permutations(range(3)))
+    index = {p: i for i, p in enumerate(perms)}
+    table = [[index[tuple(p[q[k]] for k in range(3))] for q in perms] for p in perms]
+    h = group_algebra(table, 1)
+    s = ComoduleAlgebraData(h.alg, h, [dict(d) for d in h.comult])
+    coeffs = dict(unit_tensor([h.alg, h.alg, s.alg]))
+    coeffs[(index[(1, 0, 2)], 0, 0)] = Cyclo.one(1)
+    report = verify_twist(TwistElement(h, s, coeffs))
+    assert _residual(report, "base-shift equation (per basis element of S)") == ("FAIL", 4)
 
 
 def test_gauge_with_wrong_counit_leg_counts_each_differing_key_once(e1_twist, e1_datum):
