@@ -17,7 +17,7 @@ import sys
 from typing import TYPE_CHECKING
 
 from .hopf import (AlgebraData, HopfAlgebraData, StructureError, ValidationError,
-                   group_exponent, verify_hopf)
+                   group_exponent, group_generators, verify_hopf)
 from .linalg import Echelon, LinAlgError, Matrix
 from .report import CheckReport
 from .scalar import Cyclo, ScalarError, euler_phi, format_scalar, lcm, parse_scalar
@@ -268,8 +268,15 @@ def module_from_json(doc: dict, algebra: AlgebraData) -> ModuleRep:
     for (a, i, j), c in read_entries(doc, "action", (algebra.dim, dim, dim),
                                      order).items():
         rows[a][i][j] = c
-    mats = [Matrix(dim, dim, r, order) for r in rows]
-    return ModuleRep(algebra, dim, mats, name=doc.get("name", "V"))
+    mod = ModuleRep(algebra, dim, [Matrix(dim, dim, r, order) for r in rows],
+                    name=doc.get("name", "V"))
+    # the stabilizer commands take a module on trust, so one that is not is bad input
+    failed = mod.verify().failures()
+    if failed:
+        raise InputError("module %s is not a %s-module: %s" % (
+            mod.name, algebra.name, "; ".join("%s FAIL (nonzero residuals: %d)"
+                                              % (c.name, c.residual_nonzero_count) for c in failed)))
+    return mod
 
 
 def twist_to_json(t: TwistElement) -> dict:
@@ -343,6 +350,11 @@ def datum_from_json(doc: dict):
     if (not size or any(row != elements for row in rows)
             or any(sorted(col) != elements for col in zip(*table))):
         raise InputError("group must be a Latin square on 0, ..., |G| - 1")
+    # Light's test: the g with (xg)y = x(gy) for all x, y are closed under
+    # products, so checking the generators checks the whole table
+    for g in group_generators(table):
+        if any(table[table[x][g]][y] != table[x][table[g][y]] for x in elements for y in elements):
+            raise InputError("group table is not associative")
     chi_raw, mu_raw = doc["chi"], doc["mu"]
     if not (isinstance(chi_raw, list) and len(chi_raw) == size
             and all(isinstance(c, str) for c in chi_raw + [mu_raw])):
@@ -350,13 +362,17 @@ def datum_from_json(doc: dict):
     n = int_field(doc, "n")
     order = lcm(group_exponent(table), n, _scalar_order(mu_raw))
     guard_order(order)
+    subsets = {key: index_list(doc[key], size, key) for key in ("F", "B")}
+    for key, indices in subsets.items():
+        if len(set(indices)) != len(indices):
+            raise InputError("%s lists an index twice" % key)
     return DatumSpec(
         table=table,
         chi=[parse_scalar(c, order) for c in chi_raw],
         g=index_list([doc["g"]], size, "g")[0],
         n=n,
-        f_indices=index_list(doc["F"], size, "F"),
-        b_indices=index_list(doc["B"], size, "B"),
+        f_indices=subsets["F"],
+        b_indices=subsets["B"],
         mu=parse_scalar(mu_raw, order),
     ), order
 

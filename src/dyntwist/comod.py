@@ -20,6 +20,7 @@ from .linalg import (
     LinAlgError,
     Matrix,
     Subspace,
+    balanced_relations,
     differing_entries,
     differing_keys,
     flatten,
@@ -409,15 +410,9 @@ def _verify_witness(k: ComoduleAlgebraData, w: Subspace) -> tuple[bool, str]:
 
 def subhopf_comodule(embed: SubHopfEmbedding, name: str | None = None) -> ComoduleAlgebraData:
     """A Hopf subalgebra A as a left H-comodule algebra, delta = (embed (x) id) Delta."""
-    a, h = embed.small, embed.big
-    coaction = []
-    for k in range(a.dim):
-        out: dict = {}
-        for (i, j), c in a.comult[k].items():
-            for hi, ci in embed.embed_elem({i: Cyclo.one(a.order)}).items():
-                add_into(out, (hi, j), c * ci)
-        coaction.append(out)
-    return ComoduleAlgebraData(a.alg, h, coaction, name=name or (a.name + "_comod"))
+    a = embed.small
+    coaction = [split_leg(embed.table, a.comult[k], 0) for k in range(a.dim)]
+    return ComoduleAlgebraData(a.alg, embed.big, coaction, name=name or (a.name + "_comod"))
 
 
 # -- Hopf-Galois canonical map ------------------------------------------------
@@ -471,21 +466,9 @@ def canonical_map(k_over_a: ComoduleAlgebraData, r: Subspace) -> GaloisData:
     kk = dim * dim
     one = Cyclo.one(order)
     # relation subspace span{k r (x) s - k (x) r s}
-    relations = []
-    for relem in r.vectors():
-        if relem == k_over_a.alg.unit:
-            continue
-        for i in range(dim):
-            kr = k_over_a.alg.multiply({i: one}, relem)
-            for j in range(dim):
-                vec = {}
-                for t, c in kr.items():
-                    add_into(vec, t * dim + j, c)
-                for t, c in k_over_a.alg.multiply(relem, {j: one}).items():
-                    add_into(vec, i * dim + t, -c)
-                if vec:
-                    relations.append(vec)
-    rel = Subspace.from_vectors(relations, kk, order)
+    alg = k_over_a.alg
+    rel = balanced_relations([(alg.right_mult_matrix(relem), alg.left_mult_matrix(relem))
+                              for relem in r.vectors()], dim, dim, order)
     proj, sec = quotient(kk, rel)
     # can on K (x) K
     can_full = Matrix.from_cols([_can_full_apply(k_over_a, {idx: one}) for idx in range(kk)],

@@ -28,7 +28,7 @@ from .comod import (
 from .hopf import (HopfAlgebraData, StructureError, ValidationError, _group_inverses, add_into,
                    group_algebra, group_exponent)
 from .linalg import (LinAlgError, Matrix, differing_entries, flatten, identity_residual,
-                     inverse, kron, kron_sum, rank, solve, sparse_cols, sparse_solve,
+                     inverse, kron, kron_sum, rank, solve, sparse_solve,
                      unflatten)
 from .monomial import (
     MonomialHopfSpec,
@@ -201,30 +201,26 @@ class AdjunctionEngine:
     # -- element form of xi^-1(id) ----------------------------------------
 
     def obstruction_element(self):
-        """The natural family xi^-1(id) as an element of End(slices) (x) H (x) A.
+        """The natural family xi^-1(id) as an element of H (x) End(slices) (x) A.
 
         Solved once on regular modules; naturality makes it multiplication by
         an element, which is certified against xi^-1(id) solved on small
-        non-regular instances.
+        non-regular instances.  The slice leg is keyed s * nslices + k for
+        the matrix unit E_sk, which sends slice k of T(M) to slice s of
+        T(R(X) (x) M).
         """
         h_reg, a_reg = self.h_reg, self.a_reg
         f, _ = self.xi_inverse_id(h_reg, a_reg)
-        t_a = self.t(a_reg)
-        nslices = t_a.dim // a_reg.dim
-        u_h = _unit_index(self.h.alg)
-        u_a = _unit_index(self.kb.alg)
+        nslices = self.t(a_reg).dim // a_reg.dim
+        u_h, u_a = _unit_index(self.h.alg), _unit_index(self.kb.alg)
+        # rows (s, h, a) of T(R(H) (x) A); columns (h, k, a) of H (x) T(A)
+        row_dims = (nslices, self.h.dim, self.kb.dim)
+        col_dims = (self.h.dim, nslices, self.kb.dim)
         xi_elem: dict = {}
-        # row (s, (h, a)); col (u_h, (kslice, u_a))
-        row_dim = self.h.dim * self.kb.dim
-        for s in range(nslices):
-            for hh in range(self.h.dim):
-                for aa in range(self.kb.dim):
-                    r = s * row_dim + hh * self.kb.dim + aa
-                    frow = f.row(r)
-                    for kslice in range(nslices):
-                        val = frow.get(u_h * t_a.dim + kslice * self.kb.dim + u_a)
-                        if val is not None:
-                            xi_elem[(s, kslice, hh, aa)] = val
+        for k in range(nslices):
+            for r, c in f.col(flatten_key((u_h, k, u_a), col_dims)).items():
+                s, hh, aa = unflatten_key(r, row_dims)
+                xi_elem[(hh, s * nslices + k, aa)] = c
         rebuilt = self.contract_obstruction(xi_elem, h_reg, a_reg)
         if rebuilt != f:
             raise PipelineError(
@@ -240,23 +236,15 @@ class AdjunctionEngine:
                              m: ModuleRep) -> Matrix:
         """Apply the element: x (x) v_k (x) m -> sum v_s (x) h.x (x) a.m."""
         order = self.order
+        one = Cyclo.one(order)
         nslices = self.t(m).dim // m.dim
-        rows = nslices * x.dim * m.dim
-        cols = x.dim * nslices * m.dim
-        data = [{} for _ in range(rows)]
-        x_cols = [sparse_cols(a) for a in x.action]
-        m_cols = [sparse_cols(a) for a in m.action]
-        for (s, kslice, hh, aa), c in xi_elem.items():
-            xc = x_cols[hh]
-            mc = m_cols[aa]
-            for xi in range(x.dim):
-                for xo, cx in xc[xi].items():
-                    ccx = c * cx
-                    for mi in range(m.dim):
-                        for mo, cm in mc[mi].items():
-                            add_into(data[s * (x.dim * m.dim) + xo * m.dim + mo],
-                                     xi * (nslices * m.dim) + kslice * m.dim + mi, ccx * cm)
-        return Matrix(rows, cols, data, order)
+        units = [Matrix(nslices, nslices, [{k: one} if i == s else {} for i in range(nslices)],
+                        order) for s in range(nslices) for k in range(nslices)]
+        act = element_action(xi_elem, [x.action, units, m.action], order)
+        # rows (x, s, m) -> (s, x, m): T(R(X) (x) M) keeps its slice leg in front
+        rows = [act.row((xo * nslices + s) * m.dim + mo)
+                for s in range(nslices) for xo in range(x.dim) for mo in range(m.dim)]
+        return Matrix(act.rows, act.cols, rows, order)
 
     def _certification_pairs(self):
         pairs = [(self.triv_h, self.triv_a), (self.triv_h, self.a_reg)]

@@ -6,9 +6,10 @@ as ``comult[k] = {(i, j): c}`` meaning Delta(e_k) = sum c e_i (x) e_j.
 
 Elements of a tensor product of algebras are sparse dicts keyed by index
 tuples, one index per leg.  The sparse tensor-element kernel here (products,
-a leg split by Delta or a coaction, the counit on a leg, unit legs) is what
-every tensor identity of the package is written with: the Hopf and
-comodule-algebra axioms, the twist equations and the twisted product.
+a leg split by Delta or a coaction or mapped by a linear map, the counit on a
+leg, unit legs) is what every tensor identity of the package is written with:
+the Hopf and comodule-algebra axioms, the embedding of a Hopf subalgebra, the
+twist equations and the twisted product.
 """
 
 from __future__ import annotations
@@ -76,15 +77,17 @@ def unit_tensor(legs) -> dict:
 
 
 def split_leg(table, elem: dict, leg: int) -> dict:
-    """Replace tensor leg ``leg`` by its image under ``table`` (the leg splits in two).
+    """Replace tensor leg ``leg`` by its image under the linear map ``table``.
 
-    ``table[k] = {(i, j): c}`` is a comultiplication ``h.comult`` or a
-    coaction ``s.coaction`` (H index, then S index).
+    ``table[k] = {sub: c}`` sends basis index k to sum c e_sub, where ``sub``
+    is an index tuple of any length: a comultiplication ``h.comult`` or a
+    coaction ``s.coaction`` (H index, then S index) splits the leg in two,
+    and a table of one-index keys ``{(i,): c}`` maps it into another algebra.
     """
     out: dict = {}
     for key, c in elem.items():
-        for (i, j), d in table[key[leg]].items():
-            add_into(out, key[:leg] + (i, j) + key[leg + 1:], c * d)
+        for sub, d in table[key[leg]].items():
+            add_into(out, key[:leg] + sub + key[leg + 1:], c * d)
     return out
 
 

@@ -538,6 +538,22 @@ def intersect(u: Subspace, v: Subspace) -> Subspace:
     return Subspace.from_vectors(vectors, u.ambient_dim, order)
 
 
+def balanced_relations(pairs, d1: int, d2: int, order: int) -> Subspace:
+    """The relations of a balanced tensor product X (x)_A Y, dim X = d1, dim Y = d2.
+
+    The span of the columns of R (x) 1 - 1 (x) L over the pairs (R, L), where
+    R acts on X from the right and L on Y from the left by the same element
+    of A: the vectors x.a (x) y - x (x) a.y.  Its basis is canonical, so the
+    quotient by it does not depend on the order of the pairs.
+    """
+    one = Cyclo.one(order)
+    id1, id2 = Matrix.identity(d1, order), Matrix.identity(d2, order)
+    vectors = []
+    for r, l in pairs:
+        vectors += sparse_cols(kron_sum([(one, r, id2), (-one, id1, l)], d1 * d2, d1 * d2, order))
+    return Subspace.from_vectors(vectors, d1 * d2, order)
+
+
 def quotient(ambient_dim: int, w: Subspace) -> tuple[Matrix, Matrix]:
     """Projection and section for ambient/W.
 

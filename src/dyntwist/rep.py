@@ -4,6 +4,10 @@ Covers: intertwiner spaces, coaction-twisted tensor action of an H-module on
 a K-module, restriction and induction along a Hopf subalgebra, duals, and
 the mutually inverse natural maps between (Ind_A^H V)* and Hom_A(H, V*).
 
+A Hopf subalgebra embedding carries its matrix as a leg map, so its
+comultiplication check is two ``hopf.split_leg`` calls; induction divides
+H (x) V by ``linalg.balanced_relations``.
+
 Every intertwiner equation f S(g) = T(g) f, here and in xi^-1, is written by
 ``_orbit_reduction``: the generators acting monomially on both sides are
 solved exactly into orbits of unknowns, and only the others become rows.
@@ -11,11 +15,11 @@ solved exactly into orbits of unknowns, and only the others become rows.
 
 from __future__ import annotations
 
-from .hopf import AlgebraData, HopfAlgebraData, StructureError, add_into
+from .hopf import AlgebraData, HopfAlgebraData, StructureError, add_into, split_leg
 from .linalg import (
     Echelon,
     Matrix,
-    Subspace,
+    balanced_relations,
     flatten,
     identity_residual,
     kron,
@@ -340,6 +344,8 @@ class SubHopfEmbedding:
         self.small = small
         self.big = big
         self.embed = embed
+        # the embedding as a leg map for ``split_leg``: table[k] = {(i,): c}
+        self.table = [{(i,): c for i, c in col.items()} for col in sparse_cols(embed)]
 
     def embed_elem(self, a: dict) -> dict:
         return self.embed.apply(a)
@@ -363,14 +369,8 @@ class SubHopfEmbedding:
         report.add("embedding is an algebra map", bad == 0, bad)
         bad = 0
         for k in range(self.small.dim):
-            lhs: dict = {}
-            for (i, j), c in self.small.comult[k].items():
-                ei = self.embed_elem({i: one})
-                ej = self.embed_elem({j: one})
-                for a, ca in ei.items():
-                    for b, cb in ej.items():
-                        add_into(lhs, (a, b), c * ca * cb)
-            if lhs != self.big.comult_of(self.embed_elem({k: one})):
+            lhs = split_leg(self.table, split_leg(self.table, self.small.comult[k], 0), 1)
+            if lhs != split_leg(self.big.comult, self.table[k], 0):
                 bad += 1
         report.add("embedding intertwines comultiplication", bad == 0, bad)
         bad = 0
@@ -391,25 +391,12 @@ def induce(embed: SubHopfEmbedding, v: ModuleRep):
     Returns (module, projection, section) where projection/section realise
     the quotient of H (x) V by span{ha (x) w - h (x) aw}.
     """
-    h, a = embed.big, embed.small
+    h = embed.big
     order = h.order
     one = Cyclo.one(order)
-    dim_hv = h.dim * v.dim
-    a_cols = [sparse_cols(m) for m in v.action]
-    relations = []
-    for hi in range(h.dim):
-        for ai in range(a.dim):
-            ha = h.alg.multiply({hi: one}, embed.embed_elem({ai: one}))
-            for vi in range(v.dim):
-                vec: dict = {}
-                for t, c in ha.items():
-                    add_into(vec, t * v.dim + vi, c)
-                for t, c in a_cols[ai][vi].items():
-                    add_into(vec, hi * v.dim + t, -c)
-                if vec:
-                    relations.append(vec)
-    rel = Subspace.from_vectors(relations, dim_hv, order)
-    proj, sec = quotient(dim_hv, rel)
+    rel = balanced_relations([(h.alg.right_mult_matrix(embed.embed_elem({ai: one})), v.action[ai])
+                              for ai in range(embed.small.dim)], h.dim, v.dim, order)
+    proj, sec = quotient(h.dim * v.dim, rel)
     qdim = proj.rows
     mats = []
     idv = Matrix.identity(v.dim, order)

@@ -5,7 +5,8 @@ serves as a dimension oracle; the pipeline consumes the realized form
 Hom_K(H (x) V, W) with right-translation H-action, which satisfies the same
 adjunction and dimension formula.  The Galois transport to Hom_A(H, Hom(V,W))
 is a reshape whose content is the pair of module constraints it exchanges;
-both directions are verified exactly.
+both directions are verified exactly.  Currying and composition of
+stabilizer elements are matrix products with Kronecker products (``kron``).
 """
 
 from __future__ import annotations
@@ -118,21 +119,15 @@ def stab_hom_realized(k: ComoduleAlgebraData, v: ModuleRep, w: ModuleRep,
 
 def curry_map(k: ComoduleAlgebraData, x: ModuleRep, v: ModuleRep, w: ModuleRep,
               f: Matrix) -> list[Matrix]:
-    """curry(f)(x)(h (x) u) = f(h.x (x) u) for each basis vector of X."""
-    h = k.over
+    """curry(f)(x)(h (x) u) = f(h.x (x) u) for each basis vector of X.
+
+    curry(f)(x_i) = f . (c_i (x) 1), with c_i: H -> X the orbit map h -> h.x_i.
+    """
     order = k.order
-    f_cols = sparse_cols(f)
     x_cols = [sparse_cols(a) for a in x.action]
-    out = []
-    for xi in range(x.dim):
-        data = [{} for _ in range(w.dim)]
-        for hi in range(h.dim):
-            for xj, c in x_cols[hi][xi].items():
-                for u in range(v.dim):
-                    for t, val in f_cols[xj * v.dim + u].items():
-                        add_into(data[t], hi * v.dim + u, c * val)
-        out.append(Matrix(w.dim, h.dim * v.dim, data, order))
-    return out
+    idv = Matrix.identity(v.dim, order)
+    return [f * kron(Matrix.from_cols([cols[xi] for cols in x_cols], x.dim, order), idv)
+            for xi in range(x.dim)]
 
 
 def uncurry_map(k: ComoduleAlgebraData, x: ModuleRep, v: ModuleRep, w: ModuleRep,
@@ -216,20 +211,16 @@ def stab_galois_transport(g: GaloisData, embed: SubHopfEmbedding,
 
 def stab_compose(k: ComoduleAlgebraData, u: ModuleRep, v: ModuleRep, w: ModuleRep,
                  f: Matrix, gmap: Matrix) -> Matrix:
-    """Composition St(V,W) (x) St(U,V) -> St(U,W): (f o g)(h (x) x) = f(h_2 (x) g(h_1 (x) x))."""
+    """Composition St(V,W) (x) St(U,V) -> St(U,W): (f o g)(h (x) x) = f(h_2 (x) g(h_1 (x) x)).
+
+    As matrices, f o g = f . (1 (x) g) . (tau Delta (x) 1) with tau Delta(h) = h_2 (x) h_1.
+    """
     h = k.over
     order = k.order
-    g_cols = sparse_cols(gmap)
-    f_cols = sparse_cols(f)
-    out = [{} for _ in range(w.dim)]
-    for hi in range(h.dim):
-        for (h1, h2), c in h.comult[hi].items():
-            for x in range(u.dim):
-                # g(h_1 (x) x) in V
-                for vv, gval in g_cols[h1 * u.dim + x].items():
-                    for t, fval in f_cols[h2 * v.dim + vv].items():
-                        add_into(out[t], hi * u.dim + x, c * gval * fval)
-    return Matrix(w.dim, h.dim * u.dim, out, order)
+    tau_delta = Matrix.from_cols([{h2 * h.dim + h1: c for (h1, h2), c in h.comult[hi].items()}
+                                  for hi in range(h.dim)], h.dim * h.dim, order)
+    return (f * kron(Matrix.identity(h.dim, order), gmap)
+            * kron(tau_delta, Matrix.identity(u.dim, order)))
 
 
 def stab_unit(k: ComoduleAlgebraData, v: ModuleRep) -> Matrix:

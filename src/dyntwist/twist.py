@@ -306,8 +306,10 @@ def _check_can_inverse_formula(t, hdual, hit_cols, gal, report) -> None:
     proj = gal.projection
     cols = [None] * (hdim * dim)
     # basis of B (x) H*cop: (gamma a, r k, beta b)
-    for a in range(hdim):
-        for k in range(sdim):
+    for k in range(sdim):
+        # r_j3 r_k for each S-leg index j3 of J^-1
+        sparts = {j3: s.alg.multiply({j3: one}, {k: one}) for j3 in {key[2] for key in jinv}}
+        for a in range(hdim):
             for b in range(hdim):
                 acc: dict = {}
                 for (b1, b2), cb in hdual.comult[b].items():
@@ -321,7 +323,7 @@ def _check_can_inverse_formula(t, hdual, hit_cols, gal, report) -> None:
                         for gk, gc in gs.items():
                             for lk, lc in hit_cols[j1][gk].items():
                                 add_into(left, lk, gc * lc)
-                        spart = s.alg.multiply({j3: one}, {k: one})
+                        spart = sparts[j3]
                         for lk, lc in left.items():
                             for uk, uv in s.alg.unit.items():
                                 bi = lk * sdim + uk

@@ -218,6 +218,16 @@ def test_max_dim_guard(tmp_path, monkeypatch):
     assert run(["verify", "hopf", os.path.join(out, "e1_hopf.json")]) == 0
 
 
+# the message names the cause, not a consequence met further on
+NAMED_CAUSE = {
+    "module that is not a K-module":
+        "rho(e_i)rho(e_j) = rho(e_i e_j) FAIL (nonzero residuals: 19)",
+    "datum group not associative": "group table is not associative",
+    "datum group associative at its first generator only": "group table is not associative",
+    "datum F with a repeated index": "F lists an index twice",
+}
+
+
 @pytest.mark.parametrize("corruption", [
     "negative mult index", "mult index out of range", "missing comult",
     "duplicate mult entry", "invalid DYNTWIST_MAX_DIM", "gauge index out of range",
@@ -226,6 +236,8 @@ def test_max_dim_guard(tmp_path, monkeypatch):
     "datum field order beyond DYNTWIST_MAX_DIM", "custom field order beyond DYNTWIST_MAX_DIM",
     "datum B not a subgroup", "custom example with n = 0", "custom example with a malformed b",
     "scalar of a huge order", "hopf generators that do not generate",
+    "module that is not a K-module", "datum group not associative",
+    "datum group associative at its first generator only", "datum F with a repeated index",
 ])
 def test_malformed_structure_file_exits_two(corruption, tmp_path, capsys, monkeypatch):
     out = str(tmp_path)
@@ -264,6 +276,22 @@ def test_malformed_structure_file_exits_two(corruption, tmp_path, capsys, monkey
     elif corruption == "hopf generators that do not generate":
         # e_0 is the unit of E0's H, so its words span one of the four dimensions
         hopf["generators"] = [0]
+    elif corruption == "module that is not a K-module":
+        # E1's T(triv) with one action entry changed: every shape is still right
+        from conftest import e1_spec
+        from dyntwist.cli import module_to_json
+        from dyntwist.datum import MonomialDatum
+        from dyntwist.rep import trivial_module
+        run(["example", "E1", "--out-dir", out])
+        datum_e1 = MonomialDatum(e1_spec())
+        module = module_to_json(datum_e1.engine.t(trivial_module(datum_e1.kb, name="triv")))
+        assert module["action"][2] == [1, 0, 1, "1"]
+        module["action"][2][-1] = "7"
+        module_path = os.path.join(out, "v.json")
+        with open(module_path, "w") as fh:
+            json.dump(module, fh)
+        argv = ["stab", os.path.join(out, "e1_hopf.json"), os.path.join(out, "e1_comodule.json"),
+                module_path, module_path]
     elif corruption == "hopf field order beyond DYNTWIST_MAX_DIM":
         # Q(zeta_65537) would need phi(N)^2 = 2^32 table entries
         hopf["order"] = 65537
@@ -285,6 +313,19 @@ def test_malformed_structure_file_exits_two(corruption, tmp_path, capsys, monkey
             datum["mu"] = "[%s]@65537" % ",".join(["1"] + ["0"] * 65535)
         elif corruption == "datum B not a subgroup":
             datum["B"] = [1]  # in range, without the identity
+        elif corruption == "datum group not associative":
+            # a Latin square with identity 0, so a loop, but (1*1)*2 = 2 != 4 = 1*(1*2)
+            datum.update(group=[[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3],
+                                [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]],
+                         chi=["1"] * 5, g=0, n=1, F=[0, 1, 2, 3, 4], B=[0, 1, 2, 3, 4], mu="1")
+        elif corruption == "datum group associative at its first generator only":
+            # a loop of order 6 generated by 1 and 2: (x*1)*y = x*(1*y) for all x, y,
+            # but (1*2)*3 = 0 != 2 = 1*(2*3)
+            datum.update(group=[[0, 1, 2, 3, 4, 5], [1, 0, 4, 5, 2, 3], [2, 5, 3, 4, 0, 1],
+                                [3, 4, 1, 2, 5, 0], [4, 3, 5, 0, 1, 2], [5, 2, 0, 1, 3, 4]],
+                         chi=["1"] * 6, g=0, n=1, F=list(range(6)), B=list(range(6)), mu="1")
+        elif corruption == "datum F with a repeated index":
+            datum["F"] = [0, 0, 1]
         else:
             datum["group"] = [[0, 1], [1, 1]]  # has an identity; 1 has no order
     for path, doc in ((hopf_path, hopf), (datum_path, datum)):
@@ -295,6 +336,7 @@ def test_malformed_structure_file_exits_two(corruption, tmp_path, capsys, monkey
     assert run(["--report", report_path] + argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("input error: ")
+    assert NAMED_CAUSE.get(corruption, "") in err
     # exit 2 still leaves a report document, with the reason and no checks
     doc = json.loads(open(report_path).read())
     command = " ".join(argv[:2]) if argv[0] in ("verify", "example") else argv[0]

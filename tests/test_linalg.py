@@ -8,6 +8,7 @@ from dyntwist.linalg import (
     LinAlgError,
     Matrix,
     Subspace,
+    balanced_relations,
     column_echelonize,
     differing_entries,
     identity_residual,
@@ -133,6 +134,68 @@ def test_quotient_diagonal_line():
     # projection composed with inclusion of W vanishes exactly
     residual = proj * w.basis
     assert all(residual.entry(0, j).is_zero() for j in range(residual.cols))
+
+
+def _relations_by_hand(actions, d1, d2, order):
+    """x_i r (x) y_j - x_i (x) r y_j, written out entry by entry.
+
+    ``actions`` holds, per element r, the list of the x_i r and the list of
+    the r y_j as sparse vectors.
+    """
+    vectors = []
+    for right, left in actions:
+        for i in range(d1):
+            for j in range(d2):
+                vec = {t * d2 + j: c for t, c in right[i].items()}
+                for t, c in left[j].items():
+                    vec[i * d2 + t] = vec.get(i * d2 + t, Cyclo.zero(order)) - c
+                vectors.append({k: c for k, c in vec.items() if not c.is_zero()})
+    return Subspace.from_vectors(vectors, d1 * d2, order)
+
+
+def test_balanced_relations_of_e1_h_over_kb_on_the_trivial_module(e1):
+    # h b (x) 1 - eps(b) h (x) 1; the quotient H (x)_kB triv has dim H / dim kB = 4
+    h, kb, one = e1.h, e1.kb, Cyclo.one(2)
+    images = [e1.embed_b.embed_elem({b: one}) for b in range(kb.dim)]
+    hand = _relations_by_hand([([h.alg.multiply({i: one}, a) for i in range(h.dim)],
+                                [{0: kb.counit[b]}]) for b, a in enumerate(images)],
+                              h.dim, 1, 2)
+    got = balanced_relations([(h.alg.right_mult_matrix(a), Matrix.from_rows([[kb.counit[b]]], 2))
+                              for b, a in enumerate(images)], h.dim, 1, 2)
+    assert got == hand
+    assert h.dim - got.dim == 4
+
+
+def test_balanced_relations_of_kz3_over_itself():
+    # kZ3 (x)_kZ3 kZ3 = kZ3; multiplication by a 3-cycle is not a symmetric matrix
+    from conftest import cyclic_table
+    from dyntwist.hopf import group_algebra
+    alg, one = group_algebra(cyclic_table(3), 1).alg, Cyclo.one(1)
+    elements = [{g: one} for g in range(3)]
+    hand = _relations_by_hand([([alg.multiply({i: one}, x) for i in range(3)],
+                                [alg.multiply(x, {j: one}) for j in range(3)]) for x in elements],
+                              3, 3, 1)
+    got = balanced_relations([(alg.right_mult_matrix(x), alg.left_mult_matrix(x))
+                              for x in elements], 3, 3, 1)
+    assert got == hand
+    assert 9 - got.dim == 3
+
+
+def test_balanced_relations_of_the_twisted_algebra_over_its_coinvariants(e1_twist):
+    # B^op (x)_R B^op for E1's twist, R = eps (x) S: k r (x) s - k (x) r s
+    from dyntwist.twist import build_twisted_galois
+    (_, gal), _ = build_twisted_galois(e1_twist)
+    alg, dim, order = gal.comodule.alg, gal.comodule.dim, gal.comodule.order
+    one = Cyclo.one(order)
+    r = gal.coinvariant_basis.vectors()
+    hand = _relations_by_hand([([alg.multiply({i: one}, x) for i in range(dim)],
+                                [alg.multiply(x, {j: one}) for j in range(dim)]) for x in r],
+                              dim, dim, order)
+    got = balanced_relations([(alg.right_mult_matrix(x), alg.left_mult_matrix(x)) for x in r],
+                             dim, dim, order)
+    assert got == hand
+    assert 0 < got.dim < dim * dim
+    assert quotient(dim * dim, got)[0] == gal.projection
 
 
 def test_kron_identities():

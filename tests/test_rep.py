@@ -108,6 +108,22 @@ def test_induce_from_scalars_is_free(e1):
     assert ind.verify().ok
 
 
+def test_an_embedding_that_negates_g_fails_with_pinned_counts(kz2):
+    # kZ2 -> kZ2, g -> -g: an injective algebra map, but Delta(-g) = -g (x) g is
+    # not (-g) (x) (-g), and eps(-g) = -1 while S(-g) = -g still matches
+    from dyntwist.rep import SubHopfEmbedding
+    minus_one = Cyclo.from_rational(-1, 2)
+    emb = SubHopfEmbedding(kz2, kz2, Matrix.from_rows([[Cyclo.one(2), Cyclo.zero(2)],
+                                                      [Cyclo.zero(2), minus_one]], 2))
+    counts = {c.name: (c.status, c.residual_nonzero_count) for c in emb.verify().checks}
+    assert counts == {
+        "embedding injective": ("PASS", 0),
+        "embedding is an algebra map": ("PASS", 0),
+        "embedding intertwines comultiplication": ("FAIL", 1),
+        "embedding intertwines counit and antipode": ("FAIL", 1),
+    }
+
+
 def test_hom_module_dims(e1):
     triv = trivial_module(e1.kb)
     mod, basis = hom_module(e1.embed_b, triv)

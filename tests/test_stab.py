@@ -170,3 +170,22 @@ def test_stab_composition_h_equivariance(e0, e0_t_triv):
                                         translate(g, h2))
                     rhs = rhs + term.scaled(c)
                 assert lhs == rhs
+
+
+def test_stab_composition_is_the_sweedler_formula(e1, e1_t_triv):
+    # (f o g)(h (x) x) = f(h_2 (x) g(h_1 (x) x)), written out on each basis h (x) x;
+    # E1's H is not cocommutative, so the order of h_1 and h_2 shows
+    t, h = e1_t_triv, e1.h
+    basis = stab_hom_realized(e1.k, t, t, with_action=False).basis
+    for f in basis:
+        for g in basis:
+            cols = []
+            for hi in range(h.dim):
+                for x in range(t.dim):
+                    col = {}
+                    for (h1, h2), c in h.comult[hi].items():
+                        g_x = g.col(h1 * t.dim + x)
+                        for w, val in f.apply({h2 * t.dim + v: gv for v, gv in g_x.items()}).items():
+                            add_into(col, w, c * val)
+                    cols.append(col)
+            assert stab_compose(e1.k, t, t, t, f, g) == Matrix.from_cols(cols, t.dim, 2)
