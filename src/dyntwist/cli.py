@@ -116,6 +116,13 @@ def index_list(values, dim: int, what: str) -> list:
     return values
 
 
+def distinct_indices(values, dim: int, what: str) -> list:
+    """An ``index_list`` that names no index twice."""
+    if len(set(index_list(values, dim, what))) != len(values):
+        raise InputError("%s lists an index twice" % what)
+    return values
+
+
 def read_algebra(doc: dict, dim: int, order: int, name: str) -> AlgebraData:
     """The algebra of a structure file: ``mult``, ``unit`` and optional ``generators``.
 
@@ -362,10 +369,7 @@ def datum_from_json(doc: dict):
     n = int_field(doc, "n")
     order = lcm(group_exponent(table), n, _scalar_order(mu_raw))
     guard_order(order)
-    subsets = {key: index_list(doc[key], size, key) for key in ("F", "B")}
-    for key, indices in subsets.items():
-        if len(set(indices)) != len(indices):
-            raise InputError("%s lists an index twice" % key)
+    subsets = {key: distinct_indices(doc[key], size, key) for key in ("F", "B")}
     return DatumSpec(
         table=table,
         chi=[parse_scalar(c, order) for c in chi_raw],
@@ -514,7 +518,8 @@ def _example_spec(name: str, args):
         except ValueError as exc:
             raise InputError("--b needs comma-separated integers, got %r" % args.b) from exc
         return DatumSpec(table=table, chi=chi, g=g, n=n,
-                         f_indices=list(range(m)), b_indices=b_indices,
+                         f_indices=list(range(m)),
+                         b_indices=distinct_indices(b_indices, m, "--b"),
                          mu=parse_scalar(args.mu, order))
     raise InputError("unknown example %r" % name)
 

@@ -187,14 +187,16 @@ def _close_under_products(seed: list[Matrix], dim: int, order: int) -> list[Matr
 
     basis = [m for m in [Matrix.identity(dim, order)] + seed if grows(m)]
     frontier = list(basis)
+    # right products suffice: the span holds I and is closed under * s for
+    # each seed operator s, so it holds every word in the seed
     while frontier:
         new = []
         for a in frontier:
             for b in seed:
-                for prod in (a * b, b * a):
-                    if grows(prod):
-                        basis.append(prod)
-                        new.append(prod)
+                prod = a * b
+                if grows(prod):
+                    basis.append(prod)
+                    new.append(prod)
         frontier = new
     return basis
 
@@ -264,18 +266,17 @@ def is_h_simple(k: ComoduleAlgebraData) -> SimplicityCertificate:
 
     Procedure: close the operator algebra; its Jacobson radical is the trace
     form radical (faithful module, characteristic zero).  A nonzero radical
-    yields a witness ideal.  Otherwise the commutant is computed and shown to
-    be a division algebra: its centre must be a field, certified by a
-    primitive element with irreducible minimal polynomial over Q; a reducible
-    minimal polynomial instead splits off a central idempotent whose image is
-    a verified witness ideal.
+    yields a witness ideal.  Otherwise the commutant is computed; it is
+    commutative, so K is H-simple exactly when the commutant is a field,
+    certified by a primitive element with irreducible minimal polynomial over
+    Q.  A reducible minimal polynomial instead splits off an idempotent of the
+    commutant whose image is a verified witness ideal.
     """
-    from .polys import (FactorUnknown, factor_rational, poly_deriv, poly_divmod, poly_gcd,
-                        poly_mul, poly_xgcd)
+    from .polys import (FactorUnknown, factor_rational, is_squarefree, poly_divmod, poly_mul,
+                        poly_xgcd)
     from .rep import intertwiner_basis
     order = k.order
     dim = k.dim
-    one = Cyclo.one(order)
     seed = costable_operators(k)
     algebra = _close_under_products(seed, dim, order)
     rad = _radical_basis(algebra, order)
@@ -297,20 +298,16 @@ def is_h_simple(k: ComoduleAlgebraData) -> SimplicityCertificate:
         return SimplicityCertificate(
             SimplicityCertificate.INCONCLUSIVE,
             detail="commutant trace form is degenerate")
-    # centre of the commutant
-    center = _algebra_center(commutant, order)
-    dim_center_q = len(center) * euler_phi(order)
-    phi = euler_phi(order)
+    # the commutant is its own centre: the seed holds every L_a and R_b, so each
+    # f in it has f(a) = a f(1) = f(1) a, i.e. f = R_f(1) with f(1) central
+    dim_q = len(commutant) * euler_phi(order)
 
     for trial in range(MAX_PRIMITIVE_TRIALS):
-        z = _primitive_candidate(center, trial, order)
+        z = _primitive_candidate(commutant, trial, order)
         real = _realify_matrix(z)
-        minpoly = _rational_minpoly(real, dim_center_q + 1)
-        deg = len(minpoly) - 1
-        if deg < dim_center_q:
-            continue
-        if len(poly_gcd(minpoly, poly_deriv(minpoly))) > 1:
-            continue  # not squarefree: not a valid certificate
+        minpoly = _rational_minpoly(real, dim_q + 1)
+        if len(minpoly) - 1 < dim_q or not is_squarefree(minpoly):
+            continue  # not primitive, or not a valid certificate
         try:
             factors = factor_rational(minpoly)
         except FactorUnknown as exc:
@@ -324,7 +321,7 @@ def is_h_simple(k: ComoduleAlgebraData) -> SimplicityCertificate:
                 data={
                     "operator_algebra_dim": len(algebra),
                     "commutant_dim": len(commutant),
-                    "center_dim": len(center),
+                    "center_dim": len(commutant),
                     "minpoly": [str(c) for c in minpoly],
                 })
         # reducible: split a central idempotent e = v*q (z) with p = p1*q
@@ -360,38 +357,22 @@ def _poly_eval_matrix(p, mat: Matrix) -> Matrix:
                     mat.rows, mat.cols, mat.order)
 
 
-def _algebra_center(basis: list[Matrix], order: int) -> list[Matrix]:
-    if not basis:
-        return []
-    dim = basis[0].rows
-    rows = []
-    # unknowns: coordinates x_b over the basis; equations [sum x_b b, g] = 0
-    for g in basis:
-        eqs: dict = {}
-        for bidx, b in enumerate(basis):
-            for i, jj, v in (b * g - g * b).nonzeros():
-                eqs.setdefault(i * dim + jj, {})[bidx] = v
-        rows.extend(eqs[key] for key in sorted(eqs))
-    sols = sparse_kernel_basis(rows, len(basis), order)
-    return [_combine(basis, s) for s in sols]
-
-
-def _primitive_candidate(center: list[Matrix], trial: int, order: int) -> Matrix:
+def _primitive_candidate(commutant: list[Matrix], trial: int, order: int) -> Matrix:
     """Deterministic integer-weight combinations, mixed with powers of zeta.
 
     The zeta powers rotate with the trial index so that even a single-element
-    centre over a nontrivial cyclotomic field gets non-rational candidates.
+    commutant over a nontrivial cyclotomic field gets non-rational candidates.
     """
     phi = euler_phi(order)
     terms = []
     w = 1
-    for idx, m in enumerate(center):
+    for idx, m in enumerate(commutant):
         c = Cyclo.from_rational(w, order)
         if phi > 1:
             c = c * Cyclo.zeta(order, (idx + trial) % order)
         terms.append((c, m))
         w = w * (trial + 2) % 1009
-    return kron_sum(terms, center[0].rows, center[0].cols, order)
+    return kron_sum(terms, commutant[0].rows, commutant[0].cols, order)
 
 
 def _verify_witness(k: ComoduleAlgebraData, w: Subspace) -> tuple[bool, str]:

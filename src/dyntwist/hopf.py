@@ -340,12 +340,11 @@ def verify_hopf(h: HopfAlgebraData) -> CheckReport:
     return report
 
 
-def dual_hopf(h: HopfAlgebraData, cop: bool = False) -> HopfAlgebraData:
-    """Dual Hopf algebra on the dual basis; with ``cop`` the coproduct is flipped.
+def dual_hopf(h: HopfAlgebraData) -> HopfAlgebraData:
+    """Dual Hopf algebra on the dual basis.
 
     mult of H* is the transpose of Delta of H, Delta of H* the transpose of
-    mult, unit is the counit, counit is evaluation at 1, antipode is S^T
-    (S^-T for the cop variant, which is again a Hopf algebra).
+    mult, unit is the counit, counit is evaluation at 1, antipode is S^T.
     """
     dim, order = h.dim, h.order
     mult = [[dict() for _ in range(dim)] for _ in range(dim)]
@@ -353,16 +352,14 @@ def dual_hopf(h: HopfAlgebraData, cop: bool = False) -> HopfAlgebraData:
         for (i, j), c in h.comult[k].items():
             add_into(mult[i][j], k, c)
     unit = {i: h.counit[i] for i in range(dim) if not h.counit[i].is_zero()}
-    alg = AlgebraData(dim, mult, unit, order, name=h.name + ("*cop" if cop else "*"))
+    alg = AlgebraData(dim, mult, unit, order, name=h.name + "*")
     comult = [dict() for _ in range(dim)]
     for i in range(dim):
         for j in range(dim):
             for k, c in h.alg.mult[i][j].items():
-                key = (j, i) if cop else (i, j)
-                add_into(comult[k], key, c)
+                add_into(comult[k], (i, j), c)
     counit = [h.alg.unit.get(i, Cyclo.zero(order)) for i in range(dim)]
-    s = h.antipode_inv.transpose() if cop else h.antipode.transpose()
-    return HopfAlgebraData(alg, comult, counit, antipode=s, name=alg.name)
+    return HopfAlgebraData(alg, comult, counit, antipode=h.antipode.transpose(), name=alg.name)
 
 
 def harpoon(h: HopfAlgebraData, elem: dict, gamma: dict) -> dict:

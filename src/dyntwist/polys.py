@@ -2,11 +2,13 @@
 
 Used by the H-simplicity certificate: minimal polynomials of commutant
 elements are factored over Q (idempotents are scalar-agnostic, so working
-over Q decides field-ness of the commutant centre even when the session
-field is a larger cyclotomic).  Factorization is Zassenhaus: Berlekamp over
-a small prime, Hensel lifting, subset recombination.  Degrees seen in
-practice are tiny; hard ceilings turn pathological inputs into an explicit
-"unknown" verdict instead of runaway time.
+over Q decides field-ness of the commutant even when the session field is a
+larger cyclotomic).  Factorization takes one path: the squarefree input is
+made a monic integer polynomial by the substitution x -> x/lc, which
+Zassenhaus factors (Berlekamp over a small prime, Hensel lifting, subset
+recombination).  Degrees seen in practice are tiny; hard ceilings turn
+pathological inputs into an explicit "unknown" verdict instead of runaway
+time.
 """
 
 from __future__ import annotations
@@ -321,97 +323,34 @@ MAX_SUBSET_FACTORS = 14
 
 
 def factor_rational(p) -> list[list[Fraction]]:
-    """Monic irreducible factors over Q of a squarefree polynomial.
+    """Monic irreducible factors over Q of a squarefree polynomial, sorted.
 
-    Raises FactorUnknown past the effort ceilings.
+    One path: the primitive integer form f with leading coefficient lc is
+    made monic by f*(x) = lc^(n-1) f(x/lc), f* is factored by Zassenhaus,
+    and each factor g* maps back to g*(lc x), made monic.  Raises ValueError
+    on input that is not squarefree and FactorUnknown past the ceilings.
     """
-    p = [Fraction(c) for c in trim(p)]
+    p = trim(Fraction(c) for c in p)
     n = degree(p)
     if n <= 0:
         return []
-    lead = p[-1]
-    p = [c / lead for c in p]
-    if n == 1:
-        return [p]
     if not is_squarefree(p):
-        # factor each squarefree part
-        der = poly_deriv(p)
-        g = poly_gcd(p, der)
-        rest, _ = poly_divmod(p, g)
-        out = []
-        for f in factor_rational(rest):
-            out.append(f)
-            q, r = poly_divmod(g, f)
-            while not r and degree(g) >= degree(f):
-                out.append(f)
-                g = q
-                if degree(g) < degree(f):
-                    break
-                q, r = poly_divmod(g, f)
-        # fall back: simple but correct for min-poly use (inputs squarefree)
-        return out
+        raise ValueError("factor_rational needs a squarefree polynomial")
     if n > MAX_FACTOR_DEGREE:
         raise FactorUnknown("degree %d beyond factoring ceiling" % n)
-
-    # strip rational roots first (fast path that settles degree <= 3)
     zp = to_primitive_int(p)
-    factors: list[list[Fraction]] = []
-    work = list(zp)
-    changed = True
-    while changed and degree(work) >= 1:
-        changed = False
-        for root in _rational_root_candidates(work):
-            val = _eval_int(work, root)
-            if val == 0:
-                factors.append([-root, Fraction(1)])
-                work_frac, rem = poly_divmod([Fraction(c) for c in work],
-                                             [-root, Fraction(1)])
-                assert not rem
-                work = to_primitive_int(work_frac)
-                changed = True
-                break
-    if degree(work) <= 0:
-        return sorted(factors)
-    if degree(work) <= 3:
-        # no rational root and degree 2 or 3: irreducible over Q
-        monic = _monic(work)
-        return sorted(factors + [monic])
-    factors.extend(_zassenhaus(work))
-    return sorted(factors)
+    lc = zp[-1]
+    monic = [c * lc ** (n - 1 - i) for i, c in enumerate(zp[:-1])] + [1]
+    out = []
+    for g in _zassenhaus(monic):
+        g = [c * lc ** i for i, c in enumerate(g)]
+        out.append([c / g[-1] for c in g])
+    return sorted(out)
 
 
 def _monic(zp):
     lead = Fraction(zp[-1])
     return [Fraction(c) / lead for c in zp]
-
-
-def _eval_int(p, x: Fraction):
-    acc = Fraction(0)
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
-
-
-def _rational_root_candidates(zp):
-    a0, an = zp[0], zp[-1]
-    if a0 == 0:
-        yield Fraction(0)
-        return
-    for r in _divisors(abs(a0)):
-        for s in _divisors(abs(an)):
-            if gcd(r, s) == 1:
-                yield Fraction(r, s)
-                yield Fraction(-r, s)
-
-
-def _divisors(n):
-    out = []
-    for d in range(1, isqrt(n) + 1):
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-    return sorted(out)
 
 
 def _mignotte_bound(zp):
@@ -421,35 +360,24 @@ def _mignotte_bound(zp):
 
 
 def _zassenhaus(zp) -> list[list[Fraction]]:
-    n = degree(zp)
-    # choose a prime keeping f squarefree with unchanged degree
-    prime = None
+    """Monic irreducible factors over Q of a squarefree monic integer polynomial."""
+    # choose a prime keeping f squarefree (f is monic, so its degree cannot drop)
     for p in [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]:
-        if zp[-1] % p == 0:
-            continue
         fp = _pmod(zp, p)
-        if degree(fp) != n:
-            continue
         if degree(_pgcd_mod(fp, poly_deriv_mod(fp, p), p)) == 0:
-            prime = p
             break
-    if prime is None:
+    else:
         raise FactorUnknown("no suitable small prime for Zassenhaus")
-    p = prime
-    inv_lead = pow(zp[-1] % p, -1, p)
-    f_monic_p = [(c * inv_lead) % p for c in zp]
-    local = _berlekamp(f_monic_p, p)
+    local = _berlekamp(fp, p)
     local.sort(key=lambda f: (degree(f), f))
     if len(local) == 1:
         return [_monic(zp)]
-    if len(local) > MAX_SUBSET_FACTORS:
-        raise FactorUnknown("too many modular factors for recombination")
     # Hensel lift the full factorization pairwise (binary tree)
     bound = 2 * _mignotte_bound(zp) + 1
 
     def lift_group(f_int, parts, modulus_target):
         if len(parts) == 1:
-            return [(trim([c % modulus_target for c in f_int]), modulus_target)]
+            return [trim([c % modulus_target for c in f_int])]
         mid = len(parts) // 2
         g_p = [1]
         for q in parts[:mid]:
@@ -457,40 +385,18 @@ def _zassenhaus(zp) -> list[list[Fraction]]:
         h_p = [1]
         for q in parts[mid:]:
             h_p = _pmul_mod(h_p, q, p)
-        g, h, m = _hensel_lift_pair(f_int, g_p, h_p, p, modulus_target)
+        g, h, _ = _hensel_lift_pair(f_int, g_p, h_p, p, modulus_target)
         return (lift_group(g, parts[:mid], modulus_target)
                 + lift_group(h, parts[mid:], modulus_target))
-
-    lc = zp[-1]
-    # work with the monic image over Q scaled back at the end
-    f_for_lift = list(zp)
-    if lc != 1:
-        # make monic over Z by substitution f*(x) = lc^(n-1) f(x/lc)
-        f_for_lift = [c * lc ** (n - 1 - i) for i, c in enumerate(zp)]
-        f_for_lift = to_primitive_int([Fraction(c) for c in f_for_lift])
-        return _recombine_via_monic(zp, f_for_lift, lc)
 
     m = p
     while m < bound:
         m *= m
-    lifted = lift_group(zp, local, m)
-    pieces = [f for f, _ in lifted]
-    return _recombine(zp, pieces, m)
+    return _recombine(zp, lift_group(zp, local, m), m)
 
 
 def poly_deriv_mod(p, m):
     return trim([(i * c) % m for i, c in enumerate(p)][1:])
-
-
-def _recombine_via_monic(zp, monic_int, lc):
-    sub = factor_rational([Fraction(c) for c in monic_int])
-    out = []
-    for f in sub:
-        # undo x -> lc*x
-        g = [c * Fraction(lc) ** i for i, c in enumerate(f)]
-        lead = g[-1]
-        out.append([c / lead for c in g])
-    return sorted(out)
 
 
 def _recombine(zp, pieces, m) -> list[list[Fraction]]:
@@ -501,6 +407,9 @@ def _recombine(zp, pieces, m) -> list[list[Fraction]]:
     found: list[list[Fraction]] = []
     size = 1
     while 2 * size <= len(remaining):
+        # single factors cost one trial each, so only subsets count against the ceiling
+        if size == 2 and len(remaining) > MAX_SUBSET_FACTORS:
+            raise FactorUnknown("too many modular factors for recombination")
         hit = True
         while hit and 2 * size <= len(remaining):
             hit = False
@@ -524,8 +433,3 @@ def _recombine(zp, pieces, m) -> list[list[Fraction]]:
         found.append(_monic(f))
     return sorted(found)
 
-
-def is_irreducible_over_q(p) -> bool:
-    """True iff the squarefree polynomial p is irreducible over Q."""
-    facs = factor_rational(p)
-    return len(facs) == 1 and degree(facs[0]) == degree(p)

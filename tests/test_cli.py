@@ -225,6 +225,8 @@ NAMED_CAUSE = {
     "datum group not associative": "group table is not associative",
     "datum group associative at its first generator only": "group table is not associative",
     "datum F with a repeated index": "F lists an index twice",
+    "custom example with a b index out of range": "--b must be a list of indices below 6",
+    "custom example with a repeated b index": "--b lists an index twice",
 }
 
 
@@ -238,6 +240,7 @@ NAMED_CAUSE = {
     "scalar of a huge order", "hopf generators that do not generate",
     "module that is not a K-module", "datum group not associative",
     "datum group associative at its first generator only", "datum F with a repeated index",
+    "custom example with a b index out of range", "custom example with a repeated b index",
 ])
 def test_malformed_structure_file_exits_two(corruption, tmp_path, capsys, monkeypatch):
     out = str(tmp_path)
@@ -302,6 +305,12 @@ def test_malformed_structure_file_exits_two(corruption, tmp_path, capsys, monkey
     elif corruption == "custom example with a malformed b":
         argv = ["example", "custom", "--out-dir", out, "--group-order", "4", "--n", "2",
                 "--b", "x"]
+    elif corruption == "custom example with a b index out of range":
+        argv = ["example", "custom", "--out-dir", out, "--group-order", "6", "--n", "2",
+                "--b", "0,6"]
+    elif corruption == "custom example with a repeated b index":
+        argv = ["example", "custom", "--out-dir", out, "--group-order", "6", "--n", "2",
+                "--b", "0,0"]
     else:
         argv = ["compute-twist", datum_path, "--out", os.path.join(out, "t.json")]
         if corruption == "datum without n":

@@ -1,5 +1,7 @@
 import pytest
 
+from itertools import permutations
+
 from dyntwist.comod import (
     ComoduleAlgebraData,
     SimplicityCertificate,
@@ -7,11 +9,13 @@ from dyntwist.comod import (
     coinvariants,
     corestrict_coaction,
     costable_closure,
+    costable_operators,
     galois_gamma,
     is_h_simple,
     verify_comodule_algebra,
 )
 from dyntwist.hopf import group_algebra
+from dyntwist.rep import intertwiner_basis
 from dyntwist.scalar import Cyclo
 
 
@@ -117,16 +121,65 @@ def test_not_simple_trivial_coaction(z2_table):
     assert verify_comodule_algebra(k).ok
     cert = is_h_simple(k)
     assert cert.verdict == SimplicityCertificate.NOT_SIMPLE, cert.detail
-    w = cert.witness
+    assert_costable_ideal(k, cert.witness)
+
+
+def assert_costable_ideal(k, w):
+    """Independent re-verification of a witness: proper, costable, two-sided ideal."""
     assert w is not None and 0 < w.dim < k.dim
-    # independent re-verification of the witness: proper, costable, ideal
-    one = Cyclo.one(2)
+    one = Cyclo.one(k.order)
     for vec in w.vectors():
         for i in range(k.dim):
             assert w.contains(k.alg.left_mult_matrix({i: one}).apply(vec))
             assert w.contains(k.alg.right_mult_matrix({i: one}).apply(vec))
-        for a in range(h.dim):
+        for a in range(k.over.dim):
             assert w.contains(k.coaction_component(a).apply(vec))
+
+
+@pytest.mark.parametrize("name, witness_dim", [("e0_datum", 2), ("e1_datum", 4)])
+def test_not_simple_by_the_radical(name, witness_dim, request):
+    # the monomial Hopf algebra is not semisimple: coacting trivially on
+    # itself, the radical of its operator algebra already gives the witness
+    k = trivial_coaction_comodule(request.getfixturevalue(name).h)
+    assert verify_comodule_algebra(k).ok
+    cert = is_h_simple(k)
+    assert cert.verdict == SimplicityCertificate.NOT_SIMPLE, cert.detail
+    assert cert.detail == "radical of the operator algebra acts nontrivially"
+    assert cert.witness.dim == witness_dim
+    assert_costable_ideal(k, cert.witness)
+
+
+def s3_table():
+    perms = list(permutations(range(3)))
+    index = {p: i for i, p in enumerate(perms)}
+    return [[index[tuple(a[b[x]] for x in range(3))] for b in perms] for a in perms]
+
+
+@pytest.mark.parametrize("case, verdict", [
+    ("kS3 trivial", SimplicityCertificate.NOT_SIMPLE),
+    ("kZ3 trivial", SimplicityCertificate.NOT_SIMPLE),
+    ("E1", SimplicityCertificate.SIMPLE),
+])
+def test_commutant_is_commutative(case, verdict, e1_datum):
+    # the commutant of the costable operators commutes with every L_a and
+    # R_b, so it is its own centre, which the certificate relies on
+    if case == "E1":
+        k = e1_datum.k
+    else:
+        table = s3_table() if case == "kS3 trivial" else [[(i + j) % 3 for j in range(3)]
+                                                           for i in range(3)]
+        k = trivial_coaction_comodule(group_algebra(table, 1))
+    ops = costable_operators(k)
+    commutant = intertwiner_basis(ops, ops, k.dim, k.dim, k.order)
+    if case == "kS3 trivial":
+        # QS3 is not commutative, its centre (the class sums) is 3-dimensional
+        assert k.alg.multiply({1: Cyclo.one(1)}, {2: Cyclo.one(1)}) != \
+            k.alg.multiply({2: Cyclo.one(1)}, {1: Cyclo.one(1)})
+        assert len(commutant) == 3
+    for f in commutant:
+        for g in commutant:
+            assert f * g == g * f
+    assert is_h_simple(k).verdict == verdict
 
 
 def test_monomial_comodule_simple_certified(e0, e1):

@@ -97,10 +97,6 @@ def test_dual_counit_is_evaluation_at_one(kz2):
     assert dual.counit == [kz2.alg.unit.get(i, Cyclo.zero(2)) for i in range(kz2.dim)]
 
 
-def test_dual_cop_passes(kz2):
-    assert verify_hopf(dual_hopf(kz2, cop=True)).ok
-
-
 def test_harpoon_unit_acts_trivially(kz2):
     one = Cyclo.one(2)
     gamma = {0: one, 1: one + one}

@@ -1,12 +1,12 @@
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from dyntwist.polys import (
     degree,
     factor_rational,
-    is_irreducible_over_q,
     poly_divmod,
     poly_gcd,
     poly_mul,
@@ -52,8 +52,8 @@ def test_factor_quadratic_split():
 
 
 def test_factor_irreducible_quadratic():
-    assert is_irreducible_over_q(F(1, 0, 1))
-    assert is_irreducible_over_q(F(1, 1, 1))
+    assert len(factor_rational(F(1, 0, 1))) == 1
+    assert len(factor_rational(F(1, 1, 1))) == 1
 
 
 def test_factor_cubic_with_root():
@@ -72,7 +72,7 @@ def test_factor_quartic_product_of_quadratics():
 
 def test_factor_irreducible_quartic():
     # x^4 + x + 1 is irreducible over Q
-    assert is_irreducible_over_q(F(1, 1, 0, 0, 1))
+    assert len(factor_rational(F(1, 1, 0, 0, 1))) == 1
 
 
 def test_factor_degree_six():
@@ -88,6 +88,23 @@ def test_factor_with_denominators():
     p = [c * Fraction(1, 2) for c in p]
     facs = factor_rational(p)
     assert sorted(facs) == sorted([F(Fraction(-1, 3), 1), F(2, 1)])
+
+
+def test_factor_non_monic_degree_seven():
+    # the monic substitution gives a constant term of order 10^20, too large for a
+    # search of its divisors for rational roots; the factors are sympy's
+    p = F(-49, Fraction(-497, 9), Fraction(3721, 54), Fraction(917, 6), Fraction(421, 6),
+          -71, Fraction(-155, 3), Fraction(25, 2))
+    assert factor_rational(p) == sorted([
+        F(Fraction(-14, 3), -4, 1),
+        F(Fraction(-7, 5), Fraction(-8, 15), 1),
+        F(Fraction(-3, 5), Fraction(1, 15), Fraction(2, 5), 1),
+    ])
+
+
+def test_factor_rejects_a_square():
+    with pytest.raises(ValueError):
+        factor_rational(F(1, -2, 1))
 
 
 @settings(max_examples=30, deadline=None)
