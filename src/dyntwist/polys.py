@@ -341,11 +341,7 @@ def factor_rational(p) -> list[list[Fraction]]:
     zp = to_primitive_int(p)
     lc = zp[-1]
     monic = [c * lc ** (n - 1 - i) for i, c in enumerate(zp[:-1])] + [1]
-    out = []
-    for g in _zassenhaus(monic):
-        g = [c * lc ** i for i, c in enumerate(g)]
-        out.append([c / g[-1] for c in g])
-    return sorted(out)
+    return sorted(_monic([c * lc ** i for i, c in enumerate(g)]) for g in _zassenhaus(monic))
 
 
 def _monic(zp):
