@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING
 
 from .hopf import (AlgebraData, HopfAlgebraData, StructureError, ValidationError,
                    group_exponent, group_generators, verify_hopf)
-from .linalg import Echelon, LinAlgError, Matrix
+from .linalg import LinAlgError, Matrix, span_closure
 from .report import CheckReport
 from .scalar import Cyclo, ScalarError, euler_phi, format_scalar, lcm, parse_scalar
 
@@ -140,17 +140,11 @@ def read_algebra(doc: dict, dim: int, order: int, name: str) -> AlgebraData:
     if gens is None:
         return alg
     one = Cyclo.one(order)
-    span = Echelon()
-    frontier = [alg.unit] + [{g: one} for g in alg.generators]
-    while frontier:
-        grown = []
-        for word in frontier:
-            if span.add(dict(word)):
-                grown += [alg.multiply(word, {g: one}) for g in alg.generators]
-        frontier = grown
-    if len(span.pivots) < dim:
+    words = span_closure([alg.unit] + [{g: one} for g in alg.generators],
+                         [lambda w, g=g: alg.multiply(w, {g: one}) for g in alg.generators])
+    if len(words) < dim:
         raise InputError("generators span %d of the %d dimensions of %s"
-                         % (len(span.pivots), dim, name))
+                         % (len(words), dim, name))
     return alg
 
 

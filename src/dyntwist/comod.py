@@ -9,7 +9,7 @@ which the radical-by-trace-form criterion relies on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
@@ -33,8 +33,9 @@ from .linalg import (
     solve,
     sparse_cols,
     sparse_kernel_basis,
+    span_closure,
 )
-from .report import CheckReport
+from .report import FAIL, INCONCLUSIVE, PASS, CheckReport
 from .scalar import Cyclo, euler_phi
 
 if TYPE_CHECKING:
@@ -143,18 +144,7 @@ def costable_operators(k: ComoduleAlgebraData) -> list[Matrix]:
 
 def costable_closure(k: ComoduleAlgebraData, v: dict) -> Subspace:
     """Smallest H-costable two-sided ideal containing the vector v."""
-    ops = costable_operators(k)
-    span = Echelon()
-    frontier = [v] if span.add(dict(v)) else []
-    while frontier:
-        new_frontier = []
-        for vec in frontier:
-            for op in ops:
-                w = op.apply(vec)
-                if span.add(dict(w)):
-                    new_frontier.append(w)
-        frontier = new_frontier
-    vectors = [span.pivots[p] for p in sorted(span.pivots)]
+    vectors = span_closure([v], [op.apply for op in costable_operators(k)])
     return Subspace.from_vectors(vectors, k.dim, k.order)
 
 
@@ -163,11 +153,15 @@ class SimplicityCertificate:
     verdict: str  # SimpleCertified | NotSimpleCertified | Inconclusive
     witness: Subspace | None = None
     detail: str = ""
-    data: dict = field(default_factory=dict)
 
     SIMPLE = "SimpleCertified"
     NOT_SIMPLE = "NotSimpleCertified"
     INCONCLUSIVE = "Inconclusive"
+
+    @property
+    def status(self) -> str:
+        """The report status of the verdict: PASS, FAIL or INCONCLUSIVE."""
+        return {self.SIMPLE: PASS, self.NOT_SIMPLE: FAIL}.get(self.verdict, INCONCLUSIVE)
 
 
 def _trace_product(a: Matrix, b: Matrix) -> Cyclo:
@@ -180,25 +174,10 @@ def _trace_product(a: Matrix, b: Matrix) -> Cyclo:
 
 
 def _close_under_products(seed: list[Matrix], dim: int, order: int) -> list[Matrix]:
-    span = Echelon()
-
-    def grows(m: Matrix) -> bool:
-        return bool(span.add(flatten(m)))
-
-    basis = [m for m in [Matrix.identity(dim, order)] + seed if grows(m)]
-    frontier = list(basis)
     # right products suffice: the span holds I and is closed under * s for
     # each seed operator s, so it holds every word in the seed
-    while frontier:
-        new = []
-        for a in frontier:
-            for b in seed:
-                prod = a * b
-                if grows(prod):
-                    basis.append(prod)
-                    new.append(prod)
-        frontier = new
-    return basis
+    return span_closure([Matrix.identity(dim, order)] + seed,
+                        [lambda a, b=b: a * b for b in seed], key=flatten)
 
 
 def _radical_basis(basis: list[Matrix], order: int) -> list[dict]:
@@ -316,14 +295,7 @@ def is_h_simple(k: ComoduleAlgebraData) -> SimplicityCertificate:
                 detail="factoring gave up: %s" % exc)
         if len(factors) == 1:
             return SimplicityCertificate(
-                SimplicityCertificate.SIMPLE,
-                detail="commutant centre is a field",
-                data={
-                    "operator_algebra_dim": len(algebra),
-                    "commutant_dim": len(commutant),
-                    "center_dim": len(commutant),
-                    "minpoly": [str(c) for c in minpoly],
-                })
+                SimplicityCertificate.SIMPLE, detail="commutant centre is a field")
         # reducible: split a central idempotent e = v*q (z) with p = p1*q
         p1 = factors[0]
         q, rem = poly_divmod(minpoly, p1)

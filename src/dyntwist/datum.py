@@ -38,6 +38,7 @@ from .monomial import (
     make_monomial_comodule,
     make_t_module,
     monomial_sub_embedding,
+    sub_table,
     t_on_morphism,
     verify_coset_basis,
 )
@@ -485,9 +486,8 @@ class MonomialDatum:
         self.h = make_monomial_hopf(hopf_spec, order)
         self.k = make_monomial_comodule(hopf_spec, spec.f_indices, spec.mu, self.h)
         f_sorted = sorted(spec.f_indices)
-        sub_table = _sub_table(spec.table, f_sorted)
         f_spec = MonomialHopfSpec(
-            table=sub_table,
+            table=sub_table(spec.table, f_sorted),
             chi=[hopf_spec.chi[i] for i in f_sorted],
             g=f_sorted.index(spec.g),
             n=spec.n,
@@ -495,7 +495,7 @@ class MonomialDatum:
         self.hf = make_monomial_hopf(f_spec, order, name="H_F")
         self.embed_f = monomial_sub_embedding(self.h, hopf_spec, self.hf,
                                               spec.f_indices)
-        self.kb = group_algebra(_sub_table(spec.table, spec.b_indices), order,
+        self.kb = group_algebra(sub_table(spec.table, spec.b_indices), order,
                                 name="kB")
         self.embed_b = group_sub_embedding(self.h, hopf_spec, self.kb,
                                            spec.b_indices)
@@ -527,32 +527,28 @@ class MonomialDatum:
         return self._galois_f
 
     def _select_weights(self) -> list[Cyclo]:
-        """The first admissible weight family whose station makes xi^-1(id)
-        uniquely solvable on (H_reg, A_reg); the engine's memo keeps that solution."""
+        """The first weight family whose station makes xi^-1(id) uniquely
+        solvable on (H_reg, A_reg); the engine's memo keeps that solution.
+
+        Every family has weight 1 at slice 0 and no zero weight, so one test
+        decides admissibility for all of them: chi(b)^s = 1 for b in B, s < n.
+        """
         n = self.spec.n
         chi = self.hopf_spec.chi
-        b_sorted = sorted(self.spec.b_indices)
+        if not all((chi[b] ** s).is_one() for b in self.spec.b_indices for s in range(n)):
+            raise PipelineError(
+                "no admissible station weights found; the character is "
+                "nontrivial on B in a way this realisation does not support")
         for family in STATION_WEIGHT_FAMILIES:
-            raw = family(n)
-            weights = [Cyclo.from_rational(r, self.order) for r in raw]
-            ok = weights[0].is_one()
-            for s in range(n):
-                if weights[s].is_zero():
-                    continue
-                for b in b_sorted:
-                    if not (chi[b] ** s).is_one():
-                        ok = False
-            if not ok:
-                continue
-            self.weights = weights  # the station reads them when called
+            # the station reads them when called
+            self.weights = [Cyclo.from_rational(r, self.order) for r in family(n)]
             try:
                 self.engine.xi_inverse_id(self.engine.h_reg, self.engine.a_reg)
             except PipelineError:
                 continue
-            return weights
-        raise PipelineError(
-            "no admissible station weights found; the character is "
-            "nontrivial on B in a way this realisation does not support")
+            return self.weights
+        raise PipelineError("no station weight family makes xi^-1(id) uniquely "
+                            "solvable on (H_reg, A_reg)")
 
     def _station(self, v: ModuleRep, w: ModuleRep) -> Matrix:
         """Sum of weighted slice extractions: Theta -> sum_s c_s [Theta(v_0 (x) -)]_s."""
@@ -589,11 +585,7 @@ class MonomialDatum:
         report.add("K has trivial coinvariants", c.dim == 1,
                    0 if c.dim == 1 else c.dim)
         if check_simplicity:
-            cert = is_h_simple(self.k)
-            report.add_status("K is H-simple",
-                              "PASS" if cert.verdict == "SimpleCertified"
-                              else ("FAIL" if cert.verdict == "NotSimpleCertified"
-                                    else "INCONCLUSIVE"))
+            report.add_status("K is H-simple", is_h_simple(self.k).status)
         bad = 0
         for v in (self.engine.triv_a, self.engine.a_reg):
             tv = self.engine.t(v)
@@ -644,12 +636,6 @@ class MonomialDatum:
         return self.engine.extract_twist()
 
 
-def _sub_table(table, indices):
-    sub = sorted(indices)
-    pos = {v: i for i, v in enumerate(sub)}
-    return [[pos[table[a][b]] for b in sub] for a in sub]
-
-
 # -- generic Galois datum ---------------------------------------------------------
 
 
@@ -683,11 +669,7 @@ def generic_galois_datum(embed_a: SubHopfEmbedding, k: ComoduleAlgebraData,
     report.add("coinvariants K^coH trivial", c_h.dim == 1,
                0 if c_h.dim == 1 else c_h.dim)
     if check_simplicity:
-        cert = is_h_simple(k)
-        report.add_status("K is H-simple",
-                          "PASS" if cert.verdict == "SimpleCertified"
-                          else ("FAIL" if cert.verdict == "NotSimpleCertified"
-                                else "INCONCLUSIVE"))
+        report.add_status("K is H-simple", is_h_simple(k).status)
 
     engine = AdjunctionEngine(h, embed_a, k, t_functor, t_morphism, iso_of)
 

@@ -18,7 +18,10 @@ Conventions fixed here and used everywhere else in the package:
   tensor product of modules and every linear combination of matrices, is
   built by ``kron_sum``;
 * subspaces are stored by a basis matrix in reduced column echelon form, so
-  equal subspaces have equal basis matrices.
+  equal subspaces have equal basis matrices;
+* every closure of a set of vectors under linear maps (an ideal, an operator
+  algebra, the words in algebra generators) is grown breadth-first by
+  ``span_closure``, so its basis comes out in one fixed order.
 """
 
 from __future__ import annotations
@@ -358,6 +361,27 @@ class Echelon:
                 _eliminate(prow, pcol, new)
         self.pivots[pcol] = new
         return rest
+
+
+def span_closure(seeds, maps, key=None) -> list:
+    """The items that enlarge the span, grown breadth-first from ``seeds`` under ``maps``.
+
+    Each seed in turn, then each map applied to each item kept in the round
+    before (item-major), is kept when its row is not in the span of the rows
+    kept so far; the kept items, in that order, span the closure.  The row of
+    an item is a copy of it, or ``key(item)``, which must return a fresh dict.
+    """
+    span = Echelon()
+
+    def grows(item) -> bool:
+        return bool(span.add(dict(item) if key is None else key(item)))
+
+    kept = [item for item in seeds if grows(item)]
+    frontier = kept
+    while frontier:
+        frontier = [new for item in frontier for f in maps if grows(new := f(item))]
+        kept += frontier
+    return kept
 
 
 def _sparse_rref(rows: list[dict], ncols: int, order: int):

@@ -19,9 +19,10 @@ from .hopf import (
     add_into,
     element_order,
     group_generators,
+    tensor_mult,
     _group_identity,
 )
-from .linalg import Matrix, rank
+from .linalg import Matrix, kron, rank
 from .rep import ModuleRep, SubHopfEmbedding
 from .scalar import Cyclo
 
@@ -76,6 +77,43 @@ class MonomialHopfSpec:
                     raise ValidationError("chi is not a homomorphism")
 
 
+def sub_table(table: list[list[int]], indices) -> list[list[int]]:
+    """The multiplication table of the subgroup on ``indices``, relabelled
+    0, 1, ... in ascending order of the indices."""
+    sub = sorted(indices)
+    pos = {v: i for i, v in enumerate(sub)}
+    return [[pos[table[a][b]] for b in sub] for a in sub]
+
+
+def _skew_algebra(table, elements, chi, n: int, wrap: Cyclo, order: int,
+                  name: str) -> AlgebraData:
+    """The algebra on {h x^i : h in elements, i < n}, element-major in ascending
+    order, with x h = chi(h) h x and x^n = wrap; generated by the subgroup's
+    generators and x."""
+    elements = sorted(elements)
+    sub = sub_table(table, elements)
+    dim = len(elements) * n
+    chi_pow = [[chi[f] ** i for i in range(n)] for f in elements]
+    # (a x^i)(b x^j) = chi(b)^i ab x^(i+j), and x^(i+j) = wrap x^(i+j-n) past n
+    mult = [[dict() for _ in range(dim)] for _ in range(dim)]
+    for a, row in enumerate(sub):
+        for i in range(n):
+            for b, ab in enumerate(row):
+                c = chi_pow[b][i]
+                for j in range(n):
+                    cell = mult[a * n + i][b * n + j]
+                    if i + j < n:
+                        cell[ab * n + i + j] = c
+                    elif not wrap.is_zero():
+                        cell[ab * n + i + j - n] = c * wrap
+    e = _group_identity(sub)
+    gens = [b * n for b in group_generators(sub)]
+    if n > 1:
+        gens.append(e * n + 1)
+    return AlgebraData(dim, mult, {e * n: Cyclo.one(order)}, order, name=name,
+                       generators=gens)
+
+
 def make_monomial_hopf(spec: MonomialHopfSpec, order: int,
                        name: str = "H") -> HopfAlgebraData:
     """Hopf algebra on {h x^i} with x^n = 0, xh = chi(h) hx, Delta(x) = 1(x)x + x(x)g."""
@@ -87,38 +125,18 @@ def make_monomial_hopf(spec: MonomialHopfSpec, order: int,
     q = chi[spec.g]
     one = Cyclo.one(order)
     e = _group_identity(table)
-
-    def idx(h: int, i: int) -> int:
-        return h * n + i
-
-    mult = [[dict() for _ in range(dim)] for _ in range(dim)]
-    for h in range(size):
-        for i in range(n):
-            for f in range(size):
-                for j in range(n):
-                    if i + j < n:
-                        c = chi[f] ** i
-                        mult[idx(h, i)][idx(f, j)][idx(table[h][f], i + j)] = c
-    unit = {idx(e, 0): one}
-    gens = [idx(h, 0) for h in group_generators(table)]
-    if n > 1:
-        gens.append(idx(e, 1))
-    alg = AlgebraData(dim, mult, unit, order, name=name, generators=gens)
-
+    alg = _skew_algebra(table, range(size), chi, n, Cyclo.zero(order), order, name)
     comult = [dict() for _ in range(dim)]
     gpow = [e]
     for _ in range(n - 1):
         gpow.append(table[gpow[-1]][spec.g])
+    # Delta(h x^i) = sum_k binom(i, k)_q h x^k (x) h g^k x^(i-k)
     for h in range(size):
         for i in range(n):
-            d = comult[idx(h, i)]
             for k in range(i + 1):
                 c = gauss_binomial(i, k, q)
-                if c.is_zero():
-                    continue
-                left = idx(h, k)
-                right = idx(table[h][gpow[k]], i - k)
-                add_into(d, (left, right), c)
+                if not c.is_zero():
+                    add_into(comult[h * n + i], (h * n + k, table[h][gpow[k]] * n + i - k), c)
     counit = [one if i % n == 0 else Cyclo.zero(order) for i in range(dim)]
     return HopfAlgebraData(alg, comult, counit, name=name)
 
@@ -154,30 +172,13 @@ def make_monomial_comodule(hopf_spec: MonomialHopfSpec, f_indices: list[int], mu
     chi = [c.embed(order) for c in hopf_spec.chi]
     f_sorted = sorted(f_indices)
     pos = {fidx: p for p, fidx in enumerate(f_sorted)}
-    size_f = len(f_sorted)
-    dim = size_f * n
     one = Cyclo.one(order)
     e = _group_identity(table)
 
     def idx(fh: int, i: int) -> int:
         return pos[fh] * n + i
 
-    mult = [[dict() for _ in range(dim)] for _ in range(dim)]
-    for fh in f_sorted:
-        for i in range(n):
-            for ff in f_sorted:
-                for j in range(n):
-                    c = chi[ff] ** i
-                    target_h = table[fh][ff]
-                    if i + j < n:
-                        mult[idx(fh, i)][idx(ff, j)][idx(target_h, i + j)] = c
-                    else:
-                        mult[idx(fh, i)][idx(ff, j)][idx(target_h, i + j - n)] = c * lam
-    unit = {idx(e, 0): one}
-    gens = [idx(b, 0) for b in group_generators_of_subgroup(table, f_sorted)]
-    if n > 1:
-        gens.append(idx(e, 1))
-    alg = AlgebraData(dim, mult, unit, order, name=name, generators=gens)
+    alg = _skew_algebra(table, f_sorted, chi, n, lam, order, name)
 
     # delta(y) = g^-1 (x) y - x g^-1 (x) 1, then powers by tensor multiplication;
     # on the basis x g^-1 = chi(g^-1) g^-1 x
@@ -188,32 +189,14 @@ def make_monomial_comodule(hopf_spec: MonomialHopfSpec, f_indices: list[int], mu
         add_into(delta_y, (g_inv * n, idx(e, 1)), one)
         add_into(delta_y, (g_inv * n + 1, idx(e, 0)), minus_one * chi[g_inv])
 
-    def tensor_mul(a: dict, b: dict) -> dict:
-        out: dict = {}
-        for (h1, k1), c1 in a.items():
-            for (h2, k2), c2 in b.items():
-                c = c1 * c2
-                for ht, cm in h.alg.mult[h1][h2].items():
-                    for kt, km in alg.mult[k1][k2].items():
-                        add_into(out, (ht, kt), c * cm * km)
-        return out
-
+    legs = [h.alg, alg]
     delta_y_pow = [{(e * n, idx(e, 0)): one}]
     for _ in range(n - 1):
-        delta_y_pow.append(tensor_mul(delta_y_pow[-1], delta_y))
-    coaction = [dict() for _ in range(dim)]
-    for fh in f_sorted:
-        base = {(fh * n, idx(fh, 0)): one}
-        for i in range(n):
-            coaction[idx(fh, i)] = tensor_mul(base, delta_y_pow[i])
+        delta_y_pow.append(tensor_mult(legs, delta_y_pow[-1], delta_y))
+    # delta(e_h y^i) = (h (x) e_h) delta(y)^i, listed in basis order
+    coaction = [tensor_mult(legs, {(fh * n, idx(fh, 0)): one}, delta_y_pow[i])
+                for fh in f_sorted for i in range(n)]
     return ComoduleAlgebraData(alg, h, coaction, name=name)
-
-
-def group_generators_of_subgroup(table, indices):
-    sub = sorted(indices)
-    pos = {v: i for i, v in enumerate(sub)}
-    sub_table = [[pos[table[a][b]] for b in sub] for a in sub]
-    return [sub[i] for i in group_generators(sub_table)]
 
 
 def _power(table, a, k):
@@ -224,31 +207,29 @@ def _power(table, a, k):
     return acc
 
 
+def _basis_embedding(small: HopfAlgebraData, big: HopfAlgebraData,
+                     images: list[int]) -> SubHopfEmbedding:
+    """The embedding sending basis element p of ``small`` to basis element
+    ``images[p]`` of ``big``."""
+    one = Cyclo.one(big.order)
+    data = [{} for _ in range(big.dim)]
+    for p, image in enumerate(images):
+        data[image][p] = one
+    return SubHopfEmbedding(small, big, Matrix(big.dim, small.dim, data, big.order))
+
+
 def monomial_sub_embedding(h_big: HopfAlgebraData, spec_big: MonomialHopfSpec,
                            h_small: HopfAlgebraData, f_indices: list[int]) -> SubHopfEmbedding:
     """Embed the monomial Hopf algebra on F into the one on G, basis to basis."""
     n = spec_big.n
-    f_sorted = sorted(f_indices)
-    order = h_big.order
-    one = Cyclo.one(order)
-    data = [{} for _ in range(h_big.dim)]
-    for p, fh in enumerate(f_sorted):
-        for i in range(n):
-            data[fh * n + i][p * n + i] = one
-    return SubHopfEmbedding(h_small, h_big, Matrix(h_big.dim, h_small.dim, data, order))
+    return _basis_embedding(h_small, h_big,
+                            [fh * n + i for fh in sorted(f_indices) for i in range(n)])
 
 
 def group_sub_embedding(h_big: HopfAlgebraData, spec_big: MonomialHopfSpec,
                         kb: HopfAlgebraData, b_indices: list[int]) -> SubHopfEmbedding:
     """Embed the group algebra of B into the monomial Hopf algebra, b -> b x^0."""
-    n = spec_big.n
-    b_sorted = sorted(b_indices)
-    order = h_big.order
-    one = Cyclo.one(order)
-    data = [{} for _ in range(h_big.dim)]
-    for p, b in enumerate(b_sorted):
-        data[b * n][p] = one
-    return SubHopfEmbedding(kb, h_big, Matrix(h_big.dim, kb.dim, data, order))
+    return _basis_embedding(kb, h_big, [b * spec_big.n for b in sorted(b_indices)])
 
 
 @dataclass
@@ -352,8 +333,7 @@ def make_t_module(spec: MonomialHopfSpec, k: ComoduleAlgebraData,
 
 def t_on_morphism(n: int, f: Matrix) -> Matrix:
     """T on morphisms: identity on the slice leg, f on the module leg."""
-    from .linalg import kron, Matrix as _M
-    return kron(_M.identity(n, f.order), f)
+    return kron(Matrix.identity(n, f.order), f)
 
 
 def verify_coset_basis(h: HopfAlgebraData, spec: MonomialHopfSpec,

@@ -11,6 +11,7 @@ from dyntwist.monomial import (
     make_monomial_hopf,
     make_monomial_comodule,
     monomial_sub_embedding,
+    sub_table,
 )
 from dyntwist.hopf import group_algebra
 from dyntwist.scalar import Cyclo
@@ -63,22 +64,16 @@ class Instance:
         self.h = make_monomial_hopf(self.spec, order)
         self.k = make_monomial_comodule(self.spec, f_indices, mu, self.h)
         f_spec = MonomialHopfSpec(
-            table=_sub_table(table, f_indices),
+            table=sub_table(table, f_indices),
             chi=[self.spec.chi[i] for i in sorted(f_indices)],
             g=sorted(f_indices).index(g),
             n=n,
         )
         self.hf = make_monomial_hopf(f_spec, order, name="H_F")
         self.embed_f = monomial_sub_embedding(self.h, self.spec, self.hf, f_indices)
-        self.kb = group_algebra(_sub_table(table, b_indices), order, name="kB")
+        self.kb = group_algebra(sub_table(table, b_indices), order, name="kB")
         self.embed_b = group_sub_embedding(self.h, self.spec, self.kb, b_indices)
         self.cosets = coset_data(table, f_indices, b_indices, g, n)
-
-
-def _sub_table(table, indices):
-    sub = sorted(indices)
-    pos = {v: i for i, v in enumerate(sub)}
-    return [[pos[table[a][b]] for b in sub] for a in sub]
 
 
 @pytest.fixture(scope="session")

@@ -4,7 +4,10 @@ The ``example`` files and the computed twists of E0, E1 and Z3 (n = 3 over
 Q(zeta_3)) must hash to the values the benchmark checks
 (``perfbench/reference.json``); the serialised T(A_reg) module of E1 and the
 twist of the S3 x Z2 datum, whose base S3 is non-abelian, must hash to the
-values recorded here.  A change of matrix storage, product order or
+values recorded here.  The structure files (``hopf_to_json``,
+``comodule_to_json``) of the S3 x Z2 datum and of a datum whose F is a
+proper subgroup of G, which relabels F to 0, ..., |F| - 1, are pinned too.
+A change of matrix storage, product order or
 elimination order that alters a single byte fails this test.
 """
 
@@ -15,13 +18,21 @@ from pathlib import Path
 import pytest
 
 from conftest import e1_spec
-from dyntwist.cli import main, module_to_json, write_json
-from dyntwist.datum import MonomialDatum
+from dyntwist.cli import (comodule_to_json, datum_from_json, hopf_to_json, main,
+                          module_to_json, read_json, twist_to_json, write_json)
+from dyntwist.datum import DatumSpec, MonomialDatum
+from dyntwist.monomial import MonomialHopfSpec, make_monomial_comodule, make_monomial_hopf
+from dyntwist.scalar import Cyclo
 
 REFERENCE = json.loads(
     (Path(__file__).resolve().parents[1] / "perfbench" / "reference.json").read_text())
 E1_T_AREG_SHA256 = "9f1c5c1998b141e6b7157387cbd88ac5536becb9bfc18b0497fe09d4a9c599e2"
 S3XZ2_TWIST_SHA256 = "73826531aace178bcf9ce38feab108b70e96301c79d37c1d77a1e251872d6824"
+S3XZ2_HOPF_SHA256 = "3034382da003a5a084c7c1c78c8046b7ba491020a26987071d55914ca7fe6838"
+S3XZ2_COMODULE_SHA256 = "9803c24b3bca63abf9ea6294bdda03cf7b05ad19e7f22053f0279f7e3a864666"
+PROPER_F_HOPF_SHA256 = "909230f20803020d62b57b17b08d6f4edef8058181534702010593b0cd4cf573"
+PROPER_F_COMODULE_SHA256 = "8b1b245c66ea181599de1e79ec49c59d3204d712761bf83ab6c83222412f7a15"
+PROPER_F_TWIST_SHA256 = "535ed55925ff3128c296c306dd81ceda2e85adb33324d5f906d64e1b2a6c18d1"
 
 
 def _sha256(path) -> str:
@@ -66,3 +77,33 @@ def test_twist_over_the_non_abelian_base_of_s3xz2_is_unchanged(tmp_path, capsys)
     assert main(["compute-twist", str(datum), "--out", str(twist)]) == 0
     capsys.readouterr()
     assert _sha256(twist) == S3XZ2_TWIST_SHA256
+
+
+def _doc_sha256(tmp_path, doc) -> str:
+    path = tmp_path / "doc.json"
+    write_json(str(path), doc)
+    return _sha256(path)
+
+
+def test_structure_files_of_the_s3xz2_datum_are_unchanged(tmp_path):
+    spec, order = datum_from_json(read_json(
+        str(Path(__file__).resolve().parent / "data" / "s3xz2_datum.json")))
+    hopf_spec = MonomialHopfSpec(spec.table, spec.chi, spec.g, spec.n)
+    h = make_monomial_hopf(hopf_spec, order)
+    k = make_monomial_comodule(hopf_spec, spec.f_indices, spec.mu, h)
+    assert _doc_sha256(tmp_path, hopf_to_json(h)) == S3XZ2_HOPF_SHA256
+    assert _doc_sha256(tmp_path, comodule_to_json(k)) == S3XZ2_COMODULE_SHA256
+
+
+def test_structure_files_and_twist_of_a_proper_f_datum_are_unchanged(tmp_path):
+    # G = Z2 x Z2, F = {1, g} is proper, so K is built on F relabelled to 0, 1
+    spec = DatumSpec(table=[[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]],
+                     chi=[Cyclo.from_rational(s, 2) for s in (1, 1, -1, -1)],
+                     g=2, n=2, f_indices=[0, 2], b_indices=[0], mu=Cyclo.one(2))
+    datum = MonomialDatum(spec)
+    assert datum.k.dim == 4
+    assert _doc_sha256(tmp_path, hopf_to_json(datum.h)) == PROPER_F_HOPF_SHA256
+    assert _doc_sha256(tmp_path, comodule_to_json(datum.k)) == PROPER_F_COMODULE_SHA256
+    twist, report = datum.compute_twist()
+    assert report.ok, str(report)
+    assert _doc_sha256(tmp_path, twist_to_json(twist)) == PROPER_F_TWIST_SHA256

@@ -11,6 +11,7 @@ from dyntwist.linalg import (
     balanced_relations,
     column_echelonize,
     differing_entries,
+    flatten,
     identity_residual,
     intersect,
     inverse,
@@ -20,6 +21,7 @@ from dyntwist.linalg import (
     quotient,
     rank,
     solve,
+    span_closure,
 )
 from dyntwist.scalar import Cyclo
 
@@ -323,6 +325,37 @@ def _stores_no_zero(m):
 
 
 SHAPES = [(3, 4, 2), (4, 1, 3), (2, 3, 0), (3, 0, 2), (0, 3, 2), (5, 5, 5)]
+
+
+def _unit_vector(i, dim):
+    return sparse([q(int(i == j)) for j in range(dim)])
+
+
+def test_span_closure_keeps_only_enlarging_items_in_breadth_first_order():
+    e = [_unit_vector(i, 4) for i in range(4)]
+    shift = Matrix.from_cols(e[1:] + [{}], 4, 1)  # e_i -> e_(i+1), e_3 -> 0
+    double = Matrix.identity(4, 1).scaled(q(2))
+    kept = span_closure([e[0], {0: q(3)}, e[2]], [double.apply, shift.apply])
+    # the seeds first, then the images of e_0, then those of e_2; multiples,
+    # repeats and the zero image of e_3 are dropped
+    assert kept == [e[0], e[2], e[1], e[3]]
+
+
+def test_span_closure_stops_at_an_invariant_subspace():
+    swap = mat([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])
+    kept = span_closure([{0: q(1), 1: q(2)}], [swap.apply])
+    assert kept == [{0: q(1), 1: q(2)}, {0: q(2), 1: q(1)}]
+    span = Subspace.from_vectors(kept, 4, 1)
+    assert span == Subspace.from_vectors([_unit_vector(0, 4), _unit_vector(1, 4)], 4, 1)
+    assert all(span.contains(swap.apply(v)) for v in kept)
+
+
+def test_span_closure_of_matrices_under_right_products_with_a_flatten_key():
+    p = mat([[0, 0, 1], [1, 0, 0], [0, 1, 0]])
+    ident = Matrix.identity(3, 1)
+    kept = span_closure([ident, p], [lambda m: m * p], key=flatten)
+    assert kept == [ident, p, p * p]
+    assert p * p * p == ident  # the cube is I again, so the closure stops
 
 
 @pytest.mark.parametrize("order", [1, 3])
