@@ -4,9 +4,11 @@ The adjunction between restriction Rep(H) -> Rep(A) and a functor
 T: Rep(A) -> K-modules is realised by an explicit family of linear
 bijections xi: Hom_K(X (x) T(V), T(W)) -> Hom_A(R(X) (x) V, W).  The forward
 direction factors as (curry, Galois-transport reshape, a pointwise station
-Hom(T(V), T(W)) -> Hom(V, W), evaluation at 1); with the station folded in,
-xi(f)(x (x) v) = station(f(x (x) -))(v).  The inverse is obtained by an exact
-linear solve whose unique solvability doubles as the injectivity certificate.
+Hom(T(V), T(W)) -> Hom(V, W), evaluation at 1).  The station is a pair of
+slice maps per module, p_V: T(V) -> V and i_V: V -> T(V), and sends Theta to
+p_W Theta i_V; so xi(f) = p_W f (id_X (x) i_V), a matrix product.  The
+inverse is obtained by an exact linear solve whose unique solvability
+doubles as the injectivity certificate.
 
 Everything downstream is certified rather than assumed: normalisation,
 naturality, the element form of the natural transformations, invertibility,
@@ -25,11 +27,11 @@ from .comod import (
     is_h_simple,
     subhopf_comodule,
 )
-from .hopf import (HopfAlgebraData, StructureError, ValidationError, _group_inverses, add_into,
+from .hopf import (HopfAlgebraData, StructureError, ValidationError, _group_inverses,
                    group_algebra, group_exponent)
 from .linalg import (LinAlgError, Matrix, differing_entries, flatten, identity_residual,
-                     inverse, kron, kron_sum, rank, solve, sparse_solve,
-                     unflatten)
+                     inverse, kron, kron_sum, mul_id_kron, rank, solve, sparse_cols,
+                     sparse_solve, unflatten)
 from .monomial import (
     MonomialHopfSpec,
     coset_data,
@@ -86,10 +88,10 @@ class AdjunctionEngine:
     Parameters: the Hopf algebra ``h``; the twist base as a Hopf-subalgebra
     embedding ``embed_b`` (a group algebra kB for the monomial family); the
     comodule algebra ``k``; ``t_functor`` mapping A-modules to K-modules
-    (with ``t_morphism`` on maps); ``station(v, w)`` giving the pointwise
-    linear map from flattened Hom(T(V), T(W)) to flattened Hom(V, W); and an
-    optional one-dimensional H-module ``h_character_module`` that joins the
-    certification batteries.
+    (with ``t_morphism`` on maps); ``station(v)`` giving the slice maps
+    (p_V, i_V), p_V: T(V) -> V and i_V: V -> T(V), so that the station of
+    Theta: T(V) -> T(W) is p_W Theta i_V; and an optional one-dimensional
+    H-module ``h_character_module`` that joins the certification batteries.
     """
 
     def __init__(self, h: HopfAlgebraData, embed_b: SubHopfEmbedding,
@@ -106,6 +108,7 @@ class AdjunctionEngine:
         self.order = h.order
         self._t_cache: list[tuple[ModuleRep, ModuleRep]] = []
         self._xi_memo: dict = {}
+        self._slice_units: dict[int, list[Matrix]] = {}  # E_sk by number of slices
         # built once, so T of each is computed once through the cache
         self.triv_h = trivial_module(h, name="triv_H")
         self.triv_a = trivial_module(self.kb, name="triv_A")
@@ -131,8 +134,8 @@ class AdjunctionEngine:
 
     def xi_forward(self, x: ModuleRep, v: ModuleRep, w: ModuleRep,
                    f: Matrix) -> Matrix:
-        """xi(f)(x (x) v) = station(f(x (x) -))(v); output dim W x (dim X * dim V)."""
-        return _station_apply(self.station(v, w), f, x.dim, self.t(v).dim, v.dim, w.dim)
+        """xi(f) = p_W f (id_X (x) i_V); output dim W x (dim X * dim V)."""
+        return self.station(w)[0] * mul_id_kron(f, x.dim, self.station(v)[1])
 
     # -- inverse xi by exact solve -----------------------------------------
 
@@ -147,15 +150,15 @@ class AdjunctionEngine:
         and the expanded f is re-checked against every generator and the
         station before it is returned.
 
-        The system is built from x's action, T(V)'s and T(W)'s, the station
-        and fprime (k and the order are fixed per engine), so the solution
-        is memoised under exactly those inputs: an identical system returns
-        the result of its one solve, and a failed solve stores nothing.
+        The system is built from x's action, T(V)'s and T(W)'s, the slice
+        maps p_W and i_V, and fprime (k and the order are fixed per engine),
+        so the solution is memoised under exactly those inputs: an identical
+        system returns the result of its one solve, and a failed solve stores
+        nothing.
         """
         tv, tw = self.t(v), self.t(w)
-        st = self.station(v, w)
-        key = (tuple(x.action), tuple(tv.action), tuple(tw.action), st, fprime,
-               v.dim, w.dim)
+        p_w, i_v = self.station(w)[0], self.station(v)[1]
+        key = (tuple(x.action), tuple(tv.action), tuple(tw.action), p_w, i_v, fprime)
         f = self._xi_memo.get(key)
         if f is not None:
             return f
@@ -165,18 +168,21 @@ class AdjunctionEngine:
         pairs = [(source.action[g], tw.action[g]) for g in self.k.alg.generator_indices()]
         orbit, ncols, rows = _orbit_reduction(pairs, tw.dim, sdim)
         rhs: dict = {}
-        # station constraint: st . flatten(f(x_i (x) -)) = fprime(x_i (x) -)
+        # station: entry (w, v) of p_W f(x_i (x) -) i_V is fprime(x_i (x) v) at w;
+        # an entry 1 of i_V reuses p, so the rows share the weights, not copies
+        i_cols = sparse_cols(i_v)
         for xi in range(x.dim):
-            for out_idx in range(w.dim * v.dim):
-                row = {}
-                for hcol, cval in st.row(out_idx).items():
-                    r, ccol = divmod(hcol, tv.dim)
-                    _substitute(row, orbit[r * sdim + xi * tv.dim + ccol], cval)
-                wt, vi = divmod(out_idx, v.dim)
-                val = fprime.row(wt).get(xi * v.dim + vi)
-                if val is not None:
-                    rhs[len(rows)] = val
-                rows.append(row)
+            for wt in range(w.dim):
+                for vi, i_col in enumerate(i_cols):
+                    row = {}
+                    for r, p in p_w.row(wt).items():
+                        for c, i in i_col.items():
+                            _substitute(row, orbit[r * sdim + xi * tv.dim + c],
+                                        p if i.is_one() else p * i)
+                    val = fprime.row(wt).get(xi * v.dim + vi)
+                    if val is not None:
+                        rhs[len(rows)] = val
+                    rows.append(row)
         try:
             sol = sparse_solve(rows, [rhs], ncols, order, require_unique=True)[0]
         except LinAlgError as exc:
@@ -237,10 +243,12 @@ class AdjunctionEngine:
                              m: ModuleRep) -> Matrix:
         """Apply the element: x (x) v_k (x) m -> sum v_s (x) h.x (x) a.m."""
         order = self.order
-        one = Cyclo.one(order)
         nslices = self.t(m).dim // m.dim
-        units = [Matrix(nslices, nslices, [{k: one} if i == s else {} for i in range(nslices)],
-                        order) for s in range(nslices) for k in range(nslices)]
+        units = self._slice_units.get(nslices)
+        if units is None:
+            units = self._slice_units[nslices] = [
+                _matrix_unit(nslices, nslices, s, k, order)
+                for s in range(nslices) for k in range(nslices)]
         act = element_action(xi_elem, [x.action, units, m.action], order)
         # rows (x, s, m) -> (s, x, m): T(R(X) (x) M) keeps its slice leg in front
         rows = [act.row((xo * nslices + s) * m.dim + mo)
@@ -265,10 +273,11 @@ class AdjunctionEngine:
             n_y = self.a_tensor(self.restrict(y), m)
             f_y = self.contract_obstruction(xi_elem, y, m)
             f_x = self.contract_obstruction(xi_elem, x, n_y)
-        # forward xi on (X (x) Y, M), contracted without forming the composite
+        # forward xi on (X (x) Y, M): p_out f_x (id_X (x) f_y) (id_XY (x) i_M), with
+        # the slice maps taken in first so the composite is never formed
         n_out = self.a_tensor(self.a_tensor(self.restrict(x), self.restrict(y)), m)
-        return _station_apply(self.station(m, n_out), f_x, x.dim, self.t(m).dim, m.dim,
-                              n_out.dim, f_y=f_y, y_dim=y.dim)
+        f_y_i = mul_id_kron(f_y, y.dim, self.station(m)[1])
+        return mul_id_kron(self.station(n_out)[0] * f_x, x.dim, f_y_i)
 
     def s_base(self) -> ComoduleAlgebraData:
         return subhopf_comodule(self.embed_b, name="A_base")
@@ -306,13 +315,9 @@ class AdjunctionEngine:
         """Certify the xi contract: normalisation, naturality, bijectivity."""
         report = CheckReport("adjunction contract")
         triv_a, a_reg = self.triv_a, self.a_reg
-        # req1: station(id_T(M)) = id_M, which is xi(l_{T(M)}) = l'_M
-        bad = 0
-        for m in (triv_a, a_reg):
-            tm = self.t(m)
-            got = self.station(m, m).apply(flatten(Matrix.identity(tm.dim, self.order)))
-            if got != flatten(Matrix.identity(m.dim, self.order)):
-                bad += 1
+        # req1: station(id_T(M)) = p_M i_M = id_M, which is xi(l_{T(M)}) = l'_M
+        bad = sum(1 for p_m, i_m in map(self.station, (triv_a, a_reg))
+                  if identity_residual(p_m * i_m))
         report.add("normalisation xi(id_T(M)) = id_M", bad == 0, bad)
         # naturality and bijectivity on a small instance
         pairs = [(self.triv_h, triv_a, triv_a), (self.h_reg, triv_a, a_reg)]
@@ -357,62 +362,10 @@ def _unit_index(alg) -> int:
     return idx
 
 
-def _station_apply(st: Matrix, f_x: Matrix, x_dim: int, tv_dim: int, v_dim: int,
-                   w_dim: int, f_y: Matrix | None = None, y_dim: int = 1) -> Matrix:
-    """station(f_x o (id_X (x) f_y)): the slice contraction of forward xi.
-
-    f_y maps Y (x) T(V) -> T(N) and f_x maps X (x) T(N) -> T(W); f_y = None
-    stands for the identity of T(V) with dim Y = 1, which is ``xi_forward``.
-    For each basis vector x_i (x) y_j the slice of the composite at
-    x_i (x) y_j (x) -: T(V) -> T(W), flattened row-major, goes through the
-    station st: Hom(T(V), T(W)) -> Hom(V, W); the result,
-    dim W x (dim X * dim Y * dim V), holds it in the columns of (x_i, y_j).
-
-    The composite is never formed: each station row combines the rows of
-    f_x it reads, grouped by the T(V) column c of the entry, and dots them
-    with column slice c of f_y only.
-    """
-    n_dim = tv_dim if f_y is None else f_y.rows
-    # y_slices[c][k] = [(j, f_y[k][j*tv_dim + c])]: the T(V) column c of f_y
-    y_slices: dict = {}
-    if f_y is not None:
-        for k in range(f_y.rows):
-            for col, val in f_y.row(k).items():
-                j, c = divmod(col, tv_dim)
-                y_slices.setdefault(c, {}).setdefault(k, []).append((j, val))
-    # slots[r][k] = [(i, f_x[r][i*n_dim + k])]: row r of f_x split by x index
-    slots: dict = {}
-    out = [{} for _ in range(w_dim)]
-    for p in range(st.rows):
-        wt, vi = divmod(p, v_dim)
-        by_c: dict = {}
-        for h, sv in st.row(p).items():
-            r, c = divmod(h, tv_dim)
-            by_c.setdefault(c, []).append((r, sv))
-        row = out[wt]
-        for c, reads in by_c.items():
-            y_c = {c: None} if f_y is None else y_slices.get(c)
-            if not y_c:
-                continue
-            combined: dict = {}
-            for r, sv in reads:
-                sl = slots.get(r)
-                if sl is None:
-                    sl = slots[r] = {}
-                    for col, val in f_x.row(r).items():
-                        i, k = divmod(col, n_dim)
-                        sl.setdefault(k, []).append((i, val))
-                unit = sv.is_one()
-                for k in y_c:
-                    for i, val in sl.get(k, ()):
-                        add_into(combined, (i, k), val if unit else sv * val)
-            for (i, k), val in combined.items():
-                if f_y is None:
-                    add_into(row, i * v_dim + vi, val)
-                    continue
-                for j, yv in y_c[k]:
-                    add_into(row, (i * y_dim + j) * v_dim + vi, val * yv)
-    return Matrix(w_dim, x_dim * y_dim * v_dim, out, st.order)
+def _matrix_unit(rows: int, cols: int, r: int, c: int, order: int) -> Matrix:
+    """The rows x cols matrix E_rc, with one 1 at (r, c)."""
+    return Matrix(rows, cols, [{c: Cyclo.one(order)} if i == r else {} for i in range(rows)],
+                  order)
 
 
 def _certified_element(legs, reg_map: Matrix, battery, direct, report: CheckReport,
@@ -550,19 +503,13 @@ class MonomialDatum:
         raise PipelineError("no station weight family makes xi^-1(id) uniquely "
                             "solvable on (H_reg, A_reg)")
 
-    def _station(self, v: ModuleRep, w: ModuleRep) -> Matrix:
-        """Sum of weighted slice extractions: Theta -> sum_s c_s [Theta(v_0 (x) -)]_s."""
-        n = self.spec.n
-        order = self.order
-        tv_dim = n * v.dim
-        tw_dim = n * w.dim
-        data = [{} for _ in range(w.dim * v.dim)]
-        for s in range(n):
-            c = self.weights[s]
-            for wt in range(w.dim):
-                for vi in range(v.dim):
-                    data[wt * v.dim + vi][(s * w.dim + wt) * tv_dim + vi] = c
-        return Matrix(w.dim * v.dim, tw_dim * tv_dim, data, order)
+    def _station(self, v: ModuleRep) -> tuple[Matrix, Matrix]:
+        """The slice maps of T(V) = k^n (x) V: p_V = (c_0 ... c_(n-1)) (x) id_V sums
+        the slices with the weights, and i_V = e_0 (x) id_V puts V into slice 0."""
+        n, order = self.spec.n, self.order
+        id_v = Matrix.identity(v.dim, order)
+        weights = Matrix(1, n, [dict(enumerate(self.weights))], order)
+        return kron(weights, id_v), kron(_matrix_unit(n, 1, 0, 0, order), id_v)
 
     def _h_character_module(self):
         values = []
@@ -608,12 +555,12 @@ class MonomialDatum:
         report = CheckReport("omega normalisation")
         order = self.order
         for v in (self.engine.triv_a, self.engine.a_reg):
-            tv = self.engine.t(v)
             vdual = dual_module(self.kb, v)
             vw = tensor_reps(self.kb, v, vdual)
             ind, proj, sec = induce(self.embed_b, vw)
-            # station is linear: station(eps id) = eps station(id)
-            st_id = self._station(v, v).apply(flatten(Matrix.identity(tv.dim, order)))
+            # station is linear: station(eps id) = eps station(id) = eps p_V i_V
+            p_v, i_v = self._station(v)
+            st_id = p_v * i_v
             bad = 0
             for r in range(ind.dim):
                 total = Cyclo.zero(order)
@@ -622,7 +569,7 @@ class MonomialDatum:
                     hh, vf = divmod(idx, vw.dim)
                     vi, fi = divmod(vf, vdual.dim)
                     eps_sh = self.h.counit_of(self.h.antipode_inv_of({hh: Cyclo.one(order)}))
-                    small = st_id.get(fi * v.dim + vi)
+                    small = st_id.row(fi).get(vi)
                     if small is not None:
                         total = total + c * (small * eps_sh)
                     if vi == fi:
@@ -640,16 +587,17 @@ class MonomialDatum:
 
 
 def generic_galois_datum(embed_a: SubHopfEmbedding, k: ComoduleAlgebraData,
-                         t_functor, t_morphism, iso_of,
+                         t_functor, t_morphism, station,
                          check_simplicity: bool = True):
     """Datum from an A-Galois comodule algebra with supplied Hom-isomorphisms.
 
-    ``iso_of(v, w)`` must return the matrix of an isomorphism from flattened
-    Hom(T(V), T(W)) (carrying the gamma-twisted A-action) to flattened
-    Hom(V, W) (standard A-action); this forces dim T(V) = dim V.  The chain
-    through the Galois transport then realises the stabilizers as duals of
-    induced modules, and the returned engine computes twists the same way as
-    the monomial family.  Returns (engine, report); a non-A-linear iso is
+    ``station(v)`` must return slice maps (p_V, i_V), p_V: T(V) -> V and
+    i_V: V -> T(V), such that Theta -> p_W Theta i_V is an isomorphism from
+    Hom(T(V), T(W)) (carrying the gamma-twisted A-action) to Hom(V, W)
+    (standard A-action); this forces dim T(V) = dim V.  The chain through
+    the Galois transport then realises the stabilizers as duals of induced
+    modules, and the returned engine computes twists the same way as the
+    monomial family.  Returns (engine, report); a non-A-linear iso is
     rejected with the exact residual count.
     """
     from .stab import galois_twisted_action
@@ -671,7 +619,7 @@ def generic_galois_datum(embed_a: SubHopfEmbedding, k: ComoduleAlgebraData,
     if check_simplicity:
         report.add_status("K is H-simple", is_h_simple(k).status)
 
-    engine = AdjunctionEngine(h, embed_a, k, t_functor, t_morphism, iso_of)
+    engine = AdjunctionEngine(h, embed_a, k, t_functor, t_morphism, station)
 
     # supplied isos must be A-linear: gamma-twisted source, standard target
     gens = a.alg.generator_indices()
@@ -680,7 +628,8 @@ def generic_galois_datum(embed_a: SubHopfEmbedding, k: ComoduleAlgebraData,
     for v in v_samples:
         for w in v_samples:
             tv, tw = engine.t(v), engine.t(w)
-            eta = iso_of(v, w)
+            # the iso on flattened Hom spaces: p_W Theta i_V, row-major
+            eta = kron(station(w)[0], station(v)[1].transpose())
             for g in gens:
                 src = galois_twisted_action(gal, embed_a, tv, tw, g)
                 tgt = _standard_hom_action(a, v, w, g)
@@ -737,7 +686,7 @@ def gauge_from_equivalence(datum: MonomialDatum, datum2: MonomialDatum,
         f, n_mod = eng.xi_inverse_id(x, v)
         phi_out = phi_of(n_mod)
         phi_in = phi_of(v)
-        sigma = phi_out * f * kron(Matrix.identity(x.dim, order), inverse(phi_in))
+        sigma = mul_id_kron(phi_out * f, x.dim, inverse(phi_in))
         return eng2.xi_forward(x, v, n_mod, sigma)
 
     legs = [datum.h.alg, datum.kb.alg]
@@ -824,21 +773,21 @@ def phi_psi(datum: MonomialDatum, v: ModuleRep, w: ModuleRep) -> dict:
         ordered = [cols[j] for j in range(h.dim)]
         return Matrix.from_cols(ordered, tw.dim * tv.dim, order)
 
+    # T(V) = k^n (x) V: E_sk (x) a puts a: V -> W at slice (s, k) of T(V) -> T(W),
+    # and (e_j^T (x) id_W) Theta (e_i (x) id_V) reads slice (j, i) of Theta
+    slice_out = [kron(_matrix_unit(1, n, 0, j, order), Matrix.identity(w.dim, order))
+                 for j in range(n)]
+    slice_in = [kron(_matrix_unit(n, 1, i, 0, order), Matrix.identity(v.dim, order))
+                for i in range(n)]
+
     def phi_map(xi_mat: Matrix) -> Matrix:
         values = []
         for c_l in cosets.reps:
-            flat: dict = {}
-            for s in range(n):
-                for kk in range(n):
-                    # element g^s x^k c_l = chi^k(c_l) (g^s c_l) x^k
-                    gs = cosets.g_powers[s]
-                    target = table[gs][c_l]
-                    coeff = chi[c_l] ** kk
-                    for idx, x in xi_mat.col(target * n + kk).items():
-                        wt, vi = divmod(idx, v.dim)
-                        add_into(flat, (s * w.dim + wt) * (n * v.dim) + kk * v.dim + vi,
-                                 coeff * x)
-            values.append(flat)
+            # slice (s, k) is the value at g^s x^k c_l = chi^k(c_l) (g^s c_l) x^k
+            terms = [(chi[c_l] ** kk, _matrix_unit(n, n, s, kk, order),
+                      unflatten(xi_mat.col(table[gs][c_l] * n + kk), w.dim, v.dim, order))
+                     for s, gs in enumerate(cosets.g_powers) for kk in range(n)]
+            values.append(flatten(kron_sum(terms, tw.dim, tv.dim, order)))
         return extend_af(values)
 
     def extend_cb(values_at_jil):
@@ -859,14 +808,12 @@ def phi_psi(datum: MonomialDatum, v: ModuleRep, w: ModuleRep) -> dict:
 
     def psi_map(alpha_mat: Matrix) -> Matrix:
         # the (j, i) slice of the value at c_l, for every j, i < n
-        values = {(j, i, l): {} for l in range(len(cosets.reps))
-                  for j in range(n) for i in range(n)}
+        values = {}
         for l, c_l in enumerate(cosets.reps):
-            for idx, x in alpha_mat.col(c_l * n + 0).items():
-                jw, iv = divmod(idx, n * v.dim)
-                j, wt = divmod(jw, w.dim)
-                i, vi = divmod(iv, v.dim)
-                values[(j, i, l)][wt * v.dim + vi] = x
+            theta = unflatten(alpha_mat.col(c_l * n), tw.dim, tv.dim, order)
+            for j in range(n):
+                for i in range(n):
+                    values[(j, i, l)] = flatten(slice_out[j] * theta * slice_in[i])
         return extend_cb(values)
 
     # matrices with respect to the two bases, with membership verification

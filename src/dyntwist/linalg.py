@@ -17,6 +17,8 @@ Conventions fixed here and used everywhere else in the package:
 * every sum of scaled Kronecker products, and so every element acting on a
   tensor product of modules and every linear combination of matrices, is
   built by ``kron_sum``;
+* every product a (id_d (x) b) is taken by ``mul_id_kron``, which never
+  forms id_d (x) b;
 * subspaces are stored by a basis matrix in reduced column echelon form, so
   equal subspaces have equal basis matrices;
 * every closure of a set of vectors under linear maps (an ideal, an operator
@@ -233,6 +235,20 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
                     row[off + l] = x * y
             out.append(row)
     return Matrix._trusted(a.rows * b.rows, a.cols * b.cols, out, a.order)
+
+
+def mul_id_kron(a: Matrix, d: int, b: Matrix) -> Matrix:
+    """a (id_d (x) b), without forming id_d (x) b.
+
+    Entry (r, i*b.rows + k) of a is entry (r*d + i, k) of a reshaped to
+    (rows*d) x b.rows; that times b, reshaped back to rows x (d*b.cols), is
+    the product.
+    """
+    if a.cols != d * b.rows:
+        raise LinAlgError("shape mismatch in product: %dx%d by id_%d (x) %dx%d"
+                          % (a.rows, a.cols, d, b.rows, b.cols))
+    folded = unflatten(flatten(a), a.rows * d, b.rows, a.order) * b
+    return unflatten(flatten(folded), a.rows, d * b.cols, a.order)
 
 
 def kron_sum(terms, rows: int, cols: int, order: int) -> Matrix:

@@ -288,47 +288,29 @@ def coset_data(table: list[list[int]], f_indices: list[int], b_indices: list[int
 def make_t_module(spec: MonomialHopfSpec, k: ComoduleAlgebraData,
                   f_indices: list[int], b_indices: list[int], cosets: CosetData,
                   mu: Cyclo, v: ModuleRep, name: str | None = None) -> ModuleRep:
-    """The K-module T(V) = slices v_0..v_(n-1) tensor V.
+    """The K-module T(V) = k^n (x) V, the n slices of V.
 
-    y shifts slices down cyclically with factor mu; e_h scales slice s by
-    chi(h)^s and acts through the B-part of h on V.  Module axioms (y^n acts
-    by lambda, the commutation with each e_h) follow and are testable via
-    ModuleRep.verify.
+    y acts as Y (x) id_V, where Y shifts the slices down cyclically with
+    factor mu; e_h acts as D_h (x) rho_V(b), where D_h scales slice s by
+    chi(h)^s and b is the B-part of h.  So e_h y^i acts as
+    (D_h Y^i) (x) rho_V(b).  Module axioms (y^n acts by lambda, the
+    commutation with each e_h) follow and are testable via ModuleRep.verify.
     """
     n = spec.n
     order = k.order
     chi = [c.embed(order) for c in spec.chi]
     mu = mu.embed(order)
-    f_sorted = sorted(f_indices)
-    dim = n * v.dim
-
-    y_rows = [{} for _ in range(dim)]
-    for s in range(n):
-        dst = (s - 1) % n
-        for t in range(v.dim):
-            y_rows[dst * v.dim + t][s * v.dim + t] = mu
-    y_matrix = Matrix(dim, dim, y_rows, order)
-
-    b_sorted = sorted(b_indices)
-    e_mats = {}
-    for fh in f_sorted:
-        b = cosets.b_part[fh]
-        rho_b = v.action[b_sorted.index(b)]
-        data = [{} for _ in range(dim)]
-        for s in range(n):
-            c = chi[fh] ** s
-            for t_out, t_in, val in rho_b.nonzeros():
-                data[s * v.dim + t_out][s * v.dim + t_in] = c * val
-        e_mats[fh] = Matrix(dim, dim, data, order)
-
-    action = []
-    y_pow = [Matrix.identity(dim, order)]
+    y_shift = Matrix(n, n, [{(s + 1) % n: mu} for s in range(n)], order)
+    y_pow = [Matrix.identity(n, order)]
     for _ in range(n - 1):
-        y_pow.append(y_pow[-1] * y_matrix)
-    for fh in f_sorted:
-        for i in range(n):
-            action.append(e_mats[fh] * y_pow[i])
-    return ModuleRep(k.alg, dim, action, name=name or ("T(%s)" % v.name))
+        y_pow.append(y_pow[-1] * y_shift)
+    b_sorted = sorted(b_indices)
+    action = []
+    for fh in sorted(f_indices):
+        rho_b = v.action[b_sorted.index(cosets.b_part[fh])]
+        scale = Matrix(n, n, [{s: chi[fh] ** s} for s in range(n)], order)
+        action += [kron(scale * y_i, rho_b) for y_i in y_pow]
+    return ModuleRep(k.alg, n * v.dim, action, name=name or ("T(%s)" % v.name))
 
 
 def t_on_morphism(n: int, f: Matrix) -> Matrix:

@@ -6,7 +6,8 @@ Hom_K(H (x) V, W) with right-translation H-action, which satisfies the same
 adjunction and dimension formula.  The Galois transport to Hom_A(H, Hom(V,W))
 is a reshape whose content is the pair of module constraints it exchanges;
 both directions are verified exactly.  Currying and composition of
-stabilizer elements are matrix products with Kronecker products (``kron``).
+stabilizer elements are matrix products with Kronecker products (``kron``,
+and ``mul_id_kron`` for a product with id (x) g, which it never forms).
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from dataclasses import dataclass
 
 from .comod import ComoduleAlgebraData, GaloisData, galois_gamma
 from .hopf import StructureError, add_into
-from .linalg import (Matrix, Subspace, flatten, intersect, kron, kron_sum, rank, solve,
-                     sparse_cols, unflatten)
+from .linalg import (Matrix, Subspace, flatten, intersect, kron, kron_sum, mul_id_kron, rank,
+                     solve, sparse_cols, unflatten)
 from .rep import (ModuleRep, SubHopfEmbedding, hom_space, intertwiner_basis, regular_module,
                   tensor_action)
 from .report import CheckReport
@@ -219,8 +220,7 @@ def stab_compose(k: ComoduleAlgebraData, u: ModuleRep, v: ModuleRep, w: ModuleRe
     order = k.order
     tau_delta = Matrix.from_cols([{h2 * h.dim + h1: c for (h1, h2), c in h.comult[hi].items()}
                                   for hi in range(h.dim)], h.dim * h.dim, order)
-    return (f * kron(Matrix.identity(h.dim, order), gmap)
-            * kron(tau_delta, Matrix.identity(u.dim, order)))
+    return mul_id_kron(f, h.dim, gmap) * kron(tau_delta, Matrix.identity(u.dim, order))
 
 
 def stab_unit(k: ComoduleAlgebraData, v: ModuleRep) -> Matrix:

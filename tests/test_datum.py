@@ -257,12 +257,15 @@ def _scalar_comodule_datum(datum):
     return embed, k, t_functor
 
 
+def _identity_slices(v):
+    """The station of T = identity: p_V = i_V = id_V."""
+    return Matrix.identity(v.dim, 2), Matrix.identity(v.dim, 2)
+
+
 def test_generic_datum_trivial_gives_trivial_twist(e0_datum):
     from dyntwist.datum import generic_galois_datum
     embed, k, t_functor = _scalar_comodule_datum(e0_datum)
-    engine, report = generic_galois_datum(
-        embed, k, t_functor, lambda f: f,
-        lambda v, w: Matrix.identity(v.dim * w.dim, 2))
+    engine, report = generic_galois_datum(embed, k, t_functor, lambda f: f, _identity_slices)
     assert report.ok, str(report)
     twist, rep = engine.extract_twist()
     assert rep.ok
@@ -281,8 +284,7 @@ def test_generic_datum_hopf_case(e1_datum):
         return ModuleRep(kb_alg, v.dim, list(v.action), name="T(%s)" % v.name)
 
     engine, report = generic_galois_datum(
-        e1_datum.embed_b, k, t_functor, lambda f: f,
-        lambda v, w: Matrix.identity(v.dim * w.dim, 2))
+        e1_datum.embed_b, k, t_functor, lambda f: f, _identity_slices)
     assert report.ok, str(report)
     twist, rep = engine.extract_twist()
     assert rep.ok
@@ -299,17 +301,17 @@ def test_generic_datum_rejects_non_a_linear_iso(e1_datum):
     def t_functor(v):
         return ModuleRep(kb_alg, v.dim, list(v.action), name="T")
 
-    def bad_iso(v, w):
-        ident = Matrix.identity(v.dim * w.dim, 2)
+    def bad_slices(v):
+        # an invertible i_V that does not commute with the action of B on kB
+        ident = Matrix.identity(v.dim, 2)
         m = [[ident.entry(i, j) for j in range(ident.cols)] for i in range(ident.rows)]
-        if v.dim * w.dim > 1:
+        if v.dim > 1:
             m[0][1] = Cyclo.one(2)
             m[1][0] = Cyclo.one(2) + Cyclo.one(2)
-        return Matrix.from_rows(m, 2)
+        return ident, Matrix.from_rows(m, 2)
 
-    with pytest.raises(PipelineError):
-        generic_galois_datum(e1_datum.embed_b, k, t_functor, lambda f: f,
-                             bad_iso)
+    with pytest.raises(PipelineError, match="supplied isomorphism family is not A-linear"):
+        generic_galois_datum(e1_datum.embed_b, k, t_functor, lambda f: f, bad_slices)
 
 
 def test_validation_rejects_bad_b(e1_datum):
@@ -431,18 +433,49 @@ def test_xi_bijectivity_residual_is_the_rank_deficit():
     assert checks["naturality of xi on sample instances"].status == "PASS"
 
 
+def test_normalisation_fails_on_every_module_when_the_weights_are_zero():
+    # p_M i_M = c_0 id_M, so zero weights break xi(id_T(M)) = id_M on both
+    # triv_A and A_reg
+    datum = MonomialDatum(e1_spec())
+    datum.weights = [Cyclo.zero(datum.order)] * datum.spec.n
+    checks = {c.name: c for c in datum.engine.validate().checks}
+    norm = checks["normalisation xi(id_T(M)) = id_M"]
+    assert (norm.status, norm.residual_nonzero_count) == ("FAIL", 2)
+
+
 # -- the orbit-reduced xi^-1 against the unreduced system --------------------------
 
 
-def _unreduced_solution(k, key, order) -> Matrix:
+def _flat_station(datum, v_dim, w_dim) -> Matrix:
+    """The monomial station as one matrix, flattened Hom(T(V), T(W)) -> flattened Hom(V, W).
+
+    Written entry by entry from the slice layout, not from the engine's slice
+    maps: Theta -> sum_s c_s Theta[(s, w), (0, v)] with T(V) = n slices of V,
+    so row w*dim V + v holds c_s at column (s*dim W + w)*dim T(V) + v.
+    """
+    n = datum.spec.n
+    tv_dim = n * v_dim
+    data = [{} for _ in range(w_dim * v_dim)]
+    for s, c in enumerate(datum.weights):
+        for wt in range(w_dim):
+            for vi in range(v_dim):
+                data[wt * v_dim + vi][(s * w_dim + wt) * tv_dim + vi] = c
+    return Matrix(w_dim * v_dim, n * w_dim * tv_dim, data, datum.order)
+
+
+def _unreduced_solution(datum, key) -> Matrix:
     """Solve the full K-linearity and station system of one memo key.
 
     The system is written out exactly as xi^-1 is defined, one row per
     equation of f S(g) = T(g) f and per station entry, with no substitution;
-    a memo key holds (action of X, of T(V), of T(W), station, f', dim V,
-    dim W).
+    a memo key holds (action of X, of T(V), of T(W), p_W, i_V, f').  The
+    station rows come from ``_flat_station``; the key's slice maps give only
+    dim W and dim V.
     """
-    x_act, tv_act, tw_act, st, fprime, v_dim, w_dim = key
+    k, order = datum.k, datum.order
+    x_act, tv_act, tw_act, p_w, i_v, fprime = key
+    v_dim, w_dim = i_v.cols, p_w.rows
+    st = _flat_station(datum, v_dim, w_dim)
     x_dim, tv_dim, tw_dim = x_act[0].rows, tv_act[0].rows, tw_act[0].rows
     s_dim = x_dim * tv_dim
     rows, rhs = [], {}
@@ -502,7 +535,7 @@ def test_every_memoised_xi_inverse_equals_the_unreduced_solve(make_spec):
     memo = datum.engine._xi_memo
     assert len(memo) >= 3
     for key, f in memo.items():
-        assert _unreduced_solution(datum.k, key, datum.order) == f
+        assert _unreduced_solution(datum, key) == f
 
 
 def test_a_two_cycle_with_product_minus_one_is_forced_to_zero():
@@ -708,8 +741,9 @@ def _composite_station_contract(st, f, xdim, tv_dim, vdim, wdim):
     return Matrix(wdim, xdim * vdim, out, st.order)
 
 
-def _composite_i(eng, x, y, m, xi_elem):
+def _composite_i(datum, x, y, m, xi_elem):
     """I_{X,Y,M} by the formed composite f_x (id_X (x) f_y), then the station."""
+    eng = datum.engine
     if xi_elem is None:
         f_y, n_y = eng.xi_inverse_id(y, m)
         f_x, _ = eng.xi_inverse_id(x, n_y)
@@ -719,8 +753,8 @@ def _composite_i(eng, x, y, m, xi_elem):
         f_x = eng.contract_obstruction(xi_elem, x, n_y)
     composite = f_x * kron(Matrix.identity(x.dim, eng.order), f_y)
     n_out = eng.a_tensor(eng.a_tensor(eng.restrict(x), eng.restrict(y)), m)
-    return _composite_station_contract(eng.station(m, n_out), composite, x.dim * y.dim,
-                                       eng.t(m).dim, m.dim, n_out.dim)
+    return _composite_station_contract(_flat_station(datum, m.dim, n_out.dim), composite,
+                                       x.dim * y.dim, eng.t(m).dim, m.dim, n_out.dim)
 
 
 @pytest.mark.parametrize("make_spec", [e1_spec, z3_spec])
@@ -730,9 +764,9 @@ def test_compute_i_equals_the_station_of_the_formed_composite(make_spec):
     xi_elem, _ = eng.obstruction_element()
     battery = eng._extraction_battery()
     for x, y, m in battery:  # the solve path
-        assert eng.compute_i(x, y, m) == _composite_i(eng, x, y, m, None)
+        assert eng.compute_i(x, y, m) == _composite_i(datum, x, y, m, None)
     for x, y, m in battery + [(eng.h_reg, eng.h_reg, eng.a_reg)]:  # the element path
-        assert eng.compute_i(x, y, m, xi_elem=xi_elem) == _composite_i(eng, x, y, m, xi_elem)
+        assert eng.compute_i(x, y, m, xi_elem=xi_elem) == _composite_i(datum, x, y, m, xi_elem)
 
 
 @pytest.mark.parametrize("make_spec", [e1_spec, z3_spec])
@@ -747,35 +781,67 @@ def test_station_contraction_reads_the_weights(make_spec):
                      for r in STATION_WEIGHT_FAMILIES[3](datum.spec.n)]
     x, m = eng.h_reg, eng.a_reg
     assert eng.xi_forward(x, m, n, f) == _composite_station_contract(
-        eng.station(m, n), f, x.dim, eng.t(m).dim, m.dim, n.dim)
+        _flat_station(datum, m.dim, n.dim), f, x.dim, eng.t(m).dim, m.dim, n.dim)
     for x, y, m in eng._extraction_battery():
-        assert eng.compute_i(x, y, m, xi_elem=xi_elem) == _composite_i(eng, x, y, m, xi_elem)
+        assert eng.compute_i(x, y, m, xi_elem=xi_elem) == _composite_i(datum, x, y, m, xi_elem)
 
 
 # -- the paper's setting: a non-abelian base -----------------------------------------
 
 
-def test_s3xz2_fixture_is_the_recipe_and_its_base_is_non_abelian():
-    # G = S3 x Z2, (p, k) at index 2p + k, p over itertools.permutations(range(3)),
-    # (p1 o p2)[i] = p1[p2[i]]; chi = (-1)^k, g = (id, 1), B = S3 x {0}, F = G
-    perms = list(itertools.permutations(range(3)))
-    size = 2 * len(perms)
+def _product_recipe(perms, n, order):
+    """The datum P x Z_n of the ladder recipe, P given by its permutation tuples.
+
+    (p, k) sits at index n * (position of p among the sorted tuples) + k,
+    with (p1 o p2)[i] = p1[p2[i]]; chi(p, k) = zeta_n^k, g = (id, 1),
+    F = G, B = P x {0} and mu = 1.
+    """
+    perms = sorted(perms)
+    size = n * len(perms)
 
     def index(p, k):
-        return 2 * perms.index(p) + k
+        return n * perms.index(p) + k
 
     table = [[0] * size for _ in range(size)]
-    for (p1, k1), (p2, k2) in itertools.product(itertools.product(perms, range(2)),
+    for (p1, k1), (p2, k2) in itertools.product(itertools.product(perms, range(n)),
                                                 repeat=2):
-        table[index(p1, k1)][index(p2, k2)] = index(tuple(p1[p2[i]] for i in range(3)),
-                                                    (k1 + k2) % 2)
-    order = 6  # the group exponent; n = 2 and mu = 1 add nothing
-    recipe = DatumSpec(table=table,
-                       chi=[Cyclo.from_rational((-1) ** (h % 2), order) for h in range(size)],
-                       g=index((0, 1, 2), 1), n=2, f_indices=list(range(size)),
-                       b_indices=[index(p, 0) for p in perms], mu=Cyclo.one(order))
-    doc = json.loads((ROOT / "tests" / "data" / "s3xz2_datum.json").read_text())
+        table[index(p1, k1)][index(p2, k2)] = index(tuple(p1[i] for i in p2), (k1 + k2) % n)
+    zeta = Cyclo.zeta(n).embed(order)
+    return DatumSpec(table=table, chi=[zeta ** (h % n) for h in range(size)],
+                     g=index(tuple(range(len(perms[0]))), 1), n=n,
+                     f_indices=list(range(size)), b_indices=[index(p, 0) for p in perms],
+                     mu=Cyclo.one(order))
+
+
+def _generated_permutations(gens):
+    """The permutation group generated by ``gens``, as tuples."""
+    found = {tuple(range(len(gens[0])))}
+    frontier = list(found)
+    while frontier:
+        frontier = [tuple(p[i] for i in q) for p in frontier for q in gens]
+        frontier = [p for p in set(frontier) if p not in found]
+        found.update(frontier)
+    return found
+
+
+def _assert_fixture_is_the_recipe(name, recipe, order):
+    doc = json.loads((ROOT / "tests" / "data" / name).read_text())
     spec, parsed_order = datum_from_json(doc)
     assert (spec, parsed_order) == (recipe, order)
-    assert spec.g == 1 and spec.b_indices == [0, 2, 4, 6, 8, 10]
+    table = spec.table
+    assert spec.g == 1 and spec.b_indices == list(range(0, len(table), 2))
     assert any(table[a][b] != table[b][a] for a in spec.b_indices for b in spec.b_indices)
+
+
+def test_s3xz2_fixture_is_the_recipe_and_its_base_is_non_abelian():
+    order = 6  # the group exponent; n = 2 and mu = 1 add nothing
+    recipe = _product_recipe(list(itertools.permutations(range(3))), 2, order)
+    _assert_fixture_is_the_recipe("s3xz2_datum.json", recipe, order)
+
+
+def test_d4xz2_fixture_is_the_recipe_and_its_base_is_non_abelian():
+    # D4 on 4 points, generated by the rotation (1,2,3,0) and the reflection (0,3,2,1)
+    d4 = _generated_permutations([(1, 2, 3, 0), (0, 3, 2, 1)])
+    assert len(d4) == 8
+    order = 4  # the group exponent
+    _assert_fixture_is_the_recipe("d4xz2_datum.json", _product_recipe(d4, 2, order), order)

@@ -18,6 +18,7 @@ from dyntwist.linalg import (
     kernel,
     kron,
     kron_sum,
+    mul_id_kron,
     quotient,
     rank,
     solve,
@@ -233,6 +234,25 @@ def test_kron_multiplicativity(seed):
     a, c = rnd(2, 3), rnd(3, 2)
     b, d = rnd(2, 2), rnd(2, 3)
     assert kron(a, b) * kron(c, d) == kron(a * c, b * d)
+
+
+@pytest.mark.parametrize("order", [1, 3])
+@pytest.mark.parametrize("seed", range(6))
+def test_mul_id_kron_is_the_product_with_id_kron(order, seed):
+    # d = 1 on seeds 0 and 1, a zero a on seed 2 and a zero b on seed 3;
+    # every random matrix with rows and columns has an empty row
+    rng = random.Random("mul_id_kron:%d:%d" % (order, seed))
+    d = 1 if seed < 2 else rng.randint(2, 3)
+    rows, brows, bcols = rng.randint(2, 4), rng.randint(2, 4), rng.randint(2, 4)
+    a = _to_matrix(_rand_dense(rng, rows, d * brows, order), rows, d * brows, order)
+    b = _to_matrix(_rand_dense(rng, brows, bcols, order), brows, bcols, order)
+    if seed == 2:
+        a = Matrix.zero(rows, d * brows, order)
+    if seed == 3:
+        b = Matrix.zero(brows, bcols, order)
+    assert mul_id_kron(a, d, b) == a * kron(Matrix.identity(d, order), b)
+    with pytest.raises(LinAlgError):
+        mul_id_kron(a, d + 1, b)
 
 
 def test_subspace_equality_is_canonical():
