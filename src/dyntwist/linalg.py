@@ -19,6 +19,11 @@ Conventions fixed here and used everywhere else in the package:
   built by ``kron_sum``;
 * every product a (id_d (x) b) is taken by ``mul_id_kron``, which never
   forms id_d (x) b;
+* every matrix product and every elimination step normalises each entry
+  once: a product sums the integer polynomial products of an entry's terms
+  over one cleared denominator (``_sum_rows``), a row of a that meets one
+  nonzero row of b scales that row, and an elimination step forms
+  cur - c v in one step (``scalar.sub_mul``);
 * subspaces are stored by a basis matrix in reduced column echelon form, so
   equal subspaces have equal basis matrices;
 * every closure of a set of vectors under linear maps (an ideal, an operator
@@ -28,7 +33,7 @@ Conventions fixed here and used everywhere else in the package:
 
 from __future__ import annotations
 
-from .scalar import Cyclo
+from .scalar import Cyclo, ScalarError, cleared, euler_phi, packed, sub_mul, unpacker
 
 
 class LinAlgError(ValueError):
@@ -39,6 +44,44 @@ def _drop_zeros(row: dict) -> dict:
     for c in [c for c, v in row.items() if v.is_zero()]:
         del row[c]
     return row
+
+
+def _sum_rows(arows: list[dict], brows: list[dict], cols: int, order: int) -> list[dict]:
+    """The rows a b for the rows ``arows`` of a, on cleared integer numerators.
+
+    The denominators are cleared once per row of a and once for all of b,
+    every numerator is packed into one integer (``scalar.packed``), so each
+    term costs one integer product and one sum, and each output entry is
+    reduced modulo Phi_N and normalised once.
+    """
+    if not arows:
+        return []
+    aclear = [cleared(r.values()) for r in arows]
+    bden, bbits = cleared(v for r in brows for v in r.values())
+    phi = euler_phi(order)
+    width = 0
+    if phi > 1:
+        # every coefficient of an entry's sum of polynomial products is below
+        # cols * phi * max|a| * max|b| in absolute value
+        width = max(bits for _, bits in aclear) + bbits + (cols * phi).bit_length() + 1
+    read = unpacker(order, width)
+    bp = [packed(r, bden, width) for r in brows]
+    out = []
+    for arow, (aden, _) in zip(arows, aclear):
+        acc: dict = {}
+        get = acc.get
+        for k, x in packed(arow, aden, width).items():
+            for j, y in bp[k].items():
+                acc[j] = get(j, 0) + x * y
+        den = aden * bden
+        row = {}
+        for j, x in acc.items():
+            if x:
+                v = read(x, den)
+                if not v.is_zero():
+                    row[j] = v
+        out.append(row)
+    return out
 
 
 class Matrix:
@@ -184,15 +227,25 @@ class Matrix:
                 "shape mismatch in product: %dx%d by %dx%d"
                 % (self.rows, self.cols, other.rows, other.cols)
             )
+        if self.order != other.order:
+            raise ScalarError("cyclotomic order mismatch in product: %d vs %d"
+                              % (self.order, other.order))
         brows = other._rows
+        # the entries of each row of a that meet a nonzero row of b
+        live = [[k for k in r if brows[k]] for r in self._rows]
+        sums = iter(_sum_rows([r for r, ks in zip(self._rows, live) if len(ks) > 1],
+                              brows, self.cols, self.order))
         out = []
-        for arow in self._rows:
-            acc: dict = {}
-            for k, a in arow.items():
-                for j, b in brows[k].items():
-                    cur = acc.get(j)
-                    acc[j] = a * b if cur is None else cur + a * b
-            out.append(_drop_zeros(acc))
+        for arow, ks in zip(self._rows, live):
+            if len(ks) > 1:
+                out.append(next(sums))
+            elif ks:
+                # one entry x scales one row of b, and x y != 0 in a field
+                x, brow = arow[ks[0]], brows[ks[0]]
+                out.append(dict(brow) if x.is_one()
+                           else {j: x if y.is_one() else x * y for j, y in brow.items()})
+            else:
+                out.append({})
         return Matrix._trusted(self.rows, other.cols, out, self.order)
 
     def apply(self, vec: dict) -> dict:
@@ -247,8 +300,19 @@ def mul_id_kron(a: Matrix, d: int, b: Matrix) -> Matrix:
     if a.cols != d * b.rows:
         raise LinAlgError("shape mismatch in product: %dx%d by id_%d (x) %dx%d"
                           % (a.rows, a.cols, d, b.rows, b.cols))
-    folded = unflatten(flatten(a), a.rows * d, b.rows, a.order) * b
-    return unflatten(flatten(folded), a.rows, d * b.cols, a.order)
+    folded = _reshape(a, a.rows * d, b.rows) * b
+    return _reshape(folded, a.rows, d * b.cols)
+
+
+def _reshape(m: Matrix, rows: int, cols: int) -> Matrix:
+    """m with its entries laid out row-major again as a rows x cols matrix."""
+    out = [{} for _ in range(rows)]
+    for i, r in enumerate(m._rows):
+        base = i * m.cols
+        for j, v in r.items():
+            ii, jj = divmod(base + j, cols)
+            out[ii][jj] = v
+    return Matrix._trusted(rows, cols, out, m.order)
 
 
 def kron_sum(terms, rows: int, cols: int, order: int) -> Matrix:
@@ -334,8 +398,7 @@ def _eliminate(row: dict, c: int, pivot_row: dict) -> None:
     for cc, vv in pivot_row.items():
         if cc == c:
             continue
-        cur = row.get(cc)
-        nv = -(coeff * vv) if cur is None else cur - coeff * vv
+        nv = sub_mul(row.get(cc), coeff, vv)
         if nv.is_zero():
             row.pop(cc, None)
         else:

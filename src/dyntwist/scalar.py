@@ -6,6 +6,13 @@ index n and the encoding order of the root mu).  Elements are stored on the
 power basis 1, z, ..., z^(phi(N)-1) reduced modulo the N-th cyclotomic
 polynomial, as integer numerators over one common denominator in lowest
 terms, so equality of the stored form is equality in the field.
+
+The exact matrix kernels of ``linalg`` work on those integer numerators:
+``cleared`` gives a common denominator of some values and a bound on their
+numerators over it, ``packed`` writes each numerator polynomial as one
+integer (Kronecker substitution), so a sum of products is a sum of integer
+products, ``unpacker`` reads such a sum back, reduced modulo Phi_N and
+normalised once, and ``sub_mul`` forms cur - a b with one normalisation.
 """
 
 from __future__ import annotations
@@ -371,6 +378,108 @@ def _make(order: int, num: tuple[int, ...], den: int) -> Cyclo:
     _set_den(out, den)
     _set_hash(out, None)
     return out
+
+
+def _poly_mul(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
+    """The integer polynomial product a b, of length len(a) + len(b) - 1."""
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                if bj:
+                    prod[i + j] += ai * bj
+    return prod
+
+
+def _reduced(order: int, poly: list[int]) -> list[int]:
+    """poly modulo Phi_N on the power basis, for poly of length 2 phi(N) - 1.
+
+    ``Cyclo.__mul__`` runs the same reduction inline, on its hot path.
+    """
+    phi = (len(poly) + 1) // 2
+    out = poly[:phi]
+    if phi > 1:
+        table = _reduction_table(order)
+        for k in range(phi, len(poly)):
+            c = poly[k]
+            if c:
+                for j, r in enumerate(table[k - phi]):
+                    if r:
+                        out[j] += c * r
+    return out
+
+
+def sub_mul(cur: Cyclo | None, a: Cyclo, b: Cyclo) -> Cyclo:
+    """cur - a b (cur None for zero), reduced and normalised once."""
+    order = a.order
+    if b.order != order or (cur is not None and cur.order != order):
+        raise ScalarError("cyclotomic order mismatch in cur - a b")
+    an, bn = a.num, b.num
+    prod = (an[0] * bn[0],) if len(an) == 1 else _reduced(order, _poly_mul(an, bn))
+    den = a.den * b.den
+    if cur is None:
+        return _make(order, tuple([-c for c in prod]), den)
+    cd = cur.den
+    return _make(order, tuple([x * den - y * cd for x, y in zip(cur.num, prod)]), cd * den)
+
+
+def cleared(values) -> tuple[int, int]:
+    """(D, bits) for Cyclo values: the lcm D of their denominators, and a bit
+    length that bounds every coefficient of every numerator over D."""
+    values = list(values)
+    if not values:
+        return 1, 0
+    den = lcm(*{v.den for v in values})
+    nums = [v.num for v in values]
+    top = max(max(map(max, nums)), -min(map(min, nums)))
+    return den, top.bit_length() + den.bit_length()
+
+
+def packed(row: dict, den: int, width: int) -> dict:
+    """Each value of the {key: Cyclo} dict as the one integer p(2^width), for p
+    its numerator polynomial over the common denominator den.
+
+    A sum of products of packed values is the packed sum of the polynomial
+    products (Kronecker substitution); ``unpacker(order, width)`` reads it
+    back when every coefficient of that sum lies below 2^(width-1) in
+    absolute value.  With width 0 (phi = 1) the value is the one numerator.
+    """
+    if not width:
+        return {k: v.num[0] * (den // v.den) for k, v in row.items()}
+    out = {}
+    for k, v in row.items():
+        x = 0
+        for c in reversed(v.num):
+            x = (x << width) + c
+        out[k] = x * (den // v.den)
+    return out
+
+
+@lru_cache(maxsize=64)
+def unpacker(order: int, width: int):
+    """The map (x, den) -> p(zeta_N) / den, for x = p(2^width) as ``packed`` describes.
+
+    p has degree at most 2 phi(N) - 2; the map reduces it modulo Phi_N and
+    normalises once.
+    """
+    phi = euler_phi(order)
+    if phi == 1:
+        return lambda x, den: _make(order, (x,), den)
+    length = 2 * phi - 1
+    full = 1 << width
+    half, mask, top = full >> 1, full - 1, width * length
+    # adding half to every slot makes every slot a plain nonnegative digit
+    bias = sum(half << width * i for i in range(length))
+    shifts = [width * i for i in range(length)]
+
+    def read(x: int, den: int) -> Cyclo:
+        x += bias
+        if x < 0 or x >> top:
+            raise AssertionError("packed polynomial overflows its width")
+        poly = [((x >> s) & mask) - half for s in shifts]
+        return _make(order, tuple(_reduced(order, poly)), den)
+
+    return read
 
 
 @lru_cache(maxsize=None)

@@ -1,5 +1,7 @@
+import cmath
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,7 +26,7 @@ from dyntwist.linalg import (
     solve,
     span_closure,
 )
-from dyntwist.scalar import Cyclo
+from dyntwist.scalar import Cyclo, ScalarError, euler_phi, sub_mul
 
 
 def q(x, order=1):
@@ -88,6 +90,16 @@ def test_apply_rejects_an_index_outside_the_columns():
 def test_inverse_roundtrip():
     m = mat([[1, 2], [3, 5]])
     assert m * inverse(m) == Matrix.identity(2, 1)
+
+
+def test_product_rejects_matrices_over_different_fields():
+    # a zero operand has no terms, so only the matrices' own orders can tell
+    with pytest.raises(ScalarError):
+        Matrix.zero(2, 2, 3) * Matrix.identity(2, 1)
+    with pytest.raises(ScalarError):
+        Matrix.identity(2, 3) * Matrix.zero(2, 2, 1)
+    with pytest.raises(ScalarError):
+        mat([[1, 2], [3, 4]], 3) * mat([[1, 2], [3, 4]], 4)
 
 
 def test_inverse_singular_raises():
@@ -440,3 +452,77 @@ def test_row_sparse_matrix_agrees_with_a_dense_reference(order, seed):
         assert _dense_of(echelon) == [[row[i] for row in ref_rref] for i in range(r)]
         assert _stores_no_zero(echelon)
         assert rank(a) == len(ref_rref)
+
+
+# -- oracle for the cleared-numerator kernels, over fields with phi up to 4 ---
+
+FIELD_ORDERS = [1, 3, 4, 5, 12]  # phi = 1, 2, 2, 4, 4
+
+
+def _field_scalar(rng, order, scale=1):
+    if rng.random() < 0.5:
+        return Cyclo.zero(order)
+    return Cyclo(order, [Fraction(rng.randint(-4, 4) * scale, rng.choice([1, 2, 3, 5]))
+                         for _ in range(euler_phi(order))])
+
+
+def _numeric(x):
+    """x at zeta_N = exp(2 pi i / N), as a complex number."""
+    z = cmath.exp(2j * cmath.pi / x.order)
+    return sum(float(c) * z ** k for k, c in enumerate(x.coeffs))
+
+
+def _canonical(x):
+    return x.den > 0 and gcd(x.den, *x.num) == 1 and (any(x.num) or x.den == 1)
+
+
+@pytest.mark.parametrize("order", FIELD_ORDERS)
+@pytest.mark.parametrize("seed", range(4))
+def test_cleared_numerator_kernels_agree_with_cyclo_arithmetic(order, seed):
+    # seed 3 scales the entries of b by up to 10^15, so the packing width grows
+    rng = random.Random("kernels:%d:%d" % (order, seed))
+    zero = Cyclo.zero(order)
+    r, n, c = rng.randint(3, 6), rng.randint(2, 6), rng.randint(2, 6)
+    scale = rng.randint(10 ** 14, 10 ** 15) if seed == 3 else 1
+    da = [[_field_scalar(rng, order) for _ in range(n)] for _ in range(r)]
+    db = [[_field_scalar(rng, order, scale) for _ in range(c)] for _ in range(n)]
+    da[0] = [zero] * n                                  # an empty row
+    da[1] = [zero] * n                                  # a row that scales one row of b
+    da[1][rng.randrange(n)] = Cyclo(order, [Fraction(-3, 5)] * euler_phi(order))
+    db[rng.randrange(n)] = [zero] * c
+    a, b = Matrix.from_rows(da, order), Matrix.from_rows(db, order)
+
+    got = a * b
+    assert _dense_of(got) == _ref_mul(da, db, n, c, order)
+    assert all(_canonical(v) for i in range(got.rows) for v in got.row(i).values())
+    assert _stores_no_zero(got)
+    for i in range(r):
+        for j in range(c):
+            want = sum(_numeric(da[i][k]) * _numeric(db[k][j]) for k in range(n))
+            assert abs(_numeric(got.entry(i, j)) - want) <= 1e-9 * (1 + abs(want))
+
+    plus_minus = Matrix.from_rows(
+        [[Cyclo.one(order) if i == j else zero for j in range(n)] for i in range(n)]
+        + [[-Cyclo.one(order) if i == j else zero for j in range(n)] for i in range(n)],
+        order)
+    assert (a.hstack(a) * plus_minus).is_zero()        # every sum cancels
+    # equal extreme coefficients over denominator 1: the sums of polynomial
+    # products come within a factor 8 of the packing width's bound
+    top = Cyclo(order, [(1 << 20) - 1] * euler_phi(order))
+    dense = [[top] * 6 for _ in range(6)]
+    square = Matrix.from_rows(dense, order)
+    assert _dense_of(square * square) == _ref_mul(dense, dense, 6, 6, order)
+
+    ref_rref = _ref_rref([[da[i][j] for i in range(r)] for j in range(n)], order)
+    echelon = column_echelonize(a)
+    assert _dense_of(echelon) == [[row[i] for row in ref_rref] for i in range(r)]
+    assert all(_canonical(v) for i in range(echelon.rows) for v in echelon.row(i).values())
+    assert rank(a) == len(ref_rref)
+
+    for x, y, cur in zip(da[2], db[0], db[-1]):
+        assert sub_mul(cur, x, y) == cur - x * y
+        assert sub_mul(None, x, y) == zero - x * y
+        assert sub_mul(x * y, x, y) == zero
+        assert _canonical(sub_mul(cur, x, y))
+    with pytest.raises(ScalarError):
+        sub_mul(None, Cyclo.one(order), Cyclo.one(2 * order + 1))
