@@ -24,6 +24,7 @@ from .linalg import (
     differing_entries,
     differing_keys,
     flatten,
+    identity_residual,
     inverse,
     kernel,
     kron,
@@ -411,8 +412,15 @@ def corestrict_coaction(k: ComoduleAlgebraData, embed: SubHopfEmbedding,
                                name=name or (k.name + "|" + a.name))
 
 
-def canonical_map(k_over_a: ComoduleAlgebraData, r: Subspace) -> GaloisData:
-    """can(k (x) s) = k_(-1) (x) k_(0) s on K (x)_R K, with inverse when bijective."""
+def canonical_map(k_over_a: ComoduleAlgebraData, r: Subspace,
+                  candidate=None) -> GaloisData:
+    """can(k (x) s) = k_(-1) (x) k_(0) s on K (x)_R K, with inverse when bijective.
+
+    ``candidate``, when given, maps the projection K (x) K -> K (x)_R K to a
+    candidate inverse F of can.  A square can with can * F = I exactly has F
+    as its unique two-sided inverse (over a field), so F is taken as is;
+    otherwise can is inverted by elimination.
+    """
     a = k_over_a.over
     dim = k_over_a.dim
     order = k_over_a.order
@@ -433,10 +441,15 @@ def canonical_map(k_over_a: ComoduleAlgebraData, r: Subspace) -> GaloisData:
     report.add("can well defined on K (x)_R K", bad == 0, bad)
     can_inv = None
     if can_q.rows == can_q.cols:
-        try:
-            can_inv = inverse(can_q)
-        except LinAlgError:
-            can_inv = None
+        if candidate is not None:
+            inv = candidate(proj)
+            if identity_residual(can_q * inv) == 0:
+                can_inv = inv
+        if can_inv is None:
+            try:
+                can_inv = inverse(can_q)
+            except LinAlgError:
+                can_inv = None
     # the rank is computed only when can is not invertible
     deficit = 0 if can_inv is not None else max(can_q.rows, can_q.cols) - rank(can_q)
     report.add("can bijective", deficit == 0, deficit)

@@ -62,7 +62,7 @@ from .rep import (
     trivial_module,
 )
 from .report import CheckReport
-from .scalar import Cyclo, lcm
+from .scalar import Cyclo, format_scalar, lcm
 from .twist import (
     GaugeElement,
     TwistElement,
@@ -484,14 +484,19 @@ class MonomialDatum:
         solvable on (H_reg, A_reg); the engine's memo keeps that solution.
 
         Every family has weight 1 at slice 0 and no zero weight, so one test
-        decides admissibility for all of them: chi(b)^s = 1 for b in B, s < n.
+        decides admissibility for all of them: chi(b)^s = 1 for b in B, s < n,
+        which for n >= 2 is chi(b) = 1 on B.  A rejection names the first b
+        of B that fails it.
         """
         n = self.spec.n
         chi = self.hopf_spec.chi
-        if not all((chi[b] ** s).is_one() for b in self.spec.b_indices for s in range(n)):
+        bad = next((b for b in self.spec.b_indices
+                    if not all((chi[b] ** s).is_one() for s in range(n))), None)
+        if bad is not None:
             raise PipelineError(
-                "no admissible station weights found; the character is "
-                "nontrivial on B in a way this realisation does not support")
+                "no admissible station weights found: this realisation needs chi(b) = 1 "
+                "for every b in B, and chi is nontrivial on B: chi(b) = %s != 1 at the "
+                "group element b = %d" % (format_scalar(chi[bad]), bad))
         for family in STATION_WEIGHT_FAMILIES:
             # the station reads them when called
             self.weights = [Cyclo.from_rational(r, self.order) for r in family(n)]

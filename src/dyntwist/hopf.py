@@ -14,7 +14,7 @@ twist equations and the twisted product.
 
 from __future__ import annotations
 
-from .linalg import (LinAlgError, Matrix, differing_keys, identity_residual, inverse,
+from .linalg import (LinAlgError, Matrix, differing_keys, identity_residual, inverse, kron,
                      sparse_solve, unflatten)
 from .report import CheckReport
 from .scalar import Cyclo, lcm
@@ -155,17 +155,28 @@ class AlgebraData:
             return self.generators
         return list(range(self.dim))
 
+    def mult_matrix(self) -> Matrix:
+        """m: A (x) A -> A as a dim x dim^2 matrix; column i*dim + j is e_i e_j."""
+        d = self.dim
+        rows = [{} for _ in range(d)]
+        for i, row in enumerate(self.mult):
+            for j, prod in enumerate(row):
+                for k, c in prod.items():
+                    rows[k][i * d + j] = c
+        return Matrix(d, d * d, rows, self.order)
+
     def verify(self) -> CheckReport:
         report = CheckReport("algebra %s" % self.name)
+        # (e_i e_j) e_k = e_i (e_j e_k) for all j, k is M (L_i (x) id) = L_i M;
+        # each failing triple (i, j, k) is a nonzero column j*dim + k of the difference
+        one = Cyclo.one(self.order)
+        m = self.mult_matrix()
+        ident = Matrix.identity(self.dim, self.order)
         bad = 0
         for i in range(self.dim):
-            for j in range(self.dim):
-                ij = self.mult[i][j]
-                for k in range(self.dim):
-                    left = self.multiply(ij, {k: Cyclo.one(self.order)})
-                    right = self.multiply({i: Cyclo.one(self.order)}, self.mult[j][k])
-                    if left != right:
-                        bad += 1
+            left = self.left_mult_matrix({i: one})
+            diff = m * kron(left, ident) - left * m
+            bad += len(set().union(*(diff.row(k) for k in range(self.dim))))
         report.add("associativity m(m x id) = m(id x m)", bad == 0, bad)
         bad = 0
         for i in range(self.dim):

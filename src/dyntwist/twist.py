@@ -220,7 +220,9 @@ def build_twisted_galois(t: TwistElement) -> tuple:
     (x) s) over H*cop^cop = H*.  Checks the comodule-algebra axioms, that the
     coinvariants are exactly S, that the canonical map is bijective (on B^op,
     where the left canonical map is the flipped right one), and that the
-    displayed closed-form inverse of can equals the computed inverse.
+    displayed closed-form inverse F of can is its inverse.  The product
+    can * F = I certifies both at once; only when it fails is can inverted by
+    elimination, and F compared with that inverse entry by entry.
     Returns ((B as a left H*-comodule algebra, Galois data of B^op), report).
     """
     h, s = t.h, t.s
@@ -279,21 +281,28 @@ def build_twisted_galois(t: TwistElement) -> tuple:
     op_mult = [[mult[j][i] for j in range(dim)] for i in range(dim)]
     b_op = ComoduleAlgebraData(AlgebraData(dim, op_mult, counit_unit, order, name="B^op"),
                                hdual, coaction, name="B^op")
-    gal = canonical_map(b_op, Subspace.from_vectors(expected, dim, order))
+    # the displayed can^-1 is the candidate inverse: can * F = I certifies it
+    formula = []
+
+    def candidate(proj):
+        formula.append(_can_inverse_formula(t, hdual, hit_cols, proj))
+        return formula[0]
+
+    gal = canonical_map(b_op, Subspace.from_vectors(expected, dim, order), candidate)
     report.add("can bijective", gal.bijective, gal.can_deficit)
     if gal.bijective:
-        _check_can_inverse_formula(t, hdual, hit_cols, gal, report)
+        bad = differing_entries(formula[0], gal.can_inverse)
+        report.add("displayed can^-1 formula equals can^-1", bad == 0, bad)
     return (b_comod, gal), report
 
 
-def _check_can_inverse_formula(t, hdual, hit_cols, gal, report) -> None:
+def _can_inverse_formula(t, hdual, hit_cols, proj: Matrix) -> Matrix:
     """The closed-form can^-1(gamma (x) r (x) beta) from the twist inverse.
 
     The formula is stated for the right coaction on B; the canonical map of
     the flipped coaction on B^op swaps its source legs (x (x) y -> y (x) x) and
-    its target legs ((b, beta) -> (beta, b)).  gal.can_inverse is verified
-    two-sided, and a two-sided inverse is unique, so the formula is compared
-    with it entry by entry.
+    its target legs ((b, beta) -> (beta, b)).  Each column is projected to
+    B (x)_S B by ``proj``.
     """
     h, s = t.h, t.s
     order = t.order
@@ -301,40 +310,47 @@ def _check_can_inverse_formula(t, hdual, hit_cols, gal, report) -> None:
     hdim, sdim = h.dim, s.dim
     dim = hdim * sdim
     jinv = t.ensure_inverse()
-    # the comodule is over H*cop, whose antipode is the inverse transpose
-    sdual = h.antipode_inv.transpose()
-    proj = gal.projection
+    # the comodule is over H*cop, whose antipode is the inverse transpose:
+    # S(beta_b) is row b of h.antipode_inv
     cols = [None] * (hdim * dim)
     # basis of B (x) H*cop: (gamma a, r k, beta b)
     for k in range(sdim):
         # r_j3 r_k for each S-leg index j3 of J^-1
         sparts = {j3: s.alg.multiply({j3: one}, {k: one}) for j3 in {key[2] for key in jinv}}
+        # the second B leg (e_j2 -> beta_b1) (x) r_j3 r_k as (flat offset, value)
+        # pairs, by (j2, j3, b1)
+        rights: dict = {}
         for a in range(hdim):
             for b in range(hdim):
                 acc: dict = {}
                 for (b1, b2), cb in hdual.comult[b].items():
                     # gamma . S(beta_2) in H*
-                    gs = {}
-                    for r2, c in sdual.col(b2).items():
-                        for pk, pc in hdual.alg.mult[a][r2].items():
-                            add_into(gs, pk, c * pc)
+                    gs = hdual.alg.multiply({a: one}, h.antipode_inv.row(b2))
+                    # the first B leg cb (e_j1 -> gamma . S(beta_2)) (x) 1_S as
+                    # (flat index, value) pairs, by j1
+                    lefts: dict = {}
                     for (j1, j2, j3), cj in jinv.items():
-                        left: dict = {}
-                        for gk, gc in gs.items():
-                            for lk, lc in hit_cols[j1][gk].items():
-                                add_into(left, lk, gc * lc)
-                        spart = sparts[j3]
-                        for lk, lc in left.items():
-                            for uk, uv in s.alg.unit.items():
-                                bi = lk * sdim + uk
-                                for rk, rc in hit_cols[j2][b1].items():
-                                    for sk, sc in spart.items():
-                                        add_into(acc, (rk * sdim + sk) * dim + bi,
-                                                 cb * cj * lc * uv * rc * sc)
+                        left = lefts.get(j1)
+                        if left is None:
+                            hit: dict = {}
+                            for gk, gc in gs.items():
+                                for lk, lc in hit_cols[j1][gk].items():
+                                    add_into(hit, lk, gc * lc)
+                            left = lefts[j1] = [(lk * sdim + uk, cb * lc * uv)
+                                                for lk, lc in hit.items()
+                                                for uk, uv in s.alg.unit.items()]
+                        right = rights.get((j2, j3, b1))
+                        if right is None:
+                            right = rights[j2, j3, b1] = [
+                                ((rk * sdim + sk) * dim, rc * sc)
+                                for rk, rc in hit_cols[j2][b1].items()
+                                for sk, sc in sparts[j3].items()]
+                        for bi, lv in left:
+                            lv = cj * lv
+                            for offset, rv in right:
+                                add_into(acc, offset + bi, lv * rv)
                 cols[b * dim + a * sdim + k] = proj.apply(acc)
-    formula = Matrix.from_cols(cols, proj.rows, order)
-    bad = differing_entries(formula, gal.can_inverse)
-    report.add("displayed can^-1 formula equals can^-1", bad == 0, bad)
+    return Matrix.from_cols(cols, proj.rows, order)
 
 
 # -- module-level pentagon ------------------------------------------------------

@@ -24,7 +24,7 @@ from dyntwist.rep import (_expand_orbits, _orbit_reduction, hom_space, intertwin
 from dyntwist.report import CheckReport
 from dyntwist.scalar import Cyclo
 from dyntwist.twist import element_action, gauge_check, unit_tensor
-from conftest import cyclic_table, e0_spec, e1_spec, z3_spec
+from conftest import cyclic_table, e0_spec, e1_spec, product_table, z3_spec
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -340,6 +340,21 @@ def test_character_nontrivial_on_b_is_a_named_obstruction():
                      mu=Cyclo.one(2))
     with pytest.raises(PipelineError, match="nontrivial on B"):
         MonomialDatum(spec)
+
+
+def test_the_admissibility_error_names_the_first_b_with_chi_not_one():
+    # G = Z2^3 at 4a + 2b + c, chi = (-1)^(a + b), B = {(0, b, c)}: chi is 1 at
+    # the first two elements of B and -1 at the third, index 2
+    table = product_table(product_table(cyclic_table(2), cyclic_table(2)), cyclic_table(2))
+    chi = [Cyclo.from_rational((-1) ** ((x >> 2) + (x >> 1 & 1)), 2) for x in range(8)]
+    spec = DatumSpec(table=table, chi=chi, g=4, n=2, f_indices=list(range(8)),
+                     b_indices=[0, 1, 2, 3], mu=Cyclo.one(2))
+    with pytest.raises(PipelineError) as exc:
+        MonomialDatum(spec)
+    message = str(exc.value)
+    assert "needs chi(b) = 1 for every b in B" in message
+    assert "nontrivial on B" in message
+    assert message.endswith("chi(b) = -1 != 1 at the group element b = 2")
 
 
 # -- the xi^-1 memo: one solve per distinct system --------------------------------

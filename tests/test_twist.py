@@ -5,11 +5,13 @@ from functools import lru_cache
 
 import pytest
 
+import dyntwist.twist as twist_module
 from conftest import e0_spec, e1_spec, z3_spec
+from dyntwist import comod
 from dyntwist.comod import ComoduleAlgebraData
 from dyntwist.datum import MonomialDatum
-from dyntwist.hopf import StructureError, group_algebra
-from dyntwist.linalg import Matrix
+from dyntwist.hopf import AlgebraData, StructureError, group_algebra
+from dyntwist.linalg import Matrix, inverse
 from dyntwist.rep import regular_module, trivial_module
 from dyntwist.scalar import Cyclo
 from dyntwist.twist import (
@@ -350,3 +352,96 @@ def test_gauge_with_wrong_counit_leg_counts_each_differing_key_once(e1_twist, e1
     t = GaugeElement(e1_datum.h, e1_datum.engine.s_base(), coeffs)
     report = gauge_check(e1_twist, e1_twist, t)
     assert _residual(report, "normalisation (eps x id)t = 1") == ("FAIL", 1)
+
+
+# -- the canonical map of B: the displayed inverse as its certificate -------------
+
+
+@pytest.mark.parametrize("make_spec", [e0_spec, e1_spec, z3_spec])
+def test_can_inverse_equals_the_inverse_by_elimination(make_spec):
+    # oracle sharing no code with the displayed formula: elimination on can
+    (_, gal), report = build_twisted_galois(_twist_of(make_spec))
+    assert report.ok, str(report)
+    can = gal.can_matrix
+    ident = Matrix.identity(can.rows, can.order)
+    assert gal.can_inverse == inverse(can)
+    assert can * gal.can_inverse == ident
+    assert gal.can_inverse * can == ident
+
+
+def _inverse_calls(monkeypatch) -> list:
+    calls = []
+
+    def counted(m):
+        calls.append((m.rows, m.cols))
+        return inverse(m)
+    monkeypatch.setattr(comod, "inverse", counted)
+    return calls
+
+
+def test_the_displayed_formula_spares_the_elimination_of_can(monkeypatch):
+    calls = _inverse_calls(monkeypatch)
+    (_, gal), report = build_twisted_galois(_twist_of(z3_spec))
+    assert report.ok, str(report)
+    assert gal.can_matrix.rows == 81
+    assert calls == []
+
+
+@pytest.mark.parametrize("make_spec", [e0_spec, z3_spec])
+def test_a_wrong_formula_falls_back_to_elimination(make_spec, monkeypatch):
+    # one corrupted entry: can * F != I, so can is inverted by elimination and
+    # the report keeps the parent's verdicts, can bijective and the formula not
+    def corrupted(*args):
+        f = displayed(*args)
+        rows = [dict(f.row(i)) for i in range(f.rows)]
+        rows[0][0] = f.entry(0, 0) + Cyclo.one(f.order)
+        return Matrix(f.rows, f.cols, rows, f.order)
+    displayed = twist_module._can_inverse_formula
+    monkeypatch.setattr(twist_module, "_can_inverse_formula", corrupted)
+    calls = _inverse_calls(monkeypatch)
+    (_, gal), report = build_twisted_galois(_twist_of(make_spec))
+    assert _residual(report, "can bijective") == ("PASS", 0)
+    assert _residual(report, "displayed can^-1 formula equals can^-1") == ("FAIL", 1)
+    assert calls == [(gal.can_matrix.rows, gal.can_matrix.cols)]
+    assert gal.can_inverse == inverse(gal.can_matrix)
+
+
+# -- associativity as M (L_i (x) id) = L_i M ----------------------------------------
+
+
+def _associativity_failures(alg) -> int:
+    """Basis triples (i, j, k) with (e_i e_j) e_k != e_i (e_j e_k), by a triple loop."""
+    def times(x, y):
+        out = {}
+        for i, a in x.items():
+            for j, b in y.items():
+                for k, c in alg.mult[i][j].items():
+                    out[k] = out[k] + a * b * c if k in out else a * b * c
+        return {k: v for k, v in out.items() if not v.is_zero()}
+    one = Cyclo.one(alg.order)
+    return sum(1 for i, j, k in itertools.product(range(alg.dim), repeat=3)
+               if times(alg.mult[i][j], {k: one}) != times({i: one}, alg.mult[j][k]))
+
+
+def _associativity_count(alg):
+    report = alg.verify()
+    return _residual(report, "associativity m(m x id) = m(id x m)")[1]
+
+
+@pytest.mark.parametrize("make_spec", [e0_spec, e1_spec, z3_spec])
+def test_associativity_count_matches_a_triple_loop(make_spec):
+    twist = _twist_of(make_spec)
+    (b_comod, _), _ = build_twisted_galois(twist)
+    for alg in (twist.h.alg, b_comod.alg):
+        assert _associativity_count(alg) == _associativity_failures(alg) == 0
+        for seed in range(3):
+            rng = random.Random(seed)
+            mult = [[dict(p) for p in row] for row in alg.mult]
+            for _ in range(seed + 1):
+                i, j, k = (rng.randrange(alg.dim) for _ in range(3))
+                c = Cyclo.from_rational(rng.choice([-2, -1, 1, 2]), alg.order)
+                mult[i][j][k] = mult[i][j][k] + c if k in mult[i][j] else c
+            broken = AlgebraData(alg.dim, mult, alg.unit, alg.order, name="broken")
+            expected = _associativity_failures(broken)
+            assert expected > 0
+            assert _associativity_count(broken) == expected
