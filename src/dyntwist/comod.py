@@ -9,12 +9,11 @@ which the radical-by-trace-form criterion relies on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .hopf import (AlgebraData, HopfAlgebraData, StructureError, add_into, apply_counit,
-                   split_leg, tensor_mult, unit_tensor)
+                   split_leg, unit_tensor)
 from .linalg import (
     Echelon,
     LinAlgError,
@@ -79,6 +78,21 @@ class ComoduleAlgebraData:
                 rows[hi * k + ki][j] = c
         return Matrix(h * k, k, rows, self.order)
 
+    def canonical_matrix(self) -> Matrix:
+        """can(k (x) s) = k_(-1) (x) k_(0) s on K (x) K, that is (id_H (x) m_K)(delta (x) id_K).
+
+        Column i*dim + j is sum c e_a (x) e_k e_j over the terms c e_a (x) e_k of
+        delta(e_i), so the matrix is sum c e_a (x) e_i^T (x) L_k over i and those terms.
+        """
+        one = Cyclo.one(self.order)
+        h, dim = self.over.dim, self.dim
+        cols = [Matrix.from_cols([{a: one}], h, self.order) for a in range(h)]
+        rows = [Matrix(1, dim, [{i: one}], self.order) for i in range(dim)]
+        left = [self.alg.left_mult_matrix({k: one}) for k in range(dim)]
+        return kron_sum(((c, cols[a], rows[i], left[k]) for i in range(dim)
+                         for (a, k), c in self.coaction[i].items()),
+                        h * dim, dim * dim, self.order)
+
     def coaction_component(self, alpha: int) -> Matrix:
         """(alpha (x) id) delta for the dual basis functional alpha."""
         rows = [{} for _ in range(self.dim)]
@@ -111,12 +125,18 @@ def verify_comodule_algebra(k: ComoduleAlgebraData) -> CheckReport:
             bad += 1
     report.add("counit law (eps x id)delta = id", bad == 0, bad)
 
+    # delta(e_i e_j) = delta(e_i) delta(e_j) for all j is D L_i = delta(e_i)_L D, with
+    # delta(e_i)_L = sum c L_a (x) L_k the left multiplication by delta(e_i) on H (x) K;
+    # each failing pair (i, j) is a nonzero column j of the difference
+    d = k.coaction_matrix()
+    left_h = [h.alg.left_mult_matrix({a: one}) for a in range(h.dim)]
+    left_k = [k.alg.left_mult_matrix({i: one}) for i in range(k.dim)]
     bad = 0
     for i in range(k.dim):
-        for j in range(k.dim):
-            lhs = k.coaction_of(k.alg.mult[i][j])
-            if lhs != tensor_mult(legs, k.coaction[i], k.coaction[j]):
-                bad += 1
+        delta_left = kron_sum(((c, left_h[a], left_k[b]) for (a, b), c in k.coaction[i].items()),
+                              d.rows, d.rows, k.order)
+        diff = d * left_k[i] - delta_left * d
+        bad += len(set().union(*(diff.row(r) for r in range(diff.rows))))
     report.add("coaction is an algebra map", bad == 0, bad)
 
     bad = differing_keys(k.coaction_of(k.alg.unit), unit_tensor(legs))
@@ -149,15 +169,15 @@ def costable_closure(k: ComoduleAlgebraData, v: dict) -> Subspace:
     return Subspace.from_vectors(vectors, k.dim, k.order)
 
 
-@dataclass
 class SimplicityCertificate:
-    verdict: str  # SimpleCertified | NotSimpleCertified | Inconclusive
-    witness: Subspace | None = None
-    detail: str = ""
-
     SIMPLE = "SimpleCertified"
     NOT_SIMPLE = "NotSimpleCertified"
     INCONCLUSIVE = "Inconclusive"
+
+    def __init__(self, verdict: str, witness: Subspace | None = None, detail: str = ""):
+        self.verdict = verdict    # SimpleCertified | NotSimpleCertified | Inconclusive
+        self.witness = witness
+        self.detail = detail
 
     @property
     def status(self) -> str:
@@ -372,16 +392,18 @@ def subhopf_comodule(embed: SubHopfEmbedding, name: str | None = None) -> Comodu
 # -- Hopf-Galois canonical map ------------------------------------------------
 
 
-@dataclass
 class GaloisData:
-    comodule: ComoduleAlgebraData          # K with corestricted coaction over A
-    coinvariant_basis: Subspace            # R
-    projection: Matrix                     # K (x) K -> K (x)_R K
-    section: Matrix
-    can_matrix: Matrix                     # K (x)_R K -> A (x) K
-    can_inverse: Matrix | None
-    can_deficit: int                       # max(rows, cols) - rank of can; 0 iff bijective
-    report: CheckReport
+    def __init__(self, comodule: ComoduleAlgebraData, coinvariant_basis: Subspace,
+                 projection: Matrix, section: Matrix, can_matrix: Matrix,
+                 can_inverse: Matrix | None, can_deficit: int, report: CheckReport):
+        self.comodule = comodule                # K with corestricted coaction over A
+        self.coinvariant_basis = coinvariant_basis    # R
+        self.projection = projection            # K (x) K -> K (x)_R K
+        self.section = section
+        self.can_matrix = can_matrix            # K (x)_R K -> A (x) K
+        self.can_inverse = can_inverse
+        self.can_deficit = can_deficit          # max(rows, cols) - rank of can; 0 iff bijective
+        self.report = report
 
     @property
     def bijective(self) -> bool:
@@ -421,19 +443,15 @@ def canonical_map(k_over_a: ComoduleAlgebraData, r: Subspace,
     as its unique two-sided inverse (over a field), so F is taken as is;
     otherwise can is inverted by elimination.
     """
-    a = k_over_a.over
     dim = k_over_a.dim
     order = k_over_a.order
     kk = dim * dim
-    one = Cyclo.one(order)
     # relation subspace span{k r (x) s - k (x) r s}
     alg = k_over_a.alg
     rel = balanced_relations([(alg.right_mult_matrix(relem), alg.left_mult_matrix(relem))
                               for relem in r.vectors()], dim, dim, order)
     proj, sec = quotient(kk, rel)
-    # can on K (x) K
-    can_full = Matrix.from_cols([_can_full_apply(k_over_a, {idx: one}) for idx in range(kk)],
-                                a.dim * dim, order)
+    can_full = k_over_a.canonical_matrix()
     can_q = can_full * sec
     report = CheckReport("canonical map for %s" % k_over_a.name)
     residual = can_full * rel.basis
@@ -469,20 +487,8 @@ def galois_gamma(g: GaloisData, a_elem: dict) -> dict:
     for ai, c in a_elem.items():
         for t, u in k.alg.unit.items():
             add_into(target, ai * dim + t, c * u)
-    rep = g.section.apply(g.can_inverse.apply(target))
-    # verify the defining property through the full canonical map on K (x) K
-    if _can_full_apply(k, rep) != target:
+    gamma = g.can_inverse.apply(target)
+    # verify the defining property: can_matrix is the full canonical map times the section
+    if g.can_matrix.apply(gamma) != target:
         raise AssertionError("gamma verification failed")
-    return rep
-
-
-def _can_full_apply(k_over_a: ComoduleAlgebraData, vec: dict) -> dict:
-    """can(k (x) s) = k_(-1) (x) k_(0) s on K (x) K, indices flattened."""
-    dim = k_over_a.dim
-    out: dict = {}
-    for idx, c in vec.items():
-        i, j = divmod(idx, dim)
-        for (ai, ki), d in k_over_a.coaction[i].items():
-            for t, m in k_over_a.alg.mult[ki][j].items():
-                add_into(out, ai * dim + t, c * d * m)
-    return out
+    return g.section.apply(gamma)

@@ -17,7 +17,6 @@ and finally the twist axioms through the independent verifier.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 from .comod import (
     ComoduleAlgebraData,
@@ -405,16 +404,21 @@ STATION_WEIGHT_FAMILIES = (
 )
 
 
-@dataclass
 class DatumSpec:
     """JSON-facing description of a monomial-family dynamical datum."""
-    table: list[list[int]]
-    chi: list[Cyclo]
-    g: int
-    n: int
-    f_indices: list[int]
-    b_indices: list[int]
-    mu: Cyclo
+
+    def __init__(self, table: list[list[int]], chi: list[Cyclo], g: int, n: int,
+                 f_indices: list[int], b_indices: list[int], mu: Cyclo):
+        self.table = table
+        self.chi = chi
+        self.g = g
+        self.n = n
+        self.f_indices = f_indices
+        self.b_indices = b_indices
+        self.mu = mu
+
+    def __eq__(self, other):
+        return isinstance(other, DatumSpec) and vars(self) == vars(other)
 
 
 class MonomialDatum:

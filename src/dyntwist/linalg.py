@@ -284,8 +284,10 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
             row = {}
             for j, x in ra.items():
                 off = j * b.cols
+                unit = x.is_one()
                 for l, y in rb.items():
-                    row[off + l] = x * y
+                    # a factor equal to 1 copies the other
+                    row[off + l] = y if unit else x if y.is_one() else x * y
             out.append(row)
     return Matrix._trusted(a.rows * b.rows, a.cols * b.cols, out, a.order)
 
@@ -342,10 +344,12 @@ def kron_sum(terms, rows: int, cols: int, order: int) -> Matrix:
                 row = out[i * last.rows + k]
                 for j, x in rh.items():
                     off = j * last.cols
+                    unit = x.is_one()
                     for l, y in rb.items():
                         key = off + l
+                        p = y if unit else x if y.is_one() else x * y
                         cur = row.get(key)
-                        row[key] = x * y if cur is None else cur + x * y
+                        row[key] = p if cur is None else cur + p
     for row in out:
         _drop_zeros(row)
     return Matrix._trusted(rows, cols, out, order)

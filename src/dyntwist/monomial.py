@@ -9,7 +9,6 @@ nonzero scalar.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 from .comod import ComoduleAlgebraData
 from .hopf import (
@@ -44,12 +43,12 @@ def gauss_binomial(i: int, k: int, q: Cyclo) -> Cyclo:
     return row[k]
 
 
-@dataclass
 class MonomialHopfSpec:
-    table: list[list[int]]       # group multiplication table
-    chi: list[Cyclo]             # character values per group index
-    g: int                       # index of the distinguished central element
-    n: int
+    def __init__(self, table: list[list[int]], chi: list[Cyclo], g: int, n: int):
+        self.table = table       # group multiplication table
+        self.chi = chi           # character values per group index
+        self.g = g               # index of the distinguished central element
+        self.n = n
 
     def validate(self) -> None:
         size = len(self.table)
@@ -232,12 +231,13 @@ def group_sub_embedding(h_big: HopfAlgebraData, spec_big: MonomialHopfSpec,
     return _basis_embedding(kb, h_big, [b * spec_big.n for b in sorted(b_indices)])
 
 
-@dataclass
 class CosetData:
-    reps: list[int]              # right coset representatives: G = U F c_l
-    g_powers: list[int]          # g^0 .. g^(n-1) as group indices
-    b_part: dict[int, int]       # h in F -> index b with h = b g^j
-    g_exponent: dict[int, int]   # h in F -> that j
+    def __init__(self, reps: list[int], g_powers: list[int], b_part: dict[int, int],
+                 g_exponent: dict[int, int]):
+        self.reps = reps                  # right coset representatives: G = U F c_l
+        self.g_powers = g_powers          # g^0 .. g^(n-1) as group indices
+        self.b_part = b_part              # h in F -> index b with h = b g^j
+        self.g_exponent = g_exponent      # h in F -> that j
 
 
 def coset_data(table: list[list[int]], f_indices: list[int], b_indices: list[int],

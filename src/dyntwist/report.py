@@ -2,18 +2,16 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 PASS = "PASS"
 FAIL = "FAIL"
 INCONCLUSIVE = "INCONCLUSIVE"
 
 
-@dataclass
 class Check:
-    name: str
-    status: str
-    residual_nonzero_count: int = 0
+    def __init__(self, name: str, status: str, residual_nonzero_count: int = 0):
+        self.name = name
+        self.status = status
+        self.residual_nonzero_count = residual_nonzero_count
 
     def as_dict(self):
         return {
@@ -23,10 +21,10 @@ class Check:
         }
 
 
-@dataclass
 class CheckReport:
-    title: str
-    checks: list[Check] = field(default_factory=list)
+    def __init__(self, title: str, checks: list[Check] | None = None):
+        self.title = title
+        self.checks = [] if checks is None else checks
 
     def add(self, name: str, ok: bool, residual_nonzero_count: int = 0) -> Check:
         status = PASS if ok else FAIL

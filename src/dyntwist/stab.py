@@ -12,7 +12,6 @@ and ``mul_id_kron`` for a product with id (x) g, which it never forms).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 from .comod import ComoduleAlgebraData, GaloisData, galois_gamma
 from .hopf import StructureError, add_into
@@ -24,12 +23,13 @@ from .report import CheckReport
 from .scalar import Cyclo
 
 
-@dataclass
 class StabilizerSpace:
-    realization: str                 # "YanZhu" | "HomRealized"
-    basis: list[Matrix]
-    h_action: list[Matrix] | None    # per H-basis matrix on coordinates (HomRealized)
-    report: CheckReport
+    def __init__(self, realization: str, basis: list[Matrix],
+                 h_action: list[Matrix] | None, report: CheckReport):
+        self.realization = realization    # "YanZhu" | "HomRealized"
+        self.basis = basis
+        self.h_action = h_action          # per H-basis matrix on coordinates (HomRealized)
+        self.report = report
 
     @property
     def dim(self) -> int:

@@ -14,7 +14,6 @@ modules, and the module-level pentagon builds its four operators the same way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 from .comod import ComoduleAlgebraData, canonical_map, coinvariants, verify_comodule_algebra
 from .hopf import (AlgebraData, HopfAlgebraData, StructureError, add_into, apply_counit,
@@ -67,12 +66,13 @@ def left_mult_matrix_tensor(legs, elem: dict, order: int) -> Matrix:
 # -- twist element -------------------------------------------------------------
 
 
-@dataclass
 class TwistElement:
-    h: HopfAlgebraData
-    s: ComoduleAlgebraData
-    coeffs: dict                      # keys (i, j, k)
-    inverse: dict | None = None       # two-sided inverse in H (x) H (x) S
+    def __init__(self, h: HopfAlgebraData, s: ComoduleAlgebraData, coeffs: dict,
+                 inverse: dict | None = None):
+        self.h = h
+        self.s = s
+        self.coeffs = coeffs          # keys (i, j, k)
+        self.inverse = inverse        # two-sided inverse in H (x) H (x) S
 
     @property
     def legs(self):
@@ -109,12 +109,13 @@ def invert_element(legs, elem: dict, order: int) -> dict:
     return inv
 
 
-@dataclass
 class GaugeElement:
-    h: HopfAlgebraData
-    s: ComoduleAlgebraData
-    coeffs: dict                      # keys (i, k) in H (x) S
-    inverse: dict | None = None
+    def __init__(self, h: HopfAlgebraData, s: ComoduleAlgebraData, coeffs: dict,
+                 inverse: dict | None = None):
+        self.h = h
+        self.s = s
+        self.coeffs = coeffs          # keys (i, k) in H (x) S
+        self.inverse = inverse
 
     @property
     def legs(self):

@@ -860,3 +860,23 @@ def test_d4xz2_fixture_is_the_recipe_and_its_base_is_non_abelian():
     assert len(d4) == 8
     order = 4  # the group exponent
     _assert_fixture_is_the_recipe("d4xz2_datum.json", _product_recipe(d4, 2, order), order)
+
+# -- the twist of this realisation is the Z_n twist -------------------------------------
+
+
+@pytest.mark.parametrize("perms, n, order", [
+    ([(0, 1), (1, 0)], 2, 2),                        # Z2 x Z2, B = Z2
+    ([(0, 1, 2), (1, 2, 0), (2, 0, 1)], 2, 6),       # Z3 x Z2, B = Z3
+    ([(0, 1), (1, 0)], 3, 6),                        # Z2 x Z3, B = Z2
+])
+def test_the_twist_of_p_times_zn_is_the_twist_of_zn(perms, n, order):
+    # with chi = 1 on B = P, J of P x Z_n has the index triples and values of J
+    # of Z_n alone (P trivial): its H-legs live on the Z_n factor (p = id comes
+    # first among the sorted tuples, so the indices agree) and its S-leg is
+    # the unit of kB
+    product, report = MonomialDatum(_product_recipe(perms, n, order)).compute_twist()
+    assert report.ok, str(report)
+    alone, report = MonomialDatum(_product_recipe([(0,)], n, n)).compute_twist()
+    assert report.ok, str(report)
+    assert alone.coeffs != {(0, 0, 0): Cyclo.one(n)}  # not the trivial twist
+    assert product.coeffs == {key: c.embed(order) for key, c in alone.coeffs.items()}

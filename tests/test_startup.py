@@ -61,17 +61,33 @@ def test_importing_the_cli_loads_only_the_light_layers():
     assert _loaded("import dyntwist.cli") == LIGHT
 
 
-@pytest.mark.parametrize("command, files, extra", [
+COMMANDS = [
     (["verify", "hopf"], ["hopf"], set()),
     (["verify", "comodule"], ["hopf", "comodule"], {"comod"}),
     (["verify", "twist"], ["hopf", "base", "twist"], {"comod", "twist"}),
     (["verify", "gauge"], ["hopf", "base", "twist", "twist", "gauge"], {"comod", "twist"}),
     (["twisted-galois"], ["hopf", "base", "twist"], {"comod", "twist"}),
     (["stab"], ["hopf", "comodule", "ttriv", "ttriv"], {"comod", "rep", "stab"}),
-])
+]
+
+
+@pytest.mark.parametrize("command, files, extra", COMMANDS)
 def test_each_command_loads_only_the_layers_it_runs(e0, command, files, extra):
     argv = command + [e0[kind] for kind in files]
     assert _loaded(MAIN.format(argv=argv)) == LIGHT | extra
+
+
+@pytest.mark.parametrize("command, files", [(command, files) for command, files, _ in COMMANDS]
+                         + [(["compute-twist"], ["datum"]), (["example", "E0"], [])])
+def test_no_command_loads_a_code_generator(e0, tmp_path, command, files):
+    # dataclasses pulls in inspect, dis, ast and tokenize, and execs the
+    # methods it writes; the records are plain classes, so no command needs it
+    argv = command + [e0[kind] for kind in files]
+    if command == ["compute-twist"]:
+        argv += ["--out", str(tmp_path / "twist.json")]
+    elif command == ["example", "E0"]:
+        argv += ["--out-dir", str(tmp_path)]
+    assert not _modules(MAIN.format(argv=argv)) & {"dataclasses", "inspect"}
 
 
 def test_only_a_report_loads_hashlib(e0, tmp_path):

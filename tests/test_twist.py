@@ -1,6 +1,5 @@
 import itertools
 import random
-from dataclasses import replace
 from functools import lru_cache
 
 import pytest
@@ -9,7 +8,7 @@ import dyntwist.twist as twist_module
 from conftest import e0_spec, e1_spec, z3_spec
 from dyntwist import comod
 from dyntwist.comod import ComoduleAlgebraData
-from dyntwist.datum import MonomialDatum
+from dyntwist.datum import DatumSpec, MonomialDatum
 from dyntwist.hopf import AlgebraData, StructureError, group_algebra
 from dyntwist.linalg import Matrix, inverse
 from dyntwist.rep import regular_module, trivial_module
@@ -288,8 +287,8 @@ def test_galois_conjugate_datum_gives_the_conjugate_twist():
     # sigma_2: zeta_3 -> zeta_3^2 fixes Q, so applied to every structure
     # constant of the datum it must carry the twist and its inverse along
     spec = z3_spec()
-    conj_spec = replace(spec, chi=[_conjugate(c, 2) for c in spec.chi],
-                        mu=_conjugate(spec.mu, 2))
+    conj_spec = DatumSpec(spec.table, [_conjugate(c, 2) for c in spec.chi], spec.g, spec.n,
+                          spec.f_indices, spec.b_indices, _conjugate(spec.mu, 2))
     assert conj_spec.chi != spec.chi
     twist = _twist_of(z3_spec)
     conj, report = MonomialDatum(conj_spec).compute_twist()
@@ -445,3 +444,92 @@ def test_associativity_count_matches_a_triple_loop(make_spec):
             expected = _associativity_failures(broken)
             assert expected > 0
             assert _associativity_count(broken) == expected
+
+
+# -- the coaction as an algebra map: D L_i = delta(e_i)_L D --------------------------
+
+
+def _algebra_map_failures(k) -> int:
+    """Basis pairs (i, j) with delta(e_i e_j) != delta(e_i) delta(e_j), one pair at a time."""
+    def add(out, key, v):
+        out[key] = out[key] + v if key in out else v
+
+    def delta(x):
+        out = {}
+        for i, a in x.items():
+            for key, c in k.coaction[i].items():
+                add(out, key, a * c)
+        return {key: v for key, v in out.items() if not v.is_zero()}
+
+    def times(x, y):
+        out = {}
+        for (a1, b1), c1 in x.items():
+            for (a2, b2), c2 in y.items():
+                for a, ca in k.over.alg.mult[a1][a2].items():
+                    for b, cb in k.alg.mult[b1][b2].items():
+                        add(out, (a, b), c1 * c2 * ca * cb)
+        return {key: v for key, v in out.items() if not v.is_zero()}
+    return sum(1 for i, j in itertools.product(range(k.dim), repeat=2)
+               if delta(k.alg.mult[i][j]) != times(k.coaction[i], k.coaction[j]))
+
+
+def _comodules(make_spec):
+    """The datum's K over H and B = H* (x) S over H*, each with its corrupted copies."""
+    (b_comod, _), _ = build_twisted_galois(_twist_of(make_spec))
+    return [MonomialDatum(make_spec()).k, b_comod]
+
+
+# counts of "coaction is an algebra map" on the corrupted copies below, as the
+# pairwise loop that preceded the matrix identity reported them
+PAIRWISE_COUNTS = {
+    "e0_spec": [[7, 8, 16], [10, 12, 15]],
+    "e1_spec": [[19, 32, 40], [25, 62, 56]],
+    "z3_spec": [[22, 38, 45], [27, 68, 64]],
+}
+
+
+@pytest.mark.parametrize("make_spec", [e0_spec, e1_spec, z3_spec])
+def test_algebra_map_count_matches_a_pair_loop(make_spec):
+    for k, pinned in zip(_comodules(make_spec), PAIRWISE_COUNTS[make_spec.__name__]):
+        assert _residual(comod.verify_comodule_algebra(k), "coaction is an algebra map") \
+            == ("PASS", 0)
+        assert _algebra_map_failures(k) == 0
+        counts = []
+        for seed in range(3):
+            rng = random.Random(seed)
+            coaction = [dict(d) for d in k.coaction]
+            for _ in range(seed + 1):
+                i, a, b = rng.randrange(k.dim), rng.randrange(k.over.dim), rng.randrange(k.dim)
+                c = Cyclo.from_rational(rng.choice([-2, -1, 1, 2]), k.order)
+                coaction[i][(a, b)] = coaction[i][(a, b)] + c if (a, b) in coaction[i] else c
+            broken = ComoduleAlgebraData(k.alg, k.over, coaction, name="broken")
+            report = comod.verify_comodule_algebra(broken)
+            status, count = _residual(report, "coaction is an algebra map")
+            assert count == _algebra_map_failures(broken) > 0
+            assert status == "FAIL"
+            counts.append(count)
+        assert counts == pinned
+
+
+# -- the canonical map on K (x) K from Kronecker products -------------------------------
+
+
+def _canonical_columns(k) -> Matrix:
+    """can(e_i (x) e_j) = sum c e_a (x) e_b e_j over the terms c e_a (x) e_b of delta(e_i)."""
+    cols = []
+    for i, j in itertools.product(range(k.dim), repeat=2):
+        col = {}
+        for (a, b), c in k.coaction[i].items():
+            for t, m in k.alg.mult[b][j].items():
+                key = a * k.dim + t
+                col[key] = col[key] + c * m if key in col else c * m
+        cols.append({key: v for key, v in col.items() if not v.is_zero()})
+    return Matrix.from_cols(cols, k.over.dim * k.dim, k.order)
+
+
+@pytest.mark.parametrize("make_spec", [e0_spec, e1_spec, z3_spec])
+def test_canonical_matrix_equals_the_column_built_map(make_spec):
+    # K over its F-subalgebra (the datum's Galois check) and B^op over H*
+    (_, gal), _ = build_twisted_galois(_twist_of(make_spec))
+    for k in (MonomialDatum(make_spec()).galois_f.comodule, gal.comodule):
+        assert k.canonical_matrix() == _canonical_columns(k)
