@@ -141,7 +141,8 @@ def read_algebra(doc: dict, dim: int, order: int, name: str) -> AlgebraData:
         return alg
     one = Cyclo.one(order)
     words = span_closure([alg.unit] + [{g: one} for g in alg.generators],
-                         [lambda w, g=g: alg.multiply(w, {g: one}) for g in alg.generators])
+                         [lambda w, g=g: alg.multiply(w, {g: one}) for g in alg.generators],
+                         dim)
     if len(words) < dim:
         raise InputError("generators span %d of the %d dimensions of %s"
                          % (len(words), dim, name))

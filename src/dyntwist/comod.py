@@ -165,7 +165,7 @@ def costable_operators(k: ComoduleAlgebraData) -> list[Matrix]:
 
 def costable_closure(k: ComoduleAlgebraData, v: dict) -> Subspace:
     """Smallest H-costable two-sided ideal containing the vector v."""
-    vectors = span_closure([v], [op.apply for op in costable_operators(k)])
+    vectors = span_closure([v], [op.apply for op in costable_operators(k)], k.dim)
     return Subspace.from_vectors(vectors, k.dim, k.order)
 
 
@@ -185,34 +185,28 @@ class SimplicityCertificate:
         return {self.SIMPLE: PASS, self.NOT_SIMPLE: FAIL}.get(self.verdict, INCONCLUSIVE)
 
 
-def _trace_product(a: Matrix, b: Matrix) -> Cyclo:
-    total = Cyclo.zero(a.order)
-    for i, j, x in a.nonzeros():
-        y = b.row(j).get(i)
-        if y is not None:
-            total = total + x * y
-    return total
-
-
 def _close_under_products(seed: list[Matrix], dim: int, order: int) -> list[Matrix]:
     # right products suffice: the span holds I and is closed under * s for
     # each seed operator s, so it holds every word in the seed
     return span_closure([Matrix.identity(dim, order)] + seed,
-                        [lambda a, b=b: a * b for b in seed], key=flatten)
+                        [lambda a, b=b: a * b for b in seed], dim * dim, key=flatten)
+
+
+def _trace_form(basis: list[Matrix]) -> Matrix:
+    """The Gram matrix tr(b_i b_j) of a nonempty list of square matrices.
+
+    tr(b_i b_j) is the dot product of flatten(b_i) with flatten(b_j^T), so the
+    Gram matrix is the rows flatten(b_i) times the columns flatten(b_j^T).
+    """
+    size, order = basis[0].rows * basis[0].cols, basis[0].order
+    flats = Matrix(len(basis), size, [flatten(b) for b in basis], order)
+    return flats * Matrix.from_cols([flatten(b.transpose()) for b in basis], size, order)
 
 
 def _radical_basis(basis: list[Matrix], order: int) -> list[dict]:
     """Kernel of the trace Gram form on the span (valid: faithful module, char 0)."""
-    d = len(basis)
-    gram_rows = []
-    for i in range(d):
-        row = {}
-        for j in range(d):
-            t = _trace_product(basis[i], basis[j])
-            if not t.is_zero():
-                row[j] = t
-        gram_rows.append(row)
-    return sparse_kernel_basis(gram_rows, d, order)
+    gram = _trace_form(basis)
+    return sparse_kernel_basis([dict(gram.row(i)) for i in range(gram.rows)], gram.cols, order)
 
 
 def _combine(basis: list[Matrix], coords: dict) -> Matrix:

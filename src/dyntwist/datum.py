@@ -29,7 +29,7 @@ from .comod import (
 from .hopf import (HopfAlgebraData, StructureError, ValidationError, _group_inverses,
                    group_algebra, group_exponent)
 from .linalg import (LinAlgError, Matrix, differing_entries, flatten, identity_residual,
-                     inverse, kron, kron_sum, mul_id_kron, rank, solve, sparse_cols,
+                     inverse, kron, kron_sum, mul_id_kron, rank, sparse_cols,
                      sparse_solve, unflatten)
 from .monomial import (
     MonomialHopfSpec,
@@ -54,6 +54,7 @@ from .rep import (
     hom_space,
     induce,
     intertwiner_basis,
+    intertwiner_coords,
     regular_module,
     restrict_module,
     tensor_action,
@@ -825,24 +826,21 @@ def phi_psi(datum: MonomialDatum, v: ModuleRep, w: ModuleRep) -> dict:
                     values[(j, i, l)] = flatten(slice_out[j] * theta * slice_in[i])
         return extend_cb(values)
 
-    # matrices with respect to the two bases, with membership verification
-    cb_mat = Matrix.from_cols([flatten(b) for b in homcb], w.dim * v.dim * h.dim, order)
-    af_mat = Matrix.from_cols([flatten(b) for b in homaf], tw.dim * tv.dim * h.dim, order)
-
-    def coords(mat: Matrix, images: list[Matrix]) -> tuple[list[dict], int]:
-        """Coordinates of each image in the basis columns of mat; {} and a miss if none."""
+    def coords(basis: list[Matrix], dim: int, images: list[Matrix]) -> tuple[list[dict], int]:
+        """Coordinates of each image in the basis of dim-entry maps; {} and a miss if none."""
+        read = intertwiner_coords(basis, dim, order)
         cols, bad = [], 0
         for img in images:
             try:
-                cols.append(solve(mat, flatten(img)))
+                cols.append(read(flatten(img)))
             except LinAlgError:
                 cols.append({})
                 bad += 1
         return cols, bad
 
-    phi_cols, bad = coords(af_mat, [phi_map(b) for b in homcb])
+    phi_cols, bad = coords(homaf, tw.dim * tv.dim * h.dim, [phi_map(b) for b in homcb])
     report.add("phi image is A(F)-linear", bad == 0, bad)
-    psi_cols, bad = coords(cb_mat, [psi_map(b) for b in homaf])
+    psi_cols, bad = coords(homcb, w.dim * v.dim * h.dim, [psi_map(b) for b in homaf])
     report.add("psi image is kB-linear", bad == 0, bad)
     phi = Matrix.from_cols(phi_cols, len(homaf), order)
     psi = Matrix.from_cols(psi_cols, len(homcb), order)

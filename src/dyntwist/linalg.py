@@ -26,9 +26,13 @@ Conventions fixed here and used everywhere else in the package:
   cur - c v in one step (``scalar.sub_mul``);
 * subspaces are stored by a basis matrix in reduced column echelon form, so
   equal subspaces have equal basis matrices;
+* coordinates in a canonical basis are read off its pivots and certified by
+  one product (``pivot_coords``); ``solve`` is left for the matrices that
+  are not canonical;
 * every closure of a set of vectors under linear maps (an ideal, an operator
   algebra, the words in algebra generators) is grown breadth-first by
-  ``span_closure``, so its basis comes out in one fixed order.
+  ``span_closure``, so its basis comes out in one fixed order;
+* a span closure stops when it fills its space: a full span cannot grow.
 """
 
 from __future__ import annotations
@@ -446,13 +450,15 @@ class Echelon:
         return rest
 
 
-def span_closure(seeds, maps, key=None) -> list:
+def span_closure(seeds, maps, dim: int, key=None) -> list:
     """The items that enlarge the span, grown breadth-first from ``seeds`` under ``maps``.
 
-    Each seed in turn, then each map applied to each item kept in the round
-    before (item-major), is kept when its row is not in the span of the rows
+    Each seed in turn, then each map applied to each kept item in the order
+    kept (item-major), is kept when its row is not in the span of the rows
     kept so far; the kept items, in that order, span the closure.  The row of
     an item is a copy of it, or ``key(item)``, which must return a fresh dict.
+    The rows live in a space of dimension ``dim``: once ``dim`` items are
+    kept the span is full and cannot grow, so no map is applied after that.
     """
     span = Echelon()
 
@@ -460,10 +466,12 @@ def span_closure(seeds, maps, key=None) -> list:
         return bool(span.add(dict(item) if key is None else key(item)))
 
     kept = [item for item in seeds if grows(item)]
-    frontier = kept
-    while frontier:
-        frontier = [new for item in frontier for f in maps if grows(new := f(item))]
-        kept += frontier
+    for item in kept:  # the items kept below join the end of the queue
+        for f in maps:
+            if len(kept) == dim:
+                return kept
+            if grows(new := f(item)):
+                kept.append(new)
     return kept
 
 
@@ -562,6 +570,24 @@ def solve(m: Matrix, rhs: dict, require_unique: bool = False) -> dict:
     return x
 
 
+def pivot_coords(basis: Matrix, pivots: list[int], vec: dict) -> dict:
+    """The coordinates of ``vec`` in the columns of a canonical basis.
+
+    Column j of ``basis`` is 1 at row ``pivots[j]``, where every other column
+    is 0, so the coordinates are the entries of ``vec`` at the pivots.  They
+    are returned only when ``basis`` times them is ``vec`` exactly; otherwise
+    ``vec`` is outside the span and LinAlgError is raised, as by ``solve``.
+    """
+    coords = {}
+    for j, p in enumerate(pivots):
+        v = vec.get(p)
+        if v is not None:
+            coords[j] = v
+    if basis.apply(coords) != vec:
+        raise LinAlgError("inconsistent linear system")
+    return coords
+
+
 def inverse(m: Matrix) -> Matrix:
     if m.rows != m.cols:
         raise LinAlgError("only square matrices are invertible")
@@ -590,7 +616,7 @@ def column_echelonize(m: Matrix) -> Matrix:
 class Subspace:
     """Subspace of an ambient coordinate space, canonical column basis."""
 
-    __slots__ = ("ambient_dim", "basis")
+    __slots__ = ("ambient_dim", "basis", "_pivots")
 
     def __init__(self, ambient_dim: int, basis: Matrix):
         """``basis`` must already be in reduced column echelon form."""
@@ -598,6 +624,7 @@ class Subspace:
             raise LinAlgError("basis rows do not match ambient dimension")
         self.ambient_dim = ambient_dim
         self.basis = basis
+        self._pivots = None
 
     @staticmethod
     def from_vectors(vectors: list[dict], ambient_dim: int, order: int) -> "Subspace":
@@ -617,8 +644,11 @@ class Subspace:
         return "Subspace(dim %d of %d)" % (self.dim, self.ambient_dim)
 
     def contains(self, vec: dict) -> bool:
+        if self._pivots is None:
+            # the pivot of a reduced column echelon column is its first row
+            self._pivots = [min(col) for col in self.vectors()]
         try:
-            solve(self.basis, vec)
+            pivot_coords(self.basis, self._pivots, vec)
             return True
         except LinAlgError:
             return False

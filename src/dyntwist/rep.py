@@ -24,9 +24,9 @@ from .linalg import (
     identity_residual,
     kron,
     kron_sum,
+    pivot_coords,
     quotient,
     rank,
-    solve,
     sparse_cols,
     sparse_kernel_basis,
     unflatten,
@@ -128,6 +128,18 @@ def intertwiner_basis(source_mats: list[Matrix], target_mats: list[Matrix],
         ech.add({last - u: c for u, c in _expand_orbits(orbit, vec).items()})
     return [unflatten({last - u: c for u, c in ech.pivots[p].items()}, rows, cols, order)
             for p in sorted(ech.pivots, reverse=True)]
+
+
+def intertwiner_coords(basis: list[Matrix], dim: int, order: int):
+    """vec -> its coordinates in a basis from ``intertwiner_basis`` of maps with dim entries.
+
+    Each basis vector is 1 at its last entry, which the others leave 0, so
+    ``pivot_coords`` reads the coordinates there and certifies them.
+    """
+    flats = [flatten(b) for b in basis]
+    mat = Matrix.from_cols(flats, dim, order)
+    pivots = [max(f) for f in flats]
+    return lambda vec: pivot_coords(mat, pivots, vec)
 
 
 def _monomial_form(m: Matrix):
@@ -420,11 +432,11 @@ def hom_module(embed: SubHopfEmbedding, v: ModuleRep):
     src = [h.alg.left_mult_matrix(embed.embed_elem({g: one})) for g in gens]
     tgt = [v.action[g] for g in gens]
     basis = intertwiner_basis(src, tgt, v.dim, h.dim, order)
-    basis_mat = Matrix.from_cols([flatten(b) for b in basis], v.dim * h.dim, order)
+    coords = intertwiner_coords(basis, v.dim * h.dim, order)
     mats = []
     for i in range(h.dim):
         rm = h.alg.right_mult_matrix({i: one})
-        cols = [solve(basis_mat, flatten(b * rm)) for b in basis]
+        cols = [coords(flatten(b * rm)) for b in basis]
         mats.append(Matrix.from_cols(cols, len(basis), order))
     mod = ModuleRep(h.alg, len(basis), mats, name="Hom_A(H,%s)" % v.name)
     return mod, basis
@@ -448,8 +460,7 @@ def theta_maps(embed: SubHopfEmbedding, v: ModuleRep):
                          name="(%s)*" % ind.name)
 
     # theta(alpha)(t) = sum_i alpha(class(S(t) (x) v_i)) v^i
-    hom_basis_mat = Matrix.from_cols([flatten(b) for b in hom_basis], vstar.dim * h.dim,
-                                     order)
+    hom_coords = intertwiner_coords(hom_basis, vstar.dim * h.dim, order)
     # the map t -> sum_i alpha_r(class(S(t) (x) v_i)) v^i, flattened row-major,
     # for every induced basis vector alpha_r at once
     flats = [{} for _ in range(ind.dim)]
@@ -459,7 +470,7 @@ def theta_maps(embed: SubHopfEmbedding, v: ModuleRep):
             cls = proj.apply({hh * v.dim + vi: c for hh, c in st.items()})
             for r, c in cls.items():
                 flats[r][vi * h.dim + t] = c
-    theta = Matrix.from_cols([solve(hom_basis_mat, f) for f in flats], len(hom_basis), order)
+    theta = Matrix.from_cols([hom_coords(f) for f in flats], len(hom_basis), order)
 
     # theta_tilde(T) evaluated on the r-th induced basis vector via the section
     s_inv = [h.antipode_inv_of({hh: one}) for hh in range(h.dim)]

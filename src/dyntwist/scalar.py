@@ -253,6 +253,11 @@ class Cyclo:
             return NotImplemented
         self._check(other)
         a, b = self.num, other.num
+        # a factor equal to 1 gives the other, which is immutable and so shared
+        if b[0] == 1 and other.den == 1 and not any(b[1:]):
+            return self
+        if a[0] == 1 and self.den == 1 and not any(a[1:]):
+            return other
         phi = len(a)
         if phi == 1:
             return _make(self.order, (a[0] * b[0],), self.den * other.den)

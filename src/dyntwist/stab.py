@@ -15,10 +15,10 @@ from __future__ import annotations
 
 from .comod import ComoduleAlgebraData, GaloisData, galois_gamma
 from .hopf import StructureError, add_into
-from .linalg import (Matrix, Subspace, flatten, intersect, kron, kron_sum, mul_id_kron, rank,
-                     solve, sparse_cols, unflatten)
-from .rep import (ModuleRep, SubHopfEmbedding, hom_space, intertwiner_basis, regular_module,
-                  tensor_action)
+from .linalg import (LinAlgError, Matrix, Subspace, flatten, intersect, kron, kron_sum,
+                     mul_id_kron, rank, sparse_cols, sparse_solve, unflatten)
+from .rep import (ModuleRep, SubHopfEmbedding, hom_space, intertwiner_basis, intertwiner_coords,
+                  regular_module, tensor_action)
 from .report import CheckReport
 from .scalar import Cyclo
 
@@ -78,12 +78,19 @@ def yan_zhu_stabilizer(k: ComoduleAlgebraData, v: ModuleRep, w: ModuleRep) -> St
                 e = Matrix(w.dim, v.dim, [{s: one} if i == t else {} for i in range(w.dim)],
                            order)
                 lcols.append(flatten(kron(lmat, e)))
-    lmatrix = Matrix.from_cols(lcols, amb, order)
-    bad = ldomain - rank(lmatrix)
-    report.add("L is injective", bad == 0, bad)
     limage = Subspace.from_vectors(lcols, amb, order)
-    basis = [unflatten(solve(lmatrix, vec), h.dim, w.dim * v.dim, order)
-             for vec in intersect(inter_space, limage).vectors()]
+    # the dimension of the image is the rank of the columns of L
+    bad = ldomain - limage.dim
+    report.add("L is injective", bad == 0, bad)
+    # one elimination of L for every intersection vector, each solution re-checked
+    lmatrix = Matrix.from_cols(lcols, amb, order)
+    vectors = intersect(inter_space, limage).vectors()
+    sols = (sparse_solve([dict(lmatrix.row(i)) for i in range(amb)], vectors, ldomain, order)
+            if vectors else [])
+    for sol, vec in zip(sols, vectors):
+        if lmatrix.apply(sol) != vec:
+            raise LinAlgError("inconsistent linear system")
+    basis = [unflatten(sol, h.dim, w.dim * v.dim, order) for sol in sols]
     return StabilizerSpace("YanZhu", basis, None, report)
 
 
@@ -103,12 +110,12 @@ def stab_hom_realized(k: ComoduleAlgebraData, v: ModuleRep, w: ModuleRep,
     basis = hom_space(tensor_action(k, h_reg, v), w).basis
     h_action = None
     if with_action and basis:
-        basis_mat = Matrix.from_cols([flatten(b) for b in basis], w.dim * h.dim * v.dim, order)
+        coords = intertwiner_coords(basis, w.dim * h.dim * v.dim, order)
         idv = Matrix.identity(v.dim, order)
         h_action = []
         for i in range(h.dim):
             mover = kron(h.alg.right_mult_matrix({i: Cyclo.one(order)}), idv)
-            cols = [solve(basis_mat, flatten(b * mover)) for b in basis]
+            cols = [coords(flatten(b * mover)) for b in basis]
             h_action.append(Matrix.from_cols(cols, len(basis), order))
         mod = ModuleRep(h.alg, len(basis), h_action, name="St")
         rep = mod.verify()

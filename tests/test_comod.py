@@ -5,6 +5,8 @@ from itertools import permutations
 from dyntwist.comod import (
     ComoduleAlgebraData,
     SimplicityCertificate,
+    _close_under_products,
+    _trace_form,
     canonical_map,
     coinvariants,
     corestrict_coaction,
@@ -276,3 +278,35 @@ def test_galois_gamma_x_defining_property(e0):
     one = Cyclo.one(2)
     gamma_x = galois_gamma(g, {1: one})  # x = basis (e, 1) of A(F,chi,g)
     assert gamma_x  # nonzero
+
+
+def _pair_loop_trace(a, b):
+    """tr(a b) as the sum of a[i][j] b[j][i] over the nonzeros of a."""
+    total = Cyclo.zero(a.order)
+    for i, j, x in a.nonzeros():
+        y = b.row(j).get(i)
+        if y is not None:
+            total = total + x * y
+    return total
+
+
+@pytest.mark.parametrize("case", ["E1", "Z3", "E0 radical", "E1 radical"])
+def test_trace_form_equals_a_pair_loop(case, request):
+    from conftest import z3_spec
+    from dyntwist.datum import MonomialDatum
+    if case == "E1":
+        k = request.getfixturevalue("e1_datum").k
+    elif case == "Z3":
+        k = MonomialDatum(z3_spec()).k
+    else:
+        datum = request.getfixturevalue("e0_datum" if case == "E0 radical" else "e1_datum")
+        k = trivial_coaction_comodule(datum.h)
+    seed = costable_operators(k)
+    algebra = _close_under_products(seed, k.dim, k.order)
+    commutant = intertwiner_basis(seed, seed, k.dim, k.dim, k.order)
+    for basis in (algebra, commutant):
+        gram = _trace_form(basis)
+        assert (gram.rows, gram.cols) == (len(basis), len(basis))
+        for i, a in enumerate(basis):
+            for j, b in enumerate(basis):
+                assert gram.entry(i, j) == _pair_loop_trace(a, b), (case, i, j)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dyntwist.linalg import (
+    Echelon,
     LinAlgError,
     Matrix,
     Subspace,
@@ -21,6 +22,7 @@ from dyntwist.linalg import (
     kron,
     kron_sum,
     mul_id_kron,
+    pivot_coords,
     quotient,
     rank,
     solve,
@@ -367,7 +369,7 @@ def test_span_closure_keeps_only_enlarging_items_in_breadth_first_order():
     e = [_unit_vector(i, 4) for i in range(4)]
     shift = Matrix.from_cols(e[1:] + [{}], 4, 1)  # e_i -> e_(i+1), e_3 -> 0
     double = Matrix.identity(4, 1).scaled(q(2))
-    kept = span_closure([e[0], {0: q(3)}, e[2]], [double.apply, shift.apply])
+    kept = span_closure([e[0], {0: q(3)}, e[2]], [double.apply, shift.apply], 4)
     # the seeds first, then the images of e_0, then those of e_2; multiples,
     # repeats and the zero image of e_3 are dropped
     assert kept == [e[0], e[2], e[1], e[3]]
@@ -375,7 +377,7 @@ def test_span_closure_keeps_only_enlarging_items_in_breadth_first_order():
 
 def test_span_closure_stops_at_an_invariant_subspace():
     swap = mat([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])
-    kept = span_closure([{0: q(1), 1: q(2)}], [swap.apply])
+    kept = span_closure([{0: q(1), 1: q(2)}], [swap.apply], 4)
     assert kept == [{0: q(1), 1: q(2)}, {0: q(2), 1: q(1)}]
     span = Subspace.from_vectors(kept, 4, 1)
     assert span == Subspace.from_vectors([_unit_vector(0, 4), _unit_vector(1, 4)], 4, 1)
@@ -385,7 +387,7 @@ def test_span_closure_stops_at_an_invariant_subspace():
 def test_span_closure_of_matrices_under_right_products_with_a_flatten_key():
     p = mat([[0, 0, 1], [1, 0, 0], [0, 1, 0]])
     ident = Matrix.identity(3, 1)
-    kept = span_closure([ident, p], [lambda m: m * p], key=flatten)
+    kept = span_closure([ident, p], [lambda m: m * p], 9, key=flatten)
     assert kept == [ident, p, p * p]
     assert p * p * p == ident  # the cube is I again, so the closure stops
 
@@ -526,3 +528,88 @@ def test_cleared_numerator_kernels_agree_with_cyclo_arithmetic(order, seed):
         assert _canonical(sub_mul(cur, x, y))
     with pytest.raises(ScalarError):
         sub_mul(None, Cyclo.one(order), Cyclo.one(2 * order + 1))
+
+
+# -- coordinates read off a canonical basis -------------------------------------
+
+
+@pytest.mark.parametrize("order", [1, 3])
+@pytest.mark.parametrize("seed", range(8))
+def test_pivot_coords_equal_solve_on_random_subspaces(order, seed):
+    rng = random.Random("pivots:%d:%d" % (order, seed))
+    dim = rng.randint(3, 7)
+    gens = [sparse(r) for r in _rand_dense(rng, rng.randint(1, dim), dim, order)]
+    space = Subspace.from_vectors(gens, dim, order)
+    pivots = [min(col) for col in space.vectors()]  # reduced column echelon
+    for _ in range(6):
+        weights = [_rand_scalar(rng, order) for _ in gens]
+        vec = {}
+        for w, g in zip(weights, gens):
+            for i, x in g.items():
+                vec[i] = vec[i] + w * x if i in vec else w * x
+        vec = {i: x for i, x in vec.items() if not x.is_zero()}
+        assert pivot_coords(space.basis, pivots, vec) == solve(space.basis, vec)
+        assert space.contains(vec)
+    one = Cyclo.one(order)
+    for u in range(dim):
+        unit = {u: one}
+        inside = rank(space.basis.hstack(Matrix.from_cols([unit], dim, order))) == space.dim
+        assert space.contains(unit) == inside
+        if not inside:
+            with pytest.raises(LinAlgError, match="inconsistent linear system"):
+                solve(space.basis, unit)
+            with pytest.raises(LinAlgError, match="inconsistent linear system"):
+                pivot_coords(space.basis, pivots, unit)
+
+
+def test_pivot_coords_rejects_a_vector_that_agrees_at_the_pivots():
+    # (1, 0, 1) and (0, 1, 1) have pivots 0 and 1; (1, 1, 0) reads coordinates
+    # (1, 1) there, but their combination is (1, 1, 2)
+    basis = Matrix.from_cols([sparse([q(1), q(0), q(1)]), sparse([q(0), q(1), q(1)])], 3, 1)
+    assert pivot_coords(basis, [0, 1], {0: q(1), 1: q(1), 2: q(2)}) == {0: q(1), 1: q(1)}
+    with pytest.raises(LinAlgError, match="inconsistent linear system"):
+        pivot_coords(basis, [0, 1], {0: q(1), 1: q(1)})
+
+
+# -- a span closure stops when its span is full -----------------------------------
+
+
+def _breadth_first_closure(seeds, maps, key):
+    """Round by round, each map on each item of the round before, with no bound;
+    returns the kept items and, per call of a map, the number kept after it."""
+    span = Echelon()
+    kept = [s for s in seeds if span.add(key(s))]
+    frontier, calls = kept, []
+    while frontier:
+        fresh = []
+        for item in frontier:
+            for f in maps:
+                new = f(item)
+                if span.add(key(new)):
+                    fresh.append(new)
+                calls.append(len(kept) + len(fresh))
+        kept = kept + fresh
+        frontier = fresh
+    return kept, calls
+
+
+def test_span_closure_of_the_e1_operator_algebra_stops_at_the_full_space(e1):
+    from dyntwist.comod import costable_operators
+    ops = costable_operators(e1.k)
+    dim = e1.k.dim
+    seeds = [Matrix.identity(dim, e1.k.order)] + ops
+    calls = []
+
+    def right_mult(b):
+        def f(a):
+            calls.append(b)
+            return a * b
+        return f
+
+    kept = span_closure(seeds, [right_mult(b) for b in ops], dim * dim, key=flatten)
+    oracle, oracle_calls = _breadth_first_closure(seeds, [lambda a, b=b: a * b for b in ops],
+                                                  flatten)
+    assert len(kept) == dim * dim == 64
+    assert kept == oracle
+    # the last call that kept an item filled the space; no map ran after it
+    assert len(calls) == oracle_calls.index(dim * dim) + 1 < len(oracle_calls)

@@ -1,10 +1,12 @@
 import pytest
 
+from dyntwist import stab as stab_module
 from dyntwist.comod import canonical_map, coinvariants, corestrict_coaction
 from dyntwist.hopf import add_into
-from dyntwist.linalg import Matrix
+from dyntwist.linalg import LinAlgError, Matrix, flatten, kron, kron_sum, rank, solve, unflatten
 from dyntwist.monomial import make_t_module
-from dyntwist.rep import regular_module, tensor_action, trivial_module
+from dyntwist.rep import (HomSpace, hom_space, intertwiner_coords, regular_module,
+                          tensor_action, trivial_module)
 from dyntwist.scalar import Cyclo
 from dyntwist.stab import (
     curry_map,
@@ -189,3 +191,82 @@ def test_stab_composition_is_the_sweedler_formula(e1, e1_t_triv):
                             add_into(col, w, c * val)
                     cols.append(col)
             assert stab_compose(e1.k, t, t, t, f, g) == Matrix.from_cols(cols, t.dim, 2)
+
+
+# -- coordinates read off the canonical basis ---------------------------------
+
+
+def _stab_case(case):
+    """(K, H, V) with V = W: T(A_reg) on E1, T(triv) on Z3."""
+    from conftest import e1_spec, z3_spec
+    from dyntwist.datum import MonomialDatum
+    if case == "E1 T(A_reg)":
+        d = MonomialDatum(e1_spec())
+        return d.k, d.h, d.engine.t(regular_module(d.kb.alg, name="A_reg"))
+    d = MonomialDatum(z3_spec())
+    return d.k, d.h, d.engine.t(trivial_module(d.kb))
+
+
+def _solve_h_action(k, h, v, basis):
+    """The H-action on the stabilizer coordinates, one ``solve`` per column."""
+    order = k.order
+    basis_mat = Matrix.from_cols([flatten(b) for b in basis], v.dim * h.dim * v.dim, order)
+    idv = Matrix.identity(v.dim, order)
+    out = []
+    for i in range(h.dim):
+        mover = kron(h.alg.right_mult_matrix({i: Cyclo.one(order)}), idv)
+        out.append(Matrix.from_cols([solve(basis_mat, flatten(b * mover)) for b in basis],
+                                    len(basis), order))
+    return out
+
+
+@pytest.mark.parametrize("case", ["E1 T(A_reg)", "Z3 T(triv)"])
+def test_h_action_read_off_the_pivots_equals_the_solve(case):
+    k, h, v = _stab_case(case)
+    st = stab_hom_realized(k, v, v)
+    assert st.report.ok, str(st.report)
+    assert st.dim > 0
+    assert st.h_action == _solve_h_action(k, h, v, st.basis)
+
+
+@pytest.mark.parametrize("case", ["E1 T(A_reg)", "Z3 T(triv)"])
+def test_read_off_coordinates_equal_solve_and_reject_the_outside(case):
+    k, h, v = _stab_case(case)
+    basis = stab_hom_realized(k, v, v, with_action=False).basis
+    size = v.dim * h.dim * v.dim
+    basis_mat = Matrix.from_cols([flatten(b) for b in basis], size, k.order)
+    coords = intertwiner_coords(basis, size, k.order)
+    one = Cyclo.one(k.order)
+    for j, b in enumerate(basis):
+        # the sum of two basis vectors, one scaled, has the coordinates of the solve
+        vec = flatten(kron_sum([(one, b), (one + one, basis[j - 1])], b.rows, b.cols, k.order))
+        assert coords(vec) == solve(basis_mat, vec)
+    # a unit vector off the span: the solve finds the system inconsistent, and so
+    # does the read-off
+    outside = [u for u in range(size) if rank(basis_mat.hstack(
+        Matrix.from_cols([{u: one}], size, k.order))) > len(basis)]
+    assert outside
+    for u in outside[:5]:
+        with pytest.raises(LinAlgError, match="inconsistent linear system"):
+            solve(basis_mat, {u: one})
+        with pytest.raises(LinAlgError, match="inconsistent linear system"):
+            coords({u: one})
+
+
+def test_a_corrupted_basis_entry_raises_as_the_solve_did(monkeypatch):
+    # one entry of the first basis vector moved off its value, away from every
+    # pivot: the span is no longer closed under the H-action, and the solve
+    # found the first failing column inconsistent in the same way
+    k, h, v = _stab_case("E1 T(A_reg)")
+    space = hom_space(tensor_action(k, regular_module(h.alg, name="H_reg"), v), v)
+    pivots = {max(flatten(b)) for b in space.basis}
+    first = flatten(space.basis[0])
+    idx = min(u for u in first if u not in pivots)
+    first[idx] = first[idx] + Cyclo.one(k.order)
+    corrupted = [unflatten(first, v.dim, h.dim * v.dim, k.order)] + space.basis[1:]
+    with pytest.raises(LinAlgError, match="inconsistent linear system"):
+        _solve_h_action(k, h, v, corrupted)
+    monkeypatch.setattr(stab_module, "hom_space",
+                        lambda src, tgt: HomSpace(src, tgt, corrupted))
+    with pytest.raises(LinAlgError, match="inconsistent linear system"):
+        stab_hom_realized(k, v, v)
