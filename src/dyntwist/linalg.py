@@ -660,21 +660,6 @@ class Subspace:
         return sparse_cols(self.basis)
 
 
-def intersect(u: Subspace, v: Subspace) -> Subspace:
-    """U cap V, via the kernel of [basis_U | -basis_V]."""
-    if u.ambient_dim != v.ambient_dim:
-        raise LinAlgError(
-            "ambient mismatch: %d vs %d" % (u.ambient_dim, v.ambient_dim)
-        )
-    order = u.basis.order
-    if u.dim == 0 or v.dim == 0:
-        return Subspace(u.ambient_dim, Matrix.zero(u.ambient_dim, 0, order))
-    stacked = u.basis.hstack(v.basis.scaled(Cyclo.from_rational(-1, order)))
-    vectors = [u.basis.apply({i: c for i, c in vec.items() if i < u.dim})
-               for vec in kernel(stacked).vectors()]
-    return Subspace.from_vectors(vectors, u.ambient_dim, order)
-
-
 def balanced_relations(pairs, d1: int, d2: int, order: int) -> Subspace:
     """The relations of a balanced tensor product X (x)_A Y, dim X = d1, dim Y = d2.
 

@@ -1,13 +1,15 @@
 """Yan-Zhu stabilizers in two independent realizations.
 
-The intersection form St_K(V,W) = Hom_K(H* (x) V, H* (x) W) cap L(H* (x) Hom(V,W))
-serves as a dimension oracle; the pipeline consumes the realized form
-Hom_K(H (x) V, W) with right-translation H-action, which satisfies the same
-adjunction and dimension formula.  The Galois transport to Hom_A(H, Hom(V,W))
-is a reshape whose content is the pair of module constraints it exchanges;
-both directions are verified exactly.  Currying and composition of
-stabilizer elements are matrix products with Kronecker products (``kron``,
-and ``mul_id_kron`` for a product with id (x) g, which it never forms).
+The Yan-Zhu form St_K(V,W), the x in H* (x) Hom(V,W) whose image under the
+injective map L is a K-intertwiner H* (x) V -> H* (x) W, is one kernel over
+H* (x) Hom(V,W) and serves as a dimension oracle; the pipeline consumes the
+realized form Hom_K(H (x) V, W) with right-translation H-action, which
+satisfies the same adjunction and dimension formula.  The Galois transport to
+Hom_A(H, Hom(V,W)) is a reshape whose content is the pair of module
+constraints it exchanges; both directions are verified exactly.  Currying and
+composition of stabilizer elements are matrix products with Kronecker
+products (``kron``, and ``mul_id_kron`` for a product with id (x) g, which it
+never forms).
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ from __future__ import annotations
 
 from .comod import ComoduleAlgebraData, GaloisData, galois_gamma
 from .hopf import StructureError, add_into
-from .linalg import (LinAlgError, Matrix, Subspace, flatten, intersect, kron, kron_sum,
-                     mul_id_kron, rank, sparse_cols, sparse_solve, unflatten)
+from .linalg import (LinAlgError, Matrix, flatten, kron, kron_sum, mul_id_kron, rank,
+                     sparse_cols, sparse_kernel_basis, unflatten)
 from .rep import (ModuleRep, SubHopfEmbedding, hom_space, intertwiner_basis, intertwiner_coords,
                   regular_module, tensor_action)
 from .report import CheckReport
@@ -36,62 +38,73 @@ class StabilizerSpace:
         return len(self.basis)
 
 
-def _k_action_on_dual_tensor(k: ComoduleAlgebraData, v: ModuleRep) -> list[Matrix]:
-    """K-action on H* (x) V: k.(gamma (x) u) = (k_(-1) harpoon gamma) (x) k_(0) u."""
+def _k_action_on_dual_tensor(k: ComoduleAlgebraData, v: ModuleRep,
+                             indices: list[int]) -> list[Matrix]:
+    """K-action on H* (x) V of the basis elements ``indices`` of K:
+    k.(gamma (x) u) = (k_(-1) harpoon gamma) (x) k_(0) u."""
     from .hopf import harpoon_matrix
     h = k.over
     one = Cyclo.one(k.order)
     harpoons = [harpoon_matrix(h, {hi: one}) for hi in range(h.dim)]
     dim = h.dim * v.dim
     return [kron_sum(((c, harpoons[hi], v.action[kk]) for (hi, kk), c in k.coaction[ki].items()),
-                     dim, dim, k.order) for ki in range(k.dim)]
+                     dim, dim, k.order) for ki in indices]
 
 
 def yan_zhu_stabilizer(k: ComoduleAlgebraData, v: ModuleRep, w: ModuleRep) -> StabilizerSpace:
-    """The intersection realization, computed by subspace intersection.
+    """The Yan-Zhu realization: the x in H* (x) Hom(V, W) with L(x) S_g = T_g L(x).
 
-    Result vectors live in H* (x) Hom(V, W); their L-images are exactly the
-    K-intertwiners H* (x) V -> H* (x) W of left-multiplication shape.
+    L sends gamma_a (x) E_ts to kron(Lambda_a, E_ts), Lambda_a the left
+    multiplication by gamma_a, and is injective; S_g and T_g are the actions
+    of a generator g of K on H* (x) V and H* (x) W.  Each equation entry is an
+    entry of Lambda_a times one of S_g or T_g.  The basis is the canonical
+    kernel basis in the coordinates a*w*v + t*v + s, each vector re-checked.
     """
     h = k.over
     order = k.order
     report = CheckReport("Yan-Zhu stabilizer")
     if v.dim == 0 or w.dim == 0:
         return StabilizerSpace("YanZhu", [], None, report)
-    gens = k.alg.generator_indices()
-    src_mats = _k_action_on_dual_tensor(k, v)
-    tgt_mats = _k_action_on_dual_tensor(k, w)
-    inter = intertwiner_basis([src_mats[g] for g in gens],
-                              [tgt_mats[g] for g in gens],
-                              h.dim * w.dim, h.dim * v.dim, order)
-    amb = (h.dim * w.dim) * (h.dim * v.dim)
-    inter_space = Subspace.from_vectors([flatten(m) for m in inter], amb, order)
-
-    # image of L: columns indexed by (gamma_a, E_{ts})
-    one = Cyclo.one(order)
-    lcols = []
-    ldomain = h.dim * w.dim * v.dim
-    for a in range(h.dim):
-        lmat = _dual_left_mult(h, a)
-        for t in range(w.dim):
-            for s in range(v.dim):
-                e = Matrix(w.dim, v.dim, [{s: one} if i == t else {} for i in range(w.dim)],
-                           order)
-                lcols.append(flatten(kron(lmat, e)))
-    limage = Subspace.from_vectors(lcols, amb, order)
-    # the dimension of the image is the rank of the columns of L
-    bad = ldomain - limage.dim
+    lmats = [_dual_left_mult(h, a) for a in range(h.dim)]
+    # span{kron(Lambda_a, E_ts)} = span{Lambda_a} (x) Hom(V, W)
+    bad = (h.dim - rank(Matrix(h.dim, h.dim * h.dim, [flatten(m) for m in lmats], order))
+           ) * w.dim * v.dim
     report.add("L is injective", bad == 0, bad)
-    # one elimination of L for every intersection vector, each solution re-checked
-    lmatrix = Matrix.from_cols(lcols, amb, order)
-    vectors = intersect(inter_space, limage).vectors()
-    sols = (sparse_solve([dict(lmatrix.row(i)) for i in range(amb)], vectors, ldomain, order)
-            if vectors else [])
-    for sol, vec in zip(sols, vectors):
-        if lmatrix.apply(sol) != vec:
-            raise LinAlgError("inconsistent linear system")
-    basis = [unflatten(sol, h.dim, w.dim * v.dim, order) for sol in sols]
-    return StabilizerSpace("YanZhu", basis, None, report)
+    gens = k.alg.generator_indices()
+    wv, hv = w.dim * v.dim, h.dim * v.dim
+    rows = []
+    for src, tgt in zip(_k_action_on_dual_tensor(k, v, gens), _k_action_on_dual_tensor(k, w, gens)):
+        # entry (r, col) of L(x) S - T L(x) at r*h*v + col, as {a*w*v + t*v + s: coefficient}
+        eqs: dict = {}
+        for a, lam in enumerate(lmats):
+            # (L(x) S)[(i, t), col] = sum over a, b, s of Lambda_a[i][b] x_ats S[(b, s), col]
+            for i in range(h.dim):
+                for b, c in lam.row(i).items():
+                    for s in range(v.dim):
+                        for col, val in src.row(b * v.dim + s).items():
+                            cv = c * val
+                            for t in range(w.dim):
+                                add_into(eqs.setdefault((i * w.dim + t) * hv + col, {}),
+                                         a * wv + t * v.dim + s, cv)
+        for r in range(h.dim * w.dim):
+            # (T L(x))[r, (j, s)] = sum over i, t, a of T[r, (i, t)] Lambda_a[i][j] x_ats
+            for col, val in tgt.row(r).items():
+                i, t = divmod(col, w.dim)
+                for a, lam in enumerate(lmats):
+                    for j, c in lam.row(i).items():
+                        cv = -(val * c)
+                        for s in range(v.dim):
+                            add_into(eqs.setdefault(r * hv + j * v.dim + s, {}),
+                                     a * wv + t * v.dim + s, cv)
+        rows += [eq for eq in eqs.values() if eq]
+    # equal equations repeat across positions and generators; keep one of each
+    rows = list({frozenset(eq.items()): eq for eq in rows}.values())
+    equations = Matrix(len(rows), h.dim * wv, rows, order)
+    kernel = sparse_kernel_basis([dict(eq) for eq in rows], h.dim * wv, order)
+    if any(equations.apply(vec) for vec in kernel):
+        raise LinAlgError("a kernel vector fails the stabilizer equations")
+    return StabilizerSpace("YanZhu", [unflatten(vec, h.dim, wv, order) for vec in kernel],
+                           None, report)
 
 
 def _dual_left_mult(h, a: int) -> Matrix:

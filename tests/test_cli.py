@@ -168,6 +168,45 @@ def test_stab_command(tmp_path, capsys):
     assert "realizations agree in dimension (4 vs 4)" in text
 
 
+# the check list of `stab` with V != W on E1, as the intersection route reported it
+STAB_V_NEQ_W_CHECKS = [
+    ("yan-zhu: L is injective", "PASS", 0),
+    ("realized: H-action: unit acts as identity", "PASS", 0),
+    ("realized: H-action: rho(e_i)rho(e_j) = rho(e_i e_j)", "PASS", 0),
+    ("realizations agree in dimension (8 vs 8)", "PASS", 0),
+    ("dim K * dim St = dim V * dim W * dim H (64 vs 64)", "PASS", 0),
+]
+
+
+@pytest.mark.parametrize("v_name, w_name", [("triv", "A_reg"), ("A_reg", "triv")])
+def test_stab_command_with_v_other_than_w(tmp_path, capsys, v_name, w_name):
+    # Hom(V, W) is not square: T(triv) has dimension 2 and T(A_reg) dimension 4
+    from dyntwist.cli import module_to_json, write_json
+    from dyntwist.datum import MonomialDatum
+    from dyntwist.rep import regular_module, trivial_module
+    from conftest import e1_spec
+    out = str(tmp_path)
+    run(["example", "E1", "--out-dir", out])
+    datum = MonomialDatum(e1_spec())
+    modules = {"triv": trivial_module(datum.kb, name="triv"),
+               "A_reg": regular_module(datum.kb.alg, name="A_reg")}
+    paths = []
+    for name in (v_name, w_name):
+        paths.append(os.path.join(out, name + ".json"))
+        write_json(paths[-1], module_to_json(datum.engine.t(modules[name])))
+    report_path = os.path.join(out, "report.json")
+    capsys.readouterr()
+    rc = run(["--report", report_path, "stab", os.path.join(out, "e1_hopf.json"),
+              os.path.join(out, "e1_comodule.json")] + paths)
+    text = capsys.readouterr().out
+    assert rc == 0
+    assert "realizations agree in dimension (8 vs 8)" in text
+    assert "dim K * dim St = dim V * dim W * dim H (64 vs 64)" in text
+    doc = json.loads(open(report_path).read())
+    assert [(c["name"], c["status"], c["residual_nonzero_count"])
+            for c in doc["checks"]] == STAB_V_NEQ_W_CHECKS
+
+
 def test_twisted_galois_command(tmp_path, capsys):
     out = str(tmp_path)
     run(["example", "E1", "--out-dir", out])

@@ -16,7 +16,6 @@ from dyntwist.linalg import (
     differing_entries,
     flatten,
     identity_residual,
-    intersect,
     inverse,
     kernel,
     kron,
@@ -107,27 +106,6 @@ def test_product_rejects_matrices_over_different_fields():
 def test_inverse_singular_raises():
     with pytest.raises(LinAlgError):
         inverse(mat([[1, 2], [2, 4]]))
-
-
-def test_intersect_same_space():
-    u = Subspace.from_vectors([sparse([q(1), q(0)]), sparse([q(1), q(1)])], 2, 1)
-    assert intersect(u, u) == u
-
-
-def test_intersect_with_zero():
-    u = Subspace.from_vectors([sparse([q(1), q(0)])], 2, 1)
-    z = Subspace.from_vectors([], 2, 1)
-    assert intersect(u, z).dim == 0
-
-
-def test_intersect_planes_in_q3():
-    e1 = sparse([q(1), q(0), q(0)])
-    e2 = sparse([q(0), q(1), q(0)])
-    e3 = sparse([q(0), q(0), q(1)])
-    u = Subspace.from_vectors([e1, e2], 3, 1)
-    v = Subspace.from_vectors([e2, e3], 3, 1)
-    w = intersect(u, v)
-    assert w.dim == 1 and w.contains(e2)
 
 
 def test_quotient_by_zero_is_identity():

@@ -1,12 +1,16 @@
+import functools
+
 import pytest
 
+from dyntwist import rep as rep_module
 from dyntwist import stab as stab_module
 from dyntwist.comod import canonical_map, coinvariants, corestrict_coaction
 from dyntwist.hopf import add_into
-from dyntwist.linalg import LinAlgError, Matrix, flatten, kron, kron_sum, rank, solve, unflatten
+from dyntwist.linalg import (LinAlgError, Matrix, Subspace, flatten, kernel, kron, kron_sum,
+                             rank, solve, unflatten)
 from dyntwist.monomial import make_t_module
-from dyntwist.rep import (HomSpace, hom_space, intertwiner_coords, regular_module,
-                          tensor_action, trivial_module)
+from dyntwist.rep import (HomSpace, hom_space, intertwiner_basis, intertwiner_coords,
+                          regular_module, tensor_action, trivial_module)
 from dyntwist.scalar import Cyclo
 from dyntwist.stab import (
     curry_map,
@@ -67,21 +71,11 @@ def test_both_realizations_agree_e0(e0, e0_t_triv):
     assert e0.k.dim * st2.dim == e0_t_triv.dim ** 2 * e0.h.dim
 
 
-def test_trivial_comodule_stabilizer_is_everything(z2_table):
+def test_trivial_comodule_stabilizer_is_everything():
     # K = scalars: St = H* (x) Hom(V, W) with no constraint
-    from dyntwist.comod import ComoduleAlgebraData
-    from dyntwist.hopf import AlgebraData, group_algebra
-    h = group_algebra(z2_table, 2)
-    one = Cyclo.one(2)
-    scalars = AlgebraData(1, [[{0: one}]], {0: one}, 2, name="k")
-    unit_idx = max(h.alg.unit)
-    k = ComoduleAlgebraData(scalars, h, [{(unit_idx, 0): one}], name="k_triv")
-    v = regular_module(scalars, name="V2")
-    # inflate to a 2-dim module over scalars
-    from dyntwist.rep import ModuleRep
-    v2 = ModuleRep(scalars, 2, [Matrix.identity(2, 2)], name="V2")
+    k, v2, _ = _trivial_comodule()
     st = yan_zhu_stabilizer(k, v2, v2)
-    assert st.dim == h.dim * v2.dim * v2.dim
+    assert st.dim == k.over.dim * v2.dim * v2.dim
 
 
 def test_curry_uncurry_roundtrip(e1, e1_t_triv):
@@ -270,3 +264,173 @@ def test_a_corrupted_basis_entry_raises_as_the_solve_did(monkeypatch):
                         lambda src, tgt: HomSpace(src, tgt, corrupted))
     with pytest.raises(LinAlgError, match="inconsistent linear system"):
         stab_hom_realized(k, v, v)
+
+
+# -- the Yan-Zhu kernel against the intersection route ---------------------------
+
+
+def _intersect(u, v):
+    """U cap V, via the kernel of [basis_U | -basis_V]."""
+    order = u.basis.order
+    if u.dim == 0 or v.dim == 0:
+        return Subspace(u.ambient_dim, Matrix.zero(u.ambient_dim, 0, order))
+    stacked = u.basis.hstack(v.basis.scaled(Cyclo.from_rational(-1, order)))
+    vectors = [u.basis.apply({i: c for i, c in vec.items() if i < u.dim})
+               for vec in kernel(stacked).vectors()]
+    return Subspace.from_vectors(vectors, u.ambient_dim, order)
+
+
+def _q(n):
+    return Cyclo.from_rational(n, 1)
+
+
+def test_intersect_same_space():
+    u = Subspace.from_vectors([{0: _q(1)}, {0: _q(1), 1: _q(1)}], 2, 1)
+    assert _intersect(u, u) == u
+
+
+def test_intersect_with_zero():
+    u = Subspace.from_vectors([{0: _q(1)}], 2, 1)
+    z = Subspace.from_vectors([], 2, 1)
+    assert _intersect(u, z).dim == 0
+
+
+def test_intersect_planes_in_q3():
+    e1, e2, e3 = {0: _q(1)}, {1: _q(1)}, {2: _q(1)}
+    u = Subspace.from_vectors([e1, e2], 3, 1)
+    v = Subspace.from_vectors([e2, e3], 3, 1)
+    w = _intersect(u, v)
+    assert w.dim == 1 and w.contains(e2)
+
+
+def _l_columns(h, v, w):
+    """The columns kron(Lambda_a, E_ts) of L, flattened, in the order (a, t, s)."""
+    one = Cyclo.one(h.order)
+    cols = []
+    for a in range(h.dim):
+        lmat = stab_module._dual_left_mult(h, a)
+        for t in range(w.dim):
+            for s in range(v.dim):
+                e = Matrix(w.dim, v.dim, [{s: one} if i == t else {} for i in range(w.dim)],
+                           h.order)
+                cols.append(flatten(kron(lmat, e)))
+    return cols
+
+
+def _intersection_route(k, v, w):
+    """Hom_K(H* (x) V, H* (x) W) cap L(H* (x) Hom(V, W)), over the whole ambient space."""
+    h, order = k.over, k.order
+    gens = k.alg.generator_indices()
+    inter = intertwiner_basis(stab_module._k_action_on_dual_tensor(k, v, gens),
+                              stab_module._k_action_on_dual_tensor(k, w, gens),
+                              h.dim * w.dim, h.dim * v.dim, order)
+    amb = (h.dim * w.dim) * (h.dim * v.dim)
+    inter_space = Subspace.from_vectors([flatten(m) for m in inter], amb, order)
+    return _intersect(inter_space, Subspace.from_vectors(_l_columns(h, v, w), amb, order))
+
+
+@functools.lru_cache(maxsize=None)
+def _instance(name):
+    """(K, {"T(triv)": ..., "T(A_reg)": ...}) of the datum E0, E1 or Z3."""
+    from conftest import e0_spec, e1_spec, z3_spec
+    from dyntwist.datum import MonomialDatum
+    d = MonomialDatum({"E0": e0_spec, "E1": e1_spec, "Z3": z3_spec}[name]())
+    return d.k, {"T(triv)": d.engine.t(trivial_module(d.kb)),
+                 "T(A_reg)": d.engine.t(regular_module(d.kb.alg, name="A_reg"))}
+
+
+def _trivial_comodule():
+    """K = scalars over kZ2 with coaction 1 (x) 1, and V = W of dimension 2."""
+    from conftest import cyclic_table
+    from dyntwist.comod import ComoduleAlgebraData
+    from dyntwist.hopf import AlgebraData, group_algebra
+    from dyntwist.rep import ModuleRep
+    h = group_algebra(cyclic_table(2), 2)
+    one = Cyclo.one(2)
+    scalars = AlgebraData(1, [[{0: one}]], {0: one}, 2, name="k")
+    k = ComoduleAlgebraData(scalars, h, [{(max(h.alg.unit), 0): one}], name="k_triv")
+    v2 = ModuleRep(scalars, 2, [Matrix.identity(2, 2)], name="V2")
+    return k, v2, v2
+
+
+ORACLE_CASES = [("E0", "T(triv)", "T(triv)"), ("E1", "T(triv)", "T(triv)"),
+                ("E1", "T(A_reg)", "T(A_reg)"), ("Z3", "T(triv)", "T(triv)"),
+                ("E1", "T(triv)", "T(A_reg)"), ("E1", "T(A_reg)", "T(triv)"),
+                ("trivial comodule", None, None)]
+
+
+def _oracle_case(name, vname, wname):
+    if vname is None:
+        return _trivial_comodule()
+    k, mods = _instance(name)
+    return k, mods[vname], mods[wname]
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES, ids=lambda c: " ".join(filter(None, c)))
+def test_yan_zhu_kernel_is_the_preimage_of_the_intersection(case):
+    k, v, w = _oracle_case(*case)
+    st = yan_zhu_stabilizer(k, v, w)
+    assert st.report.ok, str(st.report)
+    h = k.over
+    amb = (h.dim * w.dim) * (h.dim * v.dim)
+    lmatrix = Matrix.from_cols(_l_columns(h, v, w), amb, k.order)
+    images = Subspace.from_vectors([lmatrix.apply(flatten(x)) for x in st.basis], amb, k.order)
+    assert images.dim == st.dim
+    assert images == _intersection_route(k, v, w)
+
+
+def test_yan_zhu_builds_no_intertwiner_space(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the Yan-Zhu stabilizer called intertwiner_basis")
+
+    k, mods = _instance("E1")
+    monkeypatch.setattr(rep_module, "intertwiner_basis", refuse)
+    monkeypatch.setattr(stab_module, "intertwiner_basis", refuse)
+    assert yan_zhu_stabilizer(k, mods["T(A_reg)"], mods["T(A_reg)"]).dim == 16
+
+
+def _injectivity(report):
+    check, = [c for c in report.checks if c.name == "L is injective"]
+    return check
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES, ids=lambda c: " ".join(filter(None, c)))
+def test_injectivity_count_is_the_rank_defect_of_l(case):
+    k, v, w = _oracle_case(*case)
+    h = k.over
+    cols = _l_columns(h, v, w)
+    expected = len(cols) - Subspace.from_vectors(cols, len(cols) * h.dim, k.order).dim
+    assert _injectivity(yan_zhu_stabilizer(k, v, w).report).residual_nonzero_count == expected
+
+
+@pytest.mark.parametrize("vname, wname", [("T(triv)", "T(A_reg)"), ("T(A_reg)", "T(triv)")])
+def test_injectivity_count_sees_a_dependent_family(monkeypatch, vname, wname):
+    # Lambda_2 = Lambda_0 + Lambda_1 makes kron(Lambda_2, E_ts) dependent for every
+    # (t, s): the count is w*v, not a 0/1 flag
+    real = stab_module._dual_left_mult
+    monkeypatch.setattr(stab_module, "_dual_left_mult",
+                        lambda h, a: real(h, 0) + real(h, 1) if a == 2 else real(h, a))
+    k, mods = _instance("E1")
+    v, w = mods[vname], mods[wname]
+    check = _injectivity(yan_zhu_stabilizer(k, v, w).report)
+    cols = _l_columns(k.over, v, w)
+    parent = len(cols) - Subspace.from_vectors(cols, len(cols) * k.over.dim, k.order).dim
+    assert check.status == "FAIL"
+    assert check.residual_nonzero_count == w.dim * v.dim == parent
+
+
+def test_a_kernel_vector_off_the_equations_raises(monkeypatch):
+    # the first kernel vector plus a unit vector that some equation reads
+    real = stab_module.sparse_kernel_basis
+
+    def off_by_a_unit(rows, ncols, order):
+        u = min(min(r) for r in rows if r)
+        basis = real(rows, ncols, order)
+        first = dict(basis[0])
+        add_into(first, u, Cyclo.one(order))
+        return [first] + basis[1:]
+
+    k, mods = _instance("E1")
+    monkeypatch.setattr(stab_module, "sparse_kernel_basis", off_by_a_unit)
+    with pytest.raises(LinAlgError, match="a kernel vector fails the stabilizer equations"):
+        yan_zhu_stabilizer(k, mods["T(A_reg)"], mods["T(triv)"])
