@@ -826,24 +826,12 @@ def phi_psi(datum: MonomialDatum, v: ModuleRep, w: ModuleRep) -> dict:
                     values[(j, i, l)] = flatten(slice_out[j] * theta * slice_in[i])
         return extend_cb(values)
 
-    def coords(basis: list[Matrix], dim: int, images: list[Matrix]) -> tuple[list[dict], int]:
-        """Coordinates of each image in the basis of dim-entry maps; {} and a miss if none."""
-        read = intertwiner_coords(basis, dim, order)
-        cols, bad = [], 0
-        for img in images:
-            try:
-                cols.append(read(flatten(img)))
-            except LinAlgError:
-                cols.append({})
-                bad += 1
-        return cols, bad
-
-    phi_cols, bad = coords(homaf, tw.dim * tv.dim * h.dim, [phi_map(b) for b in homcb])
+    phi, bad = intertwiner_coords(homaf, Matrix.from_cols(
+        [flatten(phi_map(b)) for b in homcb], tw.dim * tv.dim * h.dim, order))
     report.add("phi image is A(F)-linear", bad == 0, bad)
-    psi_cols, bad = coords(homcb, w.dim * v.dim * h.dim, [psi_map(b) for b in homaf])
+    psi, bad = intertwiner_coords(homcb, Matrix.from_cols(
+        [flatten(psi_map(b)) for b in homaf], w.dim * v.dim * h.dim, order))
     report.add("psi image is kB-linear", bad == 0, bad)
-    phi = Matrix.from_cols(phi_cols, len(homaf), order)
-    psi = Matrix.from_cols(psi_cols, len(homcb), order)
     bad = identity_residual(psi * phi)
     report.add("psi . phi = id", bad == 0, bad)
     bad = identity_residual(phi * psi)

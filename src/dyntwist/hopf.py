@@ -14,8 +14,8 @@ twist equations and the twisted product.
 
 from __future__ import annotations
 
-from .linalg import (LinAlgError, Matrix, differing_keys, identity_residual, inverse, kron,
-                     sparse_solve, unflatten)
+from .linalg import (LinAlgError, Matrix, differing_columns, differing_keys, identity_residual,
+                     inverse, kron, sparse_solve, unflatten)
 from .report import CheckReport
 from .scalar import Cyclo, lcm
 
@@ -168,15 +168,14 @@ class AlgebraData:
     def verify(self) -> CheckReport:
         report = CheckReport("algebra %s" % self.name)
         # (e_i e_j) e_k = e_i (e_j e_k) for all j, k is M (L_i (x) id) = L_i M;
-        # each failing triple (i, j, k) is a nonzero column j*dim + k of the difference
+        # each failing triple (i, j, k) is a column j*dim + k where the two sides differ
         one = Cyclo.one(self.order)
         m = self.mult_matrix()
         ident = Matrix.identity(self.dim, self.order)
         bad = 0
         for i in range(self.dim):
             left = self.left_mult_matrix({i: one})
-            diff = m * kron(left, ident) - left * m
-            bad += len(set().union(*(diff.row(k) for k in range(self.dim))))
+            bad += len(differing_columns(m * kron(left, ident), left * m))
         report.add("associativity m(m x id) = m(id x m)", bad == 0, bad)
         bad = 0
         for i in range(self.dim):

@@ -26,9 +26,11 @@ Conventions fixed here and used everywhere else in the package:
   cur - c v in one step (``scalar.sub_mul``);
 * subspaces are stored by a basis matrix in reduced column echelon form, so
   equal subspaces have equal basis matrices;
-* coordinates in a canonical basis are read off its pivots and certified by
-  one product (``pivot_coords``); ``solve`` is left for the matrices that
-  are not canonical;
+* a batch of vectors is one ``Matrix``, a vector per column (``apply`` takes
+  one vector); coordinates in a canonical basis are read off its pivots, a
+  batch at once, and certified by one product, which counts the columns
+  outside the span (``pivot_coords``); ``solve`` is left for the matrices
+  that are not canonical;
 * every closure of a set of vectors under linear maps (an ideal, an operator
   algebra, the words in algebra generators) is grown breadth-first by
   ``span_closure``, so its basis comes out in one fixed order;
@@ -267,18 +269,6 @@ class Matrix:
                 out[i] = acc
         return out
 
-    def hstack(self, other: "Matrix") -> "Matrix":
-        if self.rows != other.rows:
-            raise LinAlgError("row mismatch in hstack")
-        off = self.cols
-        out = []
-        for ra, rb in zip(self._rows, other._rows):
-            row = dict(ra)
-            for j, v in rb.items():
-                row[off + j] = v
-            out.append(row)
-        return Matrix._trusted(self.rows, self.cols + other.cols, out, self.order)
-
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
     """Kronecker product with the left-major flattening (i, j) -> i*dim2 + j."""
@@ -369,6 +359,14 @@ def differing_entries(a: Matrix, b: Matrix) -> int:
     if (a.rows, a.cols) != (b.rows, b.cols):
         raise LinAlgError("shape mismatch: %dx%d vs %dx%d" % (a.rows, a.cols, b.rows, b.cols))
     return sum(differing_keys(ra, rb) for ra, rb in zip(a._rows, b._rows))
+
+
+def differing_columns(a: Matrix, b: Matrix) -> set:
+    """The columns j where a and b differ; empty iff a == b."""
+    if (a.rows, a.cols) != (b.rows, b.cols):
+        raise LinAlgError("shape mismatch: %dx%d vs %dx%d" % (a.rows, a.cols, b.rows, b.cols))
+    return set().union(*({j for j in ra.keys() | rb.keys() if ra.get(j) != rb.get(j)}
+                         for ra, rb in zip(a._rows, b._rows) if ra != rb))
 
 
 def flatten(m: Matrix) -> dict:
@@ -570,22 +568,22 @@ def solve(m: Matrix, rhs: dict, require_unique: bool = False) -> dict:
     return x
 
 
-def pivot_coords(basis: Matrix, pivots: list[int], vec: dict) -> dict:
-    """The coordinates of ``vec`` in the columns of a canonical basis.
+def pivot_coords(basis: Matrix, pivots: list[int], vectors: Matrix) -> tuple[Matrix, int]:
+    """The coordinates of the columns of ``vectors`` in the columns of a canonical basis.
 
     Column j of ``basis`` is 1 at row ``pivots[j]``, where every other column
-    is 0, so the coordinates are the entries of ``vec`` at the pivots.  They
-    are returned only when ``basis`` times them is ``vec`` exactly; otherwise
-    ``vec`` is outside the span and LinAlgError is raised, as by ``solve``.
+    is 0, so the coordinates are the rows of ``vectors`` at the pivots.  One
+    product ``basis`` times them certifies every column: a column where it
+    differs from ``vectors`` lies outside the span, and its coordinates are
+    dropped.  Returns (coordinates, number of such columns).
     """
-    coords = {}
-    for j, p in enumerate(pivots):
-        v = vec.get(p)
-        if v is not None:
-            coords[j] = v
-    if basis.apply(coords) != vec:
-        raise LinAlgError("inconsistent linear system")
-    return coords
+    rows = vectors._rows
+    coords = [dict(rows[p]) for p in pivots]
+    misses = differing_columns(basis * Matrix._trusted(len(pivots), vectors.cols, coords,
+                                                       vectors.order), vectors)
+    if misses:
+        coords = [{j: v for j, v in r.items() if j not in misses} for r in coords]
+    return Matrix._trusted(len(pivots), vectors.cols, coords, vectors.order), len(misses)
 
 
 def inverse(m: Matrix) -> Matrix:
@@ -643,15 +641,17 @@ class Subspace:
     def __repr__(self):
         return "Subspace(dim %d of %d)" % (self.dim, self.ambient_dim)
 
-    def contains(self, vec: dict) -> bool:
+    @property
+    def pivots(self) -> list[int]:
+        """The pivot row of each basis column."""
         if self._pivots is None:
             # the pivot of a reduced column echelon column is its first row
             self._pivots = [min(col) for col in self.vectors()]
-        try:
-            pivot_coords(self.basis, self._pivots, vec)
-            return True
-        except LinAlgError:
-            return False
+        return self._pivots
+
+    def contains(self, vec: dict) -> bool:
+        column = Matrix.from_cols([vec], self.ambient_dim, self.basis.order)
+        return pivot_coords(self.basis, self.pivots, column)[1] == 0
 
     def vector(self, j: int) -> dict:
         return self.basis.col(j)

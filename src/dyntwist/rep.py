@@ -18,6 +18,7 @@ from __future__ import annotations
 from .hopf import AlgebraData, HopfAlgebraData, StructureError, add_into, split_leg
 from .linalg import (
     Echelon,
+    LinAlgError,
     Matrix,
     balanced_relations,
     flatten,
@@ -130,16 +131,39 @@ def intertwiner_basis(source_mats: list[Matrix], target_mats: list[Matrix],
             for p in sorted(ech.pivots, reverse=True)]
 
 
-def intertwiner_coords(basis: list[Matrix], dim: int, order: int):
-    """vec -> its coordinates in a basis from ``intertwiner_basis`` of maps with dim entries.
+def intertwiner_coords(basis: list[Matrix], vectors: Matrix) -> tuple[Matrix, int]:
+    """The coordinates of the flattened maps in the columns of ``vectors`` in a
+    basis from ``intertwiner_basis``, and the number of columns outside its span.
 
     Each basis vector is 1 at its last entry, which the others leave 0, so
     ``pivot_coords`` reads the coordinates there and certifies them.
     """
     flats = [flatten(b) for b in basis]
-    mat = Matrix.from_cols(flats, dim, order)
-    pivots = [max(f) for f in flats]
-    return lambda vec: pivot_coords(mat, pivots, vec)
+    return pivot_coords(Matrix.from_cols(flats, vectors.rows, vectors.order),
+                        [max(f) for f in flats], vectors)
+
+
+def translation_action(basis: list[Matrix], movers: list[Matrix]) -> list[Matrix]:
+    """The action b -> b m of each mover m on the span of a basis from
+    ``intertwiner_basis``, as matrices on its coordinates.
+
+    The basis maps are stacked once, one above the next, so one product with
+    a mover moves all of them, and one read-off gives the coordinates of the
+    moved maps.  Raises LinAlgError when a moved map leaves the span.
+    """
+    if not basis:
+        return [Matrix.zero(0, 0, m.order) for m in movers]
+    n, rows, cols, order = len(basis), basis[0].rows, basis[0].cols, basis[0].order
+    stacked = Matrix(n * rows, cols, [dict(b.row(i)) for b in basis for i in range(rows)], order)
+    action = []
+    for m in movers:
+        # row j of the reshaped product is the flattened b_j m
+        moved = unflatten(flatten(stacked * m), n, rows * cols, order).transpose()
+        coords, misses = intertwiner_coords(basis, moved)
+        if misses:
+            raise LinAlgError("inconsistent linear system")
+        action.append(coords)
+    return action
 
 
 def _monomial_form(m: Matrix):
@@ -432,12 +456,7 @@ def hom_module(embed: SubHopfEmbedding, v: ModuleRep):
     src = [h.alg.left_mult_matrix(embed.embed_elem({g: one})) for g in gens]
     tgt = [v.action[g] for g in gens]
     basis = intertwiner_basis(src, tgt, v.dim, h.dim, order)
-    coords = intertwiner_coords(basis, v.dim * h.dim, order)
-    mats = []
-    for i in range(h.dim):
-        rm = h.alg.right_mult_matrix({i: one})
-        cols = [coords(flatten(b * rm)) for b in basis]
-        mats.append(Matrix.from_cols(cols, len(basis), order))
+    mats = translation_action(basis, [h.alg.right_mult_matrix({i: one}) for i in range(h.dim)])
     mod = ModuleRep(h.alg, len(basis), mats, name="Hom_A(H,%s)" % v.name)
     return mod, basis
 
@@ -460,7 +479,6 @@ def theta_maps(embed: SubHopfEmbedding, v: ModuleRep):
                          name="(%s)*" % ind.name)
 
     # theta(alpha)(t) = sum_i alpha(class(S(t) (x) v_i)) v^i
-    hom_coords = intertwiner_coords(hom_basis, vstar.dim * h.dim, order)
     # the map t -> sum_i alpha_r(class(S(t) (x) v_i)) v^i, flattened row-major,
     # for every induced basis vector alpha_r at once
     flats = [{} for _ in range(ind.dim)]
@@ -470,21 +488,16 @@ def theta_maps(embed: SubHopfEmbedding, v: ModuleRep):
             cls = proj.apply({hh * v.dim + vi: c for hh, c in st.items()})
             for r, c in cls.items():
                 flats[r][vi * h.dim + t] = c
-    theta = Matrix.from_cols([hom_coords(f) for f in flats], len(hom_basis), order)
+    theta, misses = intertwiner_coords(hom_basis,
+                                       Matrix.from_cols(flats, vstar.dim * h.dim, order))
+    if misses:
+        raise LinAlgError("inconsistent linear system")
 
-    # theta_tilde(T) evaluated on the r-th induced basis vector via the section
-    s_inv = [h.antipode_inv_of({hh: one}) for hh in range(h.dim)]
-    ttilde_rows = []
-    for r in range(ind.dim):
-        row: dict = {}
-        for idx, c in sec.col(r).items():
-            hh, vi = divmod(idx, v.dim)
-            for bi, b in enumerate(hom_basis):
-                x = b.apply(s_inv[hh]).get(vi)
-                if x is not None:
-                    add_into(row, bi, c * x)
-        ttilde_rows.append(row)
-    theta_tilde = Matrix(ind.dim, len(hom_basis), ttilde_rows, order)
+    # theta_tilde(T) evaluated on the r-th induced basis vector via the section:
+    # row T of ``evals`` holds T(S^-1(e_hh))_vi at hh * dim V + vi
+    evals = Matrix(len(hom_basis), h.dim * v.dim,
+                   [flatten((b * h.antipode_inv).transpose()) for b in hom_basis], order)
+    theta_tilde = (evals * sec).transpose()
 
     report = CheckReport("theta maps for %s" % v.name)
     free_dim = h.dim * v.dim // embed.small.dim

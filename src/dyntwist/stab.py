@@ -19,8 +19,8 @@ from .comod import ComoduleAlgebraData, GaloisData, galois_gamma
 from .hopf import StructureError, add_into
 from .linalg import (LinAlgError, Matrix, flatten, kron, kron_sum, mul_id_kron, rank,
                      sparse_cols, sparse_kernel_basis, unflatten)
-from .rep import (ModuleRep, SubHopfEmbedding, hom_space, intertwiner_basis, intertwiner_coords,
-                  regular_module, tensor_action)
+from .rep import (ModuleRep, SubHopfEmbedding, hom_space, intertwiner_basis, regular_module,
+                  tensor_action, translation_action)
 from .report import CheckReport
 from .scalar import Cyclo
 
@@ -122,19 +122,13 @@ def stab_hom_realized(k: ComoduleAlgebraData, v: ModuleRep, w: ModuleRep,
     h_reg = regular_module(h.alg, name="H_reg")
     basis = hom_space(tensor_action(k, h_reg, v), w).basis
     h_action = None
-    if with_action and basis:
-        coords = intertwiner_coords(basis, w.dim * h.dim * v.dim, order)
+    if with_action:
         idv = Matrix.identity(v.dim, order)
-        h_action = []
-        for i in range(h.dim):
-            mover = kron(h.alg.right_mult_matrix({i: Cyclo.one(order)}), idv)
-            cols = [coords(flatten(b * mover)) for b in basis]
-            h_action.append(Matrix.from_cols(cols, len(basis), order))
-        mod = ModuleRep(h.alg, len(basis), h_action, name="St")
-        rep = mod.verify()
-        report.merge(rep, prefix="H-action: ")
-    elif with_action:
-        h_action = [Matrix.zero(0, 0, order) for _ in range(h.dim)]
+        h_action = translation_action(basis, [kron(h.alg.right_mult_matrix({i: Cyclo.one(order)}),
+                                                   idv) for i in range(h.dim)])
+        if basis:
+            mod = ModuleRep(h.alg, len(basis), h_action, name="St")
+            report.merge(mod.verify(), prefix="H-action: ")
     return StabilizerSpace("HomRealized", basis, h_action, report)
 
 

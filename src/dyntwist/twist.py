@@ -18,8 +18,8 @@ from __future__ import annotations
 from .comod import ComoduleAlgebraData, canonical_map, coinvariants, verify_comodule_algebra
 from .hopf import (AlgebraData, HopfAlgebraData, StructureError, add_into, apply_counit,
                    dual_hopf, insert_unit_leg, split_leg, tensor_mult, unit_tensor)
-from .linalg import (LinAlgError, Matrix, Subspace, differing_entries, differing_keys, kron_sum,
-                     solve)
+from .linalg import (LinAlgError, Matrix, Subspace, differing_columns, differing_entries,
+                     differing_keys, kron_sum, pivot_coords, solve)
 from .report import CheckReport
 from .scalar import Cyclo
 
@@ -276,7 +276,8 @@ def build_twisted_galois(t: TwistElement) -> tuple:
     expected = [{bidx(a, k): h.counit[a] for a in range(hdim) if not h.counit[a].is_zero()}
                 for k in range(sdim)]
     coinv = coinvariants(b_comod)
-    bad = abs(coinv.dim - sdim) + sum(1 for v in expected if not coinv.contains(v))
+    bad = abs(coinv.dim - sdim) + pivot_coords(coinv.basis, coinv.pivots,
+                                               Matrix.from_cols(expected, dim, order))[1]
     report.add("coinvariants equal S", bad == 0, bad)
 
     op_mult = [[mult[j][i] for j in range(dim)] for i in range(dim)]
@@ -302,8 +303,8 @@ def _can_inverse_formula(t, hdual, hit_cols, proj: Matrix) -> Matrix:
 
     The formula is stated for the right coaction on B; the canonical map of
     the flipped coaction on B^op swaps its source legs (x (x) y -> y (x) x) and
-    its target legs ((b, beta) -> (beta, b)).  Each column is projected to
-    B (x)_S B by ``proj``.
+    its target legs ((b, beta) -> (beta, b)).  The columns are projected to
+    B (x)_S B by one product with ``proj``.
     """
     h, s = t.h, t.s
     order = t.order
@@ -350,8 +351,8 @@ def _can_inverse_formula(t, hdual, hit_cols, proj: Matrix) -> Matrix:
                             lv = cj * lv
                             for offset, rv in right:
                                 add_into(acc, offset + bi, lv * rv)
-                cols[b * dim + a * sdim + k] = proj.apply(acc)
-    return Matrix.from_cols(cols, proj.rows, order)
+                cols[b * dim + a * sdim + k] = acc
+    return proj * Matrix.from_cols(cols, dim * dim, order)
 
 
 # -- module-level pentagon ------------------------------------------------------
@@ -382,8 +383,7 @@ def twisted_pentagon_check(t: TwistElement, x, y, z, m) -> CheckReport:
     id_x = Matrix.identity(x.dim, order)
     op4 = kron_sum(((c, id_x, ys[j1], zs[j2], ms[j3]) for (j1, j2, j3), c in coeffs),
                    dim, dim, order)
-    diff = (op1 * op2 - op3 * op4).transpose()
-    bad = sum(1 for col in range(dim) if diff.row(col))
+    bad = len(differing_columns(op1 * op2, op3 * op4))
     report = CheckReport("twisted pentagon")
     report.add("pentagon on X (x) Y (x) Z (x) M", bad == 0, bad)
     return report

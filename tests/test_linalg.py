@@ -13,6 +13,7 @@ from dyntwist.linalg import (
     Subspace,
     balanced_relations,
     column_echelonize,
+    differing_columns,
     differing_entries,
     flatten,
     identity_residual,
@@ -26,6 +27,7 @@ from dyntwist.linalg import (
     rank,
     solve,
     span_closure,
+    sparse_cols,
 )
 from dyntwist.scalar import Cyclo, ScalarError, euler_phi, sub_mul
 
@@ -388,8 +390,8 @@ def test_row_sparse_matrix_agrees_with_a_dense_reference(order, seed):
             order)
         results = {
             "mul": (a * cm, _ref_mul(da, dc, n, c, order), (r, c)),
-            "mul that cancels": (a.hstack(a) * plus_minus, [[zero] * n for _ in range(r)],
-                                 (r, n)),
+            "mul that cancels": (Matrix.from_cols(sparse_cols(a) + sparse_cols(a), r, order)
+                                 * plus_minus, [[zero] * n for _ in range(r)], (r, n)),
             "add": (a + b, [[x + y for x, y in zip(p, q)] for p, q in zip(da, db)], (r, n)),
             "sub": (a - b, [[x - y for x, y in zip(p, q)] for p, q in zip(da, db)], (r, n)),
             "self-sub": (a - a, [[zero] * n for _ in range(r)], (r, n)),
@@ -397,7 +399,6 @@ def test_row_sparse_matrix_agrees_with_a_dense_reference(order, seed):
             "scaled by 0": (a.scaled(zero), [[zero] * n for _ in range(r)], (r, n)),
             "transpose": (a.transpose(), [[da[i][j] for i in range(r)] for j in range(n)],
                           (n, r)),
-            "hstack": (a.hstack(b), [p + q for p, q in zip(da, db)], (r, 2 * n)),
         }
         if r and n and c:
             results["kron"] = (kron(a, cm), _ref_kron(da, dc), (r * n, n * c))
@@ -427,6 +428,16 @@ def test_row_sparse_matrix_agrees_with_a_dense_reference(order, seed):
         assert (a - b + b) == a and (a - a).is_zero()
         assert differing_entries(a, b) == sum(
             1 for p, q in zip(da, db) for x, y in zip(p, q) if x != y)
+        # the columns where two matrices differ, against a dense loop, on a
+        # random pair and on a copy of a with a few entries moved
+        dc = [list(p) for p in da]
+        for _ in range(2 if r and n else 0):
+            i, j = rng.randrange(r), rng.randrange(n)
+            dc[i][j] = dc[i][j] + _rand_scalar(rng, order)
+        for other, dother in ((b, db), (_to_matrix(dc, r, n, order), dc)):
+            assert differing_columns(a, other) == {
+                j for j in range(n) if any(p[j] != q[j] for p, q in zip(da, dother))}
+        assert differing_columns(a, a) == set()
         ref_rref = _ref_rref([[da[i][j] for i in range(r)] for j in range(n)], order)
         echelon = column_echelonize(a)
         assert _dense_of(echelon) == [[row[i] for row in ref_rref] for i in range(r)]
@@ -485,7 +496,8 @@ def test_cleared_numerator_kernels_agree_with_cyclo_arithmetic(order, seed):
         [[Cyclo.one(order) if i == j else zero for j in range(n)] for i in range(n)]
         + [[-Cyclo.one(order) if i == j else zero for j in range(n)] for i in range(n)],
         order)
-    assert (a.hstack(a) * plus_minus).is_zero()        # every sum cancels
+    doubled = Matrix.from_cols(sparse_cols(a) + sparse_cols(a), r, order)
+    assert (doubled * plus_minus).is_zero()             # every sum cancels
     # equal extreme coefficients over denominator 1: the sums of polynomial
     # products come within a factor 8 of the packing width's bound
     top = Cyclo(order, [(1 << 20) - 1] * euler_phi(order))
@@ -511,6 +523,20 @@ def test_cleared_numerator_kernels_agree_with_cyclo_arithmetic(order, seed):
 # -- coordinates read off a canonical basis -------------------------------------
 
 
+def _batch(vectors, dim, order):
+    return Matrix.from_cols(vectors, dim, order)
+
+
+def _combination(rng, gens, order):
+    """A random combination of the sparse vectors gens."""
+    vec = {}
+    for g in gens:
+        w = _rand_scalar(rng, order)
+        for i, x in g.items():
+            vec[i] = vec[i] + w * x if i in vec else w * x
+    return {i: x for i, x in vec.items() if not x.is_zero()}
+
+
 @pytest.mark.parametrize("order", [1, 3])
 @pytest.mark.parametrize("seed", range(8))
 def test_pivot_coords_equal_solve_on_random_subspaces(order, seed):
@@ -519,34 +545,71 @@ def test_pivot_coords_equal_solve_on_random_subspaces(order, seed):
     gens = [sparse(r) for r in _rand_dense(rng, rng.randint(1, dim), dim, order)]
     space = Subspace.from_vectors(gens, dim, order)
     pivots = [min(col) for col in space.vectors()]  # reduced column echelon
-    for _ in range(6):
-        weights = [_rand_scalar(rng, order) for _ in gens]
-        vec = {}
-        for w, g in zip(weights, gens):
-            for i, x in g.items():
-                vec[i] = vec[i] + w * x if i in vec else w * x
-        vec = {i: x for i, x in vec.items() if not x.is_zero()}
-        assert pivot_coords(space.basis, pivots, vec) == solve(space.basis, vec)
+    assert space.pivots == pivots
+    vecs = [_combination(rng, gens, order) for _ in range(6)]
+    coords, misses = pivot_coords(space.basis, pivots, _batch(vecs, dim, order))
+    assert misses == 0
+    for j, vec in enumerate(vecs):
+        assert coords.col(j) == solve(space.basis, vec)
         assert space.contains(vec)
     one = Cyclo.one(order)
     for u in range(dim):
         unit = {u: one}
-        inside = rank(space.basis.hstack(Matrix.from_cols([unit], dim, order))) == space.dim
+        inside = rank(_batch(space.vectors() + [unit], dim, order)) == space.dim
         assert space.contains(unit) == inside
         if not inside:
             with pytest.raises(LinAlgError, match="inconsistent linear system"):
                 solve(space.basis, unit)
-            with pytest.raises(LinAlgError, match="inconsistent linear system"):
-                pivot_coords(space.basis, pivots, unit)
+            assert pivot_coords(space.basis, pivots, _batch([unit], dim, order)) == (
+                Matrix.zero(space.dim, 1, order), 1)
+
+
+@pytest.mark.parametrize("order", [1, 3])
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("off", [0, 1, 3])
+def test_pivot_coords_count_every_column_off_the_span(order, seed, off):
+    # a column off the span agrees with a span vector at every pivot and
+    # differs from it at one other row; it is counted, and only its
+    # coordinates are dropped
+    rng = random.Random("misses:%d:%d:%d" % (order, seed, off))
+    dim = rng.randint(3, 7)
+    space = Subspace.from_vectors([], dim, order)
+    while space.dim == 0:
+        gens = [sparse(r) for r in _rand_dense(rng, rng.randint(1, dim - 1), dim, order)]
+        space = Subspace.from_vectors(gens, dim, order)
+    free = [i for i in range(dim) if i not in space.pivots]
+    vecs = []
+    while len(vecs) < 5:
+        vec = _combination(rng, gens, order)
+        if vec:
+            vecs.append(vec)
+    outside = set(rng.sample(range(len(vecs) + off), off))
+    batch, want = [], []
+    for j in range(len(vecs) + off):
+        vec = vecs[j % len(vecs)]
+        want.append({} if j in outside else solve(space.basis, vec))
+        if j in outside:
+            vec = dict(vec)
+            u = rng.choice(free)
+            vec[u] = vec[u] + Cyclo.one(order) if u in vec else Cyclo.one(order)
+            vec = {i: x for i, x in vec.items() if not x.is_zero()}
+        batch.append(vec)
+    coords, misses = pivot_coords(space.basis, space.pivots, _batch(batch, dim, order))
+    assert misses == off
+    assert [coords.col(j) for j in range(len(batch))] == want
+    assert {j for j in range(len(batch)) if not coords.col(j)} == outside
 
 
 def test_pivot_coords_rejects_a_vector_that_agrees_at_the_pivots():
     # (1, 0, 1) and (0, 1, 1) have pivots 0 and 1; (1, 1, 0) reads coordinates
     # (1, 1) there, but their combination is (1, 1, 2)
     basis = Matrix.from_cols([sparse([q(1), q(0), q(1)]), sparse([q(0), q(1), q(1)])], 3, 1)
-    assert pivot_coords(basis, [0, 1], {0: q(1), 1: q(1), 2: q(2)}) == {0: q(1), 1: q(1)}
-    with pytest.raises(LinAlgError, match="inconsistent linear system"):
-        pivot_coords(basis, [0, 1], {0: q(1), 1: q(1)})
+    inside = {0: q(1), 1: q(1), 2: q(2)}
+    assert pivot_coords(basis, [0, 1], _batch([inside], 3, 1)) == (
+        _batch([{0: q(1), 1: q(1)}], 2, 1), 0)
+    coords, misses = pivot_coords(basis, [0, 1], _batch([{0: q(1), 1: q(1)}, inside], 3, 1))
+    assert misses == 1
+    assert coords == _batch([{}, {0: q(1), 1: q(1)}], 2, 1)
 
 
 # -- a span closure stops when its span is full -----------------------------------

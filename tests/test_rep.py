@@ -1,7 +1,7 @@
 import pytest
 
 from dyntwist.hopf import group_algebra
-from dyntwist.linalg import Matrix
+from dyntwist.linalg import Matrix, flatten, solve
 from dyntwist.rep import (
     ModuleRep,
     dual_module,
@@ -200,3 +200,25 @@ def test_unit_acting_as_twice_the_identity_reports_its_dimension(e1):
     check = next(c for c in report.checks if c.name == "unit acts as identity")
     # rho(1) - id = id: every diagonal entry is a nonzero residual
     assert (check.status, check.residual_nonzero_count) == ("FAIL", v.dim)
+
+
+@pytest.mark.parametrize("inst", ["E1", "Z3"])
+@pytest.mark.parametrize("module", ["triv", "A_reg"])
+def test_hom_module_action_equals_one_solve_per_column(inst, module):
+    # Hom_A(H, V) for A = kB: the right-translation action read off the pivots
+    # by ``translation_action`` against one ``solve`` per basis map and H-index
+    from conftest import e1_spec, z3_spec
+    from dyntwist.datum import MonomialDatum
+    d = MonomialDatum(e1_spec() if inst == "E1" else z3_spec())
+    embed = d.engine.embed_b
+    h, order = embed.big, d.h.order
+    v = trivial_module(embed.small) if module == "triv" else regular_module(embed.small.alg)
+    mod, basis = hom_module(embed, v)
+    assert mod.verify().ok
+    assert basis
+    basis_mat = Matrix.from_cols([flatten(b) for b in basis], v.dim * h.dim, order)
+    for i in range(h.dim):
+        rm = h.alg.right_mult_matrix({i: Cyclo.one(order)})
+        want = Matrix.from_cols([solve(basis_mat, flatten(b * rm)) for b in basis],
+                                len(basis), order)
+        assert mod.action[i] == want
