@@ -405,10 +405,11 @@ def read_json(path: str) -> dict:
 
 def _sha256(path: str) -> str:
     import hashlib  # only --report hashes, so other runs do not load libcrypto
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        digest.update(fh.read())
-    return digest.hexdigest()
+    try:
+        with open(path, "rb") as fh:
+            return hashlib.sha256(fh.read()).hexdigest()
+    except OSError as exc:
+        raise InputError("cannot read %s: %s" % (path, exc)) from exc
 
 
 def report_document(command: str, inputs: list[str], report: CheckReport,
@@ -438,10 +439,11 @@ def command_name(args) -> str:
 
 def cmd_verify(args) -> int:
     kind = args.kind
-    report = CheckReport(command_name(args))
     inputs = list(args.files)
     extra = None
     if kind == "hopf":
+        if len(inputs) != 1:
+            raise InputError("verify hopf needs H.json")
         h = hopf_from_json(read_json(inputs[0]))
         report = verify_hopf(h)
     elif kind == "comodule":
@@ -449,7 +451,9 @@ def cmd_verify(args) -> int:
             raise InputError("verify comodule needs H.json K.json")
         h = hopf_from_json(read_json(inputs[0]))
         k = comodule_from_json(read_json(inputs[1]), h)
-        report = k.verify()
+        # K's own algebra axioms first, as `verify hopf` runs H's
+        report = k.alg.verify()
+        report.merge(k.verify())
     elif kind == "twist":
         from .twist import verify_twist
         if len(inputs) != 3:
@@ -623,7 +627,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a verifier on structure files")
     p.add_argument("kind", choices=["hopf", "comodule", "twist", "gauge"])
-    p.add_argument("files", nargs="+")
+    p.add_argument("files", nargs="*")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("example", help="emit files for a named instance")

@@ -13,14 +13,13 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .hopf import (AlgebraData, HopfAlgebraData, StructureError, add_into, apply_counit,
-                   split_leg, unit_tensor)
+                   split_leg, tensor_map_failures, tensor_map_matrix, unit_tensor)
 from .linalg import (
     Echelon,
     LinAlgError,
     Matrix,
     Subspace,
     balanced_relations,
-    differing_columns,
     differing_entries,
     differing_keys,
     flatten,
@@ -29,6 +28,7 @@ from .linalg import (
     kernel,
     kron,
     kron_sum,
+    pivot_coords,
     quotient,
     rank,
     solve,
@@ -63,22 +63,6 @@ class ComoduleAlgebraData:
     def order(self) -> int:
         return self.alg.order
 
-    def coaction_of(self, a: dict) -> dict:
-        out: dict = {}
-        for k, c in a.items():
-            for key, m in self.coaction[k].items():
-                add_into(out, key, c * m)
-        return out
-
-    def coaction_matrix(self) -> Matrix:
-        """delta as a matrix (dim H * dim K) x dim K, left-major rows."""
-        h, k = self.over.dim, self.dim
-        rows = [{} for _ in range(h * k)]
-        for j in range(k):
-            for (hi, ki), c in self.coaction[j].items():
-                rows[hi * k + ki][j] = c
-        return Matrix(h * k, k, rows, self.order)
-
     def canonical_matrix(self) -> Matrix:
         """can(k (x) s) = k_(-1) (x) k_(0) s on K (x) K, that is (id_H (x) m_K)(delta (x) id_K).
 
@@ -111,7 +95,6 @@ def verify_comodule_algebra(k: ComoduleAlgebraData) -> CheckReport:
     h = k.over
     report = CheckReport("comodule algebra %s" % k.name)
     one = Cyclo.one(k.order)
-    legs = [h.alg, k.alg]
 
     bad = 0
     for j in range(k.dim):
@@ -126,22 +109,11 @@ def verify_comodule_algebra(k: ComoduleAlgebraData) -> CheckReport:
             bad += 1
     report.add("counit law (eps x id)delta = id", bad == 0, bad)
 
-    # delta(e_i e_j) = delta(e_i) delta(e_j) for all j is D L_i = delta(e_i)_L D, with
-    # delta(e_i)_L = sum c L_a (x) L_k the left multiplication by delta(e_i) on H (x) K;
-    # each failing pair (i, j) is a column j where the two sides differ
-    d = k.coaction_matrix()
-    # L_a only for the H-indices a that occur in some delta(e_i)
-    used = {a for delta in k.coaction for a, _ in delta}
-    left_h = {a: h.alg.left_mult_matrix({a: one}) for a in used}
-    left_k = [k.alg.left_mult_matrix({i: one}) for i in range(k.dim)]
-    bad = 0
-    for i in range(k.dim):
-        delta_left = kron_sum(((c, left_h[a], left_k[b]) for (a, b), c in k.coaction[i].items()),
-                              d.rows, d.rows, k.order)
-        bad += len(differing_columns(d * left_k[i], delta_left * d))
+    bad = tensor_map_failures(k.coaction, k.alg, h.alg, k.alg)
     report.add("coaction is an algebra map", bad == 0, bad)
 
-    bad = differing_keys(k.coaction_of(k.alg.unit), unit_tensor(legs))
+    unit = {(u,): c for u, c in k.alg.unit.items()}
+    bad = differing_keys(split_leg(k.coaction, unit, 0), unit_tensor([h.alg, k.alg]))
     report.add("delta(1) = 1 x 1", bad == 0, bad)
     return report
 
@@ -149,7 +121,8 @@ def verify_comodule_algebra(k: ComoduleAlgebraData) -> CheckReport:
 def coinvariants(k: ComoduleAlgebraData) -> Subspace:
     """{x in K : delta(x) = 1 (x) x} as the kernel of delta - unit_H (x) id."""
     unit_h = Matrix.from_cols([k.over.alg.unit], k.over.dim, k.order)
-    return kernel(k.coaction_matrix() - kron(unit_h, Matrix.identity(k.dim, k.order)))
+    delta = tensor_map_matrix(k.coaction, k.over.dim, k.dim, k.order)
+    return kernel(delta - kron(unit_h, Matrix.identity(k.dim, k.order)))
 
 
 def costable_operators(k: ComoduleAlgebraData) -> list[Matrix]:
@@ -370,11 +343,9 @@ def _verify_witness(k: ComoduleAlgebraData, w: Subspace) -> tuple[bool, str]:
     if w.dim >= k.dim:
         return False, "witness is not proper"
     # the first 2 dim K operators are the multiplications, then the coaction
-    ops = costable_operators(k)
-    for vec in w.vectors():
-        for i, op in enumerate(ops):
-            if not w.contains(op.apply(vec)):
-                return False, "not a two-sided ideal" if i < 2 * k.dim else "not costable"
+    for i, op in enumerate(costable_operators(k)):
+        if pivot_coords(w.basis, w.pivots, op * w.basis)[1]:
+            return False, "not a two-sided ideal" if i < 2 * k.dim else "not costable"
     return True, ""
 
 

@@ -18,7 +18,7 @@ Conventions fixed here and used everywhere else in the package:
   tensor product of modules and every linear combination of matrices, is
   built by ``kron_sum``;
 * every product a (id_d (x) b) is taken by ``mul_id_kron``, which never
-  forms id_d (x) b;
+  forms id_d (x) b, and ``kron_id_mul`` takes (b (x) id_d) a the same way;
 * every matrix product and every elimination step normalises each entry
   once: a product sums the integer polynomial products of an entry's terms
   over one cleared denominator (``_sum_rows``), a row of a that meets one
@@ -298,6 +298,19 @@ def mul_id_kron(a: Matrix, d: int, b: Matrix) -> Matrix:
                           % (a.rows, a.cols, d, b.rows, b.cols))
     folded = _reshape(a, a.rows * d, b.rows) * b
     return _reshape(folded, a.rows, d * b.cols)
+
+
+def kron_id_mul(b: Matrix, d: int, a: Matrix) -> Matrix:
+    """(b (x) id_d) a, without forming b (x) id_d.
+
+    Entry (k*d + i, j) of a is entry (k, i*a.cols + j) of a reshaped to
+    b.cols x (d*a.cols); b times that, reshaped back to (b.rows*d) x a.cols,
+    is the product.
+    """
+    if a.rows != b.cols * d:
+        raise LinAlgError("shape mismatch in product: %dx%d (x) id_%d by %dx%d"
+                          % (b.rows, b.cols, d, a.rows, a.cols))
+    return _reshape(b * _reshape(a, b.cols, d * a.cols), b.rows * d, a.cols)
 
 
 def _reshape(m: Matrix, rows: int, cols: int) -> Matrix:
@@ -648,10 +661,6 @@ class Subspace:
             # the pivot of a reduced column echelon column is its first row
             self._pivots = [min(col) for col in self.vectors()]
         return self._pivots
-
-    def contains(self, vec: dict) -> bool:
-        column = Matrix.from_cols([vec], self.ambient_dim, self.basis.order)
-        return pivot_coords(self.basis, self.pivots, column)[1] == 0
 
     def vector(self, j: int) -> dict:
         return self.basis.col(j)

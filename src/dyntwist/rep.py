@@ -15,15 +15,18 @@ solved exactly into orbits of unknowns, and only the others become rows.
 
 from __future__ import annotations
 
-from .hopf import AlgebraData, HopfAlgebraData, StructureError, add_into, split_leg
+from .hopf import (AlgebraData, HopfAlgebraData, StructureError, add_into, algebra_map_failures,
+                   split_leg)
 from .linalg import (
     Echelon,
     LinAlgError,
     Matrix,
     balanced_relations,
+    differing_columns,
     flatten,
     identity_residual,
     kron,
+    kron_id_mul,
     kron_sum,
     pivot_coords,
     quotient,
@@ -64,13 +67,11 @@ class ModuleRep:
         alg = self.algebra
         bad = identity_residual(self.act_matrix(alg.unit))
         report.add("unit acts as identity", bad == 0, bad)
-        bad = 0
-        for i in range(alg.dim):
-            for j in range(alg.dim):
-                lhs = self.action[i] * self.action[j]
-                rhs = self.act_matrix(alg.mult[i][j])
-                if lhs != rhs:
-                    bad += 1
+        # column i of f is rho(e_i) flattened, and rho(e_i) rho(e_j) flattened
+        # is (rho(e_i) (x) id_V) times rho(e_j) flattened
+        n = self.dim
+        f = Matrix.from_cols([flatten(a) for a in self.action], n * n, self.order)
+        bad = algebra_map_failures(f, alg, lambda i: kron_id_mul(self.action[i], n, f))
         report.add("rho(e_i)rho(e_j) = rho(e_i e_j)", bad == 0, bad)
         return report
 
@@ -387,36 +388,24 @@ class SubHopfEmbedding:
         return self.embed.apply(a)
 
     def verify(self) -> CheckReport:
-        report = CheckReport("embedding %s in %s" % (self.small.name, self.big.name))
-        order = self.small.order
-        one = Cyclo.one(order)
-        bad = self.small.dim - rank(self.embed)
+        small, big, phi = self.small, self.big, self.embed
+        report = CheckReport("embedding %s in %s" % (small.name, big.name))
+        bad = small.dim - rank(phi)
         report.add("embedding injective", bad == 0, bad)
-        bad = 0
-        for i in range(self.small.dim):
-            for j in range(self.small.dim):
-                lhs = self.embed_elem(self.small.alg.mult[i][j])
-                rhs = self.big.alg.multiply(self.embed_elem({i: one}),
-                                            self.embed_elem({j: one}))
-                if lhs != rhs:
-                    bad += 1
-        if self.embed_elem(self.small.alg.unit) != self.big.alg.unit:
+        bad = algebra_map_failures(phi, small.alg,
+                                   lambda i: big.alg.left_mult_matrix(phi.col(i)) * phi)
+        if self.embed_elem(small.alg.unit) != big.alg.unit:
             bad += 1
         report.add("embedding is an algebra map", bad == 0, bad)
         bad = 0
-        for k in range(self.small.dim):
-            lhs = split_leg(self.table, split_leg(self.table, self.small.comult[k], 0), 1)
-            if lhs != split_leg(self.big.comult, self.table[k], 0):
+        for k in range(small.dim):
+            lhs = split_leg(self.table, split_leg(self.table, small.comult[k], 0), 1)
+            if lhs != split_leg(big.comult, self.table[k], 0):
                 bad += 1
         report.add("embedding intertwines comultiplication", bad == 0, bad)
-        bad = 0
-        for k in range(self.small.dim):
-            if self.big.counit_of(self.embed_elem({k: one})) != self.small.counit[k]:
-                bad += 1
-            lhs = self.embed_elem(self.small.antipode_of({k: one}))
-            rhs = self.big.antipode_of(self.embed_elem({k: one}))
-            if lhs != rhs:
-                bad += 1
+        # eps_H Phi = eps_A and Phi S_A = S_H Phi, a column per basis element of A
+        bad = (len(differing_columns(big.counit_row() * phi, small.counit_row()))
+               + len(differing_columns(phi * small.antipode, big.antipode * phi)))
         report.add("embedding intertwines counit and antipode", bad == 0, bad)
         return report
 

@@ -17,6 +17,13 @@ from dyntwist.hopf import group_algebra
 from dyntwist.scalar import Cyclo
 
 
+def in_span(space, vec) -> bool:
+    """vec lies in the subspace: appending it to the basis keeps the rank."""
+    from dyntwist.linalg import Matrix, rank
+    return rank(Matrix.from_cols(space.vectors() + [vec], space.ambient_dim,
+                                 space.basis.order)) == space.dim
+
+
 def cyclic_table(n):
     return [[(i + j) % n for j in range(n)] for i in range(n)]
 

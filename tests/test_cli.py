@@ -37,6 +37,34 @@ def test_verify_comodule_and_report(tmp_path, capsys):
                                   os.path.join(out, "e1_comodule.json")}
 
 
+def test_verify_comodule_rejects_a_non_associative_algebra(tmp_path, capsys):
+    # K = span(1, a, b) with a a = b, b a = a and every other product of a, b zero,
+    # coacted on trivially by E1's H: every comodule axiom holds, but
+    # (aa)a != a(aa), (ab)a != a(ba), (ba)a != b(aa) and (bb)a != b(ba)
+    out = str(tmp_path)
+    run(["example", "E1", "--out-dir", out])
+    mult = [[0, x, x, "1"] for x in range(3)] + [[x, 0, x, "1"] for x in (1, 2)]
+    k = {"format": "comodule-algebra", "order": 2, "dim": 3, "name": "K",
+         "mult": mult + [[1, 1, 2, "1"], [2, 1, 1, "1"]], "unit": [[0, "1"]],
+         "coaction": [[x, 0, x, "1"] for x in range(3)]}
+    k_path = os.path.join(out, "k.json")
+    with open(k_path, "w") as fh:
+        json.dump(k, fh)
+    report_path = os.path.join(out, "report.json")
+    capsys.readouterr()
+    assert run(["--report", report_path, "verify", "comodule",
+                os.path.join(out, "e1_hopf.json"), k_path]) == 1
+    checks = json.loads(open(report_path).read())["checks"]
+    assert [(c["name"], c["status"], c["residual_nonzero_count"]) for c in checks] == [
+        ("associativity m(m x id) = m(id x m)", "FAIL", 4),
+        ("unit laws", "PASS", 0),
+        ("coassociativity (Delta x id)delta = (id x delta)delta", "PASS", 0),
+        ("counit law (eps x id)delta = id", "PASS", 0),
+        ("coaction is an algebra map", "PASS", 0),
+        ("delta(1) = 1 x 1", "PASS", 0),
+    ]
+
+
 def test_compute_twist_and_verify_roundtrip(tmp_path, capsys):
     out = str(tmp_path)
     run(["example", "E0", "--out-dir", out])
@@ -266,6 +294,7 @@ NAMED_CAUSE = {
     "datum F with a repeated index": "F lists an index twice",
     "custom example with a b index out of range": "--b must be a list of indices below 6",
     "custom example with a repeated b index": "--b lists an index twice",
+    "verify hopf with a missing extra file": "verify hopf needs H.json",
 }
 
 
@@ -280,6 +309,7 @@ NAMED_CAUSE = {
     "module that is not a K-module", "datum group not associative",
     "datum group associative at its first generator only", "datum F with a repeated index",
     "custom example with a b index out of range", "custom example with a repeated b index",
+    "verify hopf with a missing extra file",
 ])
 def test_malformed_structure_file_exits_two(corruption, tmp_path, capsys, monkeypatch):
     out = str(tmp_path)
@@ -334,6 +364,8 @@ def test_malformed_structure_file_exits_two(corruption, tmp_path, capsys, monkey
             json.dump(module, fh)
         argv = ["stab", os.path.join(out, "e1_hopf.json"), os.path.join(out, "e1_comodule.json"),
                 module_path, module_path]
+    elif corruption == "verify hopf with a missing extra file":
+        argv = ["verify", "hopf", hopf_path, os.path.join(out, "missing.json")]
     elif corruption == "hopf field order beyond DYNTWIST_MAX_DIM":
         # Q(zeta_65537) would need phi(N)^2 = 2^32 table entries
         hopf["order"] = 65537
@@ -390,6 +422,12 @@ def test_malformed_structure_file_exits_two(corruption, tmp_path, capsys, monkey
     command = " ".join(argv[:2]) if argv[0] in ("verify", "example") else argv[0]
     assert doc == {"command": command, "inputs": {}, "checks": [], "outputs": [],
                    "input_error": err[len("input error: "):].rstrip("\n")}
+
+
+def test_an_input_that_cannot_be_hashed_is_an_input_error(tmp_path):
+    from dyntwist.cli import InputError, _sha256
+    with pytest.raises(InputError, match="cannot read"):
+        _sha256(str(tmp_path / "missing.json"))
 
 
 @pytest.mark.parametrize("target", ["--report", "compute-twist --out", "example --out-dir"])

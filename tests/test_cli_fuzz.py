@@ -1,4 +1,5 @@
-"""Fuzz of structure files: one corrupted leaf gives exit 0, 1 or 2, never a traceback."""
+"""Fuzz of structure files: one corrupted leaf gives exit 0, 1 or 2, never a traceback,
+and a verify with one file too few or too many exits 2."""
 
 import contextlib
 import copy
@@ -44,6 +45,16 @@ def _e0_documents() -> dict:
     return docs
 
 
+def _write(docs: dict, out: str) -> dict:
+    """Write each document to out/<kind>.json; returns {kind: path} plus an "out" path."""
+    paths = {"out": os.path.join(out, "out.json")}
+    for name, doc in docs.items():
+        paths[name] = os.path.join(out, "%s.json" % name)
+        with open(paths[name], "w") as fh:
+            json.dump(doc, fh)
+    return paths
+
+
 def _leaves(doc, path=()) -> list:
     """The paths to every scalar and every empty container inside doc."""
     if isinstance(doc, dict):
@@ -67,12 +78,42 @@ def test_one_corrupted_leaf_exits_0_1_or_2(kind, value, data):
         node = node[key]
     node[last] = value
     with tempfile.TemporaryDirectory() as out:
-        paths = {"out": os.path.join(out, "out.json")}
-        for name, doc in docs.items():
-            paths[name] = os.path.join(out, "%s.json" % name)
-            with open(paths[name], "w") as fh:
-                json.dump(doc, fh)
-        argv = [arg.format(**paths) for arg in COMMANDS[kind]]
+        argv = [arg.format(**_write(docs, out)) for arg in COMMANDS[kind]]
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(io.StringIO()):
             assert main(argv) in (0, 1, 2)
+
+
+# the files each verify kind reads, in order
+VERIFY_FILES = {
+    "hopf": ["{hopf}"],
+    "comodule": ["{hopf}", "{comodule}"],
+    "twist": ["{hopf}", "{base}", "{twist}"],
+    "gauge": ["{hopf}", "{base}", "{twist}", "{twist}", "{gauge}"],
+}
+
+
+@pytest.mark.parametrize("report", [False, True])
+@pytest.mark.parametrize("change", ["drop first", "drop last", "append missing"])
+@pytest.mark.parametrize("kind", ["hopf", "comodule", "twist", "gauge"])
+def test_a_verify_with_one_file_too_few_or_too_many_exits_2(kind, change, report):
+    with tempfile.TemporaryDirectory() as out:
+        files = [arg.format(**_write(_e0_documents(), out)) for arg in VERIFY_FILES[kind]]
+        if change == "drop first":
+            files = files[1:]
+        elif change == "drop last":
+            files = files[:-1]
+        else:
+            files.append(os.path.join(out, "missing.json"))
+        report_path = os.path.join(out, "report.json")
+        argv = (["--report", report_path] if report else []) + ["verify", kind] + files
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            assert main(argv) == 2
+        assert err.getvalue().startswith("input error: ")
+        assert "Traceback" not in err.getvalue()
+        if report:
+            with open(report_path) as fh:
+                doc = json.load(fh)
+            assert doc["checks"] == [] and doc["input_error"]
+

@@ -2,11 +2,14 @@ import pytest
 
 from itertools import permutations
 
+from conftest import in_span
+
 from dyntwist.comod import (
     ComoduleAlgebraData,
     SimplicityCertificate,
     _close_under_products,
     _trace_form,
+    _verify_witness,
     canonical_map,
     coinvariants,
     corestrict_coaction,
@@ -17,6 +20,7 @@ from dyntwist.comod import (
     verify_comodule_algebra,
 )
 from dyntwist.hopf import group_algebra
+from dyntwist.linalg import Subspace
 from dyntwist.rep import intertwiner_basis
 from dyntwist.scalar import Cyclo
 
@@ -85,7 +89,7 @@ def test_coinvariants_of_hopf_over_itself(z2_table):
     k = hopf_as_comodule_over_itself(h)
     c = coinvariants(k)
     assert c.dim == 1
-    assert c.contains(k.alg.unit)
+    assert in_span(c, k.alg.unit)
 
 
 def test_coinvariants_trivial_e0_e1(e0, e1):
@@ -132,10 +136,10 @@ def assert_costable_ideal(k, w):
     one = Cyclo.one(k.order)
     for vec in w.vectors():
         for i in range(k.dim):
-            assert w.contains(k.alg.left_mult_matrix({i: one}).apply(vec))
-            assert w.contains(k.alg.right_mult_matrix({i: one}).apply(vec))
+            assert in_span(w, k.alg.left_mult_matrix({i: one}).apply(vec))
+            assert in_span(w, k.alg.right_mult_matrix({i: one}).apply(vec))
         for a in range(k.over.dim):
-            assert w.contains(k.coaction_component(a).apply(vec))
+            assert in_span(w, k.coaction_component(a).apply(vec))
 
 
 @pytest.mark.parametrize("name, witness_dim", [("e0_datum", 2), ("e1_datum", 4)])
@@ -310,3 +314,21 @@ def test_trace_form_equals_a_pair_loop(case, request):
         for i, a in enumerate(basis):
             for j, b in enumerate(basis):
                 assert gram.entry(i, j) == _pair_loop_trace(a, b), (case, i, j)
+
+
+def test_a_witness_fails_at_its_first_failing_operator(e0_datum):
+    # the operators are checked in order, every multiplication before every
+    # coaction component, each on the whole witness at once
+    h, k = e0_datum.h, e0_datum.k
+    one = Cyclo.one(2)
+    rad = is_h_simple(trivial_coaction_comodule(h)).witness
+    assert _verify_witness(trivial_coaction_comodule(h), rad) == (True, "")
+    # the radical of H is a two-sided ideal, but Delta moves it out of itself
+    assert _verify_witness(hopf_as_comodule_over_itself(h), rad) == (False, "not costable")
+    # e0 + e1 leaves this subspace of K under a coaction component only, and
+    # e2 or e3 under a multiplication, so the multiplication is named
+    w = Subspace.from_vectors([{0: one, 1: one}, {2: one}, {3: one}], k.dim, 2)
+    assert _verify_witness(k, w) == (False, "not a two-sided ideal")
+    assert _verify_witness(k, Subspace.from_vectors([], k.dim, 2)) == (False, "witness is zero")
+    full = Subspace.from_vectors([{i: one} for i in range(k.dim)], k.dim, 2)
+    assert _verify_witness(k, full) == (False, "witness is not proper")

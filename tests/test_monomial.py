@@ -62,7 +62,7 @@ def test_degenerate_n1_is_group_algebra(z2_table):
     assert h.dim == 2
     assert verify_hopf(h).ok
     one = Cyclo.one(2)
-    assert h.comult_of({1: one}) == {(1, 1): one}
+    assert h.comult[1] == {(1, 1): one}
 
 
 def test_invalid_spec_noncentral_or_wrong_order(z2_table):

@@ -2,6 +2,7 @@ import functools
 
 import pytest
 
+from conftest import in_span
 from dyntwist import rep as rep_module
 from dyntwist import stab as stab_module
 from dyntwist.comod import canonical_map, coinvariants, corestrict_coaction
@@ -304,7 +305,7 @@ def test_intersect_planes_in_q3():
     u = Subspace.from_vectors([e1, e2], 3, 1)
     v = Subspace.from_vectors([e2, e3], 3, 1)
     w = _intersect(u, v)
-    assert w.dim == 1 and w.contains(e2)
+    assert w.dim == 1 and in_span(w, e2)
 
 
 def _l_columns(h, v, w):
