@@ -297,7 +297,9 @@ def twist_to_json(t: TwistElement) -> dict:
 
 def twist_from_json(doc: dict, h: HopfAlgebraData,
                     s: ComoduleAlgebraData) -> TwistElement:
-    from .twist import TwistElement
+    """The twist of a file; its inverse is kept only when J J^-1 = J^-1 J = 1
+    exactly, and otherwise J is inverted by elimination, as stderr says."""
+    from .twist import TwistElement, two_sided
     if doc.get("format") != "twist":
         raise InputError("expected a twist file")
     order = int_field(doc, "order")
@@ -305,11 +307,13 @@ def twist_from_json(doc: dict, h: HopfAlgebraData,
         raise InputError("twist and Hopf algebra use different field orders")
     dims = (h.dim, h.dim, s.dim)
     guard_dims(*dims)
-    coeffs = read_entries(doc, "coeffs", dims, order)
-    inverse = None
+    t = TwistElement(h, s, read_entries(doc, "coeffs", dims, order))
     if doc.get("inverse"):
-        inverse = read_entries(doc, "inverse", dims, order)
-    return TwistElement(h, s, coeffs, inverse=inverse)
+        t.inverse = read_entries(doc, "inverse", dims, order)
+        if not two_sided(t.legs, t.coeffs, t.inverse):
+            sys.stderr.write("the twist's inverse is not two-sided; inverting J by elimination\n")
+            t.inverse = None
+    return t
 
 
 def gauge_from_json(doc: dict, h: HopfAlgebraData,

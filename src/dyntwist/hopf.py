@@ -16,8 +16,9 @@ column identity of matrices, counted by ``algebra_map_failures``.
 
 from __future__ import annotations
 
-from .linalg import (LinAlgError, Matrix, differing_columns, differing_keys, identity_residual,
-                     inverse, kron_id_mul, kron_sum, mul_id_kron, sparse_solve, unflatten)
+from .linalg import (LinAlgError, Matrix, _reshape, differing_columns, differing_keys,
+                     identity_residual, inverse, kron_id_mul, kron_sum, mul_id_kron, sparse_solve,
+                     unflatten)
 from .report import CheckReport
 from .scalar import Cyclo, lcm
 
@@ -170,13 +171,16 @@ class AlgebraData:
     def verify(self) -> CheckReport:
         report = CheckReport("algebra %s" % self.name)
         # e_i (e_j e_k) = (e_i e_j) e_k for all i, j is M (id (x) R_k) = R_k M;
-        # each failing triple (i, j, k) is a column i*dim + j where the two sides differ
+        # each failing triple (i, j, k) is a column i*dim + j where the two sides
+        # differ.  M is folded once, as ``mul_id_kron`` folds it for one product
         one = Cyclo.one(self.order)
+        d = self.dim
         m = self.mult_matrix()
+        folded = _reshape(m, d * d, d)
         bad = 0
-        for k in range(self.dim):
+        for k in range(d):
             right = self.right_mult_matrix({k: one})
-            bad += len(differing_columns(mul_id_kron(m, self.dim, right), right * m))
+            bad += len(differing_columns(_reshape(folded * right, d, d * d), right * m))
         report.add("associativity m(m x id) = m(id x m)", bad == 0, bad)
         bad = 0
         for i in range(self.dim):

@@ -19,6 +19,8 @@ Conventions fixed here and used everywhere else in the package:
   built by ``kron_sum``;
 * every product a (id_d (x) b) is taken by ``mul_id_kron``, which never
   forms id_d (x) b, and ``kron_id_mul`` takes (b (x) id_d) a the same way;
+  associativity, one a against every right multiplication b, folds a once
+  by the same ``_reshape``;
 * every matrix product and every elimination step normalises each entry
   once: a product sums the integer polynomial products of an entry's terms
   over one cleared denominator (``_sum_rows``), a row of a that meets one

@@ -10,7 +10,10 @@ H (x) V by ``linalg.balanced_relations``.
 
 Every intertwiner equation f S(g) = T(g) f, here and in xi^-1, is written by
 ``_orbit_reduction``: the generators acting monomially on both sides are
-solved exactly into orbits of unknowns, and only the others become rows.
+solved exactly into orbits of unknowns, grown breadth-first from the
+generators with one weight per unknown, and only the others become rows.
+Orbits are numbered by their highest unknown, so the canonical kernel basis
+over the orbits is already the canonical intertwiner basis over the entries.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ from __future__ import annotations
 from .hopf import (AlgebraData, HopfAlgebraData, StructureError, add_into, algebra_map_failures,
                    split_leg)
 from .linalg import (
-    Echelon,
     LinAlgError,
     Matrix,
     balanced_relations,
@@ -119,17 +121,15 @@ def intertwiner_basis(source_mats: list[Matrix], target_mats: list[Matrix],
                       rows: int, cols: int, order: int) -> list[Matrix]:
     """Basis of {T : T S_a = T_a T for each supplied pair}, T of shape rows x cols.
 
-    Solved over the orbits of ``_orbit_reduction``, then re-reduced over the
-    flattened entries into the canonical basis: each vector is 1 at its last
-    nonzero entry, which every other vector leaves zero, in ascending order.
+    Solved over the orbits of ``_orbit_reduction``.  The canonical kernel
+    basis over the orbits expands to the canonical basis over the flattened
+    entries: each vector is 1 at its last nonzero entry, the highest unknown
+    of its free orbit, which every other vector leaves zero, in ascending
+    order.
     """
     orbit, ncols, eq_rows = _orbit_reduction(list(zip(source_mats, target_mats)), rows, cols)
-    last = rows * cols - 1
-    ech = Echelon()  # over reversed entries, so its lowest pivot is the last entry
-    for vec in sparse_kernel_basis(eq_rows, ncols, order):
-        ech.add({last - u: c for u, c in _expand_orbits(orbit, vec).items()})
-    return [unflatten({last - u: c for u, c in ech.pivots[p].items()}, rows, cols, order)
-            for p in sorted(ech.pivots, reverse=True)]
+    return [unflatten(_expand_orbits(orbit, vec), rows, cols, order)
+            for vec in sparse_kernel_basis(eq_rows, ncols, order)]
 
 
 def intertwiner_coords(basis: list[Matrix], vectors: Matrix) -> tuple[Matrix, int]:
@@ -190,89 +190,69 @@ def _orbit_reduction(pairs, t_dim: int, s_dim: int):
     Where both S and T are monomial, with a_j the one nonzero of column j
     of S, in row sigma(j), and b_i the one nonzero of row i of T, in
     column tau(i), the equation at (i, j) reads
-    f[tau(i)][j] = (a_j / b_i) f[i][sigma(j)].  These are solved exactly:
-    the ties merge the unknowns into orbits, a union-find with path
-    compression keeps each unknown as a multiple of its orbit's root, and
-    an orbit whose cycle product is not 1 is forced to zero.  Every
-    solution of the monomial equations is then determined by free values
-    y_c, one per surviving orbit c, and every choice of them is a solution.
-    This is Reynolds / Schur symmetry reduction.
+    f[tau(i)][j] = (a_j / b_i) f[i][sigma(j)].  These are solved exactly by
+    the orbit algorithm: scanning the unknowns from the highest index down,
+    each one not yet reached starts an orbit with weight 1, which grows
+    breadth-first through the moves (i, sigma(j)) -> (tau(i), j) with factor
+    a_j / b_i; an orbit that reaches one of its unknowns with two different
+    weights is forced to zero.  Every solution of the monomial equations is
+    then determined by free values y_c, one per surviving orbit c, and every
+    choice of them is a solution.  This is Reynolds / Schur symmetry
+    reduction.
 
     Returns (orbit, ncols, equation_rows): orbit[u] = (c, weight) with
     f_u = weight * y_c (weight None standing for 1), or None where f_u is
-    forced to zero; ncols surviving orbits; and the equations of the pairs
-    that are not monomial on both sides, as sparse rows over the y_c.
+    forced to zero; ncols surviving orbits, numbered in ascending order of
+    their highest unknown, which has weight None; and the equations of the
+    pairs that are not monomial on both sides, as sparse rows over the y_c.
     """
-    n = t_dim * s_dim
-    parent = list(range(n))
-    pot: list = [None] * n   # f_u = pot[u] * f_parent[u]; None stands for 1
-    zero: set = set()        # roots whose orbit is forced to zero
-    inverses: dict = {}
-
-    def inv(c):
-        if c is None:
-            return None
-        r = inverses.get(c)
-        if r is None:
-            r = inverses[c] = c.inverse()
-        return r
-
-    def find(u):
-        """(root, potential): f_u = potential * f_root, compressing the path."""
-        r = parent[u]
-        if r == u:
-            return u, None
-        if parent[r] == r:
-            return r, pot[u]
-        path = [u]
-        while parent[r] != r:
-            path.append(r)
-            r = parent[r]
-        acc = None
-        for node in reversed(path):
-            acc = _times(pot[node], acc)
-            parent[node] = r
-            pot[node] = acc
-        return r, acc
-
-    general = []
+    moves, general = [], []
     for s_g, t_g in pairs:
         s_form, t_form = _monomial_form(s_g), _monomial_form(t_g)
         if s_form is None or t_form is None:
             general.append((s_g, t_g))
             continue
-        sigma = [0] * s_dim
-        a = [None] * s_dim
-        for k, (j, val) in enumerate(zip(*s_form)):
-            sigma[j] = k
-            a[j] = None if val.is_one() else val
-        ratios: dict = {}  # b_i^-1 -> [a_j / b_i for every j], once per distinct b_i
-        for i, (tau_i, b_i) in enumerate(zip(*t_form)):
-            b_inv = None if b_i.is_one() else inv(b_i)
-            c_row = ratios.get(b_inv)
-            if c_row is None:
-                c_row = ratios[b_inv] = [_times(a_j, b_inv) for a_j in a]
-            p0, q0 = tau_i * s_dim, i * s_dim
-            for j in range(s_dim):
-                # f_p = c f_q, with f_p = wp f_rp and f_q = wq f_rq
-                rp, wp = find(p0 + j)
-                rq, wq = find(q0 + sigma[j])
-                rel = _times(c_row[j], wq)   # f_p = rel * f_rq
-                if rp == rq:
-                    if not _same(wp, rel):
-                        zero.add(rp)
-                    continue
-                parent[rp] = rq
-                pot[rp] = _times(rel, inv(wp))
-                if rp in zero:
-                    zero.discard(rp)
-                    zero.add(rq)
-    orbit: list = [None] * n
-    column: dict = {}
-    for u in range(n):
-        r, w = find(u)
-        if r not in zero:
-            orbit[u] = (column.setdefault(r, len(column)), w)
+        # row k of S holds a_j at column j = s_cols[k], so sigma(j) = k
+        s_cols, s_vals = s_form
+        a = [None if val.is_one() else val for val in s_vals]
+        ratios: dict = {}  # b_i -> [a_j / b_i for every row k of S], once per distinct b_i
+        for b_i in t_form[1]:
+            if b_i not in ratios:
+                b_inv = None if b_i.is_one() else b_i.inverse()
+                ratios[b_i] = [_times(a_j, b_inv) for a_j in a]
+        moves.append(([tau_i * s_dim for tau_i in t_form[0]], s_cols,
+                      [ratios[b_i] for b_i in t_form[1]]))
+    n = t_dim * s_dim
+    orbit: list = [None] * n  # (k, weight) for the k-th orbit found, while the orbits grow
+    consistent: list[bool] = []
+    for top in reversed(range(n)):
+        if orbit[top] is not None:
+            continue
+        k = len(consistent)
+        consistent.append(True)
+        orbit[top] = (k, None)
+        queue = [top]
+        for u in queue:  # the unknowns reached below join the end of the queue
+            i, j = divmod(u, s_dim)
+            w = orbit[u][1]
+            for rows, cols, factors in moves:
+                # f_v = c f_u: ``_times`` written out, once per unknown and move
+                v, c = rows[i] + cols[j], factors[i][j]
+                wv = w if c is None else c if w is None else c * w
+                seen = orbit[v]
+                if seen is None:
+                    orbit[v] = (k, wv)
+                    queue.append(v)
+                elif consistent[k] and not _same(seen[1], wv):
+                    consistent[k] = False
+    column: list = [None] * len(consistent)
+    ncols = 0
+    for k in reversed(range(len(consistent))):  # the last found has the lowest highest unknown
+        if consistent[k]:
+            column[k], ncols = ncols, ncols + 1
+    for u, (k, w) in enumerate(orbit):  # in place: a new tuple reuses the freed one's memory
+        c = column[k]
+        orbit[u] = None if c is None else (c, w)
     eq_rows: list[dict] = []
     for s_g, t_g in general:
         s_cols = sparse_cols(s_g)
@@ -287,7 +267,7 @@ def _orbit_reduction(pairs, t_dim: int, s_dim: int):
                     _substitute(row, orbit[k * s_dim + j], c)
                 if row:
                     eq_rows.append(row)
-    return orbit, len(column), eq_rows
+    return orbit, ncols, eq_rows
 
 
 def _times(a, b):

@@ -113,22 +113,19 @@ def _dual_left_mult(h, a: int) -> Matrix:
     return Matrix(h.dim, h.dim, rows, h.order)
 
 
-def stab_hom_realized(k: ComoduleAlgebraData, v: ModuleRep, w: ModuleRep,
-                      with_action: bool = True) -> StabilizerSpace:
+def stab_hom_realized(k: ComoduleAlgebraData, v: ModuleRep, w: ModuleRep) -> StabilizerSpace:
     """Hom_K(H (x) V, W) with H acting by (h.f)(t (x) u) = f(th (x) u)."""
     h = k.over
     order = k.order
     report = CheckReport("realized stabilizer")
     h_reg = regular_module(h.alg, name="H_reg")
     basis = hom_space(tensor_action(k, h_reg, v), w).basis
-    h_action = None
-    if with_action:
-        idv = Matrix.identity(v.dim, order)
-        h_action = translation_action(basis, [kron(h.alg.right_mult_matrix({i: Cyclo.one(order)}),
-                                                   idv) for i in range(h.dim)])
-        if basis:
-            mod = ModuleRep(h.alg, len(basis), h_action, name="St")
-            report.merge(mod.verify(), prefix="H-action: ")
+    idv = Matrix.identity(v.dim, order)
+    h_action = translation_action(basis, [kron(h.alg.right_mult_matrix({i: Cyclo.one(order)}),
+                                               idv) for i in range(h.dim)])
+    if basis:
+        mod = ModuleRep(h.alg, len(basis), h_action, name="St")
+        report.merge(mod.verify(), prefix="H-action: ")
     return StabilizerSpace("HomRealized", basis, h_action, report)
 
 

@@ -93,18 +93,23 @@ class TwistElement:
         return self.inverse
 
 
+def two_sided(legs, elem: dict, inv: dict) -> bool:
+    """elem inv = inv elem = 1 exactly."""
+    unit = unit_tensor(legs)
+    return tensor_mult(legs, inv, elem) == unit and tensor_mult(legs, elem, inv) == unit
+
+
 def invert_element(legs, elem: dict, order: int) -> dict:
     """Two-sided inverse in a tensor product of algebras, verified."""
     lm = left_mult_matrix_tensor(legs, elem, order)
     dims = [l.dim for l in legs]
-    unit = unit_tensor(legs)
     try:
-        sol = solve(lm, {flatten_key(k, dims): c for k, c in unit.items()},
+        sol = solve(lm, {flatten_key(k, dims): c for k, c in unit_tensor(legs).items()},
                     require_unique=True)
     except LinAlgError as exc:
         raise StructureError("element is not invertible") from exc
     inv = {unflatten_key(i, dims): c for i, c in sol.items()}
-    if tensor_mult(legs, inv, elem) != unit or tensor_mult(legs, elem, inv) != unit:
+    if not two_sided(legs, elem, inv):
         raise StructureError("inverse is not two-sided")
     return inv
 

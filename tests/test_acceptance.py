@@ -111,7 +111,7 @@ def test_criterion_04_stabilizer_dimension(e1_datum):
     triv = trivial_module(e1_datum.kb, name="triv")
     tv = e1_datum.engine.t(triv)
     st1 = yan_zhu_stabilizer(e1_datum.k, tv, tv)
-    st2 = stab_hom_realized(e1_datum.k, tv, tv, with_action=False)
+    st2 = stab_hom_realized(e1_datum.k, tv, tv)
     ok = st1.report.ok
     ok = ok and st1.dim == 4 and st2.dim == 4
     ok = ok and 4 == (tv.dim * tv.dim * e1_datum.h.dim) // e1_datum.k.dim

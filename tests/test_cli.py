@@ -126,6 +126,50 @@ def test_corrupt_twist_exits_one(tmp_path, capsys):
     assert rc == 1
 
 
+def _e1_twist(tmp_path) -> tuple[list[str], dict]:
+    """E1's hopf and base file paths, and the document of its computed twist."""
+    out = str(tmp_path)
+    twist_path = os.path.join(out, "twist.json")
+    run(["example", "E1", "--out-dir", out])
+    run(["compute-twist", os.path.join(out, "e1_datum.json"), "--out", twist_path])
+    doc = json.loads(open(twist_path).read())
+    assert doc["inverse"]
+    return [os.path.join(out, "e1_hopf.json"), os.path.join(out, "e1_base.json")], doc
+
+
+def _run_on_twist(args, files, doc, path, capsys):
+    """Exit code, stdout and stderr of a command on the twist document written to path."""
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    capsys.readouterr()
+    rc = run(args + files + [path])
+    captured = capsys.readouterr()
+    return rc, captured.out, captured.err
+
+
+def test_a_zero_twist_fails_invertibility_whatever_inverse_it_carries(tmp_path, capsys):
+    files, doc = _e1_twist(tmp_path)
+    doc["coeffs"] = []
+    bare = {key: value for key, value in doc.items() if key != "inverse"}
+    path = os.path.join(str(tmp_path), "zero.json")
+    rc, out, err = _run_on_twist(["verify", "twist"], files, doc, path, capsys)
+    assert (rc, out) == _run_on_twist(["verify", "twist"], files, bare, path, capsys)[:2]
+    assert rc == 1 and "invertible in H (x) H (x) S" in out
+    assert "inverting J by elimination" in err
+    line, = [l for l in out.splitlines() if "invertible in H (x) H (x) S" in l]
+    assert "FAIL" in line and "PASS" not in line
+
+
+def test_twisted_galois_recomputes_a_wrong_supplied_inverse(tmp_path, capsys):
+    files, doc = _e1_twist(tmp_path)
+    entry = doc["inverse"][0]
+    entry[3] = "2" if entry[3] != "2" else "3"
+    path = os.path.join(str(tmp_path), "wrong_inverse.json")
+    rc, out, err = _run_on_twist(["twisted-galois"], files, doc, path, capsys)
+    assert rc == 0 and "FAIL" not in out
+    assert "inverting J by elimination" in err
+
+
 def test_trivial_twist_verifies(tmp_path, capsys):
     out = str(tmp_path)
     run(["example", "E1", "--out-dir", out])

@@ -1,9 +1,11 @@
 """Fuzz of structure files: one corrupted leaf gives exit 0, 1 or 2, never a traceback,
-and a verify with one file too few or too many exits 2."""
+a verify with one file too few or too many exits 2, and a twist's verdict does not
+depend on the inverse its file carries."""
 
 import contextlib
 import copy
 import io
+import itertools
 import json
 import os
 import tempfile
@@ -117,3 +119,50 @@ def test_a_verify_with_one_file_too_few_or_too_many_exits_2(kind, change, report
                 doc = json.load(fh)
             assert doc["checks"] == [] and doc["input_error"]
 
+
+# the commands that read a twist, on the E0 files
+TWIST_COMMANDS = [["verify", "twist", "{hopf}", "{base}", "{twist}"],
+                  ["twisted-galois", "{hopf}", "{base}", "{twist}"]]
+SCALARS = ["0", "1", "-1", "2", "1/2", "-1/2", "3"]
+
+
+def _verdicts(docs: dict) -> list:
+    """(exit code, printed check lines) of each twist command on the documents."""
+    out = []
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = _write(docs, tmp)
+        for args in TWIST_COMMANDS:
+            printed = io.StringIO()
+            with contextlib.redirect_stdout(printed), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                rc = main([arg.format(**paths) for arg in args])
+            out.append((rc, printed.getvalue()))
+    return out
+
+
+@lru_cache(maxsize=None)
+def _verdicts_without_inverse() -> tuple:
+    docs = copy.deepcopy(_e0_documents())
+    del docs["twist"]["inverse"]
+    return tuple(_verdicts(docs))
+
+
+@settings(max_examples=25, deadline=None)
+@given(change=st.sampled_from(["set", "drop", "add"]), data=st.data())
+def test_a_twist_verdict_does_not_depend_on_its_inverse_field(change, data):
+    docs = copy.deepcopy(_e0_documents())
+    inverse = docs["twist"]["inverse"]
+    dims = (docs["hopf"]["dim"], docs["hopf"]["dim"], docs["base"]["dim"])
+    if change == "add":
+        taken = {tuple(entry[:3]) for entry in inverse}
+        free = [key for key in itertools.product(*map(range, dims)) if key not in taken]
+        key = data.draw(st.sampled_from(free), label="key")
+        inverse.append([*key, data.draw(st.sampled_from(SCALARS), label="scalar")])
+    else:
+        pos = data.draw(st.integers(0, len(inverse) - 1), label="entry")
+        if change == "drop":
+            del inverse[pos]
+        else:
+            others = [c for c in SCALARS if c != inverse[pos][3]]
+            inverse[pos][3] = data.draw(st.sampled_from(others), label="scalar")
+    assert _verdicts(docs) == list(_verdicts_without_inverse())

@@ -575,21 +575,32 @@ def test_a_two_cycle_with_product_one_is_one_orbit():
     assert as_value[0] == two * as_value[1]
 
 
-def _random_monomial_pairs(seed, t_dim=3, s_dim=4):
-    """Two (S, T) pairs of monomial matrices, from the seed.
+def _random_monomial_pairs(seed, t_dim=3, s_dim=4, gens=2, swaps=False):
+    """``gens`` (S, T) pairs of monomial matrices, from the seed.
 
     Each is a permutation conjugated by a diagonal gauge: row sigma(j) of S
     holds z_j / z_sigma(j) at column j, row i of T holds x_i / x_tau(i) at
     column tau(i), so f[i][j] = x_i z_j solves f S = T f.  On odd seeds one
-    entry of the first S changes sign, which can force orbits to zero.
+    entry of the first S changes sign, which can force orbits to zero.  With
+    ``swaps`` each permutation swaps two random points and fixes the rest, so
+    that three generators still leave several orbits.
     """
     rng = random.Random(seed)
     values = [1, -1, 2, Fraction(1, 2), 3]
     x = [rng.choice(values) for _ in range(t_dim)]
     z = [rng.choice(values) for _ in range(s_dim)]
+
+    def permutation(n):
+        if not swaps:
+            return rng.sample(range(n), n)
+        p = list(range(n))
+        a, b = rng.sample(range(n), 2)
+        p[a], p[b] = b, a
+        return p
+
     pairs = []
-    for g in range(2):
-        sigma, tau = rng.sample(range(s_dim), s_dim), rng.sample(range(t_dim), t_dim)
+    for g in range(gens):
+        sigma, tau = permutation(s_dim), permutation(t_dim)
         s_rows = [{} for _ in range(s_dim)]
         for j in range(s_dim):
             flip = -1 if (seed % 2 and g == 0 and j == 0) else 1
@@ -606,15 +617,16 @@ def _random_monomial_pairs(seed, t_dim=3, s_dim=4):
 _MIXED_SEED = 19
 
 
-def _mixed_pairs(t_dim, s_dim):
+def _mixed_pairs(t_dim, s_dim, gens=2, swaps=False):
     """The monomial pairs of the mixed seed plus two that are not monomial.
 
-    The sum of the two monomial pairs holds for every solution of them, so
-    its rows vanish over the orbits only if the weights are right; a Jordan
+    The sum of the first two monomial pairs holds for every solution of them,
+    so its rows vanish over the orbits only if the weights are right; a Jordan
     block on the T side cuts the solutions down.
     """
     one = Cyclo.one(1)
-    (s1, t1), (s2, t2) = pairs = _random_monomial_pairs(_MIXED_SEED, t_dim, s_dim)
+    pairs = _random_monomial_pairs(_MIXED_SEED, t_dim, s_dim, gens, swaps)
+    (s1, t1), (s2, t2) = pairs[:2]
     t_rows = [{i: one} for i in range(t_dim)]
     t_rows[0][1] = one
     return pairs + [(s1 + s2, t1 + t2),
@@ -635,17 +647,30 @@ def _full_rows(pairs, t_dim, s_dim):
     return Matrix(len(rows), t_dim * s_dim, rows, 1)
 
 
-@pytest.mark.parametrize("seed", [*range(12), _MIXED_SEED])
-def test_orbits_parametrise_exactly_the_solutions_of_monomial_equations(seed):
+# 3 x 4 with two permutations, and 4 x 6 with three swaps
+@pytest.mark.parametrize("seed, t_dim, s_dim, gens, swaps", [
+    pytest.param(seed, *shape, id=prefix + str(seed))
+    for prefix, shape in (("", (3, 4, 2, False)), ("4x6x3-", (4, 6, 3, True)))
+    for seed in [*range(12), _MIXED_SEED]])
+def test_orbits_parametrise_exactly_the_solutions_of_monomial_equations(seed, t_dim, s_dim,
+                                                                         gens, swaps):
     # the free orbit values must span exactly the solution space of
     # f S(g) = T(g) f, with no orbit surviving that the equations force to 0;
     # intertwiner_basis, solved over the orbits, must return exactly the
     # canonical kernel basis of the rows over every entry
-    t_dim, s_dim = 3, 4
-    monomial = _random_monomial_pairs(seed, t_dim, s_dim)
-    pairs = _mixed_pairs(t_dim, s_dim) if seed == _MIXED_SEED else monomial
+    monomial = _random_monomial_pairs(seed, t_dim, s_dim, gens, swaps)
+    pairs = _mixed_pairs(t_dim, s_dim, gens, swaps) if seed == _MIXED_SEED else monomial
     orbit, ncols, equations = _orbit_reduction(pairs, t_dim, s_dim)
     assert (equations != []) == (seed == _MIXED_SEED)
+    # each surviving orbit's highest unknown has weight 1 (None), and the
+    # orbit columns ascend with it
+    top = {}
+    for u, slot in enumerate(orbit):
+        if slot is not None:
+            top[slot[0]] = u
+    assert sorted(top) == list(range(ncols))
+    assert all(orbit[u][1] is None for u in top.values())
+    assert [top[c] for c in range(ncols)] == sorted(top.values())
     assert ncols == t_dim * s_dim - rank(_full_rows(monomial, t_dim, s_dim))
     for col in range(ncols):
         f = unflatten(_expand_orbits(orbit, {col: Cyclo.one(1)}), t_dim, s_dim, 1)

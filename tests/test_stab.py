@@ -67,7 +67,7 @@ def test_hom_realized_dimension_e1(e1, e1_t_triv):
 
 def test_both_realizations_agree_e0(e0, e0_t_triv):
     st1 = yan_zhu_stabilizer(e0.k, e0_t_triv, e0_t_triv)
-    st2 = stab_hom_realized(e0.k, e0_t_triv, e0_t_triv, with_action=False)
+    st2 = stab_hom_realized(e0.k, e0_t_triv, e0_t_triv)
     assert st1.dim == st2.dim
     assert e0.k.dim * st2.dim == e0_t_triv.dim ** 2 * e0.h.dim
 
@@ -81,7 +81,7 @@ def test_trivial_comodule_stabilizer_is_everything():
 
 def test_curry_uncurry_roundtrip(e1, e1_t_triv):
     x = regular_module(e1.h.alg, name="X")
-    st = stab_hom_realized(e1.k, e1_t_triv, e1_t_triv, with_action=False)
+    st = stab_hom_realized(e1.k, e1_t_triv, e1_t_triv)
     # build a K-map f: X (x) T -> T from a stabilizer element by uncurrying a
     # constant family, then check curry inverts uncurry on H-linear families
     f0 = st.basis[0]
@@ -93,7 +93,7 @@ def test_curry_uncurry_roundtrip(e1, e1_t_triv):
 
 def test_curry_is_h_linear(e1, e1_t_triv):
     x = regular_module(e1.h.alg, name="X")
-    st = stab_hom_realized(e1.k, e1_t_triv, e1_t_triv, with_action=False)
+    st = stab_hom_realized(e1.k, e1_t_triv, e1_t_triv)
     f0 = st.basis[0]
     curried = curry_map(e1.k, x, e1_t_triv, e1_t_triv, f0)
     one = Cyclo.one(2)
@@ -114,7 +114,7 @@ def test_curry_is_h_linear(e1, e1_t_triv):
 def test_transport_e1(e1, e1_t_triv):
     k_over_f = corestrict_coaction(e1.k, e1.embed_f)
     g = canonical_map(k_over_f, coinvariants(k_over_f))
-    st = stab_hom_realized(e1.k, e1_t_triv, e1_t_triv, with_action=False)
+    st = stab_hom_realized(e1.k, e1_t_triv, e1_t_triv)
     out = stab_galois_transport(g, e1.embed_f, e1_t_triv, e1_t_triv, st)
     assert out["report"].ok, str(out["report"])
 
@@ -122,14 +122,14 @@ def test_transport_e1(e1, e1_t_triv):
 def test_transport_e0(e0, e0_t_triv):
     k_over_f = corestrict_coaction(e0.k, e0.embed_f)
     g = canonical_map(k_over_f, coinvariants(k_over_f))
-    st = stab_hom_realized(e0.k, e0_t_triv, e0_t_triv, with_action=False)
+    st = stab_hom_realized(e0.k, e0_t_triv, e0_t_triv)
     out = stab_galois_transport(g, e0.embed_f, e0_t_triv, e0_t_triv, st)
     assert out["report"].ok, str(out["report"])
 
 
 def test_stab_composition_unit_and_assoc(e0, e0_t_triv):
     t = e0_t_triv
-    st = stab_hom_realized(e0.k, t, t, with_action=False)
+    st = stab_hom_realized(e0.k, t, t)
     unit = stab_unit(e0.k, t)
     # unit is K-linear, i.e. lives in the stabilizer space
     for f in st.basis:
@@ -173,7 +173,7 @@ def test_stab_composition_is_the_sweedler_formula(e1, e1_t_triv):
     # (f o g)(h (x) x) = f(h_2 (x) g(h_1 (x) x)), written out on each basis h (x) x;
     # E1's H is not cocommutative, so the order of h_1 and h_2 shows
     t, h = e1_t_triv, e1.h
-    basis = stab_hom_realized(e1.k, t, t, with_action=False).basis
+    basis = stab_hom_realized(e1.k, t, t).basis
     for f in basis:
         for g in basis:
             cols = []
@@ -227,7 +227,7 @@ def test_h_action_read_off_the_pivots_equals_the_solve(case):
 @pytest.mark.parametrize("case", ["E1 T(A_reg)", "Z3 T(triv)"])
 def test_read_off_coordinates_equal_solve_and_reject_the_outside(case):
     k, h, v = _stab_case(case)
-    basis = stab_hom_realized(k, v, v, with_action=False).basis
+    basis = stab_hom_realized(k, v, v).basis
     size = v.dim * h.dim * v.dim
     basis_mat = Matrix.from_cols([flatten(b) for b in basis], size, k.order)
     one = Cyclo.one(k.order)
