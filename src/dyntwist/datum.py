@@ -292,7 +292,8 @@ class AdjunctionEngine:
             legs, i_mat, self._extraction_battery(), self.compute_i, report,
             ("I on regulars is left multiplication by an element",
              "element reproduces I on independent modules"), "extraction")
-        j_elem = invert_element(legs, e_elem, self.order)
+        # i_mat is certified to be the left multiplication by e_elem
+        j_elem = invert_element(legs, e_elem, i_mat)
         twist = TwistElement(self.h, self.s_base(), j_elem, inverse=e_elem)
         tw_report = verify_twist(twist)
         report.merge(tw_report, prefix="verify: ")
@@ -677,7 +678,6 @@ def gauge_from_equivalence(datum: MonomialDatum, datum2: MonomialDatum,
     """
     report = CheckReport("gauge extraction")
     eng, eng2 = datum.engine, datum2.engine
-    order = datum.order
     h_reg, a_reg, triv_a, triv_h = eng.h_reg, eng.a_reg, eng.triv_a, eng.triv_h
 
     bad = 0
@@ -700,13 +700,14 @@ def gauge_from_equivalence(datum: MonomialDatum, datum2: MonomialDatum,
         return eng2.xi_forward(x, v, n_mod, sigma)
 
     legs = [datum.h.alg, datum.kb.alg]
+    t_reg = t_map(h_reg, a_reg)
     t_elem = _certified_element(
-        legs, t_map(h_reg, a_reg), ((triv_h, triv_a), (triv_h, a_reg), (h_reg, triv_a)),
+        legs, t_reg, ((triv_h, triv_a), (triv_h, a_reg), (h_reg, triv_a)),
         t_map, report,
         ("t is left multiplication by an element",
          "element reproduces t on independent modules"), "gauge extraction")
-    t_inv = invert_element(legs, t_elem, order)
-    gauge = GaugeElement(datum.h, eng.s_base(), t_inv, inverse=t_elem)
+    # t_reg is certified to be the left multiplication by t_elem
+    gauge = GaugeElement(datum.h, eng.s_base(), invert_element(legs, t_elem, t_reg))
     return gauge, report
 
 

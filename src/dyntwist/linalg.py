@@ -26,6 +26,11 @@ Conventions fixed here and used everywhere else in the package:
   over one cleared denominator (``_sum_rows``), a row of a that meets one
   nonzero row of b scales that row, and an elimination step forms
   cur - c v in one step (``scalar.sub_mul``);
+* a product a b whose right factor holds at most one entry per row (an
+  identity, a permutation, a column selector, a monomial matrix) is a
+  relabelling: each entry x of a at column k moves to the column j of
+  row k's entry y, as x y, entries that land on one column are summed, and
+  a sum that cancels is dropped (``_relabelled``);
 * subspaces are stored by a basis matrix in reduced column echelon form, so
   equal subspaces have equal basis matrices;
 * a batch of vectors is one ``Matrix``, a vector per column (``apply`` takes
@@ -89,6 +94,34 @@ def _sum_rows(arows: list[dict], brows: list[dict], cols: int, order: int) -> li
                 if not v.is_zero():
                     row[j] = v
         out.append(row)
+    return out
+
+
+def _relabelled(arows: list[dict], brows: list[dict]) -> list[dict]:
+    """The rows of a b, for the rows ``arows`` of a and a b whose rows hold at most one entry.
+
+    Entry x of a at column k moves to the column j of row k's entry y, as
+    x y; entries that land on one column are summed, and a sum that cancels
+    is dropped (x y != 0 in a field, so only sums can vanish).
+    """
+    moves = [next(iter(r.items())) if r else None for r in brows]
+    out = []
+    for arow in arows:
+        row: dict = {}
+        summed = False
+        for k, x in arow.items():
+            move = moves[k]
+            if move is None:
+                continue
+            j, y = move
+            p = x if y.is_one() else y if x.is_one() else x * y
+            cur = row.get(j)
+            if cur is None:
+                row[j] = p
+            else:
+                row[j] = cur + p
+                summed = True
+        out.append(_drop_zeros(row) if summed else row)
     return out
 
 
@@ -239,6 +272,9 @@ class Matrix:
             raise ScalarError("cyclotomic order mismatch in product: %d vs %d"
                               % (self.order, other.order))
         brows = other._rows
+        if all(len(r) < 2 for r in brows):
+            return Matrix._trusted(self.rows, other.cols, _relabelled(self._rows, brows),
+                                   self.order)
         # the entries of each row of a that meet a nonzero row of b
         live = [[k for k in r if brows[k]] for r in self._rows]
         sums = iter(_sum_rows([r for r, ks in zip(self._rows, live) if len(ks) > 1],

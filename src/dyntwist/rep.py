@@ -73,7 +73,8 @@ class ModuleRep:
         # is (rho(e_i) (x) id_V) times rho(e_j) flattened
         n = self.dim
         f = Matrix.from_cols([flatten(a) for a in self.action], n * n, self.order)
-        bad = algebra_map_failures(f, alg, lambda i: kron_id_mul(self.action[i], n, f))
+        bad = algebra_map_failures(f, alg, lambda i: kron_id_mul(self.action[i], n, f),
+                                   flatten(Matrix.identity(n, self.order)), ())
         report.add("rho(e_i)rho(e_j) = rho(e_i e_j)", bad == 0, bad)
         return report
 
@@ -373,7 +374,8 @@ class SubHopfEmbedding:
         bad = small.dim - rank(phi)
         report.add("embedding injective", bad == 0, bad)
         bad = algebra_map_failures(phi, small.alg,
-                                   lambda i: big.alg.left_mult_matrix(phi.col(i)) * phi)
+                                   lambda i: big.alg.left_mult_matrix(phi.col(i)) * phi,
+                                   big.alg.unit, (big.alg,))
         if self.embed_elem(small.alg.unit) != big.alg.unit:
             bad += 1
         report.add("embedding is an algebra map", bad == 0, bad)

@@ -89,7 +89,8 @@ class TwistElement:
 
     def ensure_inverse(self) -> dict:
         if self.inverse is None:
-            self.inverse = invert_element(self.legs, self.coeffs, self.order)
+            lm = left_mult_matrix_tensor(self.legs, self.coeffs, self.order)
+            self.inverse = invert_element(self.legs, self.coeffs, lm)
         return self.inverse
 
 
@@ -99,9 +100,13 @@ def two_sided(legs, elem: dict, inv: dict) -> bool:
     return tensor_mult(legs, inv, elem) == unit and tensor_mult(legs, elem, inv) == unit
 
 
-def invert_element(legs, elem: dict, order: int) -> dict:
-    """Two-sided inverse in a tensor product of algebras, verified."""
-    lm = left_mult_matrix_tensor(legs, elem, order)
+def invert_element(legs, elem: dict, lm: Matrix) -> dict:
+    """Two-sided inverse in a tensor product of algebras, verified.
+
+    ``lm`` is the left multiplication by ``elem`` (``left_mult_matrix_tensor``,
+    or a map already certified equal to it); the inverse is the solution of
+    lm x = 1, accepted only when elem x = x elem = 1 exactly.
+    """
     dims = [l.dim for l in legs]
     try:
         sol = solve(lm, {flatten_key(k, dims): c for k, c in unit_tensor(legs).items()},
@@ -115,21 +120,14 @@ def invert_element(legs, elem: dict, order: int) -> dict:
 
 
 class GaugeElement:
-    def __init__(self, h: HopfAlgebraData, s: ComoduleAlgebraData, coeffs: dict,
-                 inverse: dict | None = None):
+    def __init__(self, h: HopfAlgebraData, s: ComoduleAlgebraData, coeffs: dict):
         self.h = h
         self.s = s
         self.coeffs = coeffs          # keys (i, k) in H (x) S
-        self.inverse = inverse
 
     @property
     def legs(self):
         return [self.h.alg, self.s.alg]
-
-    def ensure_inverse(self) -> dict:
-        if self.inverse is None:
-            self.inverse = invert_element(self.legs, self.coeffs, self.h.order)
-        return self.inverse
 
 
 def verify_twist(t: TwistElement) -> CheckReport:
@@ -209,7 +207,7 @@ def gauge_transform(t1: TwistElement, g: GaugeElement) -> TwistElement:
     left = tensor_mult(legs3, split_leg(h.comult, g.coeffs, 0), t1.coeffs)
     right = tensor_mult(legs3, insert_unit_leg(h.alg, g.coeffs, 0),
                         split_leg(s.coaction, g.coeffs, 1))
-    right_inv = invert_element(legs3, right, t1.order)
+    right_inv = invert_element(legs3, right, left_mult_matrix_tensor(legs3, right, t1.order))
     coeffs = tensor_mult(legs3, left, right_inv)
     return TwistElement(h, s, coeffs)
 

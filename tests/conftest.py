@@ -24,6 +24,20 @@ def in_span(space, vec) -> bool:
                                  space.basis.order)) == space.dim
 
 
+def hopf_identities(monkeypatch) -> list:
+    """The column identities ``dyntwist.hopf`` forms from here on, one entry each."""
+    from dyntwist import hopf
+    calls = []
+    compare = hopf.differing_columns
+
+    def counted(a, b):
+        calls.append((a.rows, a.cols))
+        return compare(a, b)
+
+    monkeypatch.setattr(hopf, "differing_columns", counted)
+    return calls
+
+
 def cyclic_table(n):
     return [[(i + j) % n for j in range(n)] for i in range(n)]
 

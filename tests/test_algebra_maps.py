@@ -13,9 +13,11 @@ import random
 
 import pytest
 
-from conftest import e0_spec, e1_spec, z3_spec
+from conftest import e0_spec, e1_spec, hopf_identities, z3_spec
+from dyntwist.comod import ComoduleAlgebraData, verify_comodule_algebra
 from dyntwist.datum import MonomialDatum
-from dyntwist.hopf import AlgebraData, HopfAlgebraData, dual_hopf, verify_hopf
+from dyntwist.hopf import (AlgebraData, HopfAlgebraData, algebra_map_failures, dual_hopf,
+                           verify_hopf)
 from dyntwist.linalg import Matrix
 from dyntwist.rep import ModuleRep, SubHopfEmbedding, regular_module, trivial_module
 from dyntwist.scalar import Cyclo
@@ -370,3 +372,133 @@ def test_module_counts_equal_the_pair_loops(datums, name):
             assert _counts(broken.verify(), ["rho(e_i)rho(e_j) = rho(e_i e_j)"]) == [expected]
             counts[label].append(expected)
     assert counts == MODULE_COUNTS[name]
+
+
+# -- Light's test: a certified source checks a generating set, else every index ------------
+
+COACTION = "coaction is an algebra map"
+
+
+def _coaction_oracle(k) -> int:
+    """Pairs (i, j) with delta(e_i e_j) != delta(e_i) delta(e_j) in H (x) K."""
+    h = k.over.alg
+
+    def delta(x):
+        out = {}
+        for i, a in x.items():
+            for key, c in k.coaction[i].items():
+                _add(out, key, a * c)
+        return _clean(out)
+
+    def times(x, y):
+        out = {}
+        for (a1, b1), c1 in x.items():
+            for (a2, b2), c2 in y.items():
+                for a, ca in h.mult[a1][a2].items():
+                    for b, cb in k.alg.mult[b1][b2].items():
+                        _add(out, (a, b), c1 * c2 * ca * cb)
+        return _clean(out)
+    return sum(1 for i, j in itertools.product(range(k.dim), repeat=2)
+               if delta(k.alg.mult[i][j]) != times(k.coaction[i], k.coaction[j]))
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_hopf_counts_on_a_certified_algebra_use_its_generating_set(datums, name, monkeypatch):
+    d = datums[name].h
+    # a fresh copy, so that nothing is certified yet
+    h = HopfAlgebraData(AlgebraData(d.dim, d.alg.mult, d.alg.unit, d.order,
+                                    generators=d.alg.generators),
+                        d.comult, d.counit, antipode=d.antipode)
+    gens = h.alg.generating_set()
+    calls = hopf_identities(monkeypatch)
+    assert verify_hopf(h).ok
+    # associativity, Delta, eps and S on the generators, and the two antipode axioms
+    assert len(calls) == 4 * len(gens) + 2 < 4 * h.dim + 2
+    # broken unit laws leave nothing certified: every count runs over every index
+    two = Cyclo.from_rational(2, h.order)
+    alg = AlgebraData(h.dim, h.alg.mult, {i: two * c for i, c in h.alg.unit.items()}, h.order)
+    broken = HopfAlgebraData(alg, h.comult, h.counit, antipode=h.antipode)
+    del calls[:]
+    expected = _hopf_oracle(broken)
+    assert _counts(verify_hopf(broken), expected) == list(expected.values())
+    assert len(calls) == 4 * h.dim + 2
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_associativity_of_k_equals_the_triple_loop(datums, name):
+    k = datums[name].k.alg
+    e = [_basis(k, i) for i in range(k.dim)]
+    for seed in range(3):
+        rng = random.Random("%s K %d" % (name, seed))
+        mult = [[dict(p) for p in row] for row in k.mult]
+        for _ in range(seed + 1):
+            i, j, t = (rng.randrange(k.dim) for _ in range(3))
+            _add(mult[i][j], t, _scalar(rng, k.order))
+        broken = AlgebraData(k.dim, [[_clean(p) for p in row] for row in mult], k.unit, k.order,
+                             generators=k.generators)
+        expected = sum(1 for i, j, t in itertools.product(range(k.dim), repeat=3)
+                       if _times(broken, broken.mult[i][j], e[t])
+                       != _times(broken, e[i], broken.mult[j][t]))
+        assert expected > 0
+        assert _counts(broken.verify(), ["associativity m(m x id) = m(id x m)"]) == [expected]
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_coaction_counts_on_certified_algebras_equal_the_pair_loop(datums, name, monkeypatch):
+    k = datums[name].k
+    assert k.alg.verify().ok and k.over.alg.certified()
+    gens = k.alg.generating_set()
+    calls = hopf_identities(monkeypatch)
+    assert _counts(verify_comodule_algebra(k), [COACTION]) == [0]
+    assert len(calls) == len(gens) < k.dim
+    for seed in range(4):
+        rng = random.Random("%s coaction %d" % (name, seed))
+        coaction = [dict(d) for d in k.coaction]
+        for _ in range(seed + 1):
+            i, a, b = rng.randrange(k.dim), rng.randrange(k.over.dim), rng.randrange(k.dim)
+            _add(coaction[i], (a, b), _scalar(rng, k.order))
+        broken = ComoduleAlgebraData(k.alg, k.over, [_clean(d) for d in coaction])
+        expected = _coaction_oracle(broken)
+        assert expected > 0
+        del calls[:]
+        assert _counts(verify_comodule_algebra(broken), [COACTION]) == [expected]
+        # a failure found on the generators, or delta(1) != 1 x 1, counts every index
+        assert len(calls) in (k.dim, len(gens) + k.dim)
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_a_non_associative_target_counts_every_index(datums, name, monkeypatch):
+    k = datums[name].k
+    h = k.over
+    assert k.alg.verify().ok
+    rng = random.Random("%s target" % name)
+    mult = [[dict(p) for p in row] for row in h.alg.mult]
+    for _ in range(2):
+        i, j, t = (rng.randrange(h.dim) for _ in range(3))
+        _add(mult[i][j], t, _scalar(rng, h.order))
+    alg = AlgebraData(h.dim, [[_clean(p) for p in row] for row in mult], h.alg.unit, h.order)
+    broken = ComoduleAlgebraData(
+        k.alg, HopfAlgebraData(alg, h.comult, h.counit, antipode=h.antipode), k.coaction)
+    assert not alg.certified()
+    expected = _coaction_oracle(broken)
+    assert expected > 0
+    calls = hopf_identities(monkeypatch)
+    assert _counts(verify_comodule_algebra(broken), [COACTION]) == [expected]
+    assert len(calls) == k.dim
+
+
+def test_a_map_with_f_of_1_not_1_counts_every_index():
+    # k^3 on the basis 1, e_1, e_2 (orthogonal idempotents, 1 = e_1 + e_2 + e_3)
+    # and f(1) = 2, f(e_1) = f(e_2) = 0: f(e_i b) = 0 = f(e_i) f(b) for the
+    # generators e_1, e_2 and every b, but f(1 1) = 2 != 4 = f(1) f(1)
+    one, zero = Cyclo.one(1), Cyclo.zero(1)
+    mult = [[{j: one} if j else {0: one} for j in range(3)],
+            [{1: one}, {1: one}, {}],
+            [{2: one}, {}, {2: one}]]
+    alg = AlgebraData(3, mult, {0: one}, 1)
+    assert alg.verify().ok and alg.generating_set() == [1, 2]
+    f = Matrix.from_rows([[Cyclo.from_rational(2, 1), zero, zero]], 1)
+    count = algebra_map_failures(f, alg, lambda i: f.scaled(f.entry(0, i)), {0: one}, ())
+    assert count == sum(1 for i, j in itertools.product(range(3), repeat=2)
+                        if _image(f, alg.mult[i][j]) != _clean({0: f.entry(0, i) * f.entry(0, j)}))
+    assert count == 1

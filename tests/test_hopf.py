@@ -1,6 +1,12 @@
+import itertools
+
 import pytest
 
+from conftest import e1_spec, hopf_identities, z3_spec
+from dyntwist.comod import verify_comodule_algebra
+from dyntwist.datum import MonomialDatum
 from dyntwist.hopf import (
+    AlgebraData,
     HopfAlgebraData,
     StructureError,
     dual_hopf,
@@ -10,8 +16,9 @@ from dyntwist.hopf import (
     harpoon,
     verify_hopf,
 )
-from dyntwist.linalg import Matrix
+from dyntwist.linalg import Matrix, span_closure
 from dyntwist.scalar import Cyclo
+from dyntwist.twist import build_twisted_galois
 
 
 @pytest.fixture(scope="module")
@@ -173,3 +180,76 @@ def test_non_injective_embedding_reports_its_rank_deficit(kz2):
     embed = SubHopfEmbedding(kz2, kz2, Matrix.zero(2, 2, 2))
     check = next(c for c in embed.verify().checks if c.name == "embedding injective")
     assert (check.status, check.residual_nonzero_count) == ("FAIL", 2)
+
+
+# -- Light's test: associativity on a generating set ----------------------------------
+
+
+def _words_span(alg, gens) -> bool:
+    one = Cyclo.one(alg.order)
+    words = span_closure([alg.unit], [lambda w, g=g: alg.multiply(w, {g: one}) for g in gens],
+                         alg.dim)
+    return len(words) == alg.dim
+
+
+@pytest.mark.parametrize("make_spec, gens", [(e1_spec, [0, 1, 2, 4, 5]), (z3_spec, [0, 1])])
+def test_b_is_certified_by_one_identity_per_generator(make_spec, gens, monkeypatch):
+    twist, report = MonomialDatum(make_spec()).compute_twist()
+    assert report.ok
+    (b_comod, _), report = build_twisted_galois(twist)
+    assert report.ok
+    b = b_comod.alg
+    # a fresh copy of B, so nothing is certified yet; B lists no generators
+    fresh = AlgebraData(b.dim, b.mult, b.unit, b.order, name="B")
+    assert fresh.generating_set() == gens and _words_span(fresh, gens)
+    calls = hopf_identities(monkeypatch)
+    assert fresh.verify().ok
+    assert len(calls) == len(gens) < b.dim
+    # the coaction of B over H* (both certified above): one identity per generator
+    del calls[:]
+    assert verify_comodule_algebra(b_comod).ok
+    assert len(calls) == len(gens)
+
+
+def test_broken_unit_laws_count_associativity_over_every_index(e1_datum, monkeypatch):
+    alg = e1_datum.h.alg
+    two = Cyclo.from_rational(2, alg.order)
+    broken = AlgebraData(alg.dim, alg.mult, {i: two * c for i, c in alg.unit.items()},
+                         alg.order)
+    calls = hopf_identities(monkeypatch)
+    report = broken.verify()
+    counts = {c.name: c.residual_nonzero_count for c in report.checks}
+    assert counts == {"associativity m(m x id) = m(id x m)": 0, "unit laws": alg.dim}
+    assert not broken.certified()
+    # Light's attempt stops at the unit laws, so only the full count forms identities
+    assert len(calls) == alg.dim
+
+
+def test_generators_that_do_not_span_are_extended_greedily():
+    alg = MonomialDatum(z3_spec()).h.alg
+    assert alg.generators == [3, 1] and alg.generating_set() == [3, 1]
+    short = AlgebraData(alg.dim, alg.mult, alg.unit, alg.order, generators=[3])
+    assert not _words_span(short, [3])
+    # g generates only kZ3; x joins as the first basis index outside its span
+    assert short.generating_set() == [3, 1]
+    assert short.verify().ok and short.certified()
+    # a corrupted product with the same short list still counts every failing triple
+    mult = [[dict(p) for p in row] for row in alg.mult]
+    mult[1][1][4] = Cyclo.one(alg.order)
+    broken = AlgebraData(alg.dim, mult, alg.unit, alg.order, generators=[3])
+    counts = {c.name: c.residual_nonzero_count for c in broken.verify().checks}
+    assert counts["associativity m(m x id) = m(id x m)"] == _associator_oracle(broken) > 0
+
+
+def _associator_oracle(alg) -> int:
+    """Triples (i, j, k) with (e_i e_j) e_k != e_i (e_j e_k), one at a time."""
+    def times(x, y):
+        out = {}
+        for i, a in x.items():
+            for j, b in y.items():
+                for k, c in alg.mult[i][j].items():
+                    out[k] = out[k] + a * b * c if k in out else a * b * c
+        return {k: v for k, v in out.items() if not v.is_zero()}
+    one = Cyclo.one(alg.order)
+    return sum(1 for i, j, k in itertools.product(range(alg.dim), repeat=3)
+               if times(alg.mult[i][j], {k: one}) != times({i: one}, alg.mult[j][k]))

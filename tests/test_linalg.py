@@ -6,6 +6,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dyntwist import linalg
 from dyntwist.linalg import (
     Echelon,
     LinAlgError,
@@ -444,6 +445,68 @@ def test_row_sparse_matrix_agrees_with_a_dense_reference(order, seed):
         assert _dense_of(echelon) == [[row[i] for row in ref_rref] for i in range(r)]
         assert _stores_no_zero(echelon)
         assert rank(a) == len(ref_rref)
+
+
+def _one_entry_rows(rng, rows, cols, order, columns, scalars):
+    """A dense rows x cols matrix whose row k is 0 or holds ``scalars()`` at ``columns(k)``."""
+    zero = Cyclo.zero(order)
+    out = [[zero] * cols for _ in range(rows)]
+    for k in range(rows):
+        j = columns(k)
+        if j is not None:
+            out[k][j] = scalars()
+    return out
+
+
+@pytest.mark.parametrize("order", [1, 3])
+@pytest.mark.parametrize("seed", range(4))
+def test_a_right_factor_of_one_entry_per_row_relabels(order, seed, monkeypatch):
+    rng = random.Random("relabel:%d:%d" % (order, seed))
+    zero, one = Cyclo.zero(order), Cyclo.one(order)
+
+    def nonzero():
+        x = zero
+        while x.is_zero():
+            x = _rand_scalar(rng, order)
+        return x
+
+    r, n, c = rng.randint(2, 6), rng.randint(3, 7), rng.randint(2, 6)
+    perm = rng.sample(range(n), n)
+    factors = {
+        "identity": _one_entry_rows(rng, n, n, order, lambda k: k, lambda: one),
+        "permutation": _one_entry_rows(rng, n, n, order, lambda k: perm[k], lambda: one),
+        # a 0/1 column selector with empty rows, as a quotient's section
+        "selector": _one_entry_rows(rng, n, c, order,
+                                    lambda k: rng.randrange(c) if k % 3 else None, lambda: one),
+        "scaled": _one_entry_rows(rng, n, c, order,
+                                  lambda k: rng.randrange(c) if k % 4 else None, nonzero),
+    }
+    # rows 0 and 1 of b, and only they, meet column 0; row 0 of a makes their
+    # contributions cancel there
+    y0, y1 = nonzero(), nonzero()
+    cancel = _one_entry_rows(rng, n, c, order, lambda k: 0 if k < 2 else rng.randrange(1, c),
+                             nonzero)
+    cancel[0][0], cancel[1][0] = y0, y1
+    factors["cancelling"] = cancel
+
+    def no_packed_products(*args):
+        raise AssertionError("a right factor of one entry per row needs no packed product")
+
+    monkeypatch.setattr(linalg, "_sum_rows", no_packed_products)
+    for name, db in factors.items():
+        da = _rand_dense(rng, r, n, order)
+        if name == "cancelling":
+            x = nonzero()
+            da[0] = [x, -(x * y0) * y1.inverse()] + [nonzero() for _ in range(n - 2)]
+            da[1] = [x, x] + [zero] * (n - 2)
+        cols = len(db[0])
+        got = Matrix.from_rows(da, order) * Matrix.from_rows(db, order)
+        ref = _ref_mul(da, db, n, cols, order)
+        assert (got.rows, got.cols) == (r, cols), name
+        assert _dense_of(got) == ref, name
+        assert _stores_no_zero(got), name
+        if name == "cancelling":
+            assert 0 not in got.row(0) and ref[1][0] == x * (y0 + y1)
 
 
 # -- oracle for the cleared-numerator kernels, over fields with phi up to 4 ---

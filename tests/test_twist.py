@@ -21,6 +21,7 @@ from dyntwist.twist import (
     gauge_check,
     gauge_transform,
     invert_element,
+    left_mult_matrix_tensor,
     tensor_mult,
     trivial_twist,
     twisted_pentagon_check,
@@ -108,8 +109,9 @@ def test_inverse_is_two_sided(e1_twist):
 
 def test_non_invertible_element_rejected(e0_datum):
     legs = [e0_datum.h.alg, e0_datum.h.alg, e0_datum.kb.alg]
+    elem = {(1, 1, 0): Cyclo.one(2)}  # x (x) x nilpotent
     with pytest.raises(StructureError):
-        invert_element(legs, {(1, 1, 0): Cyclo.one(2)}, 2)  # x (x) x nilpotent
+        invert_element(legs, elem, left_mult_matrix_tensor(legs, elem, 2))
 
 
 def test_gauge_reflexive(e1_twist, e1_datum):
