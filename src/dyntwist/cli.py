@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING
 
 from .hopf import (AlgebraData, HopfAlgebraData, StructureError, ValidationError,
                    group_exponent, group_generators, verify_hopf)
-from .linalg import LinAlgError, Matrix, span_closure
+from .linalg import LinAlgError, Matrix, generated_words
 from .report import CheckReport
 from .scalar import Cyclo, ScalarError, euler_phi, format_scalar, lcm, parse_scalar
 
@@ -140,9 +140,7 @@ def read_algebra(doc: dict, dim: int, order: int, name: str) -> AlgebraData:
     if gens is None:
         return alg
     one = Cyclo.one(order)
-    words = span_closure([alg.unit] + [{g: one} for g in alg.generators],
-                         [lambda w, g=g: alg.multiply(w, {g: one}) for g in alg.generators],
-                         dim)
+    words = generated_words(alg.unit, [{g: one} for g in alg.generators], alg.multiply, dim)[1]
     if len(words) < dim:
         raise InputError("generators span %d of the %d dimensions of %s"
                          % (len(words), dim, name))

@@ -23,6 +23,7 @@ from .linalg import (
     differing_entries,
     differing_keys,
     flatten,
+    generated_words,
     identity_residual,
     inverse,
     kernel,
@@ -34,7 +35,6 @@ from .linalg import (
     solve,
     sparse_cols,
     sparse_kernel_basis,
-    span_closure,
 )
 from .report import FAIL, INCONCLUSIVE, PASS, CheckReport
 from .scalar import Cyclo, euler_phi
@@ -139,9 +139,10 @@ def costable_operators(k: ComoduleAlgebraData) -> list[Matrix]:
 
 
 def costable_closure(k: ComoduleAlgebraData, v: dict) -> Subspace:
-    """Smallest H-costable two-sided ideal containing the vector v."""
-    vectors = span_closure([v], [op.apply for op in costable_operators(k)], k.dim)
-    return Subspace.from_vectors(vectors, k.dim, k.order)
+    """Smallest H-costable two-sided ideal containing the vector v: the
+    operator algebra of ``costable_operators`` applied to v."""
+    algebra = _close_under_products(costable_operators(k), k.dim, k.order)
+    return Subspace.from_vectors([op.apply(v) for op in algebra], k.dim, k.order)
 
 
 class SimplicityCertificate:
@@ -161,10 +162,10 @@ class SimplicityCertificate:
 
 
 def _close_under_products(seed: list[Matrix], dim: int, order: int) -> list[Matrix]:
-    # right products suffice: the span holds I and is closed under * s for
-    # each seed operator s, so it holds every word in the seed
-    return span_closure([Matrix.identity(dim, order)] + seed,
-                        [lambda a, b=b: a * b for b in seed], dim * dim, key=flatten)
+    # the words in the seed operators that enlarge the span: it holds I and
+    # every seed, and is closed under right products by those that grew it
+    return generated_words(Matrix.identity(dim, order), seed, Matrix.__mul__, dim * dim,
+                           key=flatten)[1]
 
 
 def _trace_form(basis: list[Matrix]) -> Matrix:
@@ -413,10 +414,15 @@ def canonical_map(k_over_a: ComoduleAlgebraData, r: Subspace,
     dim = k_over_a.dim
     order = k_over_a.order
     kk = dim * dim
-    # relation subspace span{k r (x) s - k (x) r s}
+    # relation subspace span{k r (x) s - k (x) r s}; when K is associative with
+    # unit, the relations of a word w g in generators of R telescope into those
+    # of w and g, so generators whose words hold R give the same subspace
     alg = k_over_a.alg
-    rel = balanced_relations([(alg.right_mult_matrix(relem), alg.left_mult_matrix(relem))
-                              for relem in r.vectors()], dim, dim, order)
+    gens = r.vectors()
+    if alg.certified():
+        gens = generated_words(alg.unit, gens, alg.multiply, dim)[0]
+    rel = balanced_relations([(alg.right_mult_matrix(g), alg.left_mult_matrix(g)) for g in gens],
+                             dim, dim, order)
     proj, sec = quotient(kk, rel)
     can_full = k_over_a.canonical_matrix()
     can_q = can_full * sec

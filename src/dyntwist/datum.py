@@ -40,7 +40,6 @@ from .monomial import (
     make_t_module,
     monomial_sub_embedding,
     sub_table,
-    t_on_morphism,
     verify_coset_basis,
 )
 from .rep import (
@@ -87,22 +86,21 @@ class AdjunctionEngine:
 
     Parameters: the Hopf algebra ``h``; the twist base as a Hopf-subalgebra
     embedding ``embed_b`` (a group algebra kB for the monomial family); the
-    comodule algebra ``k``; ``t_functor`` mapping A-modules to K-modules
-    (with ``t_morphism`` on maps); ``station(v)`` giving the slice maps
-    (p_V, i_V), p_V: T(V) -> V and i_V: V -> T(V), so that the station of
-    Theta: T(V) -> T(W) is p_W Theta i_V; and an optional one-dimensional
-    H-module ``h_character_module`` that joins the certification batteries.
+    comodule algebra ``k``; ``t_functor`` mapping A-modules to K-modules;
+    ``station(v)`` giving the slice maps (p_V, i_V), p_V: T(V) -> V and
+    i_V: V -> T(V), so that the station of Theta: T(V) -> T(W) is
+    p_W Theta i_V; and an optional one-dimensional H-module
+    ``h_character_module`` that joins the certification batteries.
     """
 
     def __init__(self, h: HopfAlgebraData, embed_b: SubHopfEmbedding,
-                 k: ComoduleAlgebraData, t_functor, t_morphism, station,
+                 k: ComoduleAlgebraData, t_functor, station,
                  h_character_module: ModuleRep | None = None):
         self.h = h
         self.embed_b = embed_b
         self.kb = embed_b.small
         self.k = k
         self.t_functor = t_functor
-        self.t_morphism = t_morphism
         self.station = station
         self.h_character_module = h_character_module
         self.order = h.order
@@ -165,7 +163,7 @@ class AdjunctionEngine:
         order = self.order
         source = tensor_action(self.k, x, tv)
         sdim = source.dim
-        pairs = [(source.action[g], tw.action[g]) for g in self.k.alg.generator_indices()]
+        pairs = [(source.action[g], tw.action[g]) for g in self.k.alg.generating_set()]
         orbit, ncols, rows = _orbit_reduction(pairs, tw.dim, sdim)
         rhs: dict = {}
         # station: entry (w, v) of p_W f(x_i (x) -) i_V is fprime(x_i (x) v) at w;
@@ -345,7 +343,7 @@ class AdjunctionEngine:
         # outputs are A-linear
         bad_nat = 0
         for img in images:
-            for g in self.kb.alg.generator_indices():
+            for g in self.kb.alg.generating_set():
                 if img * target_src.action[g] != w.action[g] * img:
                     bad_nat += 1
         # natxi3: precomposition with an H-morphism commutes (x-pointwise by
@@ -464,7 +462,6 @@ class MonomialDatum:
         self.engine = AdjunctionEngine(
             self.h, self.embed_b, self.k,
             t_functor=self._t_functor,
-            t_morphism=lambda f: t_on_morphism(spec.n, f),
             station=self._station,
             h_character_module=self._h_character_module(),
         )
@@ -598,7 +595,7 @@ class MonomialDatum:
 
 
 def generic_galois_datum(embed_a: SubHopfEmbedding, k: ComoduleAlgebraData,
-                         t_functor, t_morphism, station,
+                         t_functor, station,
                          check_simplicity: bool = True):
     """Datum from an A-Galois comodule algebra with supplied Hom-isomorphisms.
 
@@ -630,10 +627,10 @@ def generic_galois_datum(embed_a: SubHopfEmbedding, k: ComoduleAlgebraData,
     if check_simplicity:
         report.add_status("K is H-simple", is_h_simple(k).status)
 
-    engine = AdjunctionEngine(h, embed_a, k, t_functor, t_morphism, station)
+    engine = AdjunctionEngine(h, embed_a, k, t_functor, station)
 
     # supplied isos must be A-linear: gamma-twisted source, standard target
-    gens = a.alg.generator_indices()
+    gens = a.alg.generating_set()
     bad = 0
     v_samples = [engine.triv_a, engine.a_reg]
     for v in v_samples:
@@ -684,7 +681,7 @@ def gauge_from_equivalence(datum: MonomialDatum, datum2: MonomialDatum,
     for v in (triv_a, a_reg):
         t1, t2 = eng.t(v), eng2.t(v)
         phi = phi_of(v)
-        for g in datum.k.alg.generator_indices():
+        for g in datum.k.alg.generating_set():
             if phi * t1.action[g] != t2.action[g] * phi:
                 bad += 1
     report.add("phi_V is K-linear", bad == 0, bad)
@@ -740,13 +737,13 @@ def phi_psi(datum: MonomialDatum, v: ModuleRep, w: ModuleRep) -> dict:
     report = CheckReport("phi/psi")
 
     # constrained spaces as intertwiner bases
-    cb_gens = datum.kb.alg.generator_indices()
+    cb_gens = datum.kb.alg.generating_set()
     cb_src = [h.alg.left_mult_matrix(datum.embed_b.embed_elem({g: one}))
               for g in cb_gens]
     cb_tgt = [_standard_hom_action(datum.kb, v, w, g) for g in cb_gens]
     homcb = intertwiner_basis(cb_src, cb_tgt, w.dim * v.dim, h.dim, order)
 
-    af_gens = datum.hf.alg.generator_indices()
+    af_gens = datum.hf.alg.generating_set()
     af_src = [h.alg.left_mult_matrix(datum.embed_f.embed_elem({g: one}))
               for g in af_gens]
     af_tgt = [galois_twisted_action(gal, datum.embed_f, tv, tw, g)

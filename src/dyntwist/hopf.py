@@ -23,9 +23,9 @@ the number of failing basis triples or pairs.
 
 from __future__ import annotations
 
-from .linalg import (Echelon, LinAlgError, Matrix, _reshape, differing_columns, differing_keys,
-                     identity_residual, inverse, kron_id_mul, kron_sum, mul_id_kron, sparse_solve,
-                     unflatten)
+from .linalg import (LinAlgError, Matrix, _reshape, differing_columns, differing_keys,
+                     generated_words, identity_residual, inverse, kron_id_mul, kron_sum,
+                     mul_id_kron, sparse_solve, unflatten)
 from .report import CheckReport
 from .scalar import Cyclo, lcm
 
@@ -166,11 +166,6 @@ class AlgebraData:
                     add_into(rows[k], i, ca * m)
         return Matrix(self.dim, self.dim, rows, self.order)
 
-    def generator_indices(self) -> list[int]:
-        if self.generators is not None:
-            return self.generators
-        return list(range(self.dim))
-
     def mult_matrix(self) -> Matrix:
         """m: A (x) A -> A as a dim x dim^2 matrix; column i*dim + j is e_i e_j."""
         d = self.dim
@@ -185,36 +180,16 @@ class AlgebraData:
         """Basis indices X whose words, grown from the unit by right multiplication, span A.
 
         The candidates are the listed ``generators`` and then every basis
-        index, in order; a candidate joins X when it is outside the span of
-        the words so far, and the words are closed under it at once.  So X is
-        drawn from the listed generators when their words span, and is a
-        greedy set otherwise.  The words span A only when the unit laws hold,
-        which ``certified`` checks first.  Computed once per algebra.
+        index, in order (``linalg.generated_words``).  So X is drawn from the
+        listed generators when their words span, and is a greedy set
+        otherwise; every candidate lies in the span of the words, so they
+        span A whether or not the unit laws hold.  Computed once per algebra.
         """
         if self._generating_set is None:
             one = Cyclo.one(self.order)
-            span, words, gens = Echelon(), [], []
-
-            def keep(w):
-                if span.add(dict(w)):
-                    words.append(w)
-
-            keep(self.unit)
-            done = 0  # words[:done] have been multiplied by every index in gens
-            for c in (self.generators or []) + list(range(self.dim)):
-                if len(words) == self.dim:
-                    break
-                if not span.reduce({c: one}):
-                    continue
-                gens.append(c)
-                for w in words[:done]:
-                    keep(self.multiply(w, {c: one}))
-                while done < len(words) and len(words) < self.dim:
-                    w = words[done]
-                    for g in gens:
-                        keep(self.multiply(w, {g: one}))
-                    done += 1
-            self._generating_set = gens
+            candidates = ({c: one} for c in (self.generators or []) + list(range(self.dim)))
+            gens = generated_words(self.unit, candidates, self.multiply, self.dim)[0]
+            self._generating_set = [min(g) for g in gens]
         return self._generating_set
 
     def associator_failures(self, indices) -> int:
@@ -255,6 +230,14 @@ class AlgebraData:
             self._certified = (self.unit_failures() == 0
                                and self.associator_failures(self.generating_set()) == 0)
         return self._certified
+
+    def opposite(self, name: str) -> AlgebraData:
+        """A^op (e_i e_j of A^op is e_j e_i of A, the unit is A's): it is associative
+        with unit exactly when A is, so it takes A's ``certified`` verdict."""
+        op = AlgebraData(self.dim, [list(col) for col in zip(*self.mult)], self.unit,
+                         self.order, name=name)
+        op._certified = self._certified
+        return op
 
     def verify(self) -> CheckReport:
         """Associativity and the unit laws; both counts are over the whole basis

@@ -38,10 +38,11 @@ Conventions fixed here and used everywhere else in the package:
   batch at once, and certified by one product, which counts the columns
   outside the span (``pivot_coords``); ``solve`` is left for the matrices
   that are not canonical;
-* every closure of a set of vectors under linear maps (an ideal, an operator
-  algebra, the words in algebra generators) is grown breadth-first by
-  ``span_closure``, so its basis comes out in one fixed order;
-* a span closure stops when it fills its space: a full span cannot grow.
+* every set of words (the words in algebra generators, an operator algebra,
+  a generating set of a subalgebra) is grown breadth-first from a unit and
+  a list of candidates by ``generated_words``, so its generators and words
+  come out in one fixed order;
+* growing words stops when they fill their space: a full span cannot grow.
 """
 
 from __future__ import annotations
@@ -499,29 +500,39 @@ class Echelon:
         return rest
 
 
-def span_closure(seeds, maps, dim: int, key=None) -> list:
-    """The items that enlarge the span, grown breadth-first from ``seeds`` under ``maps``.
+def generated_words(unit, candidates, multiply, dim: int, key=None) -> tuple[list, list]:
+    """(generators, words): the candidates that enlarge the span, and the words they grow.
 
-    Each seed in turn, then each map applied to each kept item in the order
-    kept (item-major), is kept when its row is not in the span of the rows
-    kept so far; the kept items, in that order, span the closure.  The row of
+    The words start at ``unit``.  Each candidate in turn is kept as a word and
+    joins the generators when its row is outside the span of the words so
+    far; the words are then closed under right multiplication by every
+    generator, ``multiply(word, generator)``, breadth-first, before the next
+    candidate is taken.  So every candidate ends up in the span.  The row of
     an item is a copy of it, or ``key(item)``, which must return a fresh dict.
-    The rows live in a space of dimension ``dim``: once ``dim`` items are
-    kept the span is full and cannot grow, so no map is applied after that.
+    The rows live in a space of dimension ``dim``: once ``dim`` words are kept
+    the span is full, so nothing more is multiplied or taken.
     """
-    span = Echelon()
+    span, gens, words, applied = Echelon(), [], [], []
 
     def grows(item) -> bool:
-        return bool(span.add(dict(item) if key is None else key(item)))
+        if span.add(dict(item) if key is None else key(item)):
+            words.append(item)
+            applied.append(0)  # the number of generators it has been multiplied by
+            return True
+        return False
 
-    kept = [item for item in seeds if grows(item)]
-    for item in kept:  # the items kept below join the end of the queue
-        for f in maps:
-            if len(kept) == dim:
-                return kept
-            if grows(new := f(item)):
-                kept.append(new)
-    return kept
+    grows(unit)
+    for c in candidates:
+        if len(words) < dim and grows(c):
+            gens.append(c)
+            i = 0
+            while i < len(words) < dim:
+                if applied[i] == len(gens):
+                    i += 1
+                else:
+                    applied[i] += 1
+                    grows(multiply(words[i], gens[applied[i] - 1]))
+    return gens, words
 
 
 def _sparse_rref(rows: list[dict], ncols: int, order: int):

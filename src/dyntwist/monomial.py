@@ -313,11 +313,6 @@ def make_t_module(spec: MonomialHopfSpec, k: ComoduleAlgebraData,
     return ModuleRep(k.alg, n * v.dim, action, name=name or ("T(%s)" % v.name))
 
 
-def t_on_morphism(n: int, f: Matrix) -> Matrix:
-    """T on morphisms: identity on the slice leg, f on the module leg."""
-    return kron(Matrix.identity(n, f.order), f)
-
-
 def verify_coset_basis(h: HopfAlgebraData, spec: MonomialHopfSpec,
                        cosets: CosetData, b_indices: list[int]) -> bool:
     """Rank check: {b g^j x^i c_l} is a basis of the monomial Hopf algebra."""

@@ -306,7 +306,7 @@ def _expand_orbits(orbit, sol: dict) -> dict:
 def hom_space(v: ModuleRep, w: ModuleRep) -> HomSpace:
     if v.algebra is not w.algebra and v.algebra.name != w.algebra.name:
         raise StructureError("modules live over different algebras")
-    gens = v.algebra.generator_indices()
+    gens = v.algebra.generating_set()
     basis = intertwiner_basis([v.action[g] for g in gens],
                               [w.action[g] for g in gens],
                               w.dim, v.dim, v.order)
@@ -396,13 +396,15 @@ def induce(embed: SubHopfEmbedding, v: ModuleRep):
     """Induced module H (x)_A V with left-regular H-action.
 
     Returns (module, projection, section) where projection/section realise
-    the quotient of H (x) V by span{ha (x) w - h (x) aw}.
+    the quotient of H (x) V by span{ha (x) w - h (x) aw}.  The a run over
+    ``generating_set()`` of A: the relation of a word a g telescopes into
+    those of a and g, and the words span A.
     """
     h = embed.big
     order = h.order
     one = Cyclo.one(order)
     rel = balanced_relations([(h.alg.right_mult_matrix(embed.embed_elem({ai: one})), v.action[ai])
-                              for ai in range(embed.small.dim)], h.dim, v.dim, order)
+                              for ai in embed.small.alg.generating_set()], h.dim, v.dim, order)
     proj, sec = quotient(h.dim * v.dim, rel)
     qdim = proj.rows
     mats = []
@@ -423,7 +425,7 @@ def hom_module(embed: SubHopfEmbedding, v: ModuleRep):
     h, a = embed.big, embed.small
     order = h.order
     one = Cyclo.one(order)
-    gens = a.alg.generator_indices()
+    gens = a.alg.generating_set()
     src = [h.alg.left_mult_matrix(embed.embed_elem({g: one})) for g in gens]
     tgt = [v.action[g] for g in gens]
     basis = intertwiner_basis(src, tgt, v.dim, h.dim, order)

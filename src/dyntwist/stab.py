@@ -70,7 +70,7 @@ def yan_zhu_stabilizer(k: ComoduleAlgebraData, v: ModuleRep, w: ModuleRep) -> St
     bad = (h.dim - rank(Matrix(h.dim, h.dim * h.dim, [flatten(m) for m in lmats], order))
            ) * w.dim * v.dim
     report.add("L is injective", bad == 0, bad)
-    gens = k.alg.generator_indices()
+    gens = k.alg.generating_set()
     wv, hv = w.dim * v.dim, h.dim * v.dim
     rows = []
     for src, tgt in zip(_k_action_on_dual_tensor(k, v, gens), _k_action_on_dual_tensor(k, w, gens)):
@@ -185,7 +185,7 @@ def stab_galois_transport(g: GaloisData, embed: SubHopfEmbedding,
     if not g.bijective:
         raise StructureError("transport requires a Galois extension")
     # target: Hom_A(H, Hom(V,W)): maps T: H -> Hom(V, W), flattened target side
-    gens = a.alg.generator_indices()
+    gens = a.alg.generating_set()
     src_mats = [h.alg.left_mult_matrix(embed.embed_elem({ai: Cyclo.one(order)}))
                 for ai in gens]
     # build the twisted action per generator; A-basis need not be group-like

@@ -283,9 +283,7 @@ def build_twisted_galois(t: TwistElement) -> tuple:
                                                Matrix.from_cols(expected, dim, order))[1]
     report.add("coinvariants equal S", bad == 0, bad)
 
-    op_mult = [[mult[j][i] for j in range(dim)] for i in range(dim)]
-    b_op = ComoduleAlgebraData(AlgebraData(dim, op_mult, counit_unit, order, name="B^op"),
-                               hdual, coaction, name="B^op")
+    b_op = ComoduleAlgebraData(b_alg.opposite("B^op"), hdual, coaction, name="B^op")
     # the displayed can^-1 is the candidate inverse: can * F = I certifies it
     formula = []
 

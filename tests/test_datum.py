@@ -61,7 +61,7 @@ def test_xi_roundtrip_inverse_forward(e1_datum):
     tv = eng.t(triv)
     from dyntwist.rep import tensor_action
     source = tensor_action(e1_datum.k, x, tv)
-    gens = e1_datum.k.alg.generator_indices()
+    gens = e1_datum.k.alg.generating_set()
     basis = intertwiner_basis([source.action[g] for g in gens],
                               [tv.action[g] for g in gens],
                               tv.dim, source.dim, 2)
@@ -84,7 +84,7 @@ def test_xi_naturality_in_target(e1_datum):
     nprime = eng.a_tensor(eng.restrict(x), a_reg)
     for fmor in homs.basis:
         prom = kron(Matrix.identity(x.dim, 2), fmor)      # N -> N'
-        tf = eng.t_morphism(prom)                         # T(N) -> T(N')
+        tf = kron(Matrix.identity(e1_datum.spec.n, 2), prom)  # T(N) -> T(N')
         lhs = prom * xi_beta
         rhs = eng.xi_forward(x, triv, nprime, tf * beta)
         assert lhs == rhs
@@ -100,7 +100,7 @@ def test_xi_naturality_in_source_module(e1_datum):
     beta, n_mod = eng.xi_inverse_id(x, a_reg)
     xi_beta = eng.xi_forward(x, a_reg, n_mod, beta)
     for g in homs.basis:  # g: triv -> A_reg
-        tg = eng.t_morphism(g)
+        tg = kron(Matrix.identity(e1_datum.spec.n, 2), g)
         lhs = xi_beta * kron(Matrix.identity(x.dim, 2), g)
         moved = beta * kron(Matrix.identity(x.dim, 2), tg)
         rhs = eng.xi_forward(x, triv, n_mod, moved)
@@ -265,7 +265,7 @@ def _identity_slices(v):
 def test_generic_datum_trivial_gives_trivial_twist(e0_datum):
     from dyntwist.datum import generic_galois_datum
     embed, k, t_functor = _scalar_comodule_datum(e0_datum)
-    engine, report = generic_galois_datum(embed, k, t_functor, lambda f: f, _identity_slices)
+    engine, report = generic_galois_datum(embed, k, t_functor, _identity_slices)
     assert report.ok, str(report)
     twist, rep = engine.extract_twist()
     assert rep.ok
@@ -284,7 +284,7 @@ def test_generic_datum_hopf_case(e1_datum):
         return ModuleRep(kb_alg, v.dim, list(v.action), name="T(%s)" % v.name)
 
     engine, report = generic_galois_datum(
-        e1_datum.embed_b, k, t_functor, lambda f: f, _identity_slices)
+        e1_datum.embed_b, k, t_functor, _identity_slices)
     assert report.ok, str(report)
     twist, rep = engine.extract_twist()
     assert rep.ok
@@ -311,7 +311,7 @@ def test_generic_datum_rejects_non_a_linear_iso(e1_datum):
         return ident, Matrix.from_rows(m, 2)
 
     with pytest.raises(PipelineError, match="supplied isomorphism family is not A-linear"):
-        generic_galois_datum(e1_datum.embed_b, k, t_functor, lambda f: f, bad_slices)
+        generic_galois_datum(e1_datum.embed_b, k, t_functor, bad_slices)
 
 
 def test_validation_rejects_bad_b(e1_datum):
@@ -502,7 +502,7 @@ def _unreduced_solution(datum, key) -> Matrix:
         else:
             row[col] = total
 
-    for g in k.alg.generator_indices():
+    for g in k.alg.generating_set():
         s_g = kron_sum(((c, x_act[hi], tv_act[ki]) for (hi, ki), c in k.coaction[g].items()),
                        s_dim, s_dim, order)
         s_cols = s_g.transpose()

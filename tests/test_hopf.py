@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from conftest import e1_spec, hopf_identities, z3_spec
+from conftest import e0_spec, e1_spec, hopf_identities, z3_spec
 from dyntwist.comod import verify_comodule_algebra
 from dyntwist.datum import MonomialDatum
 from dyntwist.hopf import (
@@ -16,7 +16,7 @@ from dyntwist.hopf import (
     harpoon,
     verify_hopf,
 )
-from dyntwist.linalg import Matrix, span_closure
+from dyntwist.linalg import Matrix, generated_words
 from dyntwist.scalar import Cyclo
 from dyntwist.twist import build_twisted_galois
 
@@ -187,8 +187,7 @@ def test_non_injective_embedding_reports_its_rank_deficit(kz2):
 
 def _words_span(alg, gens) -> bool:
     one = Cyclo.one(alg.order)
-    words = span_closure([alg.unit], [lambda w, g=g: alg.multiply(w, {g: one}) for g in gens],
-                         alg.dim)
+    words = generated_words(alg.unit, [{g: one} for g in gens], alg.multiply, alg.dim)[1]
     return len(words) == alg.dim
 
 
@@ -223,6 +222,18 @@ def test_broken_unit_laws_count_associativity_over_every_index(e1_datum, monkeyp
     assert not broken.certified()
     # Light's attempt stops at the unit laws, so only the full count forms identities
     assert len(calls) == alg.dim
+
+
+@pytest.mark.parametrize("make_spec", [e0_spec, e1_spec, z3_spec])
+def test_the_generating_set_of_every_monomial_datum_algebra_is_its_listed_generators(make_spec):
+    datum = MonomialDatum(make_spec())
+    for alg in (datum.h.alg, datum.k.alg, datum.hf.alg, datum.kb.alg):
+        if alg.dim == 1:
+            # trivial kB: the unit alone spans, and its listed [0] adds nothing
+            assert alg.generators == [0] and alg.generating_set() == []
+        else:
+            assert alg.generating_set() == alg.generators
+            assert _words_span(alg, alg.generators)
 
 
 def test_generators_that_do_not_span_are_extended_greedily():

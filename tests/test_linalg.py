@@ -17,6 +17,7 @@ from dyntwist.linalg import (
     differing_columns,
     differing_entries,
     flatten,
+    generated_words,
     identity_residual,
     inverse,
     kernel,
@@ -27,7 +28,6 @@ from dyntwist.linalg import (
     quotient,
     rank,
     solve,
-    span_closure,
     sparse_cols,
 )
 from dyntwist.scalar import Cyclo, ScalarError, euler_phi, sub_mul
@@ -346,32 +346,61 @@ def _unit_vector(i, dim):
     return sparse([q(int(i == j)) for j in range(dim)])
 
 
-def test_span_closure_keeps_only_enlarging_items_in_breadth_first_order():
+def _truncated_poly_mult(dim):
+    """The product of Q[x]/(x^dim) on the basis 1, x, ..., x^(dim-1)."""
+    def multiply(a, b):
+        out = {}
+        for i, c in a.items():
+            for j, d in b.items():
+                if i + j < dim:
+                    out[i + j] = out.get(i + j, q(0)) + c * d
+        return {k: v for k, v in out.items() if not v.is_zero()}
+    return multiply
+
+
+def _entrywise(a, b):
+    """The product of Q^n, entry by entry."""
+    return {i: a[i] * b[i] for i in a if i in b}
+
+
+def test_generated_words_keep_only_enlarging_items_in_breadth_first_order():
     e = [_unit_vector(i, 4) for i in range(4)]
-    shift = Matrix.from_cols(e[1:] + [{}], 4, 1)  # e_i -> e_(i+1), e_3 -> 0
-    double = Matrix.identity(4, 1).scaled(q(2))
-    kept = span_closure([e[0], {0: q(3)}, e[2]], [double.apply, shift.apply], 4)
-    # the seeds first, then the images of e_0, then those of e_2; multiples,
-    # repeats and the zero image of e_3 are dropped
-    assert kept == [e[0], e[2], e[1], e[3]]
+    gens, words = generated_words(e[0], [{0: q(3)}, e[2], e[1], e[3]], _truncated_poly_mult(4), 4)
+    # the multiple of 1 is dropped; x^2 joins and x^2 x^2 = 0 adds nothing; x
+    # joins, then 1 x = x is a repeat and x^2 x = x^3 fills the space, so x^3
+    # is never taken as a candidate
+    assert gens == [e[2], e[1]]
+    assert words == [e[0], e[2], e[1], e[3]]
 
 
-def test_span_closure_stops_at_an_invariant_subspace():
-    swap = mat([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])
-    kept = span_closure([{0: q(1), 1: q(2)}], [swap.apply], 4)
-    assert kept == [{0: q(1), 1: q(2)}, {0: q(2), 1: q(1)}]
-    span = Subspace.from_vectors(kept, 4, 1)
-    assert span == Subspace.from_vectors([_unit_vector(0, 4), _unit_vector(1, 4)], 4, 1)
-    moved = _batch([swap.apply(v) for v in kept], 4, 1)
-    assert pivot_coords(span.basis, span.pivots, moved)[1] == 0
+def test_generated_words_stop_at_an_invariant_subspace():
+    # the words in c = (1, 2, 1, 2) span the subalgebra of Q^4 of the vectors
+    # constant on {0, 2} and on {1, 3}
+    unit, c = sparse([q(1)] * 4), sparse([q(1), q(2), q(1), q(2)])
+    gens, words = generated_words(unit, [c], _entrywise, 4)
+    assert gens == [c] and words == [unit, c]
+    span = Subspace.from_vectors(words, 4, 1)
+    assert span == Subspace.from_vectors([{0: q(1), 2: q(1)}, {1: q(1), 3: q(1)}],
+                                         4, 1)
+    products = _batch([_entrywise(w, g) for w in words for g in gens], 4, 1)
+    assert pivot_coords(span.basis, span.pivots, products)[1] == 0
 
 
-def test_span_closure_of_matrices_under_right_products_with_a_flatten_key():
+def test_generated_words_of_matrices_under_right_products_with_a_flatten_key():
     p = mat([[0, 0, 1], [1, 0, 0], [0, 1, 0]])
     ident = Matrix.identity(3, 1)
-    kept = span_closure([ident, p], [lambda m: m * p], 9, key=flatten)
-    assert kept == [ident, p, p * p]
-    assert p * p * p == ident  # the cube is I again, so the closure stops
+    gens, words = generated_words(ident, [p, p * p], Matrix.__mul__, 9, key=flatten)
+    assert gens == [p] and words == [ident, p, p * p]
+    assert p * p * p == ident  # the cube is I again, so the words stop
+
+
+def test_generated_words_keep_every_candidate_when_the_unit_laws_fail():
+    # in Q^2 the "unit" e_1 kills e_0: the words grown from it alone never
+    # reach e_0, yet e_0 is kept as a word itself
+    e = [_unit_vector(i, 2) for i in range(2)]
+    assert _entrywise(e[1], e[0]) == {}
+    gens, words = generated_words(e[1], e, _entrywise, 2)
+    assert gens == [e[0]] and words == [e[1], e[0]]
 
 
 @pytest.mark.parametrize("order", [1, 3])
@@ -675,45 +704,44 @@ def test_pivot_coords_rejects_a_vector_that_agrees_at_the_pivots():
     assert coords == _batch([{}, {0: q(1), 1: q(1)}], 2, 1)
 
 
-# -- a span closure stops when its span is full -----------------------------------
+# -- growing words stops when their span is full -----------------------------------
 
 
 def _breadth_first_closure(seeds, maps, key):
     """Round by round, each map on each item of the round before, with no bound;
-    returns the kept items and, per call of a map, the number kept after it."""
+    returns the kept items."""
     span = Echelon()
     kept = [s for s in seeds if span.add(key(s))]
-    frontier, calls = kept, []
+    frontier = kept
     while frontier:
-        fresh = []
-        for item in frontier:
-            for f in maps:
-                new = f(item)
-                if span.add(key(new)):
-                    fresh.append(new)
-                calls.append(len(kept) + len(fresh))
-        kept = kept + fresh
-        frontier = fresh
-    return kept, calls
+        frontier = [new for item in frontier for f in maps if span.add(key(new := f(item)))]
+        kept = kept + frontier
+    return kept
 
 
-def test_span_closure_of_the_e1_operator_algebra_stops_at_the_full_space(e1):
+def test_generated_words_of_the_e1_operator_algebra_stop_at_the_full_space(e1):
     from dyntwist.comod import costable_operators
     ops = costable_operators(e1.k)
-    dim = e1.k.dim
-    seeds = [Matrix.identity(dim, e1.k.order)] + ops
-    calls = []
+    dim, order = e1.k.dim, e1.k.order
+    ident = Matrix.identity(dim, order)
+    products = []
 
-    def right_mult(b):
-        def f(a):
-            calls.append(b)
-            return a * b
-        return f
+    def multiply(a, b):
+        products.append((b, a * b))
+        return products[-1][1]
 
-    kept = span_closure(seeds, [right_mult(b) for b in ops], dim * dim, key=flatten)
-    oracle, oracle_calls = _breadth_first_closure(seeds, [lambda a, b=b: a * b for b in ops],
-                                                  flatten)
-    assert len(kept) == dim * dim == 64
-    assert kept == oracle
-    # the last call that kept an item filled the space; no map ran after it
-    assert len(calls) == oracle_calls.index(dim * dim) + 1 < len(oracle_calls)
+    gens, words = generated_words(ident, ops, multiply, dim * dim, key=flatten)
+    oracle = _breadth_first_closure([ident] + ops, [lambda a, b=b: a * b for b in ops], flatten)
+    assert len(words) == len(oracle) == dim * dim == 64
+    assert all(any(b is g for g in gens) for b, _ in products)
+    # the last product filled the space: nothing was multiplied after it
+    assert words[-1] is products[-1][1]
+    # an operator is a generator exactly when it lies outside the closure of
+    # the generators before it
+    for i, op in enumerate(ops):
+        before = [g for g in gens if any(g is o for o in ops[:i])]
+        closure = _breadth_first_closure([ident] + before,
+                                         [lambda a, b=b: a * b for b in before], flatten)
+        span = Subspace.from_vectors([flatten(m) for m in closure], dim * dim, order)
+        outside = pivot_coords(span.basis, span.pivots, _batch([flatten(op)], dim * dim, order))[1]
+        assert any(op is g for g in gens) == (outside == 1)

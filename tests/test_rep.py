@@ -1,7 +1,13 @@
+import json
+from pathlib import Path
+
 import pytest
 
+from dyntwist.cli import datum_from_json
 from dyntwist.hopf import group_algebra
-from dyntwist.linalg import Matrix, flatten, solve
+from dyntwist.linalg import Matrix, balanced_relations, flatten, quotient, solve
+from dyntwist.monomial import (MonomialHopfSpec, group_sub_embedding, make_monomial_hopf,
+                               sub_table)
 from dyntwist.rep import (
     ModuleRep,
     dual_module,
@@ -222,3 +228,33 @@ def test_hom_module_action_equals_one_solve_per_column(inst, module):
         want = Matrix.from_cols([solve(basis_mat, flatten(b * rm)) for b in basis],
                                 len(basis), order)
         assert mod.action[i] == want
+
+
+def _induced_relations(embed, v, indices):
+    """span{h a (x) w - h (x) a w} over the basis indices a of A in ``indices``."""
+    h, one = embed.big, Cyclo.one(v.order)
+    return balanced_relations([(h.alg.right_mult_matrix(embed.embed_elem({a: one})), v.action[a])
+                               for a in indices], h.dim, v.dim, v.order)
+
+
+def _s3xz2_base_embedding():
+    """kS3 inside the monomial Hopf algebra of tests/data/s3xz2_datum.json."""
+    doc = json.loads((Path(__file__).parent / "data" / "s3xz2_datum.json").read_text())
+    spec, order = datum_from_json(doc)
+    hopf_spec = MonomialHopfSpec(table=spec.table, chi=[c.embed(order) for c in spec.chi],
+                                 g=spec.g, n=spec.n)
+    kb = group_algebra(sub_table(spec.table, spec.b_indices), order, name="kS3")
+    return group_sub_embedding(make_monomial_hopf(hopf_spec, order), hopf_spec, kb,
+                               spec.b_indices)
+
+
+@pytest.mark.parametrize("instance", ["E1", "S3xZ2"])
+def test_induced_relations_over_the_generating_set_equal_those_over_the_basis(instance, e1):
+    embed = e1.embed_b if instance == "E1" else _s3xz2_base_embedding()
+    a = embed.small
+    assert len(a.alg.generating_set()) < a.dim
+    for v in (trivial_module(a), regular_module(a.alg)):
+        full = _induced_relations(embed, v, range(a.dim))
+        assert _induced_relations(embed, v, a.alg.generating_set()) == full
+        _, proj, sec = induce(embed, v)
+        assert (proj, sec) == quotient(embed.big.dim * v.dim, full)

@@ -325,7 +325,7 @@ def _l_columns(h, v, w):
 def _intersection_route(k, v, w):
     """Hom_K(H* (x) V, H* (x) W) cap L(H* (x) Hom(V, W)), over the whole ambient space."""
     h, order = k.over, k.order
-    gens = k.alg.generator_indices()
+    gens = k.alg.generating_set()
     inter = intertwiner_basis(stab_module._k_action_on_dual_tensor(k, v, gens),
                               stab_module._k_action_on_dual_tensor(k, w, gens),
                               h.dim * w.dim, h.dim * v.dim, order)

@@ -10,7 +10,7 @@ from dyntwist import comod
 from dyntwist.comod import ComoduleAlgebraData
 from dyntwist.datum import DatumSpec, MonomialDatum
 from dyntwist.hopf import AlgebraData, StructureError, group_algebra
-from dyntwist.linalg import Matrix, inverse
+from dyntwist.linalg import Matrix, balanced_relations, generated_words, inverse, quotient
 from dyntwist.rep import regular_module, trivial_module
 from dyntwist.scalar import Cyclo
 from dyntwist.twist import (
@@ -156,7 +156,7 @@ def test_twisted_galois_corrupted_twist_breaks_associativity(e0_datum):
 
 @pytest.mark.parametrize("instance", ["e0", "e1"])
 @pytest.mark.parametrize("kind", ["computed", "trivial", "corrupted"])
-def test_twisted_galois_verdicts(instance, kind, request):
+def test_twisted_galois_verdicts(instance, kind, request, monkeypatch):
     datum = request.getfixturevalue(instance + "_datum")
     if kind == "computed":
         twist = request.getfixturevalue(instance + "_twist")
@@ -166,6 +166,10 @@ def test_twisted_galois_verdicts(instance, kind, request):
             coeffs = dict(twist.coeffs)
             coeffs[(1, 1, 0)] = Cyclo.one(2)
             twist = TwistElement(datum.h, datum.engine.s_base(), coeffs)
+    pairs = []
+    real = comod.balanced_relations
+    monkeypatch.setattr(comod, "balanced_relations",
+                        lambda p, *rest: pairs.append(len(p)) or real(p, *rest))
     _, report = build_twisted_galois(twist)
     failures = {c.name: c.residual_nonzero_count for c in report.failures()}
     expected = {}
@@ -173,6 +177,35 @@ def test_twisted_galois_verdicts(instance, kind, request):
         expected = {"B: associativity m(m x id) = m(id x m)":
                     {"e0": 12, "e1": 192}[instance]}
     assert failures == expected, str(report)
+    # B^op takes B's verdict: a certified B relates K (x) K over the generators
+    # of R = eps (x) S (none for S = k, one of E1's two), a corrupted B over
+    # R's whole basis
+    assert pairs == [twist.s.dim if kind == "corrupted" else {"e0": 0, "e1": 1}[instance]]
+
+
+def _relations(alg, elems):
+    return balanced_relations([(alg.right_mult_matrix(x), alg.left_mult_matrix(x)) for x in elems],
+                              alg.dim, alg.dim, alg.order)
+
+
+def _assert_generators_of_r_give_its_relations(gal):
+    alg, r = gal.comodule.alg, gal.coinvariant_basis
+    gens = generated_words(alg.unit, r.vectors(), alg.multiply, alg.dim)[0]
+    assert alg.certified() and len(gens) < r.dim
+    full = _relations(alg, r.vectors())
+    assert _relations(alg, gens) == full
+    assert (gal.projection, gal.section) == quotient(alg.dim * alg.dim, full)
+
+
+@pytest.mark.parametrize("make_spec", [e0_spec, e1_spec, z3_spec])
+def test_relations_of_b_op_over_generators_of_r_equal_those_over_its_basis(make_spec):
+    (_, gal), report = build_twisted_galois(_twist_of(make_spec))
+    assert report.ok and gal.comodule.alg.name == "B^op"
+    _assert_generators_of_r_give_its_relations(gal)
+
+
+def test_relations_of_k_over_f_over_generators_of_r_equal_those_over_its_basis(e1_datum):
+    _assert_generators_of_r_give_its_relations(e1_datum.galois_f)
 
 
 def test_pentagon_trivial(e1_datum):
