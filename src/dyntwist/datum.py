@@ -28,9 +28,9 @@ from .comod import (
 )
 from .hopf import (HopfAlgebraData, StructureError, ValidationError, _group_inverses,
                    group_algebra, group_exponent)
-from .linalg import (LinAlgError, Matrix, differing_entries, flatten, identity_residual,
-                     inverse, kron, kron_sum, mul_id_kron, rank, sparse_cols,
-                     sparse_solve, unflatten)
+from .linalg import (LinAlgError, Matrix, differing_columns, differing_entries, flatten,
+                     identity_residual, inverse, kron, kron_sum, mul_id_kron, rank,
+                     sparse_cols, sparse_solve, unflatten)
 from .monomial import (
     MonomialHopfSpec,
     coset_data,
@@ -557,33 +557,24 @@ class MonomialDatum:
 
         omega is assembled as theta-tilde after the station, so its value on
         the class of h (x) v (x) f at the unit u(t (x) w) = eps(t) w is
-        <f, station(eps(S^-1 h) id_T(V))(v)>; the check runs over the induced
-        module's basis through the quotient section, V in {trivial, regular}.
+        <f, station(eps(S^-1 h) id_T(V))(v)> = eps(S^-1 h) (p_V i_V)[f, v], since
+        the station is linear; the check compares the row (eps S^-1) (x)
+        vec(p_V i_V)^T with eps (x) vec(id_V) on the induced module's basis
+        through the quotient section, and counts the basis vectors where they
+        differ, V in {trivial, regular}.
         """
         report = CheckReport("omega normalisation")
         order = self.order
+        eps = self.h.counit_row()
+        eps_s_inv = eps * self.h.antipode_inv
         for v in (self.engine.triv_a, self.engine.a_reg):
-            vdual = dual_module(self.kb, v)
-            vw = tensor_reps(self.kb, v, vdual)
-            ind, proj, sec = induce(self.embed_b, vw)
-            # station is linear: station(eps id) = eps station(id) = eps p_V i_V
+            sec = induce(self.embed_b, tensor_reps(self.kb, v, dual_module(self.kb, v)))[2]
             p_v, i_v = self._station(v)
-            st_id = p_v * i_v
-            bad = 0
-            for r in range(ind.dim):
-                total = Cyclo.zero(order)
-                expected = Cyclo.zero(order)
-                for idx, c in sec.col(r).items():
-                    hh, vf = divmod(idx, vw.dim)
-                    vi, fi = divmod(vf, vdual.dim)
-                    eps_sh = self.h.counit_of(self.h.antipode_inv_of({hh: Cyclo.one(order)}))
-                    small = st_id.row(fi).get(vi)
-                    if small is not None:
-                        total = total + c * (small * eps_sh)
-                    if vi == fi:
-                        expected = expected + c * self.h.counit[hh]
-                if total != expected:
-                    bad += 1
+            # vec(p_V i_V)^T and vec(id_V) as rows on V (x) V*, (v, f) -> v dim V + f
+            station_row = Matrix(1, v.dim ** 2, [flatten((p_v * i_v).transpose())], order)
+            id_row = Matrix(1, v.dim ** 2, [flatten(Matrix.identity(v.dim, order))], order)
+            bad = len(differing_columns(kron(eps_s_inv, station_row) * sec,
+                                        kron(eps, id_row) * sec))
             report.add("req12 normalisation (V = %s)" % v.name, bad == 0, bad)
         return report
 
@@ -639,7 +630,7 @@ def generic_galois_datum(embed_a: SubHopfEmbedding, k: ComoduleAlgebraData,
             # the iso on flattened Hom spaces: p_W Theta i_V, row-major
             eta = kron(station(w)[0], station(v)[1].transpose())
             for g in gens:
-                src = galois_twisted_action(gal, embed_a, tv, tw, g)
+                src = galois_twisted_action(gal, tv, tw, g)
                 tgt = _standard_hom_action(a, v, w, g)
                 if eta * src != tgt * eta:
                     bad += 1
@@ -746,8 +737,7 @@ def phi_psi(datum: MonomialDatum, v: ModuleRep, w: ModuleRep) -> dict:
     af_gens = datum.hf.alg.generating_set()
     af_src = [h.alg.left_mult_matrix(datum.embed_f.embed_elem({g: one}))
               for g in af_gens]
-    af_tgt = [galois_twisted_action(gal, datum.embed_f, tv, tw, g)
-              for g in af_gens]
+    af_tgt = [galois_twisted_action(gal, tv, tw, g) for g in af_gens]
     homaf = intertwiner_basis(af_src, af_tgt, tw.dim * tv.dim, h.dim, order)
     bad = abs(len(homcb) - len(homaf))
     report.add("spaces have equal dimension (%d vs %d)" % (len(homcb), len(homaf)),
@@ -758,8 +748,7 @@ def phi_psi(datum: MonomialDatum, v: ModuleRep, w: ModuleRep) -> dict:
     af_action = {}
     for p, fh in enumerate(f_sorted):
         for i in range(n):
-            af_action[(fh, i)] = galois_twisted_action(
-                gal, datum.embed_f, tv, tw, p * n + i)
+            af_action[(fh, i)] = galois_twisted_action(gal, tv, tw, p * n + i)
     # decomposition data of every H basis element h x^i = chi^-i(c_l) (f x^i) c_l
     decomp = []
     inverses = _group_inverses(table)

@@ -665,14 +665,6 @@ def inverse(m: Matrix) -> Matrix:
     return inv
 
 
-def column_echelonize(m: Matrix) -> Matrix:
-    """Unique reduced-column-echelon basis matrix for the column span of m."""
-    # row-reduce the transpose, read surviving rows back as columns
-    pivots = _sparse_rref(_dense_to_sparse_rows(m.transpose()), m.rows, m.order)
-    basis_rows = [pivots[pc] for pc in sorted(pivots)]
-    return Matrix._trusted(len(basis_rows), m.rows, basis_rows, m.order).transpose()
-
-
 class Subspace:
     """Subspace of an ambient coordinate space, canonical column basis."""
 
@@ -688,8 +680,14 @@ class Subspace:
 
     @staticmethod
     def from_vectors(vectors: list[dict], ambient_dim: int, order: int) -> "Subspace":
-        m = Matrix.from_cols(vectors, ambient_dim, order)
-        return Subspace(ambient_dim, column_echelonize(m))
+        """The span of the vectors: their reduced row echelon rows, read back as columns."""
+        rows = [_drop_zeros(dict(v)) for v in vectors]
+        if any(r and (min(r) < 0 or max(r) >= ambient_dim) for r in rows):
+            raise LinAlgError("column index out of range")
+        pivots = _sparse_rref(rows, ambient_dim, order)
+        basis_rows = [pivots[pc] for pc in sorted(pivots)]
+        return Subspace(ambient_dim, Matrix._trusted(len(basis_rows), ambient_dim, basis_rows,
+                                                     order).transpose())
 
     @property
     def dim(self) -> int:

@@ -129,8 +129,7 @@ def stab_hom_realized(k: ComoduleAlgebraData, v: ModuleRep, w: ModuleRep) -> Sta
     return StabilizerSpace("HomRealized", basis, h_action, report)
 
 
-def curry_map(k: ComoduleAlgebraData, x: ModuleRep, v: ModuleRep, w: ModuleRep,
-              f: Matrix) -> list[Matrix]:
+def curry_map(k: ComoduleAlgebraData, x: ModuleRep, v: ModuleRep, f: Matrix) -> list[Matrix]:
     """curry(f)(x)(h (x) u) = f(h.x (x) u) for each basis vector of X.
 
     curry(f)(x_i) = f . (c_i (x) 1), with c_i: H -> X the orbit map h -> h.x_i.
@@ -157,8 +156,7 @@ def uncurry_map(k: ComoduleAlgebraData, x: ModuleRep, v: ModuleRep, w: ModuleRep
     return Matrix(w.dim, x.dim * v.dim, data, order)
 
 
-def galois_twisted_action(g: GaloisData, embed: SubHopfEmbedding,
-                          v: ModuleRep, w: ModuleRep, a_index: int) -> Matrix:
+def galois_twisted_action(g: GaloisData, v: ModuleRep, w: ModuleRep, a_index: int) -> Matrix:
     """(a.T)(u) = a^[1] . T(a^[2] . u) on flattened Hom(V, W), row-major."""
     order = v.order
     k = g.comodule
@@ -188,10 +186,8 @@ def stab_galois_transport(g: GaloisData, embed: SubHopfEmbedding,
     gens = a.alg.generating_set()
     src_mats = [h.alg.left_mult_matrix(embed.embed_elem({ai: Cyclo.one(order)}))
                 for ai in gens]
-    # build the twisted action per generator; A-basis need not be group-like
-    tgt_mats = []
-    for ai in gens:
-        tgt_mats.append(galois_twisted_action(g, embed, v, w, ai))
+    # the twisted action per generator; the A-basis need not be group-like
+    tgt_mats = [galois_twisted_action(g, v, w, ai) for ai in gens]
     target_basis = intertwiner_basis(src_mats, tgt_mats,
                                      w.dim * v.dim, h.dim, order)
     ok = len(target_basis) == stab.dim
@@ -221,8 +217,7 @@ def stab_galois_transport(g: GaloisData, embed: SubHopfEmbedding,
     return {"basis": transported, "target_basis": target_basis, "report": report}
 
 
-def stab_compose(k: ComoduleAlgebraData, u: ModuleRep, v: ModuleRep, w: ModuleRep,
-                 f: Matrix, gmap: Matrix) -> Matrix:
+def stab_compose(k: ComoduleAlgebraData, u: ModuleRep, f: Matrix, gmap: Matrix) -> Matrix:
     """Composition St(V,W) (x) St(U,V) -> St(U,W): (f o g)(h (x) x) = f(h_2 (x) g(h_1 (x) x)).
 
     As matrices, f o g = f . (1 (x) g) . (tau Delta (x) 1) with tau Delta(h) = h_2 (x) h_1.

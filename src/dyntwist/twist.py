@@ -4,22 +4,28 @@ A twist lives in H (x) H (x) S for a left H-comodule algebra S; elements of
 tensor algebras are sparse dicts keyed by index tuples.  The three defining
 equations are evaluated exactly as tensor identities with the sparse
 tensor-element kernel of ``hopf`` (``tensor_mult``, ``split_leg`` and
-friends), and so is the twisted product on H* (x) S; invertibility is decided
-through the left-regular matrix and the inverse is verified two-sided.
+friends); invertibility is decided through the left-regular matrix and the
+inverse is verified two-sided.
 
 An element acts on a tensor product of modules by ``element_action``, one
 ``linalg.kron_sum``; the left-regular matrix is that action on the regular
 modules, and the module-level pentagon builds its four operators the same way.
+So do the product of the twisted algebra B = H* (x) S and the displayed
+inverse of its canonical map: element actions on H* (x) H* (x) S followed by
+matrix products.
 """
 
 from __future__ import annotations
 
+from itertools import product
 
 from .comod import ComoduleAlgebraData, canonical_map, coinvariants, verify_comodule_algebra
 from .hopf import (AlgebraData, HopfAlgebraData, StructureError, add_into, apply_counit,
-                   dual_hopf, insert_unit_leg, split_leg, tensor_mult, unit_tensor)
+                   dual_hopf, insert_unit_leg, split_leg, tensor_map_matrix, tensor_mult,
+                   unit_tensor)
 from .linalg import (LinAlgError, Matrix, Subspace, differing_columns, differing_entries,
-                     differing_keys, kron_sum, pivot_coords, solve)
+                     differing_keys, kron, kron_id_mul, kron_sum, pivot_coords, solve,
+                     sparse_cols)
 from .report import CheckReport
 from .scalar import Cyclo
 
@@ -218,6 +224,9 @@ def gauge_transform(t1: TwistElement, g: GaugeElement) -> TwistElement:
 def build_twisted_galois(t: TwistElement) -> tuple:
     """The algebra B = H* (x) S with the twist-deformed product.
 
+    The product and the displayed inverse of the canonical map are element
+    actions and matrix products: H acts on H* by the hit matrices, the
+    transposed right multiplications, and S on itself from the left.
     Verifies associativity and unit, then B's right H*cop coaction
     alpha (x) s -> alpha_2 (x) s (x) alpha_1 through comod's left-comodule
     code: flipped, it is the left coaction alpha (x) s -> alpha_1 (x) (alpha_2
@@ -237,32 +246,21 @@ def build_twisted_galois(t: TwistElement) -> tuple:
     hdim, sdim = h.dim, s.dim
     dim = hdim * sdim
 
-    # hit_cols[j][a] = (e_j -> alpha_a) with <h -> alpha, x> = <alpha, x h>
-    hit_cols = [[dict(m.row(a)) for a in range(hdim)]
-                for m in (h.alg.right_mult_matrix({j: one}) for j in range(hdim))]
-    dualmult = hdual.alg.mult
+    # column a of hits[j] is e_j -> alpha_a, with <h -> alpha, x> = <alpha, x h>
+    hits = [h.alg.right_mult_matrix({j: one}).transpose() for j in range(hdim)]
+    lefts = [s.alg.left_mult_matrix({k: one}) for k in range(sdim)]
 
     def bidx(a, k):
         return a * sdim + k
 
     # (alpha_a (x) k)(beta_b (x) s) = sum (x1 -> alpha_a)(x2 -> beta_b) (x) x3 s
-    # over X_k = J (1 (x) delta(k)) = sum J1 (x) J2 k_-1 (x) J3 k_0
-    mult = [[dict() for _ in range(dim)] for _ in range(dim)]
-    for k in range(sdim):
-        xk = tensor_mult(t.legs, t.coeffs, insert_unit_leg(h.alg, s.coaction[k], 0))
-        for a in range(hdim):
-            for b in range(hdim):
-                for ss in range(sdim):
-                    acc: dict = {}
-                    for (x1, x2, x3), cx in xk.items():
-                        spart = s.alg.mult[x3][ss]
-                        for a1, c1 in hit_cols[x1][a].items():
-                            for b1, c2 in hit_cols[x2][b].items():
-                                coeff = cx * c1 * c2
-                                for prod_idx, cp in dualmult[a1][b1].items():
-                                    for s_idx, cs in spart.items():
-                                        add_into(acc, bidx(prod_idx, s_idx), coeff * cp * cs)
-                    mult[bidx(a, k)][bidx(b, ss)] = acc
+    # over X_k = J (1 (x) delta(k)) = sum x1 (x) x2 (x) x3: X_k acting on
+    # H* (x) H* (x) S, then m_H* (x) id, has it as column (a, b, s)
+    m_dual = hdual.alg.mult_matrix()
+    by_k = [sparse_cols(kron_id_mul(m_dual, sdim, element_action(
+        tensor_mult(t.legs, t.coeffs, insert_unit_leg(h.alg, s.coaction[k], 0)),
+        [hits, hits, lefts], order))) for k in range(sdim)]
+    mult = [by_k[k][a * dim:(a + 1) * dim] for a, k in product(range(hdim), range(sdim))]
     counit_unit = {bidx(a, k): c for (a, k), c in unit_tensor([hdual.alg, s.alg]).items()}
     b_alg = AlgebraData(dim, mult, counit_unit, order, name="B")
     report.merge(b_alg.verify(), prefix="B: ")
@@ -288,7 +286,7 @@ def build_twisted_galois(t: TwistElement) -> tuple:
     formula = []
 
     def candidate(proj):
-        formula.append(_can_inverse_formula(t, hdual, hit_cols, proj))
+        formula.append(_can_inverse_formula(t, hdual, hits, lefts, proj))
         return formula[0]
 
     gal = canonical_map(b_op, Subspace.from_vectors(expected, dim, order), candidate)
@@ -299,61 +297,35 @@ def build_twisted_galois(t: TwistElement) -> tuple:
     return (b_comod, gal), report
 
 
-def _can_inverse_formula(t, hdual, hit_cols, proj: Matrix) -> Matrix:
+def _can_inverse_formula(t, hdual, hits, lefts, proj: Matrix) -> Matrix:
     """The closed-form can^-1(gamma (x) r (x) beta) from the twist inverse.
 
     The formula is stated for the right coaction on B; the canonical map of
     the flipped coaction on B^op swaps its source legs (x (x) y -> y (x) x) and
-    its target legs ((b, beta) -> (beta, b)).  The columns are projected to
-    B (x)_S B by one product with ``proj``.
+    its target legs ((b, beta) -> (beta, b)).  On the legs (beta, gamma, r) of
+    H* (x) B it is ``split`` = (id (x) gs (x) id)(Delta_H* (x) id), with
+    gs(beta_2 (x) gamma) = gamma S(beta_2); then J^-1 = sum j1 (x) j2 (x) j3
+    acting as j2 (x) j1 (x) j3; then the placement (x, y, r) ->
+    (x (x) r) (x) (y (x) 1) on the legs of B^op (x) B^op, and ``proj`` onto
+    B (x)_S B.  The placement holds one entry per row, so ``proj`` times it
+    is a relabelling.  The product runs from that end, and no factor is
+    named, so each is freed once it is multiplied in.
     """
     h, s = t.h, t.s
     order = t.order
-    one = Cyclo.one(order)
     hdim, sdim = h.dim, s.dim
     dim = hdim * sdim
-    jinv = t.ensure_inverse()
-    # the comodule is over H*cop, whose antipode is the inverse transpose:
-    # S(beta_b) is row b of h.antipode_inv
-    cols = [None] * (hdim * dim)
-    # basis of B (x) H*cop: (gamma a, r k, beta b)
-    for k in range(sdim):
-        # r_j3 r_k for each S-leg index j3 of J^-1
-        sparts = {j3: s.alg.multiply({j3: one}, {k: one}) for j3 in {key[2] for key in jinv}}
-        # the second B leg (e_j2 -> beta_b1) (x) r_j3 r_k as (flat offset, value)
-        # pairs, by (j2, j3, b1)
-        rights: dict = {}
-        for a in range(hdim):
-            for b in range(hdim):
-                acc: dict = {}
-                for (b1, b2), cb in hdual.comult[b].items():
-                    # gamma . S(beta_2) in H*
-                    gs = hdual.alg.multiply({a: one}, h.antipode_inv.row(b2))
-                    # the first B leg cb (e_j1 -> gamma . S(beta_2)) (x) 1_S as
-                    # (flat index, value) pairs, by j1
-                    lefts: dict = {}
-                    for (j1, j2, j3), cj in jinv.items():
-                        left = lefts.get(j1)
-                        if left is None:
-                            hit: dict = {}
-                            for gk, gc in gs.items():
-                                for lk, lc in hit_cols[j1][gk].items():
-                                    add_into(hit, lk, gc * lc)
-                            left = lefts[j1] = [(lk * sdim + uk, cb * lc * uv)
-                                                for lk, lc in hit.items()
-                                                for uk, uv in s.alg.unit.items()]
-                        right = rights.get((j2, j3, b1))
-                        if right is None:
-                            right = rights[j2, j3, b1] = [
-                                ((rk * sdim + sk) * dim, rc * sc)
-                                for rk, rc in hit_cols[j2][b1].items()
-                                for sk, sc in sparts[j3].items()]
-                        for bi, lv in left:
-                            lv = cj * lv
-                            for offset, rv in right:
-                                add_into(acc, offset + bi, lv * rv)
-                cols[b * dim + a * sdim + k] = acc
-    return proj * Matrix.from_cols(cols, dim * dim, order)
+    id_h = Matrix.identity(hdim, order)
+    # the comodule is over H*cop, whose antipode is the inverse of H*'s
+    gs = hdual.alg.opposite("H*^op").mult_matrix() * kron(hdual.antipode_inv, id_h)
+    delta = tensor_map_matrix(hdual.comult, hdim, hdim, order)
+    split = kron(kron(id_h, gs) * kron(delta, id_h), Matrix.identity(sdim, order))
+    jinv = {(j2, j1, j3): c for (j1, j2, j3), c in t.ensure_inverse().items()}
+    unit = s.alg.unit.items()
+    legs = product(range(hdim), range(hdim), range(sdim))
+    return (proj * Matrix.from_cols([{((x * sdim + r) * hdim + y) * sdim + u: c for u, c in unit}
+                                     for x, y, r in legs], dim * dim, order)
+            * element_action(jinv, [hits, hits, lefts], order) * split)
 
 
 # -- module-level pentagon ------------------------------------------------------

@@ -6,7 +6,9 @@ Q(zeta_3)) must hash to the values the benchmark checks
 twist of the S3 x Z2 datum, whose base S3 is non-abelian, must hash to the
 values recorded here.  The structure files (``hopf_to_json``,
 ``comodule_to_json``) of the S3 x Z2 datum and of a datum whose F is a
-proper subgroup of G, which relabels F to 0, ..., |F| - 1, are pinned too.
+proper subgroup of G, which relabels F to 0, ..., |F| - 1, are pinned too,
+and so are the twisted algebra B = H* (x) S and the inverse of its canonical
+map that ``build_twisted_galois`` returns for the E0, E1 and Z3 twists.
 A change of matrix storage, product order or
 elimination order that alters a single byte fails this test.
 """
@@ -17,12 +19,13 @@ from pathlib import Path
 
 import pytest
 
-from conftest import e1_spec
-from dyntwist.cli import (comodule_to_json, datum_from_json, hopf_to_json, main,
-                          module_to_json, read_json, twist_to_json, write_json)
+from conftest import e0_spec, e1_spec, z3_spec
+from dyntwist.cli import (_matrix_entries, comodule_to_json, datum_from_json, hopf_to_json,
+                          main, module_to_json, read_json, twist_to_json, write_json)
 from dyntwist.datum import DatumSpec, MonomialDatum
 from dyntwist.monomial import MonomialHopfSpec, make_monomial_comodule, make_monomial_hopf
 from dyntwist.scalar import Cyclo
+from dyntwist.twist import build_twisted_galois
 
 REFERENCE = json.loads(
     (Path(__file__).resolve().parents[1] / "perfbench" / "reference.json").read_text())
@@ -33,6 +36,15 @@ S3XZ2_COMODULE_SHA256 = "9803c24b3bca63abf9ea6294bdda03cf7b05ad19e7f22053f0279f7
 PROPER_F_HOPF_SHA256 = "909230f20803020d62b57b17b08d6f4edef8058181534702010593b0cd4cf573"
 PROPER_F_COMODULE_SHA256 = "8b1b245c66ea181599de1e79ec49c59d3204d712761bf83ab6c83222412f7a15"
 PROPER_F_TWIST_SHA256 = "535ed55925ff3128c296c306dd81ceda2e85adb33324d5f906d64e1b2a6c18d1"
+# (B as a comodule algebra, can^-1 entries) of build_twisted_galois on each twist
+TWISTED_GALOIS_SHA256 = {
+    "e0_spec": ("9000d2dcd101d7b360183a9e2923822eb819eeb6c9104dcac53076f36d7d8e8f",
+                "e1a3e4c9d4202f1766304b46f6e6278bf36202ab64f0444646bc4f27ca790c27"),
+    "e1_spec": ("d3d9dc84807f68d38e865154af8aa2bcbe3715351ffd14342911be65d5880d03",
+                "1d05885b9f6759b7ab20cc7c47146a411fa4e731de9ca1b3b3eb8515abd22761"),
+    "z3_spec": ("bd19f8d7ea20f0f4504908866866b5a5195ea15e08c7acdb38d6f1093140f92e",
+                "7fc5f669e83dc7ec7ba80c02c28f4d8c068693128ad72cffc67ca1d54f055956"),
+}
 
 
 def _sha256(path) -> str:
@@ -107,3 +119,14 @@ def test_structure_files_and_twist_of_a_proper_f_datum_are_unchanged(tmp_path):
     twist, report = datum.compute_twist()
     assert report.ok, str(report)
     assert _doc_sha256(tmp_path, twist_to_json(twist)) == PROPER_F_TWIST_SHA256
+
+
+@pytest.mark.parametrize("make_spec", [e0_spec, e1_spec, z3_spec])
+def test_twisted_algebra_and_its_can_inverse_are_unchanged(make_spec, tmp_path):
+    twist, report = MonomialDatum(make_spec()).compute_twist()
+    assert report.ok, str(report)
+    (b_comod, gal), report = build_twisted_galois(twist)
+    assert report.ok, str(report)
+    assert (_doc_sha256(tmp_path, comodule_to_json(b_comod)),
+            _doc_sha256(tmp_path, _matrix_entries(gal.can_inverse))) == \
+        TWISTED_GALOIS_SHA256[make_spec.__name__]

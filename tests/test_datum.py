@@ -458,6 +458,24 @@ def test_normalisation_fails_on_every_module_when_the_weights_are_zero():
     assert (norm.status, norm.residual_nonzero_count) == ("FAIL", 2)
 
 
+# omega normalisation's residual counts (V = triv_A, then V = A_reg) when the
+# station breaks it: with weight c_0 at slice 0, p_V i_V = c_0 id_V
+OMEGA_COUNTS = {"e0_spec": [2, 2], "e1_spec": [2, 4], "z3_spec": [3, 3]}
+
+
+@pytest.mark.parametrize("make_spec", [e0_spec, e1_spec, z3_spec])
+def test_omega_normalisation_counts_the_induced_basis_vectors_it_fails_on(make_spec):
+    datum = MonomialDatum(make_spec())
+    n = datum.spec.n
+    broken = OMEGA_COUNTS[make_spec.__name__]
+    for weights, counts in (([0] * n, broken), ([2] + [1] * (n - 1), broken),
+                            ([1, 5] + [0] * (n - 2), [0, 0])):
+        datum.weights = [Cyclo.from_rational(r, datum.order) for r in weights]
+        report = datum.omega_normalisation()
+        assert [c.residual_nonzero_count for c in report.checks] == counts, weights
+        assert report.ok == (counts == [0, 0])
+
+
 # -- the orbit-reduced xi^-1 against the unreduced system --------------------------
 
 

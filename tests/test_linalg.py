@@ -13,7 +13,6 @@ from dyntwist.linalg import (
     Matrix,
     Subspace,
     balanced_relations,
-    column_echelonize,
     differing_columns,
     differing_entries,
     flatten,
@@ -109,6 +108,18 @@ def test_product_rejects_matrices_over_different_fields():
 def test_inverse_singular_raises():
     with pytest.raises(LinAlgError):
         inverse(mat([[1, 2], [2, 4]]))
+
+
+def test_from_vectors_leaves_its_input_alone_and_checks_the_range():
+    # stored zeros do not count, the given dicts are not consumed, and an
+    # index outside the ambient space is refused
+    v = {0: q(2), 1: q(0), 2: q(4)}
+    w = Subspace.from_vectors([v, {1: q(0)}], 3, 1)
+    assert v == {0: q(2), 1: q(0), 2: q(4)}
+    assert w.basis == Matrix.from_cols([{0: q(1), 2: q(2)}], 3, 1)
+    for bad in ({3: q(1)}, {-1: q(1)}):
+        with pytest.raises(LinAlgError, match="column index out of range"):
+            Subspace.from_vectors([bad], 3, 1)
 
 
 def test_quotient_by_zero_is_identity():
@@ -470,7 +481,7 @@ def test_row_sparse_matrix_agrees_with_a_dense_reference(order, seed):
                 j for j in range(n) if any(p[j] != q[j] for p, q in zip(da, dother))}
         assert differing_columns(a, a) == set()
         ref_rref = _ref_rref([[da[i][j] for i in range(r)] for j in range(n)], order)
-        echelon = column_echelonize(a)
+        echelon = Subspace.from_vectors(sparse_cols(a), a.rows, a.order).basis
         assert _dense_of(echelon) == [[row[i] for row in ref_rref] for i in range(r)]
         assert _stores_no_zero(echelon)
         assert rank(a) == len(ref_rref)
@@ -599,7 +610,7 @@ def test_cleared_numerator_kernels_agree_with_cyclo_arithmetic(order, seed):
     assert _dense_of(square * square) == _ref_mul(dense, dense, 6, 6, order)
 
     ref_rref = _ref_rref([[da[i][j] for i in range(r)] for j in range(n)], order)
-    echelon = column_echelonize(a)
+    echelon = Subspace.from_vectors(sparse_cols(a), a.rows, a.order).basis
     assert _dense_of(echelon) == [[row[i] for row in ref_rref] for i in range(r)]
     assert all(_canonical(v) for i in range(echelon.rows) for v in echelon.row(i).values())
     assert rank(a) == len(ref_rref)
