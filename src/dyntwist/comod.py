@@ -430,6 +430,8 @@ def canonical_map(k_over_a: ComoduleAlgebraData, r: Subspace,
     residual = can_full * rel.basis
     bad = differing_entries(residual, Matrix.zero(residual.rows, residual.cols, order))
     report.add("can well defined on K (x)_R K", bad == 0, bad)
+    # the full map on K (x) K is the largest matrix here; the inverse needs only can_q
+    del can_full, residual
     can_inv = None
     if can_q.rows == can_q.cols:
         if candidate is not None:

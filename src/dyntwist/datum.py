@@ -558,7 +558,8 @@ class MonomialDatum:
         omega is assembled as theta-tilde after the station, so its value on
         the class of h (x) v (x) f at the unit u(t (x) w) = eps(t) w is
         <f, station(eps(S^-1 h) id_T(V))(v)> = eps(S^-1 h) (p_V i_V)[f, v], since
-        the station is linear; the check compares the row (eps S^-1) (x)
+        the station is linear.  eps S = eps in every Hopf algebra and S is
+        bijective here, so eps S^-1 = eps, and the check compares the row eps (x)
         vec(p_V i_V)^T with eps (x) vec(id_V) on the induced module's basis
         through the quotient section, and counts the basis vectors where they
         differ, V in {trivial, regular}.
@@ -566,14 +567,13 @@ class MonomialDatum:
         report = CheckReport("omega normalisation")
         order = self.order
         eps = self.h.counit_row()
-        eps_s_inv = eps * self.h.antipode_inv
         for v in (self.engine.triv_a, self.engine.a_reg):
             sec = induce(self.embed_b, tensor_reps(self.kb, v, dual_module(self.kb, v)))[2]
             p_v, i_v = self._station(v)
             # vec(p_V i_V)^T and vec(id_V) as rows on V (x) V*, (v, f) -> v dim V + f
             station_row = Matrix(1, v.dim ** 2, [flatten((p_v * i_v).transpose())], order)
             id_row = Matrix(1, v.dim ** 2, [flatten(Matrix.identity(v.dim, order))], order)
-            bad = len(differing_columns(kron(eps_s_inv, station_row) * sec,
+            bad = len(differing_columns(kron(eps, station_row) * sec,
                                         kron(eps, id_row) * sec))
             report.add("req12 normalisation (V = %s)" % v.name, bad == 0, bad)
         return report

@@ -47,6 +47,8 @@ Conventions fixed here and used everywhere else in the package:
 
 from __future__ import annotations
 
+from collections import defaultdict
+
 from .scalar import Cyclo, ScalarError, cleared, euler_phi, packed, sub_mul, unpacker
 
 
@@ -447,19 +449,31 @@ def identity_residual(m: Matrix) -> int:
 #
 # Rows are dicts {column: Cyclo}.  One incremental echelon object backs
 # kernel, solve, rank, spans and minimal polynomials, so pivoting is
-# deterministic everywhere.
+# deterministic everywhere.  Its column index holds, for every column c,
+# the set of pivots p with c in pivots[p] (possibly empty), exactly: a new
+# pivot column is eliminated from the rows it names, and no stored row is
+# scanned for it.
 
 
-def _eliminate(row: dict, c: int, pivot_row: dict) -> None:
-    """row -= row[c] * pivot_row, in place, for a pivot row with 1 at column c."""
+def _eliminate(row: dict, c: int, pivot_row: dict, index=None, key=None) -> None:
+    """row -= row[c] * pivot_row, in place, for a pivot row with 1 at column c.
+
+    For a stored row, ``index`` is the column index and ``key`` the row's
+    pivot: each entry the step adds or cancels is added to or dropped from it.
+    """
     coeff = row.pop(c)
     for cc, vv in pivot_row.items():
         if cc == c:
             continue
-        nv = sub_mul(row.get(cc), coeff, vv)
+        cur = row.get(cc)
+        nv = sub_mul(cur, coeff, vv)
         if nv.is_zero():
             row.pop(cc, None)
+            if index is not None:
+                index[cc].discard(key)
         else:
+            if cur is None and index is not None:
+                index[cc].add(key)
             row[cc] = nv
 
 
@@ -467,11 +481,15 @@ class Echelon:
     """Incremental reduced row echelon form of sparse rows.
 
     Each stored row is normalised to 1 at its pivot, its lowest column, and
-    every pivot column is eliminated from all other stored rows.
+    every pivot column is eliminated from all other stored rows.  ``add``
+    and ``_eliminate`` keep the column index exact; the rows it names under
+    a new pivot column are updated in any order, since each update touches
+    only its own row.
     """
 
     def __init__(self):
         self.pivots: dict[int, dict] = {}
+        self._holders: defaultdict[int, set] = defaultdict(set)
 
     def reduce(self, row: dict) -> dict:
         """Eliminate every pivot column from ``row`` in place; returns it."""
@@ -493,10 +511,12 @@ class Echelon:
         pcol = min(rest)
         inv = rest[pcol].inverse()
         new = {c: v * inv for c, v in rest.items()}
-        for prow in self.pivots.values():
-            if pcol in prow:
-                _eliminate(prow, pcol, new)
-        self.pivots[pcol] = new
+        holders, pivots = self._holders, self.pivots
+        for p in holders.pop(pcol, ()):
+            _eliminate(pivots[p], pcol, new, holders, p)
+        for c in new:
+            holders[c].add(pcol)
+        pivots[pcol] = new
         return rest
 
 

@@ -7,6 +7,13 @@ power basis 1, z, ..., z^(phi(N)-1) reduced modulo the N-th cyclotomic
 polynomial, as integer numerators over one common denominator in lowest
 terms, so equality of the stored form is equality in the field.
 
+Products have three paths by the degree phi(N): Q itself (phi = 1, N = 1, 2)
+multiplies the one numerator; the quadratic fields (phi = 2, N = 3, 4, 6)
+multiply in closed form, (a0 + a1 z)(b0 + b1 z) = (a0 b0 + r0 a1 b1) +
+(a0 b1 + a1 b0 + r1 a1 b1) z with z^2 = r0 + r1 z; every larger field
+multiplies the polynomials and reduces modulo Phi_N.  ``Cyclo.__mul__``,
+``sub_mul`` and the ``unpacker`` reads take the same three paths.
+
 The exact matrix kernels of ``linalg`` work on those integer numerators:
 ``cleared`` gives a common denominator of some values and a bound on their
 numerators over it, ``packed`` writes each numerator polynomial as one
@@ -99,6 +106,10 @@ def _reduction_table(n: int) -> tuple[tuple[int, ...], ...]:
         current = shifted
         rows.append(tuple(current))
     return tuple(rows)
+
+
+# z^2 = r0 + r1 z in the quadratic fields Q(zeta_N), phi(N) = 2
+_QUADRATIC = {n: _reduction_table(n)[0] for n in (3, 4, 6)}
 
 
 @lru_cache(maxsize=None)
@@ -251,7 +262,8 @@ class Cyclo:
     def __mul__(self, other):
         if not isinstance(other, Cyclo):
             return NotImplemented
-        self._check(other)
+        if self.order != other.order:
+            self._check(other)  # raises
         a, b = self.num, other.num
         # a factor equal to 1 gives the other, which is immutable and so shared
         if b[0] == 1 and other.den == 1 and not any(b[1:]):
@@ -261,6 +273,14 @@ class Cyclo:
         phi = len(a)
         if phi == 1:
             return _make(self.order, (a[0] * b[0],), self.den * other.den)
+        if phi == 2:
+            # N = 3, 4, 6: (a0 + a1 z)(b0 + b1 z) with z^2 = r0 + r1 z, in closed form
+            r0, r1 = _QUADRATIC[self.order]
+            a0, a1 = a
+            b0, b1 = b
+            t = a1 * b1
+            return _make(self.order, (a0 * b0 + r0 * t, a0 * b1 + a1 * b0 + r1 * t),
+                         self.den * other.den)
         prod = [0] * (2 * phi - 1)
         for i, ai in enumerate(a):
             if ai:
@@ -420,8 +440,22 @@ def sub_mul(cur: Cyclo | None, a: Cyclo, b: Cyclo) -> Cyclo:
     if b.order != order or (cur is not None and cur.order != order):
         raise ScalarError("cyclotomic order mismatch in cur - a b")
     an, bn = a.num, b.num
-    prod = (an[0] * bn[0],) if len(an) == 1 else _reduced(order, _poly_mul(an, bn))
     den = a.den * b.den
+    if len(an) == 1:
+        prod = (an[0] * bn[0],)
+    elif len(an) == 2:
+        # the closed form of Cyclo.__mul__, subtracted from cur in the same step
+        r0, r1 = _QUADRATIC[order]
+        a0, a1 = an
+        b0, b1 = bn
+        t = a1 * b1
+        p0, p1 = a0 * b0 + r0 * t, a0 * b1 + a1 * b0 + r1 * t
+        if cur is None:
+            return _make(order, (-p0, -p1), den)
+        (c0, c1), cd = cur.num, cur.den
+        return _make(order, (c0 * den - p0 * cd, c1 * den - p1 * cd), cd * den)
+    else:
+        prod = _reduced(order, _poly_mul(an, bn))
     if cur is None:
         return _make(order, tuple([-c for c in prod]), den)
     cd = cur.den
@@ -464,8 +498,8 @@ def packed(row: dict, den: int, width: int) -> dict:
 def unpacker(order: int, width: int):
     """The map (x, den) -> p(zeta_N) / den, for x = p(2^width) as ``packed`` describes.
 
-    p has degree at most 2 phi(N) - 2; the map reduces it modulo Phi_N and
-    normalises once.
+    p has degree at most 2 phi(N) - 2; the map reduces it modulo Phi_N (with
+    z^2 = r0 + r1 z when phi(N) = 2) and normalises once.
     """
     phi = euler_phi(order)
     if phi == 1:
@@ -476,6 +510,20 @@ def unpacker(order: int, width: int):
     # adding half to every slot makes every slot a plain nonnegative digit
     bias = sum(half << width * i for i in range(length))
     shifts = [width * i for i in range(length)]
+    if phi == 2:
+        r0, r1 = _QUADRATIC[order]
+        w2 = 2 * width
+
+        def read2(x: int, den: int) -> Cyclo:
+            x += bias
+            if x < 0 or x >> top:
+                raise AssertionError("packed polynomial overflows its width")
+            # x < 2^(3 width), so the top digit needs no mask
+            p2 = (x >> w2) - half
+            return _make(order, ((x & mask) - half + r0 * p2,
+                                 ((x >> width) & mask) - half + r1 * p2), den)
+
+        return read2
 
     def read(x: int, den: int) -> Cyclo:
         x += bias

@@ -476,6 +476,20 @@ def test_omega_normalisation_counts_the_induced_basis_vectors_it_fails_on(make_s
         assert report.ok == (counts == [0, 0])
 
 
+def _s3xz2_spec():
+    doc = json.loads((ROOT / "tests" / "data" / "s3xz2_datum.json").read_text())
+    return datum_from_json(doc)[0]
+
+
+@pytest.mark.parametrize("make_spec", [e0_spec, e1_spec, z3_spec, _s3xz2_spec])
+def test_counit_is_fixed_by_the_inverse_antipode(make_spec):
+    # omega normalisation reads eps S^-1 as eps; this is the identity it relies on
+    h = MonomialDatum(make_spec()).h
+    eps = h.counit_row()
+    assert not eps.is_zero()
+    assert eps * h.antipode_inv == eps
+
+
 # -- the orbit-reduced xi^-1 against the unreduced system --------------------------
 
 

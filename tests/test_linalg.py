@@ -756,3 +756,99 @@ def test_generated_words_of_the_e1_operator_algebra_stop_at_the_full_space(e1):
         span = Subspace.from_vectors([flatten(m) for m in closure], dim * dim, order)
         outside = pivot_coords(span.basis, span.pivots, _batch([flatten(op)], dim * dim, order))[1]
         assert any(op is g for g in gens) == (outside == 1)
+
+
+# -- the indexed echelon against a scan over every stored row --------------------
+
+
+class _ScanEchelon:
+    """The echelon engine without a column index: a new pivot column is looked
+    for in every stored row.  Plain Cyclo arithmetic, entries updated in
+    place in the order the engine uses, so values and dict order compare."""
+
+    def __init__(self):
+        self.pivots = {}
+        self.cancelled = 0  # stored entries that an elimination cancelled
+
+    @staticmethod
+    def _subtract(row, c, prow):
+        coeff = row.pop(c)
+        cancelled = 0
+        for cc, vv in prow.items():
+            if cc == c:
+                continue
+            nv = row[cc] - coeff * vv if cc in row else -(coeff * vv)
+            if nv.is_zero():
+                cancelled += row.pop(cc, None) is not None
+            else:
+                row[cc] = nv
+        return cancelled
+
+    def add(self, row):
+        for c in [c for c in row if c in self.pivots]:
+            self._subtract(row, c, self.pivots[c])
+        rest = {c: v for c, v in row.items() if not v.is_zero()}
+        if not rest:
+            return rest
+        pcol = min(rest)
+        inv = rest[pcol].inverse()
+        new = {c: v * inv for c, v in rest.items()}
+        for prow in self.pivots.values():
+            if pcol in prow:
+                self.cancelled += self._subtract(prow, pcol, new)
+        self.pivots[pcol] = new
+        return rest
+
+
+def _holders_of(pivots):
+    out = {}
+    for p, row in pivots.items():
+        for c in row:
+            out.setdefault(c, set()).add(p)
+    return out
+
+
+def _assert_same_echelon(rows):
+    ech, ref = Echelon(), _ScanEchelon()
+    for row in rows:
+        got, want = ech.add(dict(row)), ref.add(dict(row))
+        assert list(got.items()) == list(want.items())
+        assert [(p, list(r.items())) for p, r in ech.pivots.items()] == \
+            [(p, list(r.items())) for p, r in ref.pivots.items()]
+        assert {c: s for c, s in ech._holders.items() if s} == _holders_of(ech.pivots)
+    return ref
+
+
+def test_the_column_index_drops_a_cancelled_entry():
+    one = Cyclo.one(1)
+    # pivot 2 is eliminated from the row of pivot 0, and its entry at 3 cancels
+    ref = _assert_same_echelon([{0: one, 2: one, 3: one}, {2: one, 3: one}])
+    assert ref.cancelled == 1
+
+
+@pytest.mark.parametrize("order", [1, 3, 4])
+@pytest.mark.parametrize("seed", range(6))
+def test_indexed_echelon_equals_a_scan_over_the_stored_rows(order, seed):
+    rng = random.Random("echelon:%d:%d" % (order, seed))
+    ncols = rng.randint(6, 14)
+    rows = [sparse(r) for r in _rand_dense(rng, rng.randint(8, 18), ncols, order)]
+    for _ in range(4):
+        # a combination of rows already given reduces to zero
+        rows.insert(rng.randint(len(rows) // 2, len(rows)),
+                    _combination(rng, rng.sample(rows, 3), order))
+    # small integer entries, so stored entries cancel often
+    for _ in range(6):
+        rows.append({c: Cyclo.from_rational(rng.choice([-1, 1]), order)
+                     for c in rng.sample(range(ncols), rng.randint(2, 4))})
+    rng.shuffle(rows)
+    # on three fresh columns a < b < c: a row holding (x, y) at (b, c), then a
+    # row with the same ratio, whose pivot b cancels the first row's entry at c
+    a, b, c = ncols, ncols + 1, ncols + 2
+    x, y, w = (_field_scalar(rng, order) for _ in range(3))
+    x, y, w = (v if not v.is_zero() else Cyclo.one(order) for v in (x, y, w))
+    first = _combination(rng, rng.sample(rows, 2), order)
+    first.update({a: Cyclo.one(order), b: x, c: y})
+    rows += [first, {b: x * w, c: y * w}]
+    ref = _assert_same_echelon(rows)
+    assert len(ref.pivots) < len(rows)  # some rows reduced to zero
+    assert ref.cancelled > 0

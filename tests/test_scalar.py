@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -7,11 +8,17 @@ from hypothesis import given, settings, strategies as st
 from dyntwist.scalar import (
     Cyclo,
     ScalarError,
+    _poly_mul,
+    _reduced,
+    cleared,
     cyclotomic_polynomial,
     euler_phi,
     format_scalar,
     lcm,
+    packed,
     parse_scalar,
+    sub_mul,
+    unpacker,
 )
 
 
@@ -141,7 +148,7 @@ def test_parse_embeds_smaller_order():
     assert v == Cyclo.zeta(12, 4)
 
 
-ORDERS = [1, 2, 3, 4, 5, 8, 12]
+ORDERS = [1, 2, 3, 4, 5, 6, 8, 12]
 
 
 def _check_canonical(v):
@@ -252,3 +259,72 @@ def test_inverse_of_rational_in_extension_field(order):
         inv = Cyclo.from_rational(q, order).inverse()
         assert inv == Cyclo.from_rational(1 / q, order)
         _check_canonical(inv)
+
+
+# -- the quadratic fields: products in closed form, against the polynomial
+# -- reduction and sympy
+
+QUADRATIC_ORDERS = [3, 4, 6]
+
+
+def _quadratic_operands(rng, order):
+    """Seeded operands over Q(zeta_N): denominators, zero, one, a rational, pure z."""
+    def coeff():
+        return Fraction(rng.randint(-30, 30), rng.choice([1, 1, 2, 3, 7, 12]))
+    vals = [Cyclo(order, [coeff(), coeff()]) for _ in range(24)]
+    vals += [Cyclo.zero(order), Cyclo.one(order), -Cyclo.one(order),
+             Cyclo(order, [Fraction(5, 3), 0]), Cyclo.zeta(order), Cyclo(order, [0, Fraction(-2, 9)])]
+    return vals
+
+
+def _by_polynomials(a, b):
+    """a b from the integer polynomial product reduced modulo Phi_N."""
+    poly = _reduced(a.order, _poly_mul(a.num, b.num))
+    return Cyclo(a.order, [Fraction(c, a.den * b.den) for c in poly])
+
+
+@pytest.mark.parametrize("order", QUADRATIC_ORDERS)
+def test_quadratic_products_match_the_polynomial_reduction_and_sympy(order):
+    rng = random.Random("quadratic:%d" % order)
+    sympy, x, modulus, to_poly, to_coeffs = _sympy_field(order)
+    vals = _quadratic_operands(rng, order)
+    zero, one = Cyclo.zero(order), Cyclo.one(order)
+    for a in vals:
+        assert a * one is a and one * a is a  # x * 1 shares the operand
+        for b in rng.sample(vals, 8):
+            prod = a * b
+            _check_canonical(prod)
+            assert prod == _by_polynomials(a, b)
+            assert prod.coeffs == to_coeffs(to_poly(a) * to_poly(b))
+            assert prod.is_zero() == (a.is_zero() or b.is_zero())
+            cur = rng.choice(vals)
+            for c in (cur, None, prod):  # c = a b cancels to zero
+                got = sub_mul(c, a, b)
+                _check_canonical(got)
+                assert got == (zero if c is None else c) - _by_polynomials(a, b)
+            assert sub_mul(prod, a, b) == zero
+
+
+@pytest.mark.parametrize("order", QUADRATIC_ORDERS)
+def test_quadratic_unpacker_reads_sums_of_packed_products(order):
+    rng = random.Random("unpacker:%d" % order)
+    _, _, _, to_poly, to_coeffs = _sympy_field(order)
+    vals = _quadratic_operands(rng, order)
+    for trial in range(40):
+        k = rng.randint(1, 6)
+        left, right = rng.sample(vals, k), rng.sample(vals, k)
+        if trial % 4 == 0:  # a sum that cancels to zero
+            left, right = left + [-v for v in left], right + right
+        (aden, abits), (bden, bbits) = cleared(left), cleared(right)
+        width = abits + bbits + (len(left) * 2).bit_length() + 1
+        pa = packed(dict(enumerate(left)), aden, width)
+        pb = packed(dict(enumerate(right)), bden, width)
+        got = unpacker(order, width)(sum(pa[i] * pb[i] for i in pa), aden * bden)
+        _check_canonical(got)
+        want = sum((_by_polynomials(u, v) for u, v in zip(left, right)), Cyclo.zero(order))
+        assert got == want
+        assert got.coeffs == to_coeffs(sum(to_poly(u) * to_poly(v) for u, v in zip(left, right)))
+        if trial % 4 == 0:
+            assert got.is_zero()
+    with pytest.raises(AssertionError, match="overflows"):
+        unpacker(order, 4)(1 << 40, 1)
