@@ -9,13 +9,14 @@ import importlib
 
 _EXPORTS = {
     "scalar": ["Cyclo", "Rational", "format_scalar", "parse_scalar"],
-    "hopf": ["AlgebraData", "HopfAlgebraData", "group_algebra", "verify_hopf"],
-    "comod": ["ComoduleAlgebraData", "SimplicityCertificate", "canonical_map", "coinvariants",
-              "costable_closure", "is_h_simple", "verify_comodule_algebra"],
+    "hopf": ["AlgebraData", "ComoduleAlgebraData", "HopfAlgebraData", "element_action",
+             "group_algebra", "verify_hopf"],
+    "comod": ["SimplicityCertificate", "canonical_map", "coinvariants", "costable_closure",
+              "is_h_simple", "verify_comodule_algebra"],
     "rep": ["ModuleRep", "SubHopfEmbedding", "hom_space", "theta_maps"],
     "stab": ["stab_hom_realized", "yan_zhu_stabilizer"],
-    "twist": ["GaugeElement", "TwistElement", "build_twisted_galois", "element_action",
-              "gauge_check", "twisted_pentagon_check", "verify_twist"],
+    "twist": ["GaugeElement", "TwistElement", "build_twisted_galois", "gauge_check",
+              "twisted_pentagon_check", "verify_twist"],
     "datum": ["DatumSpec", "MonomialDatum", "gauge_from_equivalence", "generic_galois_datum",
               "phi_psi"],
 }

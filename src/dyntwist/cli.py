@@ -1,5 +1,8 @@
 """Command line front end: file formats, verifiers, instance generation.
 
+argv is parsed by hand from one command table, ``COMMANDS``; option names
+are matched exactly, and a usage error is an input error like any other.
+
 All files are JSON with string-encoded exact scalars ("p/q" or
 "[c0,...]@N") and sparse tensor entries as index tuples plus a scalar, all
 indices 0-based.  Output files are byte-stable: fixed basis orders, sorted
@@ -10,21 +13,20 @@ Exit codes: 0 all checks pass, 1 a mathematical check failed, 2 input error.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
+from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
-from .hopf import (AlgebraData, HopfAlgebraData, StructureError, ValidationError,
-                   group_exponent, group_generators, verify_hopf)
+from .hopf import (AlgebraData, ComoduleAlgebraData, HopfAlgebraData, StructureError,
+                   ValidationError, group_exponent, group_generators, verify_hopf)
 from .linalg import LinAlgError, Matrix, generated_words
 from .report import CheckReport
 from .scalar import Cyclo, ScalarError, euler_phi, format_scalar, lcm, parse_scalar
 
 # each command imports the layers it runs, so start-up loads no more
 if TYPE_CHECKING:
-    from .comod import ComoduleAlgebraData
     from .rep import ModuleRep
     from .twist import GaugeElement, TwistElement
 
@@ -228,7 +230,6 @@ def comodule_to_json(k: ComoduleAlgebraData) -> dict:
 
 
 def comodule_from_json(doc: dict, over: HopfAlgebraData) -> ComoduleAlgebraData:
-    from .comod import ComoduleAlgebraData
     if doc.get("format") != "comodule-algebra":
         raise InputError("expected a comodule-algebra file")
     order = int_field(doc, "order")
@@ -431,11 +432,11 @@ def report_document(command: str, inputs: list[str], report: CheckReport,
 
 
 def command_name(args) -> str:
-    """The report's command: the subcommand, with verify's kind or example's name."""
-    if args.command == "verify":
-        return "verify " + args.kind
-    if args.command == "example":
-        return "example " + args.name
+    """The report's command: the command word, with verify's kind or example's name,
+    as given."""
+    word = {"verify": "kind", "example": "name"}.get(args.command)
+    if word and hasattr(args, word):
+        return "%s %s" % (args.command, getattr(args, word))
     return args.command
 
 
@@ -620,53 +621,139 @@ def finish(args, command: str, inputs: list[str], report: CheckReport,
     return EXIT_OK if report.ok else EXIT_CHECK_FAILED
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="dyntwist",
-        description="exact Hopf-algebra computations and dynamical twists")
-    parser.add_argument("--report", help="write a JSON report document here")
-    sub = parser.add_subparsers(dest="command", required=True)
+# -- the command table and its parser ------------------------------------------
 
-    p = sub.add_parser("verify", help="run a verifier on structure files")
-    p.add_argument("kind", choices=["hopf", "comodule", "twist", "gauge"])
-    p.add_argument("files", nargs="*")
-    p.set_defaults(func=cmd_verify)
+# command: (handler, help, positional names, {option: (default, converter, help)},
+# {positional: choices}); a last positional "name*" takes the remaining words
+COMMANDS = {
+    "verify": (cmd_verify, "run a verifier on structure files", ("kind", "files*"), {},
+               {"kind": ("hopf", "comodule", "twist", "gauge")}),
+    "example": (cmd_example, "emit files for a named instance", ("name",), {
+        "--out-dir": (".", str, "output directory (default .)"),
+        "--group-order": (None, int, "cyclic group order (custom)"),
+        "--n": (None, int, "nilpotency index (custom)"),
+        "--chi-gen": ("-1", str, "character value on the generator (custom, default -1)"),
+        "--mu": ("1", str, "fixed n-th root of lambda (custom, default 1)"),
+        "--b": ("", str, "comma-separated B indices (custom, default 0)"),
+    }, {"name": ("E0", "E1", "custom")}),
+    "compute-twist": (cmd_compute_twist, "run the full twist pipeline", ("datum",),
+                      {"--out": (None, str, "twist output path (default twist.json)")}, {}),
+    "stab": (cmd_stab, "compute both stabilizer realizations",
+             ("hopf", "comodule", "v", "w"), {}, {}),
+    "twisted-galois": (cmd_twisted_galois, "build and check H* (x) S",
+                       ("hopf", "s", "twist"), {}, {}),
+}
+# the options before the command word
+GLOBAL_OPTIONS = {"--report": (None, str, "write a JSON report document here")}
 
-    p = sub.add_parser("example", help="emit files for a named instance")
-    p.add_argument("name", choices=["E0", "E1", "custom"])
-    p.add_argument("--out-dir", default=".")
-    p.add_argument("--group-order", type=int, help="cyclic group order (custom)")
-    p.add_argument("--n", type=int, help="nilpotency index (custom)")
-    p.add_argument("--chi-gen", default="-1",
-                   help="character value on the generator (custom)")
-    p.add_argument("--mu", default="1", help="fixed n-th root of lambda (custom)")
-    p.add_argument("--b", default="", help="comma-separated B indices (custom)")
-    p.set_defaults(func=cmd_example)
 
-    p = sub.add_parser("compute-twist", help="run the full twist pipeline")
-    p.add_argument("datum")
-    p.add_argument("--out", help="twist output path (default twist.json)")
-    p.set_defaults(func=cmd_compute_twist)
+def _synopsis(command: str) -> str:
+    _, _, names, options, choices = COMMANDS[command]
+    words = [command]
+    for name in names:
+        if name in choices:
+            words.append("{%s}" % ",".join(choices[name]))
+        else:
+            words.append(name.rstrip("*").upper() + ("..." if name.endswith("*") else ""))
+    return " ".join(words + (["[OPTIONS]"] if options else []))
 
-    p = sub.add_parser("stab", help="compute both stabilizer realizations")
-    p.add_argument("hopf")
-    p.add_argument("comodule")
-    p.add_argument("v")
-    p.add_argument("w")
-    p.set_defaults(func=cmd_stab)
 
-    p = sub.add_parser("twisted-galois", help="build and check H* (x) S")
-    p.add_argument("hopf")
-    p.add_argument("s")
-    p.add_argument("twist")
-    p.set_defaults(func=cmd_twisted_galois)
-    return parser
+def usage() -> str:
+    """The --help text, built from COMMANDS."""
+    lines = ["usage: dyntwist [--report TEXT] COMMAND ...", "",
+             "exact Hopf-algebra computations and dynamical twists", "", "commands:"]
+    for command, (_, text, _, options, _) in COMMANDS.items():
+        lines += ["  " + _synopsis(command), "      " + text]
+        lines += ["      %-20s %s" % (option + (" INT" if convert is int else " TEXT"), help_text)
+                  for option, (_, convert, help_text) in options.items()]
+    lines += ["", "options:", "  %-20s %s" % ("--report TEXT", GLOBAL_OPTIONS["--report"][2]),
+              "  %-20s %s" % ("-h, --help", "print this message and exit"), "",
+              "Option names are matched exactly.  Exit codes: 0 all checks pass,",
+              "1 a mathematical check failed, 2 input error."]
+    return "\n".join(lines)
+
+
+def _take_option(word: str, words, given: dict) -> None:
+    """Record --name=value, or --name and the word after it, in given."""
+    name, eq, value = word.partition("=")
+    given[name] = value if eq else next(words, None)
+
+
+def _set_options(args, given: dict, options: dict) -> None:
+    """Each option's default, then the given values, converted, as attributes of args.
+
+    The known options are taken first, so a --report given after an unknown
+    option is still set when the unknown one is reported.
+    """
+    for option, (default, _, _) in options.items():
+        setattr(args, option[2:].replace("-", "_"), default)
+    for option, value in sorted(given.items(), key=lambda item: item[0] not in options):
+        if option not in options:
+            raise InputError("unknown option %s" % option)
+        if value is None or value.startswith("--"):
+            raise InputError("%s needs a value" % option)
+        try:
+            setattr(args, option[2:].replace("-", "_"), options[option][1](value))
+        except ValueError:
+            raise InputError("%s needs an integer, got %r" % (option, value)) from None
+
+
+def parse_args(argv: list[str], args) -> None:
+    """Fill args from argv through COMMANDS; a usage error raises InputError.
+
+    The global options come before the command word, the command's own options
+    anywhere after it.  The positionals are set before anything is checked, so
+    a report on a usage error names the command words as given.
+    """
+    if "-h" in argv or "--help" in argv:
+        args.help = True
+        return
+    words = iter(argv)
+    given: dict = {}
+    for word in words:
+        if not word.startswith("--"):
+            args.command = word
+            break
+        _take_option(word, words, given)
+    _set_options(args, given, GLOBAL_OPTIONS)
+    if args.command not in COMMANDS:
+        raise InputError("%s; dyntwist --help lists the commands"
+                         % ("unknown command %r" % args.command if args.command
+                            else "no command given"))
+    handler, _, names, options, choices = COMMANDS[args.command]
+    positionals: list = []
+    given = {}
+    for word in words:
+        if word.startswith("--"):
+            _take_option(word, words, given)
+        else:
+            positionals.append(word)
+    fixed = [name for name in names if not name.endswith("*")]
+    for name, word in zip(fixed, positionals):
+        setattr(args, name, word)
+    if len(fixed) < len(names):
+        setattr(args, names[-1][:-1], positionals[len(fixed):])
+    elif len(positionals) > len(fixed):
+        raise InputError("unexpected argument %r (dyntwist %s)"
+                         % (positionals[len(fixed)], _synopsis(args.command)))
+    if len(positionals) < len(fixed):
+        raise InputError("missing %s (dyntwist %s)"
+                         % (fixed[len(positionals)].upper(), _synopsis(args.command)))
+    for name, allowed in choices.items():
+        if getattr(args, name) not in allowed:
+            raise InputError("invalid %s %s %r (choose from %s)" % (
+                args.command, name, getattr(args, name), ", ".join(allowed)))
+    _set_options(args, given, options)
+    args.func = handler
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = SimpleNamespace(command="", help=False, report=None)
     try:
+        parse_args(sys.argv[1:] if argv is None else list(argv), args)
+        if args.help:
+            print(usage())
+            return EXIT_OK
         return args.func(args)
     except (InputError, ScalarError, StructureError, ValidationError,
             LinAlgError) as exc:

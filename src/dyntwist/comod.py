@@ -5,6 +5,10 @@ operator algebra generated by both multiplications and the coaction
 components, whose submodules are exactly the H-costable two-sided ideals.
 All field arithmetic is characteristic zero by construction (cyclotomic),
 which the radical-by-trace-form criterion relies on.
+
+The record ``ComoduleAlgebraData`` and ``subhopf_comodule`` are in ``hopf``,
+so a command that only builds or reads comodule algebras does not load this
+module; both names still resolve here.
 """
 
 from __future__ import annotations
@@ -12,8 +16,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .hopf import (AlgebraData, HopfAlgebraData, StructureError, add_into, apply_counit,
-                   split_leg, tensor_map_failures, tensor_map_matrix, unit_tensor)
+from .hopf import (ComoduleAlgebraData, StructureError, add_into, apply_counit, split_leg,
+                   tensor_map_failures, tensor_map_matrix, unit_tensor)
 from .linalg import (
     Echelon,
     LinAlgError,
@@ -43,52 +47,12 @@ if TYPE_CHECKING:
     from .rep import SubHopfEmbedding
 
 
-class ComoduleAlgebraData:
-    """Algebra K with a left coaction delta: K -> H (x) K."""
-
-    def __init__(self, alg: AlgebraData, over: HopfAlgebraData, coaction,
-                 name: str = "K"):
-        if len(coaction) != alg.dim:
-            raise StructureError("coaction tensor has wrong shape")
-        self.alg = alg
-        self.over = over
-        self.coaction = coaction
-        self.name = name
-
-    @property
-    def dim(self) -> int:
-        return self.alg.dim
-
-    @property
-    def order(self) -> int:
-        return self.alg.order
-
-    def canonical_matrix(self) -> Matrix:
-        """can(k (x) s) = k_(-1) (x) k_(0) s on K (x) K, that is (id_H (x) m_K)(delta (x) id_K).
-
-        Column i*dim + j is sum c e_a (x) e_k e_j over the terms c e_a (x) e_k of
-        delta(e_i), so the matrix is sum c e_a (x) e_i^T (x) L_k over i and those terms.
-        """
-        one = Cyclo.one(self.order)
-        h, dim = self.over.dim, self.dim
-        cols = [Matrix.from_cols([{a: one}], h, self.order) for a in range(h)]
-        rows = [Matrix(1, dim, [{i: one}], self.order) for i in range(dim)]
-        left = [self.alg.left_mult_matrix({k: one}) for k in range(dim)]
-        return kron_sum(((c, cols[a], rows[i], left[k]) for i in range(dim)
-                         for (a, k), c in self.coaction[i].items()),
-                        h * dim, dim * dim, self.order)
-
-    def coaction_component(self, alpha: int) -> Matrix:
-        """(alpha (x) id) delta for the dual basis functional alpha."""
-        rows = [{} for _ in range(self.dim)]
-        for j in range(self.dim):
-            for (hi, ki), c in self.coaction[j].items():
-                if hi == alpha:
-                    add_into(rows[ki], j, c)
-        return Matrix(self.dim, self.dim, rows, self.order)
-
-    def verify(self) -> CheckReport:
-        return verify_comodule_algebra(self)
+def __getattr__(name: str):
+    # subhopf_comodule moved to hopf with the record it builds
+    if name == "subhopf_comodule":
+        from .hopf import subhopf_comodule
+        return subhopf_comodule
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))
 
 
 def verify_comodule_algebra(k: ComoduleAlgebraData) -> CheckReport:
@@ -348,13 +312,6 @@ def _verify_witness(k: ComoduleAlgebraData, w: Subspace) -> tuple[bool, str]:
         if pivot_coords(w.basis, w.pivots, op * w.basis)[1]:
             return False, "not a two-sided ideal" if i < 2 * k.dim else "not costable"
     return True, ""
-
-
-def subhopf_comodule(embed: SubHopfEmbedding, name: str | None = None) -> ComoduleAlgebraData:
-    """A Hopf subalgebra A as a left H-comodule algebra, delta = (embed (x) id) Delta."""
-    a = embed.small
-    coaction = [split_leg(embed.table, a.comult[k], 0) for k in range(a.dim)]
-    return ComoduleAlgebraData(a.alg, embed.big, coaction, name=name or (a.name + "_comod"))
 
 
 # -- Hopf-Galois canonical map ------------------------------------------------

@@ -17,17 +17,11 @@ and finally the twist axioms through the independent verifier.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
 
-from .comod import (
-    ComoduleAlgebraData,
-    canonical_map,
-    coinvariants,
-    corestrict_coaction,
-    is_h_simple,
-    subhopf_comodule,
-)
-from .hopf import (HopfAlgebraData, StructureError, ValidationError, _group_inverses,
-                   group_algebra, group_exponent)
+from .hopf import (ComoduleAlgebraData, HopfAlgebraData, StructureError, ValidationError,
+                   _group_inverses, element_action, flatten_key, group_algebra, group_exponent,
+                   left_mult_matrix_tensor, subhopf_comodule, unflatten_key)
 from .linalg import (LinAlgError, Matrix, differing_columns, differing_entries, flatten,
                      identity_residual, inverse, kron, kron_sum, mul_id_kron, rank,
                      sparse_cols, sparse_solve, unflatten)
@@ -62,16 +56,10 @@ from .rep import (
 )
 from .report import CheckReport
 from .scalar import Cyclo, format_scalar, lcm
-from .twist import (
-    GaugeElement,
-    TwistElement,
-    element_action,
-    flatten_key,
-    invert_element,
-    left_mult_matrix_tensor,
-    unflatten_key,
-    verify_twist,
-)
+
+# comod's algorithms and the twist layer load in the functions that run them
+if TYPE_CHECKING:
+    from .twist import GaugeElement, TwistElement
 
 
 class PipelineError(RuntimeError):
@@ -281,6 +269,7 @@ class AdjunctionEngine:
         return subhopf_comodule(self.embed_b, name="A_base")
 
     def extract_twist(self) -> tuple[TwistElement, CheckReport]:
+        from .twist import TwistElement, invert_element, verify_twist
         report = CheckReport("twist extraction")
         xi_elem, _ = self.obstruction_element()
         i_mat = self.compute_i(self.h_reg, self.h_reg, self.a_reg, xi_elem=xi_elem)
@@ -476,6 +465,7 @@ class MonomialDatum:
     def galois_f(self):
         """Galois data of K over the monomial subalgebra on F (cached)."""
         if self._galois_f is None:
+            from .comod import canonical_map, coinvariants, corestrict_coaction
             k_over_f = corestrict_coaction(self.k, self.embed_f)
             self._galois_f = canonical_map(k_over_f, coinvariants(k_over_f))
             if not self._galois_f.bijective:
@@ -534,6 +524,7 @@ class MonomialDatum:
     # -- public pipeline entry points -------------------------------------
 
     def validate_datum(self, check_simplicity: bool = True) -> CheckReport:
+        from .comod import coinvariants, is_h_simple
         report = CheckReport("dynamical datum")
         report.merge(self.k.verify(), prefix="K: ")
         c = coinvariants(self.k)
@@ -599,6 +590,7 @@ def generic_galois_datum(embed_a: SubHopfEmbedding, k: ComoduleAlgebraData,
     monomial family.  Returns (engine, report); a non-A-linear iso is
     rejected with the exact residual count.
     """
+    from .comod import canonical_map, coinvariants, corestrict_coaction, is_h_simple
     from .stab import galois_twisted_action
 
     report = CheckReport("generic Galois datum")
@@ -664,6 +656,7 @@ def gauge_from_equivalence(datum: MonomialDatum, datum2: MonomialDatum,
     extracted on regular modules, certified on a battery, and inverted: the
     inverse gauges J_T into J_T'.
     """
+    from .twist import GaugeElement, invert_element
     report = CheckReport("gauge extraction")
     eng, eng2 = datum.engine, datum2.engine
     h_reg, a_reg, triv_a, triv_h = eng.h_reg, eng.a_reg, eng.triv_a, eng.triv_h

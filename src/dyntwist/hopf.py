@@ -7,11 +7,15 @@ as ``comult[k] = {(i, j): c}`` meaning Delta(e_k) = sum c e_i (x) e_j.
 Elements of a tensor product of algebras are sparse dicts keyed by index
 tuples, one index per leg.  The sparse tensor-element kernel here (products,
 a leg split by Delta or a coaction or mapped by a linear map, the counit on a
-leg, unit legs) is what coassociativity, the counit laws, the embedding's
+leg, unit legs, flattened keys, an element's action on a tensor product of
+modules) is what coassociativity, the counit laws, the embedding's
 comultiplication check, the twist equations and the twisted product are
 written with.  Every "is an algebra map" check (Delta, eps, S as an
 anti-map, a coaction, a subalgebra embedding, a module action) is instead one
 column identity of matrices, counted by ``algebra_map_failures``.
+
+The comodule-algebra record sits beside the algebra records; its checks and
+the Galois machinery are in ``comod``, which loads only when they run.
 
 Associativity and the algebra-map identities are checked on a generating set
 X once their preconditions are certified (Light's test, ``AlgebraData.certified``
@@ -23,11 +27,16 @@ the number of failing basis triples or pairs.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from .linalg import (LinAlgError, Matrix, _reshape, differing_columns, differing_keys,
                      generated_words, identity_residual, inverse, kron_id_mul, kron_sum,
                      mul_id_kron, sparse_solve, unflatten)
 from .report import CheckReport
 from .scalar import Cyclo, lcm
+
+if TYPE_CHECKING:
+    from .rep import SubHopfEmbedding
 
 
 class StructureError(ValueError):
@@ -116,6 +125,42 @@ def apply_counit(h: HopfAlgebraData, elem: dict, leg: int) -> dict:
         if not e.is_zero():
             add_into(out, key[:leg] + key[leg + 1:], c * e)
     return out
+
+
+def flatten_key(key, dims) -> int:
+    idx = 0
+    for k, d in zip(key, dims):
+        idx = idx * d + k
+    return idx
+
+
+def unflatten_key(idx, dims):
+    out = []
+    for d in reversed(dims):
+        idx, r = divmod(idx, d)
+        out.append(r)
+    return tuple(reversed(out))
+
+
+def element_action(elem: dict, actions, order: int) -> Matrix:
+    """The action of an element of a tensor product of algebras on modules.
+
+    ``actions`` holds one action-matrix list per leg (a module's ``action``);
+    the result is sum c (actions_1[k_1] (x) ... (x) actions_n[k_n]) over the
+    entries c of ``elem`` at (k_1, ..., k_n), legs flattened left-major.
+    """
+    rows = cols = 1
+    for leg in actions:
+        rows, cols = rows * leg[0].rows, cols * leg[0].cols
+    return kron_sum(((c, *(leg[k] for leg, k in zip(actions, key))) for key, c in elem.items()),
+                    rows, cols, order)
+
+
+def left_mult_matrix_tensor(legs, elem: dict, order: int) -> Matrix:
+    """Left multiplication by elem: its action on the left-regular module of every leg."""
+    one = Cyclo.one(order)
+    return element_action(elem, [[alg.left_mult_matrix({i: one}) for i in range(alg.dim)]
+                                 for alg in legs], order)
 
 
 class AlgebraData:
@@ -296,6 +341,65 @@ class HopfAlgebraData:
 
     def verify(self) -> CheckReport:
         return verify_hopf(self)
+
+
+class ComoduleAlgebraData:
+    """Algebra K with a left coaction delta: K -> H (x) K.
+
+    The record only; its checks and the Galois machinery are in ``comod``.
+    """
+
+    def __init__(self, alg: AlgebraData, over: HopfAlgebraData, coaction,
+                 name: str = "K"):
+        if len(coaction) != alg.dim:
+            raise StructureError("coaction tensor has wrong shape")
+        self.alg = alg
+        self.over = over
+        self.coaction = coaction
+        self.name = name
+
+    @property
+    def dim(self) -> int:
+        return self.alg.dim
+
+    @property
+    def order(self) -> int:
+        return self.alg.order
+
+    def canonical_matrix(self) -> Matrix:
+        """can(k (x) s) = k_(-1) (x) k_(0) s on K (x) K, that is (id_H (x) m_K)(delta (x) id_K).
+
+        Column i*dim + j is sum c e_a (x) e_k e_j over the terms c e_a (x) e_k of
+        delta(e_i), so the matrix is sum c e_a (x) e_i^T (x) L_k over i and those terms.
+        """
+        one = Cyclo.one(self.order)
+        h, dim = self.over.dim, self.dim
+        cols = [Matrix.from_cols([{a: one}], h, self.order) for a in range(h)]
+        rows = [Matrix(1, dim, [{i: one}], self.order) for i in range(dim)]
+        left = [self.alg.left_mult_matrix({k: one}) for k in range(dim)]
+        return kron_sum(((c, cols[a], rows[i], left[k]) for i in range(dim)
+                         for (a, k), c in self.coaction[i].items()),
+                        h * dim, dim * dim, self.order)
+
+    def coaction_component(self, alpha: int) -> Matrix:
+        """(alpha (x) id) delta for the dual basis functional alpha."""
+        rows = [{} for _ in range(self.dim)]
+        for j in range(self.dim):
+            for (hi, ki), c in self.coaction[j].items():
+                if hi == alpha:
+                    add_into(rows[ki], j, c)
+        return Matrix(self.dim, self.dim, rows, self.order)
+
+    def verify(self) -> CheckReport:
+        from .comod import verify_comodule_algebra
+        return verify_comodule_algebra(self)
+
+
+def subhopf_comodule(embed: SubHopfEmbedding, name: str | None = None) -> ComoduleAlgebraData:
+    """A Hopf subalgebra A as a left H-comodule algebra, delta = (embed (x) id) Delta."""
+    a = embed.small
+    coaction = [split_leg(embed.table, a.comult[k], 0) for k in range(a.dim)]
+    return ComoduleAlgebraData(a.alg, embed.big, coaction, name=name or (a.name + "_comod"))
 
 
 def solve_antipode(alg: AlgebraData, comult, counit) -> Matrix:

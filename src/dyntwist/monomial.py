@@ -10,9 +10,9 @@ nonzero scalar.
 from __future__ import annotations
 
 
-from .comod import ComoduleAlgebraData
 from .hopf import (
     AlgebraData,
+    ComoduleAlgebraData,
     HopfAlgebraData,
     ValidationError,
     add_into,

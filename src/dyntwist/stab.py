@@ -14,15 +14,19 @@ never forms).
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
 
-from .comod import ComoduleAlgebraData, GaloisData, galois_gamma
-from .hopf import StructureError, add_into
+from .hopf import ComoduleAlgebraData, StructureError, add_into
 from .linalg import (LinAlgError, Matrix, flatten, kron, kron_sum, mul_id_kron, rank,
                      sparse_cols, sparse_kernel_basis, unflatten)
 from .rep import (ModuleRep, SubHopfEmbedding, hom_space, intertwiner_basis, regular_module,
                   tensor_action, translation_action)
 from .report import CheckReport
 from .scalar import Cyclo
+
+# the Galois transport loads comod when it runs
+if TYPE_CHECKING:
+    from .comod import GaloisData
 
 
 class StabilizerSpace:
@@ -158,6 +162,7 @@ def uncurry_map(k: ComoduleAlgebraData, x: ModuleRep, v: ModuleRep, w: ModuleRep
 
 def galois_twisted_action(g: GaloisData, v: ModuleRep, w: ModuleRep, a_index: int) -> Matrix:
     """(a.T)(u) = a^[1] . T(a^[2] . u) on flattened Hom(V, W), row-major."""
+    from .comod import galois_gamma
     order = v.order
     k = g.comodule
     gamma = galois_gamma(g, {a_index: Cyclo.one(order)})

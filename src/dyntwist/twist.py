@@ -7,9 +7,10 @@ tensor-element kernel of ``hopf`` (``tensor_mult``, ``split_leg`` and
 friends); invertibility is decided through the left-regular matrix and the
 inverse is verified two-sided.
 
-An element acts on a tensor product of modules by ``element_action``, one
-``linalg.kron_sum``; the left-regular matrix is that action on the regular
-modules, and the module-level pentagon builds its four operators the same way.
+An element acts on a tensor product of modules by ``hopf.element_action``,
+one ``linalg.kron_sum``; the left-regular matrix is that action on the
+regular modules, and the module-level pentagon builds its four operators the
+same way.  Only the twisted algebra loads ``comod``.
 So do the product of the twisted algebra B = H* (x) S and the displayed
 inverse of its canonical map: element actions on H* (x) H* (x) S followed by
 matrix products.
@@ -19,54 +20,15 @@ from __future__ import annotations
 
 from itertools import product
 
-from .comod import ComoduleAlgebraData, canonical_map, coinvariants, verify_comodule_algebra
-from .hopf import (AlgebraData, HopfAlgebraData, StructureError, add_into, apply_counit,
-                   dual_hopf, insert_unit_leg, split_leg, tensor_map_matrix, tensor_mult,
-                   unit_tensor)
+from .hopf import (AlgebraData, ComoduleAlgebraData, HopfAlgebraData, StructureError, add_into,
+                   apply_counit, dual_hopf, element_action, flatten_key, insert_unit_leg,
+                   left_mult_matrix_tensor, split_leg, tensor_map_matrix, tensor_mult,
+                   unflatten_key, unit_tensor)
 from .linalg import (LinAlgError, Matrix, Subspace, differing_columns, differing_entries,
                      differing_keys, kron, kron_id_mul, kron_sum, pivot_coords, solve,
                      sparse_cols)
 from .report import CheckReport
 from .scalar import Cyclo
-
-
-# -- flattened keys and element actions -------------------------------------
-
-
-def flatten_key(key, dims) -> int:
-    idx = 0
-    for k, d in zip(key, dims):
-        idx = idx * d + k
-    return idx
-
-
-def unflatten_key(idx, dims):
-    out = []
-    for d in reversed(dims):
-        idx, r = divmod(idx, d)
-        out.append(r)
-    return tuple(reversed(out))
-
-
-def element_action(elem: dict, actions, order: int) -> Matrix:
-    """The action of an element of a tensor product of algebras on modules.
-
-    ``actions`` holds one action-matrix list per leg (a module's ``action``);
-    the result is sum c (actions_1[k_1] (x) ... (x) actions_n[k_n]) over the
-    entries c of ``elem`` at (k_1, ..., k_n), legs flattened left-major.
-    """
-    rows = cols = 1
-    for leg in actions:
-        rows, cols = rows * leg[0].rows, cols * leg[0].cols
-    return kron_sum(((c, *(leg[k] for leg, k in zip(actions, key))) for key, c in elem.items()),
-                    rows, cols, order)
-
-
-def left_mult_matrix_tensor(legs, elem: dict, order: int) -> Matrix:
-    """Left multiplication by elem: its action on the left-regular module of every leg."""
-    one = Cyclo.one(order)
-    return element_action(elem, [[alg.left_mult_matrix({i: one}) for i in range(alg.dim)]
-                                 for alg in legs], order)
 
 
 # -- twist element -------------------------------------------------------------
@@ -238,6 +200,7 @@ def build_twisted_galois(t: TwistElement) -> tuple:
     elimination, and F compared with that inverse entry by entry.
     Returns ((B as a left H*-comodule algebra, Galois data of B^op), report).
     """
+    from .comod import canonical_map, coinvariants, verify_comodule_algebra
     h, s = t.h, t.s
     order = t.order
     one = Cyclo.one(order)

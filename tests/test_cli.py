@@ -492,3 +492,125 @@ def test_unwritable_output_path_exits_two(target, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("input error: ") and "Traceback" not in err
     assert not os.path.exists(missing)
+
+
+# -- the argument parser ----------------------------------------------------------
+
+FIVE_COMMANDS = ["verify", "example", "compute-twist", "stab", "twisted-galois"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["-h"], ["--help"], ["verify", "-h"], ["verify", "hopf", "--help"], ["example", "--help"],
+    ["example", "custom", "--group-order", "x", "-h"], ["compute-twist", "-h"],
+    ["stab", "--help"], ["twisted-galois", "-h"], ["--report", "r.json", "-h"],
+])
+def test_help_exits_zero_and_lists_the_commands(argv, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run(argv) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: dyntwist")
+    assert all("\n  %s " % command in out for command in FIVE_COMMANDS)
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([], "no command given"),
+    (["frob"], "unknown command 'frob'"),
+    (["--bogus", "x", "verify", "hopf", "h.json"], "unknown option --bogus"),
+    (["verify", "hopf", "h.json", "--bogus"], "unknown option --bogus"),
+    (["verify", "hopf", "h.json", "--report", "r.json"], "unknown option --report"),
+    (["compute-twist"], "missing DATUM"),
+    (["stab", "h.json", "k.json", "v.json"], "missing W"),
+    (["verify"], "missing KIND"),
+    (["compute-twist", "d.json", "extra.json"], "unexpected argument 'extra.json'"),
+    (["example", "E0", "E1"], "unexpected argument 'E1'"),
+    (["example", "custom", "--group-order", "x", "--n", "2"], "--group-order needs an integer, got 'x'"),
+    (["example", "custom", "--group-order", "4", "--n=2.5"], "--n needs an integer, got '2.5'"),
+    (["example", "custom", "--group-order"], "--group-order needs a value"),
+    (["compute-twist", "d.json", "--out", "--report"], "--out needs a value"),
+    (["--report"], "--report needs a value"),
+    (["verify", "bogus", "x.json"], "invalid verify kind 'bogus' (choose from hopf, comodule"),
+    (["example", "E9"], "invalid example name 'E9' (choose from E0, E1, custom)"),
+])
+def test_a_usage_error_exits_two_with_a_message(argv, message, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error: ") and message in captured.err
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("argv, command", [
+    (["verify", "bogus", "x"], "verify bogus"),
+    (["example", "custom", "--group-order", "x"], "example custom"),
+    (["example", "--n", "x", "custom"], "example custom"),
+    (["stab", "h.json"], "stab"),
+    (["frob", "x"], "frob"),
+    ([], ""),
+])
+def test_a_usage_error_writes_the_exit_two_report(argv, command, tmp_path, capsys):
+    report_path = str(tmp_path / "r.json")
+    assert run(["--report", report_path] + argv) == 2
+    err = capsys.readouterr().err
+    doc = json.loads(open(report_path).read())
+    assert doc == {"command": command, "inputs": {}, "checks": [], "outputs": [],
+                   "input_error": err[len("input error: "):].rstrip("\n")}
+
+
+def test_a_report_given_after_an_unknown_option_is_still_written(tmp_path, capsys):
+    report_path = str(tmp_path / "r.json")
+    assert run(["--bogus=1", "--report", report_path, "verify", "hopf"]) == 2
+    capsys.readouterr()
+    doc = json.loads(open(report_path).read())
+    assert (doc["command"], doc["input_error"]) == ("verify", "unknown option --bogus")
+
+
+def _parsed(argv):
+    from types import SimpleNamespace
+    from dyntwist.cli import parse_args
+    args = SimpleNamespace(command="", help=False, report=None)
+    parse_args(argv, args)
+    return args
+
+
+def test_option_forms_parse_as_the_same_arguments():
+    plain = _parsed(["--report", "r.json", "example", "custom", "--group-order", "4", "--n", "2",
+                     "--chi-gen", "-1", "--b", "0,2"])
+    assert (plain.report, plain.name, plain.group_order, plain.n, plain.chi_gen, plain.mu,
+            plain.b, plain.out_dir) == ("r.json", "custom", 4, 2, "-1", "1", "0,2", ".")
+    # --opt=value, options before and after the positional, the last repeat wins
+    for argv in (["--report=r.json", "example", "--group-order=4", "custom", "--n=2",
+                  "--chi-gen=-1", "--b=0,2"],
+                 ["--report", "r.json", "example", "--b", "0,1", "--n", "2", "--chi-gen", "-1",
+                  "--group-order", "4", "custom", "--b", "0,2"]):
+        assert vars(_parsed(argv)) == vars(plain)
+    verify = _parsed(["verify", "twist", "h.json", "s.json", "j.json"])
+    assert (verify.kind, verify.files, verify.func.__name__) == (
+        "twist", ["h.json", "s.json", "j.json"], "cmd_verify")
+    assert _parsed(["verify", "hopf"]).files == []
+    stab = _parsed(["stab", "h", "k", "v", "w"])
+    assert (stab.hopf, stab.comodule, stab.v, stab.w) == ("h", "k", "v", "w")
+    assert _parsed(["compute-twist", "d.json"]).out is None
+
+
+def test_options_after_the_positionals_give_the_same_files(tmp_path, capsys):
+    first, second = str(tmp_path / "a"), str(tmp_path / "b")
+    assert run(["example", "E0", "--out-dir", first]) == 0
+    assert run(["example", "--out-dir=" + second, "E0"]) == 0
+    capsys.readouterr()
+    for name in sorted(os.listdir(first)):
+        assert open(os.path.join(first, name)).read() == open(os.path.join(second, name)).read()
+
+
+@pytest.mark.parametrize("argv, prefix", [
+    (["example", "E0", "--out-d", "."], "--out-d"),
+    (["example", "custom", "--group", "4", "--n", "2"], "--group"),
+    (["--rep", "r.json", "verify", "hopf", "h.json"], "--rep"),
+    (["compute-twist", "d.json", "--o", "t.json"], "--o"),
+])
+def test_option_names_must_be_exact(argv, prefix, tmp_path, capsys, monkeypatch):
+    # argparse took a unique prefix of an option name; this parser does not
+    monkeypatch.chdir(tmp_path)
+    assert run(argv) == 2
+    assert "unknown option %s\n" % prefix in capsys.readouterr().err

@@ -1,6 +1,7 @@
 """Fuzz of structure files: one corrupted leaf gives exit 0, 1 or 2, never a traceback,
 a verify with one file too few or too many exits 2, and a twist's verdict does not
-depend on the inverse its file carries."""
+depend on the inverse its file carries.  Fuzz of the command line: any argv gives
+exit 0, 1 or 2, never a traceback."""
 
 import contextlib
 import copy
@@ -166,3 +167,42 @@ def test_a_twist_verdict_does_not_depend_on_its_inverse_field(change, data):
             others = [c for c in SCALARS if c != inverse[pos][3]]
             inverse[pos][3] = data.draw(st.sampled_from(others), label="scalar")
     assert _verdicts(docs) == list(_verdicts_without_inverse())
+
+
+# argv words: commands, verify kinds and example names, option names (exact,
+# abbreviated and unknown) and values; "{kind}" is an E0 file of that kind
+ARGV_WORDS = ["verify", "example", "compute-twist", "stab", "twisted-galois", "frob", "hopf",
+              "comodule", "twist", "gauge", "E0", "E1", "custom", "-h", "-x", "-"]
+OPTION_NAMES = ["--report", "--out-dir", "--group-order", "--n", "--chi-gen", "--mu", "--b",
+                "--out", "--out-d", "--rep", "--group", "--help", "--", "--bogus"]
+OPTION_VALUES = ["-1", "0", "1", "2", "3", "4", "x", "", "1/2", "[0,1]@3", "0,1", "out",
+                 "{hopf}", "{comodule}", "{base}", "{twist}", "{datum}", "{ttriv}", "{gauge}"]
+
+
+def _argv_tokens():
+    """A command word (most often a real one), then words and options in any order."""
+    word = st.sampled_from(ARGV_WORDS + OPTION_VALUES).map(lambda w: [w])
+    option = st.tuples(st.sampled_from(OPTION_NAMES), st.sampled_from(OPTION_VALUES),
+                       st.booleans()).map(
+        lambda t: ["%s=%s" % t[:2]] if t[2] else list(t[:2]))
+    # a whole command on the E0 files, so that some runs get past the parser
+    whole = st.sampled_from(sorted(COMMANDS.values()) + [
+        ["example", "E0"], ["example", "custom", "--group-order", "4", "--n", "2"]])
+    first = st.one_of(whole, st.sampled_from(["verify", "example", "compute-twist", "stab",
+                                              "twisted-galois"]).map(lambda w: [w]),
+                      word, option)
+    return st.tuples(first, st.lists(st.one_of(word, word, option), max_size=6)).map(
+        lambda t: [t[0]] + t[1])
+
+
+@settings(max_examples=150, deadline=None)
+@given(tokens=_argv_tokens(), report=st.sampled_from([None, "report.json", "", "missing/r.json"]))
+def test_any_argv_exits_0_1_or_2(tokens, report):
+    with tempfile.TemporaryDirectory() as out, contextlib.chdir(out):
+        paths = _write(_e0_documents(), out)
+        argv = ([] if report is None else ["--report", report]) + [
+            word.format(**paths) for token in tokens for word in token]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            assert main(argv) in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()

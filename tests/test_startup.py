@@ -31,7 +31,8 @@ with contextlib.redirect_stdout(io.StringIO()):
 """
 
 LIGHT = {"cli", "scalar", "linalg", "hopf", "report"}
-CONSTRUCTION = LIGHT | {"comod", "rep", "monomial", "twist", "datum"}
+# the construction builds comodule algebras through hopf's record, never comod's checks
+CONSTRUCTION = LIGHT | {"rep", "monomial", "twist", "datum"}
 
 
 def _modules(body: str) -> set:
@@ -64,10 +65,10 @@ def test_importing_the_cli_loads_only_the_light_layers():
 COMMANDS = [
     (["verify", "hopf"], ["hopf"], set()),
     (["verify", "comodule"], ["hopf", "comodule"], {"comod"}),
-    (["verify", "twist"], ["hopf", "base", "twist"], {"comod", "twist"}),
-    (["verify", "gauge"], ["hopf", "base", "twist", "twist", "gauge"], {"comod", "twist"}),
+    (["verify", "twist"], ["hopf", "base", "twist"], {"twist"}),
+    (["verify", "gauge"], ["hopf", "base", "twist", "twist", "gauge"], {"twist"}),
     (["twisted-galois"], ["hopf", "base", "twist"], {"comod", "twist"}),
-    (["stab"], ["hopf", "comodule", "ttriv", "ttriv"], {"comod", "rep", "stab"}),
+    (["stab"], ["hopf", "comodule", "ttriv", "ttriv"], {"rep", "stab"}),
 ]
 
 
@@ -77,17 +78,31 @@ def test_each_command_loads_only_the_layers_it_runs(e0, command, files, extra):
     assert _loaded(MAIN.format(argv=argv)) == LIGHT | extra
 
 
-@pytest.mark.parametrize("command, files", [(command, files) for command, files, _ in COMMANDS]
-                         + [(["compute-twist"], ["datum"]), (["example", "E0"], [])])
-def test_no_command_loads_a_code_generator(e0, tmp_path, command, files):
-    # dataclasses pulls in inspect, dis, ast and tokenize, and execs the
-    # methods it writes; the records are plain classes, so no command needs it
+EVERY_COMMAND = ([(command, files) for command, files, _ in COMMANDS]
+                 + [(["compute-twist"], ["datum"]), (["example", "E0"], [])])
+
+
+def _command_modules(e0, tmp_path, command, files) -> set:
+    """Every module loaded by a run of the command on the E0 files."""
     argv = command + [e0[kind] for kind in files]
     if command == ["compute-twist"]:
         argv += ["--out", str(tmp_path / "twist.json")]
     elif command == ["example", "E0"]:
         argv += ["--out-dir", str(tmp_path)]
-    assert not _modules(MAIN.format(argv=argv)) & {"dataclasses", "inspect"}
+    return _modules(MAIN.format(argv=argv))
+
+
+@pytest.mark.parametrize("command, files", EVERY_COMMAND)
+def test_no_command_loads_a_code_generator(e0, tmp_path, command, files):
+    # dataclasses pulls in inspect, dis, ast and tokenize, and execs the
+    # methods it writes; the records are plain classes, so no command needs it
+    assert not _command_modules(e0, tmp_path, command, files) & {"dataclasses", "inspect"}
+
+
+@pytest.mark.parametrize("command, files", EVERY_COMMAND + [(["--help"], [])])
+def test_no_command_loads_argparse(e0, tmp_path, command, files):
+    # the command table is parsed by hand; argparse also loads gettext
+    assert not _command_modules(e0, tmp_path, command, files) & {"argparse", "gettext"}
 
 
 def test_only_a_report_loads_hashlib(e0, tmp_path):
@@ -103,8 +118,18 @@ def test_the_construction_loads_neither_polys_nor_stab(e0, tmp_path):
     assert _loaded(MAIN.format(argv=argv)) == CONSTRUCTION
 
 
+def test_an_example_loads_neither_comod_nor_twist(tmp_path):
+    argv = ["example", "E0", "--out-dir", str(tmp_path)]
+    assert _loaded(MAIN.format(argv=argv)) == CONSTRUCTION - {"twist"}
+
+
 def test_a_public_name_loads_its_module_on_first_use():
-    assert _loaded("from dyntwist import MonomialDatum") == CONSTRUCTION - {"cli"}
+    # the datum layer loads the twist layer only when it extracts a twist
+    assert _loaded("from dyntwist import MonomialDatum") == CONSTRUCTION - {"cli", "twist"}
+
+
+def test_the_comodule_record_loads_hopf_and_not_comod():
+    assert _loaded("from dyntwist import ComoduleAlgebraData") == LIGHT - {"cli"}
 
 
 def test_every_public_name_resolves():
