@@ -8,7 +8,7 @@ which the radical-by-trace-form criterion relies on.
 
 The record ``ComoduleAlgebraData`` and ``subhopf_comodule`` are in ``hopf``,
 so a command that only builds or reads comodule algebras does not load this
-module; both names still resolve here.
+module.
 """
 
 from __future__ import annotations
@@ -45,14 +45,6 @@ from .scalar import Cyclo, euler_phi
 
 if TYPE_CHECKING:
     from .rep import SubHopfEmbedding
-
-
-def __getattr__(name: str):
-    # subhopf_comodule moved to hopf with the record it builds
-    if name == "subhopf_comodule":
-        from .hopf import subhopf_comodule
-        return subhopf_comodule
-    raise AttributeError("module %r has no attribute %r" % (__name__, name))
 
 
 def verify_comodule_algebra(k: ComoduleAlgebraData) -> CheckReport:
@@ -154,42 +146,30 @@ def _combine(basis: list[Matrix], coords: dict) -> Matrix:
                     basis[0].rows, basis[0].cols, basis[0].order)
 
 
-def _realify_matrix(m: Matrix) -> Matrix:
-    """View a Cyclo matrix as a matrix over Q (order 1) on the Q-basis index*phi + t."""
-    phi = euler_phi(m.order)
-    zpow = [Cyclo.zeta(m.order, t) for t in range(phi)] if phi > 1 else [Cyclo.one(m.order)]
-    rows = [{} for _ in range(m.rows * phi)]
-    for i, j, e in m.nonzeros():
-        for t in range(phi):
-            coeffs = (e * zpow[t] if phi > 1 else e).coeffs
-            for s in range(phi):
-                rows[i * phi + s][j * phi + t] = Cyclo.from_rational(coeffs[s])
-    return Matrix(m.rows * phi, m.cols * phi, rows, 1)
+def _rational_minpoly(z: Matrix, max_deg: int) -> list[Fraction]:
+    """Minimal polynomial over Q of a matrix over Q(zeta_N): the first power
+    of z that the echelon finds dependent on the lower ones, read off marker
+    columns.
 
-
-def _rational_minpoly(mat: Matrix, max_deg: int) -> list[Fraction]:
-    """Minimal polynomial of a rational matrix: the first power of mat that
-    the echelon finds dependent on the lower ones, read off marker columns."""
-    n = mat.rows
-    marker = n * n  # column marker + k tracks the coefficient of mat^k
+    Realification is an injective Q-algebra map to rational matrices, so a
+    rational polynomial vanishes on z exactly when it does on z's
+    realification; each power enters as its rational coordinates, coefficient
+    s of flat entry i at column i*phi + s.
+    """
+    phi = euler_phi(z.order)
+    marker = z.rows * z.cols * phi  # column marker + k tracks the coefficient of z^k
     span = Echelon()
-    power = Matrix.identity(n, 1)
+    power = Matrix.identity(z.rows, z.order)
     for deg in range(max_deg + 1):
-        row = flatten(power)
+        row = {i * phi + s: Cyclo.from_rational(c) for i, v in flatten(power).items()
+               for s, c in enumerate(v.coeffs) if c}
         row[marker + deg] = Cyclo.one(1)
         rest = span.add(row)
         if min(rest) >= marker:
             return [rest[marker + k].coeffs[0] if marker + k in rest else Fraction(0)
                     for k in range(deg)] + [Fraction(1)]
-        power = power * mat
+        power = power * z
     raise AssertionError("minimal polynomial not found within bound")
-
-
-def _derealify(real: Matrix, n: int, order: int) -> Matrix:
-    phi = euler_phi(order)
-    return Matrix.from_rows(
-        [[Cyclo(order, [real.entry(i * phi + s, j * phi).coeffs[0] for s in range(phi)])
-          for j in range(n)] for i in range(n)], order)
 
 
 MAX_PRIMITIVE_TRIALS = 24
@@ -202,9 +182,10 @@ def is_h_simple(k: ComoduleAlgebraData) -> SimplicityCertificate:
     form radical (faithful module, characteristic zero).  A nonzero radical
     yields a witness ideal.  Otherwise the commutant is computed; it is
     commutative, so K is H-simple exactly when the commutant is a field,
-    certified by a primitive element with irreducible minimal polynomial over
-    Q.  A reducible minimal polynomial instead splits off an idempotent of the
-    commutant whose image is a verified witness ideal.
+    certified by a primitive element z with irreducible minimal polynomial
+    over Q.  A reducible minimal polynomial instead splits off an idempotent
+    e(z) of the commutant whose image is a verified witness ideal.  Both the
+    minimal polynomial and e(z) are computed on z itself over Q(zeta_N).
     """
     from .polys import (FactorUnknown, factor_rational, is_squarefree, poly_divmod, poly_mul,
                         poly_xgcd)
@@ -238,8 +219,7 @@ def is_h_simple(k: ComoduleAlgebraData) -> SimplicityCertificate:
 
     for trial in range(MAX_PRIMITIVE_TRIALS):
         z = _primitive_candidate(commutant, trial, order)
-        real = _realify_matrix(z)
-        minpoly = _rational_minpoly(real, dim_q + 1)
+        minpoly = _rational_minpoly(z, dim_q + 1)
         if len(minpoly) - 1 < dim_q or not is_squarefree(minpoly):
             continue  # not primitive, or not a valid certificate
         try:
@@ -259,8 +239,7 @@ def is_h_simple(k: ComoduleAlgebraData) -> SimplicityCertificate:
         assert g == [Fraction(1)]
         e_poly = poly_mul(v, q)
         _, e_poly = poly_divmod(e_poly, minpoly)
-        e_real = _poly_eval_matrix(e_poly, real)
-        e_mat = _derealify(e_real, dim, order)
+        e_mat = _poly_eval_matrix(e_poly, z)
         image = Subspace.from_vectors(sparse_cols(e_mat), dim, order)
         ok, why = _verify_witness(k, image)
         if ok:

@@ -1,4 +1,4 @@
-"""Univariate polynomials over Q and factorization support.
+"""Univariate polynomials over Q or Z/m and factorization support.
 
 Used by the H-simplicity certificate: minimal polynomials of commutant
 elements are factored over Q (idempotents are scalar-agnostic, so working
@@ -9,6 +9,13 @@ Zassenhaus factors (Berlekamp over a small prime, Hensel lifting, subset
 recombination).  Degrees seen in practice are tiny; hard ceilings turn
 pathological inputs into an explicit "unknown" verdict instead of runaway
 time.
+
+One set of routines serves both coefficient rings: ``trim``, ``poly_mul``,
+``poly_sub``, ``poly_deriv``, ``poly_divmod``, ``poly_gcd`` and
+``poly_xgcd`` take a modulus m, and the default m = 0 means Q.  The ring
+enters in two places only: ``trim`` reduces coefficients mod m, and
+``_inverse`` inverts a leading coefficient.  Over Z/m with m composite a
+division needs a divisor whose leading coefficient is a unit mod m.
 """
 
 from __future__ import annotations
@@ -16,87 +23,80 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, isqrt
 
+from .scalar import _poly_mul
+
 
 class FactorUnknown(Exception):
     """Raised when the factorizer declines (degree/effort ceiling)."""
 
 
-# polynomials are lists of Fractions (or ints for Z[x]), low degree first
+# polynomials are lists of Fractions or ints, low degree first
 
 
-def trim(p):
-    p = list(p)
+def trim(p, m=0):
+    """p without trailing zeros, its coefficients reduced mod m when m > 0."""
+    p = [c % m for c in p] if m else list(p)
     while p and p[-1] == 0:
         p.pop()
     return p
+
+
+def _inverse(c, m):
+    return pow(c, -1, m) if m else 1 / Fraction(c)
 
 
 def degree(p) -> int:
     return len(trim(p)) - 1
 
 
-def poly_mul(a, b):
-    a, b = trim(a), trim(b)
-    if not a or not b:
-        return []
-    out = [a[0] * 0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return out
+def poly_mul(a, b, m=0):
+    return trim(_poly_mul(a, b), m)
 
 
-def poly_divmod(a, b):
-    a, b = [Fraction(x) for x in trim(a)], [Fraction(x) for x in trim(b)]
+def poly_divmod(a, b, m=0):
+    a, b = trim(a, m), trim(b, m)
     if not b:
         raise ZeroDivisionError
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    while a and len(a) >= len(b):
-        c = a[-1] / b[-1]
+    inv = _inverse(b[-1], m)
+    q = [0] * max(0, len(a) - len(b) + 1)
+    while len(a) >= len(b):
+        c = a[-1] * inv
         shift = len(a) - len(b)
         q[shift] = c
         for j in range(len(b)):
             a[shift + j] -= c * b[j]
-        a.pop()
-        a = trim(a)
-    return trim(q), trim(a)
+        a = trim(a, m)
+    return trim(q, m), a
 
 
-def poly_gcd(a, b):
-    a, b = trim(a), trim(b)
-    while b:
-        _, r = poly_divmod(a, b)
-        a, b = b, r
-    if a:
-        lead = a[-1]
-        a = [c / lead for c in a]
-    return a
+def poly_gcd(a, b, m=0):
+    """The monic gcd of a and b ([] when both are zero)."""
+    return poly_xgcd(a, b, m)[0]
 
 
-def poly_xgcd(a, b):
-    """(g, u, v) with u*a + v*b = g, g monic."""
-    r0, r1 = trim(a), trim(b)
-    u0, u1 = [Fraction(1)], []
-    v0, v1 = [], [Fraction(1)]
+def poly_xgcd(a, b, m=0):
+    """(g, u, v) with u*a + v*b = g, g monic ([] each when a = b = 0)."""
+    r0, r1 = trim(a, m), trim(b, m)
+    u0, u1 = [1], []
+    v0, v1 = [], [1]
     while r1:
-        q, r = poly_divmod(r0, r1)
+        q, r = poly_divmod(r0, r1, m)
         r0, r1 = r1, r
-        u0, u1 = u1, poly_sub(u0, poly_mul(q, u1))
-        v0, v1 = v1, poly_sub(v0, poly_mul(q, v1))
+        u0, u1 = u1, poly_sub(u0, poly_mul(q, u1), m)
+        v0, v1 = v1, poly_sub(v0, poly_mul(q, v1), m)
     if not r0:
         return [], [], []
-    lead = r0[-1]
-    return ([c / lead for c in r0], [c / lead for c in u0], [c / lead for c in v0])
+    inv = _inverse(r0[-1], m)
+    return tuple(trim([c * inv for c in p], m) for p in (r0, u0, v0))
 
 
-def poly_sub(a, b):
+def poly_sub(a, b, m=0):
     """a - b; padding with int 0 keeps integer inputs integer."""
-    return trim([x - y for x, y in zip_pad(a, b)])
+    return trim([x - y for x, y in zip_pad(a, b)], m)
 
 
-def poly_deriv(p):
-    return trim([i * c for i, c in enumerate(p)][1:])
+def poly_deriv(p, m=0):
+    return trim([i * c for i, c in enumerate(p)][1:], m)
 
 
 def is_squarefree(p) -> bool:
@@ -121,59 +121,16 @@ def to_primitive_int(p):
     return ints
 
 
-# -- arithmetic mod a prime --------------------------------------------------
-
-
-def _pmod(p, m):
-    return trim([c % m for c in p])
-
-
-def _pmul_mod(a, b, m):
-    a, b = trim(a), trim(b)
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % m
-    return trim(out)
-
-
-def _pdivmod_mod(a, b, m):
-    a, b = trim([c % m for c in a]), trim([c % m for c in b])
-    if not b:
-        raise ZeroDivisionError
-    inv_lead = pow(b[-1], -1, m)
-    q = [0] * max(0, len(a) - len(b) + 1)
-    while a and len(a) >= len(b):
-        c = (a[-1] * inv_lead) % m
-        shift = len(a) - len(b)
-        q[shift] = c
-        for j in range(len(b)):
-            a[shift + j] = (a[shift + j] - c * b[j]) % m
-        a = trim(a)
-    return trim(q), trim(a)
-
-
-def _pgcd_mod(a, b, m):
-    a, b = trim([c % m for c in a]), trim([c % m for c in b])
-    while b:
-        _, r = _pdivmod_mod(a, b, m)
-        a, b = b, r
-    if a:
-        inv = pow(a[-1], -1, m)
-        a = [(c * inv) % m for c in a]
-    return a
+# -- factoring over Z/p and lifting to Z/p^k -----------------------------------
 
 
 def _ppow_mod(base, e, mod_poly, m):
     result = [1]
-    base = _pdivmod_mod(base, mod_poly, m)[1]
+    base = poly_divmod(base, mod_poly, m)[1]
     while e:
         if e & 1:
-            result = _pdivmod_mod(_pmul_mod(result, base, m), mod_poly, m)[1]
-        base = _pdivmod_mod(_pmul_mod(base, base, m), mod_poly, m)[1]
+            result = poly_divmod(poly_mul(result, base), mod_poly, m)[1]
+        base = poly_divmod(poly_mul(base, base), mod_poly, m)[1]
         e >>= 1
     return result
 
@@ -211,10 +168,10 @@ def _berlekamp(f, p):
             for c in range(p):
                 if degree(rem) <= 0:
                     break
-                h = _pgcd_mod(rem, poly_sub_mod(v, c, p), p)
+                h = poly_gcd(rem, poly_sub(v, [c], p), p)
                 if 0 < degree(h) <= degree(rem):
                     pieces.append(h)
-                    rem = _pdivmod_mod(rem, h, p)[0]
+                    rem = poly_divmod(rem, h, p)[0]
             if degree(rem) > 0:
                 pieces.append(rem)
             new_factors.extend(pieces if pieces else [g])
@@ -222,14 +179,6 @@ def _berlekamp(f, p):
         if len(factors) == len(basis):
             break
     return factors
-
-
-def poly_sub_mod(v, c, p):
-    out = list(v)
-    if not out:
-        out = [0]
-    out[0] = (out[0] - c) % p
-    return trim(out)
 
 
 def _fp_kernel(mat, p):
@@ -273,21 +222,23 @@ def _hensel_lift_pair(f, g, h, p, target):
     algorithm is not valid modulo p^k, where a remainder's leading
     coefficient can be divisible by p.
     """
-    _, u, v = _xgcd_mod(g, h, p)
+    one, u, v = poly_xgcd(g, h, p)
+    if one != [1]:
+        raise FactorUnknown("factors not coprime during Hensel lift")
     m = p
     while m < target:
         m2 = m * m
-        e = [c % m2 for c in poly_sub(f, poly_mul(g, h))]
+        e = poly_sub(f, poly_mul(g, h), m2)
         # g' = g + (v*e mod g), h' = h + (u*e mod h) over Z/m2
-        r = _pdivmod_mod(poly_mul(v, e), g, m2)[1]
-        g = trim([(a + b) % m2 for a, b in zip_pad(g, r)])
-        r = _pdivmod_mod(poly_mul(u, e), h, m2)[1]
-        h = trim([(a + b) % m2 for a, b in zip_pad(h, r)])
+        r = poly_divmod(poly_mul(v, e), g, m2)[1]
+        g = trim([a + b for a, b in zip_pad(g, r)], m2)
+        r = poly_divmod(poly_mul(u, e), h, m2)[1]
+        h = trim([a + b for a, b in zip_pad(h, r)], m2)
         # u g + v h = 1 + b with b = 0 mod m, so w = 1 - b gives (1 + b) w = 1
         # mod m2; u' = u w mod h and v' = v w + (u w div h) g keep u' g + v' h
         w = poly_sub(poly_sub([2], poly_mul(u, g)), poly_mul(v, h))
-        q, u = _pdivmod_mod(poly_mul(u, w), h, m2)
-        v = trim([(a + b) % m2 for a, b in zip_pad(poly_mul(v, w), poly_mul(q, g))])
+        q, u = poly_divmod(poly_mul(u, w), h, m2)
+        v = trim([a + b for a, b in zip_pad(poly_mul(v, w), poly_mul(q, g))], m2)
         m = m2
     return g, h, m
 
@@ -295,22 +246,6 @@ def _hensel_lift_pair(f, g, h, p, target):
 def zip_pad(a, b):
     n = max(len(a), len(b))
     return zip(list(a) + [0] * (n - len(a)), list(b) + [0] * (n - len(b)))
-
-
-def _xgcd_mod(a, b, m):
-    """(g, u, v) with u*a + v*b = g = 1 mod m (a, b coprime mod every prime of m)."""
-    r0, r1 = trim([c % m for c in a]), trim([c % m for c in b])
-    u0, u1 = [1], []
-    v0, v1 = [], [1]
-    while r1:
-        q, r = _pdivmod_mod(r0, r1, m)
-        r0, r1 = r1, r
-        u0, u1 = u1, trim([(x - y) % m for x, y in zip_pad(u0, _pmul_mod(q, u1, m))])
-        v0, v1 = v1, trim([(x - y) % m for x, y in zip_pad(v0, _pmul_mod(q, v1, m))])
-    if degree(r0) != 0:
-        raise FactorUnknown("factors not coprime during Hensel lift")
-    inv = pow(r0[0], -1, m)
-    return r0, [(c * inv) % m for c in u0], [(c * inv) % m for c in v0]
 
 
 def _centered(c, m):
@@ -359,8 +294,8 @@ def _zassenhaus(zp) -> list[list[Fraction]]:
     """Monic irreducible factors over Q of a squarefree monic integer polynomial."""
     # choose a prime keeping f squarefree (f is monic, so its degree cannot drop)
     for p in [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]:
-        fp = _pmod(zp, p)
-        if degree(_pgcd_mod(fp, poly_deriv_mod(fp, p), p)) == 0:
+        fp = trim(zp, p)
+        if degree(poly_gcd(fp, poly_deriv(fp, p), p)) == 0:
             break
     else:
         raise FactorUnknown("no suitable small prime for Zassenhaus")
@@ -373,14 +308,14 @@ def _zassenhaus(zp) -> list[list[Fraction]]:
 
     def lift_group(f_int, parts, modulus_target):
         if len(parts) == 1:
-            return [trim([c % modulus_target for c in f_int])]
+            return [trim(f_int, modulus_target)]
         mid = len(parts) // 2
         g_p = [1]
         for q in parts[:mid]:
-            g_p = _pmul_mod(g_p, q, p)
+            g_p = poly_mul(g_p, q, p)
         h_p = [1]
         for q in parts[mid:]:
-            h_p = _pmul_mod(h_p, q, p)
+            h_p = poly_mul(h_p, q, p)
         g, h, _ = _hensel_lift_pair(f_int, g_p, h_p, p, modulus_target)
         return (lift_group(g, parts[:mid], modulus_target)
                 + lift_group(h, parts[mid:], modulus_target))
@@ -389,10 +324,6 @@ def _zassenhaus(zp) -> list[list[Fraction]]:
     while m < bound:
         m *= m
     return _recombine(zp, lift_group(zp, local, m), m)
-
-
-def poly_deriv_mod(p, m):
-    return trim([(i * c) % m for i, c in enumerate(p)][1:])
 
 
 def _recombine(zp, pieces, m) -> list[list[Fraction]]:
@@ -412,20 +343,17 @@ def _recombine(zp, pieces, m) -> list[list[Fraction]]:
             for combo in combinations(remaining, size):
                 cand = [1]
                 for idx in combo:
-                    cand = _pmul_mod(cand, pieces[idx], m)
-                cand = [_centered(c, m) for c in cand]
-                cand_q = [Fraction(c) for c in trim(cand)]
-                if not cand_q:
-                    continue
-                q, r = poly_divmod([Fraction(c) for c in f], cand_q)
+                    cand = poly_mul(cand, pieces[idx], m)
+                cand = trim([_centered(c, m) for c in cand])
+                q, r = poly_divmod(f, cand)
                 if not r:
-                    found.append(_monic(to_primitive_int(cand_q)))
+                    found.append(_monic(to_primitive_int(cand)))
                     f = to_primitive_int(q)
                     remaining = [i for i in remaining if i not in combo]
                     hit = True
                     break
         size += 1
-    if degree([Fraction(c) for c in f]) > 0:
+    if degree(f) > 0:
         found.append(_monic(f))
     return sorted(found)
 

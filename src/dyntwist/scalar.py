@@ -11,8 +11,9 @@ Products have three paths by the degree phi(N): Q itself (phi = 1, N = 1, 2)
 multiplies the one numerator; the quadratic fields (phi = 2, N = 3, 4, 6)
 multiply in closed form, (a0 + a1 z)(b0 + b1 z) = (a0 b0 + r0 a1 b1) +
 (a0 b1 + a1 b0 + r1 a1 b1) z with z^2 = r0 + r1 z; every larger field
-multiplies the polynomials and reduces modulo Phi_N.  ``Cyclo.__mul__``,
-``sub_mul`` and the ``unpacker`` reads take the same three paths.
+multiplies the polynomials (``_poly_mul``, which ``polys`` shares) and
+reduces modulo Phi_N (``_reduced``).  ``Cyclo.__mul__``, ``sub_mul`` and the
+``unpacker`` reads take the same three paths.
 
 The exact matrix kernels of ``linalg`` work on those integer numerators:
 ``cleared`` gives a common denominator of some values and a bound on their
@@ -281,21 +282,8 @@ class Cyclo:
             t = a1 * b1
             return _make(self.order, (a0 * b0 + r0 * t, a0 * b1 + a1 * b0 + r1 * t),
                          self.den * other.den)
-        prod = [0] * (2 * phi - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        prod[i + j] += ai * bj
-        table = _reduction_table(self.order)
-        out = prod[:phi]
-        for k in range(phi, 2 * phi - 1):
-            c = prod[k]
-            if c:
-                for j, r in enumerate(table[k - phi]):
-                    if r:
-                        out[j] += c * r
-        return _make(self.order, tuple(out), self.den * other.den)
+        return _make(self.order, tuple(_reduced(self.order, _poly_mul(a, b))),
+                     self.den * other.den)
 
     def inverse(self) -> "Cyclo":
         """Multiplicative inverse: a rational directly, otherwise adj(x) / N(x).
@@ -405,8 +393,12 @@ def _make(order: int, num: tuple[int, ...], den: int) -> Cyclo:
     return out
 
 
-def _poly_mul(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
-    """The integer polynomial product a b, of length len(a) + len(b) - 1."""
+def _poly_mul(a, b) -> list:
+    """The polynomial product a b, of length len(a) + len(b) - 1.
+
+    Coefficients low degree first: integer numerators here, and integers or
+    Fractions in ``polys``.
+    """
     prod = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
@@ -419,7 +411,7 @@ def _poly_mul(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
 def _reduced(order: int, poly: list[int]) -> list[int]:
     """poly modulo Phi_N on the power basis, for poly of length 2 phi(N) - 1.
 
-    ``Cyclo.__mul__`` runs the same reduction inline, on its hot path.
+    The reduction of ``Cyclo.__mul__``, ``sub_mul`` and ``unpacker`` for phi(N) >= 3.
     """
     phi = (len(poly) + 1) // 2
     out = poly[:phi]

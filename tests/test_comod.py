@@ -1,6 +1,8 @@
-import pytest
-
+import random
+from fractions import Fraction
 from itertools import permutations
+
+import pytest
 
 from conftest import in_span
 
@@ -8,6 +10,7 @@ from dyntwist.comod import (
     ComoduleAlgebraData,
     SimplicityCertificate,
     _close_under_products,
+    _rational_minpoly,
     _trace_form,
     _verify_witness,
     canonical_map,
@@ -20,9 +23,9 @@ from dyntwist.comod import (
     verify_comodule_algebra,
 )
 from dyntwist.hopf import group_algebra
-from dyntwist.linalg import Subspace
+from dyntwist.linalg import Matrix, Subspace
 from dyntwist.rep import intertwiner_basis
-from dyntwist.scalar import Cyclo
+from dyntwist.scalar import Cyclo, euler_phi
 
 
 def hopf_as_comodule_over_itself(h):
@@ -247,6 +250,112 @@ def test_not_simple_z3_idempotent_split():
     cert = is_h_simple(k)
     assert cert.verdict == SimplicityCertificate.NOT_SIMPLE, cert.detail
     assert cert.witness is not None and 0 < cert.witness.dim < 3
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_not_simple_idempotent_split_over_a_cyclotomic_field(n):
+    # trivial coaction on kZn over Q(zeta_n): K is Q(zeta_n)^n, so the minimal
+    # polynomial over Q of a primitive commutant element factors into one
+    # piece per copy, and the idempotent of the first cuts out one line
+    table = [[(i + j) % n for j in range(n)] for i in range(n)]
+    k = trivial_coaction_comodule(group_algebra(table, n))
+    cert = is_h_simple(k)
+    assert cert.verdict == SimplicityCertificate.NOT_SIMPLE, cert.detail
+    assert cert.detail == "central idempotent of the commutant splits K"
+    assert cert.witness.dim == 1
+    assert _verify_witness(k, cert.witness) == (True, "")
+    assert_costable_ideal(k, cert.witness)
+
+
+def _realified(m: list, order: int) -> list:
+    """The rational matrix of m over Q(zeta_N): entry (i phi + s, j phi + t) is
+    coefficient s of m[i][j] zeta^t."""
+    phi = euler_phi(order)
+    zeta = [Cyclo.zeta(order, t) for t in range(phi)]
+    n = len(m)
+    out = [[0] * (n * phi) for _ in range(n * phi)]
+    for i in range(n):
+        for j in range(n):
+            for t in range(phi):
+                for s, c in enumerate((m[i][j] * zeta[t]).coeffs):
+                    out[i * phi + s][j * phi + t] = c
+    return out
+
+
+def _fraction_minpoly(r: list) -> list:
+    """Minimal polynomial of a rational matrix by Fraction elimination on its
+    flattened powers: the first power in the span of the lower ones."""
+    size = len(r)
+    flats, power = [], [[Fraction(int(i == j)) for j in range(size)] for i in range(size)]
+    while True:
+        target = [c for row in power for c in row]
+        coeffs = _solve_in_span(flats, target)
+        if coeffs is not None:
+            return [-c for c in coeffs] + [Fraction(1)]
+        flats.append(target)
+        power = [[sum(power[i][k] * r[k][j] for k in range(size)) for j in range(size)]
+                 for i in range(size)]
+
+
+def _solve_in_span(cols: list, target: list):
+    """Coefficients c with sum c_k cols[k] = target, or None (cols independent)."""
+    # augmented rows [cols..., target] reduced to echelon form
+    rows = [[col[e] for col in cols] + [target[e]] for e in range(len(target))]
+    width, pivots, top = len(cols), [], 0
+    for col in range(width + 1):
+        sel = next((i for i in range(top, len(rows)) if rows[i][col]), None)
+        if sel is None:
+            continue
+        if col == width:
+            return None
+        rows[top], rows[sel] = rows[sel], rows[top]
+        lead = rows[top][col]
+        rows[top] = [x / lead for x in rows[top]]
+        for i in range(len(rows)):
+            if i != top and rows[i][col]:
+                f = rows[i][col]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[top])]
+        pivots.append(col)
+        top += 1
+    return [rows[pivots.index(k)][width] for k in range(width)]
+
+
+def _minpoly_cases():
+    rng = random.Random(31)
+    cases = []
+    for order in (3, 4, 5):
+        phi = euler_phi(order)
+
+        def scalar():
+            return Cyclo(order, [Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                                 for _ in range(phi)])
+
+        zero = Cyclo.zero(order)
+        for n in (2, 3):
+            for _ in range(3):
+                cases.append((order, [[scalar() if rng.random() < 0.7 else zero
+                                       for _ in range(n)] for _ in range(n)]))
+            c = scalar()
+            cases.append((order, [[c if i == j else zero for j in range(n)] for i in range(n)]))
+            # derogatory: a repeated eigenvalue with two Jordan blocks
+            a, b = Cyclo.zeta(order), scalar()
+            diag = [a, a, b][:n]
+            cases.append((order, [[diag[i] if i == j else zero for j in range(n)]
+                                  for i in range(n)]))
+            # one Jordan block of a non-rational eigenvalue
+            one = Cyclo.one(order)
+            cases.append((order, [[a if i == j else one if j == i + 1 else zero
+                                   for j in range(n)] for i in range(n)]))
+    return cases
+
+
+@pytest.mark.parametrize("order, rows", _minpoly_cases())
+def test_rational_minpoly_agrees_with_the_realified_matrix(order, rows):
+    # the reference realifies the matrix and eliminates over Fractions, sharing
+    # no code with the certificate beyond the field arithmetic
+    n, phi = len(rows), euler_phi(order)
+    got = _rational_minpoly(Matrix.from_rows(rows, order), n * phi)
+    assert got == _fraction_minpoly(_realified(rows, order))
 
 
 def test_simple_certified_over_cyclotomic_field():

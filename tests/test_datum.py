@@ -275,7 +275,7 @@ def test_generic_datum_trivial_gives_trivial_twist(e0_datum):
 def test_generic_datum_hopf_case(e1_datum):
     # K = A = kB inside E1's H: T = identity, J = 1 x 1 x 1
     from dyntwist.datum import generic_galois_datum
-    from dyntwist.comod import subhopf_comodule
+    from dyntwist.hopf import subhopf_comodule
     from dyntwist.rep import ModuleRep
     k = subhopf_comodule(e1_datum.embed_b, name="K=kB")
     kb_alg = e1_datum.kb.alg
@@ -293,7 +293,7 @@ def test_generic_datum_hopf_case(e1_datum):
 
 def test_generic_datum_rejects_non_a_linear_iso(e1_datum):
     from dyntwist.datum import generic_galois_datum
-    from dyntwist.comod import subhopf_comodule
+    from dyntwist.hopf import subhopf_comodule
     from dyntwist.rep import ModuleRep
     k = subhopf_comodule(e1_datum.embed_b, name="K=kB")
     kb_alg = e1_datum.kb.alg

@@ -48,12 +48,12 @@ def _defined():
 
 
 # The paper's lemma checks and oracles, which the tests run and no command
-# does, and the ``vector``/``element`` accessors.
+# does, and the ``vector``/``element``/``entry`` accessors.
 TEST_ONLY = {
-    "costable_closure", "curry_map", "element", "gauge_from_equivalence", "gauge_transform",
-    "generic_galois_datum", "harpoon", "phi_psi", "stab_compose", "stab_galois_transport",
-    "stab_unit", "theta_maps", "trivial_twist", "twisted_pentagon_check", "uncurry_map",
-    "vector",
+    "costable_closure", "curry_map", "element", "entry", "gauge_from_equivalence",
+    "gauge_transform", "generic_galois_datum", "harpoon", "phi_psi", "stab_compose",
+    "stab_galois_transport", "stab_unit", "theta_maps", "trivial_twist",
+    "twisted_pentagon_check", "uncurry_map", "vector",
 }
 
 

@@ -128,6 +128,21 @@ def test_a_public_name_loads_its_module_on_first_use():
     assert _loaded("from dyntwist import MonomialDatum") == CONSTRUCTION - {"cli", "twist"}
 
 
+VALIDATE_E0 = """
+from dyntwist.datum import DatumSpec, MonomialDatum
+from dyntwist.scalar import Cyclo
+spec = DatumSpec(table=[[0, 1], [1, 0]], chi=[Cyclo.one(2), Cyclo.from_rational(-1, 2)],
+                 g=1, n=2, f_indices=[0, 1], b_indices=[0], mu=Cyclo.one(2))
+assert MonomialDatum(spec).validate_datum().ok
+"""
+
+
+def test_validating_a_datum_adds_only_the_certificate_layers():
+    # the H-simplicity certificate loads comod and polys; polys takes its
+    # product from scalar, which the construction has loaded already
+    assert _loaded(VALIDATE_E0) == (CONSTRUCTION - {"cli", "twist"}) | {"comod", "polys"}
+
+
 def test_the_comodule_record_loads_hopf_and_not_comod():
     assert _loaded("from dyntwist import ComoduleAlgebraData") == LIGHT - {"cli"}
 
